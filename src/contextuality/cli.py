@@ -9,7 +9,8 @@
 
 A source is a built-in fixture name or a path to a JSON model
 document.  Exit codes: 0 success, 2 bad input or unsatisfied
-precondition, 3 violated internal invariant.
+precondition, 3 violated internal invariant or any other failure, which
+is reported on one line without a traceback.
 """
 
 from __future__ import annotations
@@ -338,6 +339,11 @@ def main(argv=None) -> int:
         return 2
     except InternalCheckError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other failure is a library fault
+        first = str(exc).partition("\n")[0]
+        print(f"internal error in {args.command}: {type(exc).__name__}"
+              + (f": {first}" if first else ""), file=sys.stderr)
         return 3
 
 

@@ -9,6 +9,18 @@ extends to a global assignment, logically contextual when some section
 does not extend, and strongly contextual when no global assignment is
 compatible with the model at all.
 
+Global sections are found by one iterative search (``_Search``) with no
+recursion, so its depth is not bounded by the interpreter's stack.  It
+keeps generalized arc consistency between contexts that share
+measurements: a context keeps only the rows that agree with its
+measurements' remaining values, and a value stays only while every
+context containing the measurement has a row that uses it.  It branches
+fail first, on the context with the fewest remaining rows, and undoes
+each branch from one trail of changes instead of copying state.
+``classify`` reuses witnesses: every global section found marks all the
+sections it restricts to as extendable, so a pinned search runs only for
+sections not yet marked.
+
 Scenario-law violations (cover not covering, nested contexts, signalling)
 are reported as data by the validators rather than raised, so that broken
 models can be inspected.  Malformed input (labels not in the scenario,
@@ -17,7 +29,9 @@ outcomes out of range) raises ``PreconditionError``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import PreconditionError
 
@@ -220,6 +234,8 @@ class EmpiricalModel:
         return self.sections[context_index]
 
     def section_index(self, context_index: int, section: Section) -> int:
+        if not 0 <= context_index < len(self.sections):
+            raise PreconditionError(f"context index {context_index} out of range")
         try:
             return self.sections[context_index].index(section)
         except ValueError:
@@ -271,83 +287,182 @@ def check_no_signalling(model: EmpiricalModel) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _measurement_order(model: EmpiricalModel) -> list[str]:
-    # decreasing containing-context count, ties by scenario label order
-    scenario = model.scenario
-    counts = {m: 0 for m in scenario.measurements}
-    for c in scenario.contexts:
-        for m in c:
-            counts[m] += 1
-    return sorted(
-        scenario.measurements,
-        key=lambda m: (-counts[m], scenario.label_index(m)),
-    )
+class _Search:
+    """Iterative search for global sections of one model.
 
+    Measurements are variables whose domains are bitmasks over Z_d, and
+    contexts are table constraints whose alive rows are the prefix
+    ``perm[c][:size[c]]`` of a sparse set.  Every change to a domain or a
+    row count is pushed on one undo trail, so backtracking restores a
+    node's state without copying it.  The root state is made arc
+    consistent once, and every search starts from it and returns to it.
+    ``seen[c][r]`` records the rows that some global section found so far
+    restricts to, ``unseen[c]`` counts the rows of ``c`` alive at the root
+    and not seen yet, and ``fresh`` lists the contexts with such rows.
+    """
 
-def _search_global(model: EmpiricalModel, pinned: dict[str, int], find_all: bool) -> list[Section]:
-    """Backtracking over measurements with per-context candidate filtering."""
-    scenario = model.scenario
-    d = scenario.outcome_modulus
-    in_contexts: dict[str, list[int]] = {m: [] for m in scenario.measurements}
-    for ci, c in enumerate(scenario.contexts):
-        for m in c:
-            in_contexts[m].append(ci)
-    candidates = []
-    for ci, sections in enumerate(model.sections):
-        pins = [(m, v) for m, v in pinned.items() if m in set(scenario.contexts[ci])]
-        candidates.append([s for s in sections if all(s[m] == v for m, v in pins)])
-        if not candidates[ci]:
-            return []
-    assignment = dict(pinned)
-    order = [m for m in _measurement_order(model) if m not in assignment]
-    found: list[Section] = []
+    def __init__(self, model: EmpiricalModel):
+        scenario = model.scenario
+        pos = {m: i for i, m in enumerate(scenario.measurements)}
+        self.d = scenario.outcome_modulus
+        self.scope = [tuple(pos[m] for m in c) for c in scenario.contexts]
+        self.rows = [[s.values_on(c) for s in secs]
+                     for c, secs in zip(scenario.contexts, model.sections)]
+        self.watch: list[list[int]] = [[] for _ in pos]
+        for c, scope in enumerate(self.scope):
+            for m in scope:
+                self.watch[m].append(c)
+        self.dom = [(1 << self.d) - 1] * len(pos)
+        self.perm = [list(range(len(rows))) for rows in self.rows]
+        self.size = [len(rows) for rows in self.rows]
+        self.seen = [[False] * len(rows) for rows in self.rows]
+        self.trail: list[tuple[int, int]] = []
+        self.consistent = self._propagate(range(len(self.scope)))
+        self.unseen = list(self.size)
+        self.fresh = [c for c, n in enumerate(self.unseen) if n]
 
-    def descend(i: int) -> bool:
-        if i == len(order):
-            found.append(Section.of(assignment))
-            return not find_all
-        m = order[i]
-        for v in range(d):
-            touched: dict[int, list[Section]] = {}
-            ok = True
-            for ci in in_contexts[m]:
-                kept = [s for s in candidates[ci] if s[m] == v]
-                if not kept:
-                    ok = False
+    def _propagate(self, pending) -> bool:
+        """Generalized arc consistency: drop every row that disagrees with
+        a domain and every value that a containing context no longer
+        supports, until nothing changes.  False on a wipe-out."""
+        dom, size, perm, trail = self.dom, self.size, self.perm, self.trail
+        queue = deque(dict.fromkeys(pending))
+        queued = set(queue)
+        while queue:
+            c = queue.popleft()
+            queued.discard(c)
+            scope, rows, p = self.scope[c], self.rows[c], self.perm[c]
+            masks = [dom[m] for m in scope]
+            support = [0] * len(scope)
+            n, i = size[c], 0
+            while i < n:
+                row = rows[p[i]]
+                if all(mask >> v & 1 for mask, v in zip(masks, row)):
+                    for k, v in enumerate(row):
+                        support[k] |= 1 << v
+                    i += 1
+                else:
+                    n -= 1
+                    p[i], p[n] = p[n], p[i]
+            if not n:
+                return False
+            if n != size[c]:
+                trail.append((c, size[c]))
+                size[c] = n
+            for m, mask, sup in zip(scope, masks, support):
+                if mask & sup != mask:
+                    trail.append((~m, mask))
+                    dom[m] = mask & sup
+                    for other in self.watch[m]:
+                        if other != c and other not in queued:
+                            queued.add(other)
+                            queue.append(other)
+        return True
+
+    def _assign(self, c: int, r: int) -> bool:
+        """Fix context ``c`` to row ``r`` and propagate."""
+        dom, trail = self.dom, self.trail
+        pending = [c]
+        for m, v in zip(self.scope[c], self.rows[c][r]):
+            mask = dom[m]
+            if not mask >> v & 1:
+                return False
+            if mask != 1 << v:
+                trail.append((~m, mask))
+                dom[m] = 1 << v
+                pending.extend(self.watch[m])
+        return self._propagate(pending)
+
+    def _undo(self, mark: int) -> None:
+        dom, size, trail = self.dom, self.size, self.trail
+        while len(trail) > mark:
+            k, old = trail.pop()
+            if k < 0:
+                dom[~k] = old
+            else:
+                size[k] = old
+
+    def _branch_context(self) -> int | None:
+        """Fail first: the context with the fewest alive rows above one,
+        taken first among contexts that still have an unseen row, so that
+        each search settles those contexts while it can still choose their
+        unseen rows."""
+        size = self.size
+        unsettled = ([c for c in self.fresh if size[c] > 1]
+                     or [c for c, n in enumerate(size) if n > 1])
+        return min(unsettled, key=size.__getitem__, default=None)
+
+    def _solutions(self, find_all: bool) -> list[tuple[int, ...]]:
+        """The assignments of a node whose contexts all have one alive row.
+
+        Arc consistency makes those rows agree, so every measurement in a
+        context has one value left; measurements in no context range over
+        Z_d.
+        """
+        for c, p in enumerate(self.perm):
+            if not self.seen[c][p[0]]:
+                self.seen[c][p[0]] = True
+                self.unseen[c] -= 1
+        self.fresh = [c for c in self.fresh if self.unseen[c]]
+        values = [[v for v in range(self.d) if mask >> v & 1]
+                  for mask in self.dom]
+        if not find_all:
+            return [tuple(vs[0] for vs in values)]
+        return list(product(*values))
+
+    def search(self, pin: tuple[int, int] | None = None,
+               find_all: bool = False) -> list[tuple[int, ...]]:
+        """Global assignments, as value tuples in measurement order, that
+        restrict to row ``pin[1]`` of context ``pin[0]`` when ``pin`` is
+        given: all of them, or the first one found.  Branches on
+        ``_branch_context`` and tries unseen rows first."""
+        found: list[tuple[int, ...]] = []
+        if not self.consistent:
+            return found
+        base = len(self.trail)
+        ok = pin is None or self._assign(*pin)
+        stack = []  # (context, iterator over its untried rows, trail mark)
+        while ok:
+            c = self._branch_context()
+            if c is None:
+                found.extend(self._solutions(find_all))
+                if not find_all:
                     break
-                touched[ci] = kept
-            if not ok:
-                continue
-            saved = {ci: candidates[ci] for ci in touched}
-            for ci, kept in touched.items():
-                candidates[ci] = kept
-            assignment[m] = v
-            stop = descend(i + 1)
-            del assignment[m]
-            for ci, old in saved.items():
-                candidates[ci] = old
-            if stop:
-                return True
-        return False
-
-    descend(0)
-    return found
+            else:
+                seen = self.seen[c]
+                rows = sorted(self.perm[c][:self.size[c]],
+                              key=lambda r: (seen[r], r))
+                stack.append((c, iter(rows), len(self.trail)))
+            ok = False
+            while stack and not ok:
+                c, untried, mark = stack[-1]
+                self._undo(mark)
+                r = next(untried, None)
+                if r is None:
+                    stack.pop()
+                else:
+                    ok = self._assign(c, r)
+        self._undo(base)
+        return found
 
 
 def global_sections(model: EmpiricalModel) -> tuple[Section, ...]:
     """All global assignments whose restriction to every context is allowed.
 
     These are exactly the glueings of compatible families of the model.
+    One ``_Search`` enumerates them: arc consistency between contexts that
+    share measurements prunes every row without support, and branching on
+    the context with the fewest alive rows splits the rest.
     """
-    found = _search_global(model, {}, find_all=True)
-    return tuple(sorted(found, key=lambda s: s.values_on(model.scenario.measurements)))
+    labels = model.scenario.measurements
+    found = sorted(_Search(model).search(find_all=True))
+    return tuple(Section(tuple(sorted(zip(labels, vals)))) for vals in found)
 
 
 def section_extends(model: EmpiricalModel, context_index: int, section: Section) -> bool:
     """Does an allowed context section extend to some global section?"""
-    section = Section.of(section)
-    model.section_index(context_index, section)  # membership check
-    return bool(_search_global(model, section.as_dict(), find_all=False))
+    row = model.section_index(context_index, Section.of(section))
+    return bool(_Search(model).search((context_index, row)))
 
 
 @dataclass(frozen=True)
@@ -378,13 +493,22 @@ class ContextualityClass:
 
 
 def classify(model: EmpiricalModel) -> ContextualityClass:
-    """Possibilistic contextuality class of a model."""
-    if not _search_global(model, {}, find_all=False):
+    """Possibilistic contextuality class of a model.
+
+    One ``_Search`` serves the whole classification and reuses its
+    witnesses: every global section it finds marks each section it
+    restricts to as extendable.  A pinned search runs only for a section
+    not yet marked, and it branches on unmarked rows first, so each global
+    section it finds tends to mark new sections as well.  Sections whose
+    pinned search fails are the witnesses, in context and section order.
+    """
+    search = _Search(model)
+    if not search.search():
         return ContextualityClass("strongly_contextual")
     witnesses = []
-    for ci in range(len(model.scenario.contexts)):
-        for s in model.sections[ci]:
-            if not _search_global(model, s.as_dict(), find_all=False):
+    for ci, secs in enumerate(model.sections):
+        for r, s in enumerate(secs):
+            if not search.seen[ci][r] and not search.search((ci, r)):
                 witnesses.append((ci, s))
     if witnesses:
         return ContextualityClass("logically_contextual", tuple(witnesses))

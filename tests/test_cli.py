@@ -157,6 +157,17 @@ def test_internal_error_is_exit_3(monkeypatch, capsys):
     assert "synthetic" in err
 
 
+def test_unexpected_exception_is_one_line_exit_3(monkeypatch, capsys):
+    def broken(_model):
+        raise RuntimeError("search exploded\nsecond line")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    code, out, err = run(capsys, "analyze", "hardy")
+    assert code == 3 and not out
+    assert err.splitlines() == [
+        "internal error in analyze: RuntimeError: search exploded"]
+
+
 def test_section_all(capsys):
     code, out, _ = run(capsys, "analyze", "hardy", "--cech",
                        "--section", "all", "--format", "structured")

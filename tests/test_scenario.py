@@ -1,5 +1,10 @@
 """Scenario and model layer: validation, no-signalling, classification."""
 
+import inspect
+import itertools
+import random
+import sys
+
 import pytest
 
 from contextuality.errors import PreconditionError
@@ -127,6 +132,11 @@ def test_model_make_checks_sections():
               Section.of({"a": 1, "b": 0})]])
     assert len(m.sections[0]) == 2  # deduped
     assert m.section_index(0, Section.of({"a": 0, "b": 0})) >= 0
+    for bad in (-1, 1):
+        with pytest.raises(PreconditionError):
+            m.section_index(bad, Section.of({"a": 0, "b": 0}))
+        with pytest.raises(PreconditionError):
+            section_extends(m, bad, Section.of({"a": 0, "b": 0}))
 
 
 def test_no_signalling_detects_violation(hardy):
@@ -188,3 +198,122 @@ def test_contextuality_class_str():
     assert "1" in str(ContextualityClass(
         "logically_contextual",
         ((0, Section.of({"a": 0})),)))
+
+
+# --- Global-section search against independent answers ----------------------
+
+
+def _random_model(rng):
+    """At most 8 measurements, d in {2, 3}, contexts of 1-3 labels; half
+    the draws keep a planted global assignment in every context."""
+    n = rng.randint(1, 8)
+    d = rng.choice((2, 3))
+    labels = [f"m{i}" for i in range(n)]
+    contexts = [rng.sample(labels, rng.randint(1, min(3, n)))
+                for _ in range(rng.randint(1, 6))]
+    scenario = MeasurementScenario.make(labels, d, contexts)
+    planted = ({m: rng.randrange(d) for m in labels}
+               if rng.random() < 0.5 else None)
+    density = rng.choice((0.3, 0.5, 0.8))
+    secs = []
+    for ctx in scenario.contexts:
+        rows = [r for r in itertools.product(range(d), repeat=len(ctx))
+                if rng.random() < density]
+        if planted:
+            rows.append(tuple(planted[m] for m in ctx))
+        if not rows:
+            rows.append(tuple(rng.randrange(d) for _ in ctx))
+        secs.append([Section.of(dict(zip(ctx, r))) for r in rows])
+    return EmpiricalModel.make(scenario, secs)
+
+
+def _brute_force_globals(model):
+    sc = model.scenario
+    allowed = [set(secs) for secs in model.sections]
+    found = []
+    for values in itertools.product(range(sc.outcome_modulus),
+                                    repeat=len(sc.measurements)):
+        g = Section.of(dict(zip(sc.measurements, values)))
+        if all(g.restrict(ctx) in ok
+               for ctx, ok in zip(sc.contexts, allowed)):
+            found.append(g)
+    return found
+
+
+def test_search_matches_brute_force_on_random_models():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(150):
+        model = _random_model(rng)
+        sc = model.scenario
+        brute = _brute_force_globals(model)
+        extends = {(ci, g.restrict(ctx)) for g in brute
+                   for ci, ctx in enumerate(sc.contexts)}
+        expected_witnesses = tuple(
+            (ci, s) for ci, secs in enumerate(model.sections) for s in secs
+            if (ci, s) not in extends)
+        if not brute:
+            expected = ContextualityClass("strongly_contextual")
+        elif expected_witnesses:
+            expected = ContextualityClass("logically_contextual",
+                                          expected_witnesses)
+        else:
+            expected = ContextualityClass("noncontextual")
+        assert classify(model) == expected
+        assert global_sections(model) == tuple(brute)  # both sorted
+        for ci, secs in enumerate(model.sections):
+            for s in secs:
+                assert section_extends(model, ci, s) == ((ci, s) in extends)
+        kinds.add(expected.kind)
+    assert kinds == {"noncontextual", "logically_contextual",
+                     "strongly_contextual"}
+
+
+def _chain_model(rng, n):
+    """Open binary chain x0-...-x{n-1} with random edge supports that keep
+    a planted assignment; the supports may signal, so some sections fail
+    to extend."""
+    labels = [f"x{i}" for i in range(n)]
+    planted = [rng.randint(0, 1) for _ in range(n)]
+    supports = []
+    for i in range(n - 1):
+        pairs = {(a, b) for a in (0, 1) for b in (0, 1)
+                 if rng.random() < 0.5}
+        supports.append(pairs | {(planted[i], planted[i + 1])})
+    scenario = MeasurementScenario.make(
+        labels, 2, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    secs = [[Section.of({labels[i]: a, labels[i + 1]: b})
+             for a, b in sorted(supports[i])] for i in range(n - 1)]
+    return EmpiricalModel.make(scenario, secs), supports
+
+
+def _chain_witnesses(model, supports):
+    """Transfer-matrix answer: an edge section (a, b) extends exactly when
+    a is reachable from the left end and b from the right end."""
+    left = [{0, 1}]
+    for pairs in supports:
+        left.append({b for a, b in pairs if a in left[-1]})
+    right = [{0, 1}]
+    for pairs in reversed(supports):
+        right.append({a for a, b in pairs if b in right[-1]})
+    right.reverse()
+    out = []
+    for i, secs in enumerate(model.sections):
+        x, y = model.scenario.contexts[i]
+        for s in secs:
+            if not (s[x] in left[i] and s[y] in right[i + 1]):
+                out.append((i, s))
+    return tuple(out)
+
+
+def test_classify_long_chain_needs_no_recursion():
+    model, supports = _chain_model(random.Random(300), 300)
+    expected = _chain_witnesses(model, supports)
+    assert expected  # the draw is logically contextual
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        verdict = classify(model)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict == ContextualityClass("logically_contextual", expected)
