@@ -107,6 +107,7 @@ from .scenario import (
     ValidationReport,
     check_no_signalling,
     classify,
+    extension,
     global_sections,
     restrict_section,
     section_extends,

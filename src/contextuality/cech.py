@@ -30,7 +30,7 @@ from .scenario import (
     EmpiricalModel,
     Section,
     check_no_signalling,
-    global_sections,
+    extension,
     restrict_section,
     sections_below,
 )
@@ -190,10 +190,14 @@ class CocycleDecision:
 class CechAnalyzer:
     """Shared matrices for every obstruction query against one model.
 
-    The unpinned compatibility system is echeloned over GF(2) once;
-    each (context, section) query then works in kernel coordinates.
-    Exact integer solvers are built lazily per pinned context and only
-    when the parity stage fails to refute.
+    Pinning a section, or taking its cocycle, changes only the right-hand
+    side of a linear system fixed by the pinned context.  So each route
+    builds its GF(2) system once per context, on that context's first
+    query, and answers every section of the context from it.  Route 1
+    works in kernel coordinates of the unpinned compatibility system,
+    which is echeloned over GF(2) once.  A query the parity stage does not
+    refute tries the global-section shortcut (one pinned search), then
+    an exact integer system, built on first use per context and cached.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -233,18 +237,15 @@ class CechAnalyzer:
                     row = {k: v for k, v in row.items() if v}
                     self.rows.append(row)
                     self.tags.append(("pair", i, j, t))
-        self._gf2 = Gf2Echelon([], self.nunknowns)
-        for row in self.rows:
-            mask = 0
-            for k, v in row.items():
-                if v % 2:
-                    mask |= 1 << k
-            self._gf2.add_row(mask)
+        self.row_by_tag = dict(zip(self.tags, self.rows))
+        self._gf2 = Gf2Echelon(
+            [sum(1 << k for k, v in row.items() if v % 2) for row in self.rows],
+            self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
-        self._globals: list[Section] | None = None
+        self._route1_gf2: dict[int, Gf2AffineSystem] = {}
         self._route1_int: dict[int, IntegerSystem] = {}
         self._route2_data: dict[int, tuple] = {}
-        self._route2_masks_cache: dict[int, list[int]] = {}
+        self._route2_int: dict[int, IntegerSystem] = {}
 
     # -- shared helpers --------------------------------------------------
 
@@ -256,11 +257,6 @@ class CechAnalyzer:
             raise PreconditionError(
                 f"{section} is not a section of context {context_index}")
 
-    def _global_sections(self) -> list[Section]:
-        if self._globals is None:
-            self._globals = list(global_sections(self.model))
-        return self._globals
-
     # -- route 1: pinned compatible-family feasibility -------------------
 
     def family_obstruction(self, context_index: int,
@@ -268,16 +264,7 @@ class CechAnalyzer:
         self._check_query(context_index, section)
         off, secs = self.blocks[context_index]
         s_pos = secs.index(section)
-        pin_rhs = [1 if u == s_pos else 0 for u in range(len(secs))]
-        # Parity stage in kernel coordinates of the compatibility system.
-        tiny = Gf2AffineSystem(len(self._kernel))
-        for u in range(len(secs)):
-            mask = 0
-            for k, vec in enumerate(self._kernel):
-                if (vec >> (off + u)) & 1:
-                    mask |= 1 << k
-            tiny.add(mask, pin_rhs[u])
-        _sol, ref = tiny.solve()
+        _sol, ref = self._route1_parity(context_index).solve(1 << s_pos)
         if ref is not None:
             return FamilyDecision(
                 context_index, section, False, None,
@@ -289,6 +276,22 @@ class CechAnalyzer:
             return FamilyDecision(context_index, section, False, None,
                                   witness)
         return FamilyDecision(context_index, section, True, witness, None)
+
+    def _route1_parity(self, context_index: int) -> Gf2AffineSystem:
+        """The pinning rows of one context over GF(2), in kernel
+        coordinates of the compatibility system."""
+        if context_index not in self._route1_gf2:
+            off, secs = self.blocks[context_index]
+            masks = []
+            for u in range(len(secs)):
+                mask = 0
+                for k, vec in enumerate(self._kernel):
+                    if (vec >> (off + u)) & 1:
+                        mask |= 1 << k
+                masks.append(mask)
+            self._route1_gf2[context_index] = Gf2AffineSystem(
+                masks, len(self._kernel))
+        return self._route1_gf2[context_index]
 
     def _parity_certificate(self, context_index, section, ref, off,
                             secs) -> CechCertificate:
@@ -332,11 +335,10 @@ class CechAnalyzer:
         """
         acc: dict[int, Fraction] = {}
         rhs = Fraction(0)
-        row_by_tag = dict(zip(self.tags, self.rows))
         for tag, coeff in zip(cert.rows, cert.coefficients):
             coeff = Fraction(coeff)
             if tag[0] == "pair":
-                row = row_by_tag[tag]
+                row = self.row_by_tag[tag]
             else:
                 _kind, ci, t = tag
                 row = {self.blocks[ci][0] + self.blocks[ci][1].index(t): 1}
@@ -352,19 +354,17 @@ class CechAnalyzer:
                 "certificate pairs integrally with the right-hand side")
 
     def _integral_family(self, context_index, section, off, secs, s_pos):
-        # deterministic shortcut: a global section through s0 is itself
-        # a compatible family with coefficient 1 everywhere.
-        for g in self._global_sections():
-            if restrict_section(
-                    g, self.model.scenario.contexts[context_index]) == section:
-                family = {}
-                for ci, ctx in enumerate(self.model.scenario.contexts):
-                    family[(ci, restrict_section(g, ctx))] = 1
-                self._audit_family(context_index, section, family)
-                return family
+        # shortcut: a global section through s0 is itself a compatible
+        # family with coefficient 1 everywhere.
+        g = extension(self.model, context_index, section)
+        if g is not None:
+            family = {}
+            for ci, ctx in enumerate(self.model.scenario.contexts):
+                family[(ci, restrict_section(g, ctx))] = 1
+            self._audit_family(context_index, section, family)
+            return family
         if context_index not in self._route1_int:
             dense = []
-            rhs_len = len(self.rows) + len(secs)
             for row in self.rows:
                 dense.append([row.get(k, 0) for k in range(self.nunknowns)])
             for u in range(len(secs)):
@@ -385,17 +385,11 @@ class CechAnalyzer:
                         family[(ci, s)] = c
             self._audit_family(context_index, section, family)
             return family
-        rows = []
-        coeffs = []
-        for r, c in enumerate(res.certificate.vector):
-            if c:
-                if r < len(self.rows):
-                    rows.append(self.tags[r])
-                else:
-                    rows.append(("pin", context_index, secs[r - len(self.rows)]))
-                coeffs.append(c)
-        return CechCertificate(res.certificate.kind, tuple(rows),
-                               tuple(coeffs))
+        npair = len(self.rows)
+        return _tagged_certificate(
+            res.certificate.kind, res.certificate.vector,
+            lambda r: self.tags[r] if r < npair
+            else ("pin", context_index, secs[r - npair]))
 
     def _audit_family(self, context_index, section, family) -> None:
         """A claimed family must be pinned, mass-1 and pair-compatible."""
@@ -449,30 +443,19 @@ class CechAnalyzer:
                     "connecting cochain leaves the kernel presheaf")
             if z:
                 cocycle[(i, j)] = z
-        basis, index, row_data = self._route2_rows(context_index)
-        rhs = []
-        for (i, j), labels, trow in row_data:
-            z = cocycle.get((i, j), {})
-            rhs.append(z.get(trow, 0))
-        sysm = Gf2AffineSystem(len(basis))
-        for (_pair, _labels, _t), mask, b in zip(
-                row_data, self._route2_masks(context_index), rhs):
-            sysm.add(mask, b & 1)
-        _sol, ref = sysm.solve()
+        _basis, _index, parity = self._route2_rows(context_index)
+        rhs = [cocycle.get((i, j), {}).get(t, 0) for _k, i, j, t in self.tags]
+        _sol, ref = parity.solve(
+            sum(1 << r for r, b in enumerate(rhs) if b & 1))
         if ref is not None:
-            rows = []
-            coeffs = []
-            for r in range(len(row_data)):
-                if (ref >> r) & 1:
-                    (i, j), _labels, t = row_data[r]
-                    rows.append(("pair", i, j, t))
-                    coeffs.append(1)
-            cert = CechCertificate("parity", tuple(rows), tuple(coeffs))
+            cert = _tagged_certificate(
+                "parity", [ref >> r & 1 for r in range(len(self.tags))],
+                self.tags.__getitem__)
             self._audit_route2_refutation(context_index, cocycle, cert)
             return CocycleDecision(context_index, section, False, cocycle,
                                    None, cert)
         potential = self._route2_potential(context_index, section, lift,
-                                           cocycle, basis, index, row_data)
+                                           cocycle, rhs)
         if isinstance(potential, CechCertificate):
             return CocycleDecision(context_index, section, False, cocycle,
                                    None, potential)
@@ -480,7 +463,8 @@ class CechAnalyzer:
                                potential, None)
 
     def _route2_rows(self, context_index: int):
-        """Kernel-presheaf basis and constraint rows for one pin."""
+        """Kernel-presheaf basis and the GF(2) system of the constraint
+        rows, one per compatibility tag, for one pin."""
         if context_index in self._route2_data:
             return self._route2_data[context_index]
         scenario = self.model.scenario
@@ -496,55 +480,18 @@ class CechAnalyzer:
                 if s != rep:
                     index[(j, s)] = len(basis)
                     basis.append((j, s, rep))
-        row_data = []
-        for (i, j), labels in self.pair_overlaps.items():
-            for t in sections_below(self.model, labels):
-                row_data.append(((i, j), labels, t))
-        masks = []
-        for (i, j), labels, t in row_data:
-            mask = 0
-            for (jj, sign) in ((j, 1), (i, -1)):
-                for s in self.model.sections[jj]:
-                    k = index.get((jj, s))
-                    if k is None:
-                        continue
-                    _j, _s, rep = basis[k]
-                    hit = (restrict_section(s, labels) == t) != (
-                        restrict_section(rep, labels) == t)
-                    if hit:
-                        mask ^= 1 << k
-            masks.append(mask)
-        data = (basis, index, row_data)
+        masks = [sum(1 << k for k, c in row.items() if c & 1)
+                 for row in self._route2_signed_rows(basis, index)]
+        data = (basis, index, Gf2AffineSystem(masks, len(basis)))
         self._route2_data[context_index] = data
-        self._route2_masks_cache[context_index] = masks
         return data
 
-    def _route2_masks(self, context_index: int):
-        self._route2_rows(context_index)
-        return self._route2_masks_cache[context_index]
-
-    def _route2_potential(self, context_index, section, lift, cocycle,
-                          basis, index, row_data):
-        """Integer potential via the global-section shortcut, else the
-        exact solver on the kernel-coordinate system."""
-        scenario = self.model.scenario
-        for g in self._global_sections():
-            if restrict_section(
-                    g, scenario.contexts[context_index]) == section:
-                potential = {}
-                for j, ctx in enumerate(scenario.contexts):
-                    fs: FormalSum = {}
-                    fs_combine(fs, {lift[j]: 1}, 1)
-                    fs_combine(fs, {restrict_section(g, ctx): 1}, -1)
-                    if fs:
-                        potential[j] = fs
-                self._audit_potential(context_index, cocycle, potential)
-                return potential
-        rows = []
-        for ((i, j), labels, t), mask in zip(
-                row_data, self._route2_masks(context_index)):
-            row = [0] * len(basis)
-            for (jj, sign) in ((j, 1), (i, -1)):
+    def _route2_signed_rows(self, basis, index):
+        """Each route-2 constraint row, sparse: basis index -> coefficient."""
+        for _kind, i, j, t in self.tags:
+            labels = self.pair_overlaps[(i, j)]
+            row = {}
+            for jj, sign in ((j, 1), (i, -1)):
                 for s in self.model.sections[jj]:
                     k = index.get((jj, s))
                     if k is None:
@@ -554,21 +501,35 @@ class CechAnalyzer:
                         (restrict_section(s, labels) == t)
                         - (restrict_section(rep, labels) == t))
                     if coeff:
-                        row[k] += coeff
-            rows.append(row)
-        rhs = [cocycle.get(pair, {}).get(t, 0)
-               for (pair, labels, t) in row_data]
-        res = IntegerSystem(rows, ncols=len(basis)).solve(rhs)
+                        row[k] = coeff
+            yield row
+
+    def _route2_potential(self, context_index, section, lift, cocycle, rhs):
+        """Integer potential via the global-section shortcut, else the
+        exact solver on the kernel-coordinate system."""
+        scenario = self.model.scenario
+        g = extension(self.model, context_index, section)
+        if g is not None:
+            potential = {}
+            for j, ctx in enumerate(scenario.contexts):
+                fs: FormalSum = {}
+                fs_combine(fs, {lift[j]: 1}, 1)
+                fs_combine(fs, {restrict_section(g, ctx): 1}, -1)
+                if fs:
+                    potential[j] = fs
+            self._audit_potential(context_index, cocycle, potential)
+            return potential
+        basis, index, _parity = self._route2_rows(context_index)
+        if context_index not in self._route2_int:
+            rows = [[row.get(k, 0) for k in range(len(basis))]
+                    for row in self._route2_signed_rows(basis, index)]
+            self._route2_int[context_index] = IntegerSystem(
+                rows, ncols=len(basis))
+        res = self._route2_int[context_index].solve(rhs)
         if not res.feasible:
-            tags = []
-            coeffs = []
-            for r, c in enumerate(res.certificate.vector):
-                if c:
-                    (i, j), _labels, t = row_data[r]
-                    tags.append(("pair", i, j, t))
-                    coeffs.append(c)
-            return CechCertificate(res.certificate.kind, tuple(tags),
-                                   tuple(coeffs))
+            return _tagged_certificate(res.certificate.kind,
+                                       res.certificate.vector,
+                                       self.tags.__getitem__)
         potential = {}
         for k, (j, s, rep) in enumerate(basis):
             c = res.witness[k]
@@ -598,20 +559,24 @@ class CechAnalyzer:
 
     def _audit_route2_refutation(self, context_index, cocycle, cert) -> None:
         """The parity refuter must annihilate rows and pair oddly with z."""
-        basis, index, _row_data = self._route2_rows(context_index)
+        _basis, _index, parity = self._route2_rows(context_index)
         acc = 0
         pairing = 0
-        lookup = {}
-        for (pair, labels, t), mask in zip(
-                self._route2_data[context_index][2],
-                self._route2_masks(context_index)):
-            lookup[(pair, t)] = mask
+        lookup = dict(zip(self.tags, parity.rows))
         for tag, coeff in zip(cert.rows, cert.coefficients):
             _k, i, j, t = tag
-            acc ^= lookup[((i, j), t)]
+            acc ^= lookup[tag]
             pairing ^= cocycle.get((i, j), {}).get(t, 0) & 1
         if acc != 0 or pairing != 1:
             raise InternalCheckError("route-2 parity certificate failed audit")
+
+
+def _tagged_certificate(kind, coefficients, tag_of) -> CechCertificate:
+    """A certificate over tagged rows: the nonzero coefficients, each with
+    the tag ``tag_of(r)`` of its row r."""
+    kept = [(tag_of(r), c) for r, c in enumerate(coefficients) if c]
+    return CechCertificate(kind, tuple(t for t, _c in kept),
+                           tuple(c for _t, c in kept))
 
 
 @functools.lru_cache(maxsize=8)

@@ -14,11 +14,14 @@ The solvers share one reporting convention:
 Every witness and certificate is re-verified by substitution before it is
 returned; a failed re-verification raises ``InternalCheckError``.
 
-Integer feasibility is decided through a row-style Hermite normal form of
-the transposed system (a basis of the column lattice), with a cheap GF(2)
-refutation tried first.  Modular systems are solved locally at each prime
-power by elimination with valuation-minimal pivoting, then recombined by
-the Chinese remainder theorem.
+Each solver factors its matrix once, in its constructor, and then answers
+any number of right-hand sides.  ``Gf2AffineSystem`` is the GF(2) solver:
+a tracked bitmask echelon (``Gf2Echelon``).  Integer feasibility is decided
+through a row-style Hermite normal form of the transposed system (a basis
+of the column lattice), with a cheap GF(2) refutation tried first.
+Modular systems are solved locally at each prime power, then recombined by
+the Chinese remainder theorem: modulo 2 by ``Gf2AffineSystem``, modulo any
+other prime power by elimination with valuation-minimal pivoting.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def hermite_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
 
 
 class Gf2Echelon:
-    """Reduced row echelon of an integer matrix over GF(2), rows as bitmasks.
+    """Reduced row echelon of a GF(2) matrix, rows as bitmasks over columns.
 
     Tracks every reduced row as a combination of the original rows, which
     is what turns a refutation into a checkable certificate.  ``pivots``
@@ -107,17 +110,13 @@ class Gf2Echelon:
     zero contribute their track to the left kernel.
     """
 
-    def __init__(self, rows: Matrix, ncols: int):
+    def __init__(self, row_masks, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, tuple[int, int]] = {}
         self._pivot_mask = 0
         self.zero_tracks: list[int] = []
         self.nrows = 0
-        for row in rows:
-            mask = 0
-            for j, a in enumerate(row):
-                if a & 1:
-                    mask |= 1 << j
+        for mask in row_masks:
             self.add_row(mask)
 
     def add_row(self, mask: int) -> None:
@@ -184,39 +183,39 @@ def _parity_mask(vec: list[int]) -> int:
     return mask
 
 
-class Gf2AffineSystem:
-    """Incremental solver for ``A x = b`` over GF(2).
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(n))
 
-    Rows arrive as (column bitmask, rhs bit).  Internally the right-hand
-    side is stored at bit 0 and column j at bit j+1, so the echelon's
-    highest-bit pivoting never chooses the rhs column unless a row has
-    reduced to ``0 = 1``; that row's track is then a refuting left
-    combination.
+
+class Gf2AffineSystem:
+    """Reusable solver for ``A x = b`` over GF(2), the one GF(2) entry point.
+
+    ``row_masks[i]`` is row i of ``A`` as a bitmask over columns.  The rows
+    are echeloned once, with tracking; each right-hand side, a bitmask over
+    rows, is then answered by ``solve`` without touching the echelon.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, row_masks, ncols: int):
         self.ncols = ncols
-        self._ech = Gf2Echelon([], ncols + 1)
+        self.rows = list(row_masks)
+        self.echelon = Gf2Echelon(self.rows, ncols)
 
-    def add(self, row_mask: int, rhs_bit: int) -> None:
-        self._ech.add_row((row_mask << 1) | (rhs_bit & 1))
-
-    def solve(self) -> tuple[int | None, int | None]:
+    def solve(self, rhs_mask: int) -> tuple[int | None, int | None]:
         """``(solution_mask, None)`` if feasible else ``(None, refuter)``.
 
-        The refuter is a bitmask over added rows whose GF(2) sum is the
-        contradictory equation 0 = 1.  Free variables are set to 0.
+        The refuter is a bitmask over rows whose GF(2) sum is ``0`` while
+        their right-hand sides sum to 1.  A solution sets each pivot column
+        to the parity of its pivot row's track against ``b`` (every pivot
+        row is a sum of original rows whose only pivot column is its own)
+        and every free column to 0.
         """
-        piv = self._ech.pivots.get(0)
-        if piv is not None:
-            mask, track = piv
-            if mask != 1:  # cannot happen: bit 0 is the lowest column
-                raise InternalCheckError("rhs pivot row carries unknowns")
-            return None, track
+        ref = self.echelon.refute(rhs_mask)
+        if ref is not None:
+            return None, ref
         sol = 0
-        for col, (mask, _tr) in self._ech.pivots.items():
-            if mask & 1:
-                sol |= 1 << (col - 1)
+        for col, (_mask, track) in self.echelon.pivots.items():
+            if (track & rhs_mask).bit_count() & 1:
+                sol |= 1 << col
         return sol, None
 
 
@@ -291,7 +290,7 @@ class IntegerSystem:
         self.ncols = len(self.rows[0]) if self.rows else int(ncols)
         if any(len(r) != self.ncols for r in self.rows):
             raise PreconditionError("ragged matrix")
-        self._gf2 = Gf2Echelon(self.rows, self.ncols)
+        self._gf2 = Gf2Echelon(map(_parity_mask, self.rows), self.ncols)
         self._lattice: tuple | None = None
 
     # lattice of reachable right-hand sides, in constraint-index space
@@ -433,9 +432,12 @@ def verify_mod_result(rows: Matrix, rhs: list[int], modulus: int, result: ModSol
     y = result.certificate
     if y is None or len(y) != len(rows):
         return False
-    for j in range(n):
-        if sum(y[i] * rows[i][j] for i in range(len(rows))) % modulus:
-            return False
+    acc = [0] * n
+    for yi, row in zip(y, rows):
+        if yi:
+            acc = [a + yi * r for a, r in zip(acc, row)]
+    if any(a % modulus for a in acc):
+        return False
     return sum(a * b for a, b in zip(y, rhs)) % modulus != 0
 
 
@@ -579,7 +581,11 @@ class _PrimePowerSystem:
 
 
 class ModSystem:
-    """Reusable solver for ``A x = b (mod d)``: CRT over prime-power locals."""
+    """Reusable solver for ``A x = b (mod d)``: CRT over prime-power locals.
+
+    The local at ``p^e = 2`` is a ``Gf2AffineSystem``; every other local is
+    a ``_PrimePowerSystem``.
+    """
 
     def __init__(self, rows: Matrix, modulus: int, ncols: int | None = None):
         if modulus < 2:
@@ -592,7 +598,9 @@ class ModSystem:
         if any(len(r) != self.ncols for r in self.rows):
             raise PreconditionError("ragged matrix")
         self.locals = [
-            (p, e, _PrimePowerSystem(self.rows, self.ncols, p, e)) for p, e in _factor(modulus)
+            (p, e, Gf2AffineSystem([_parity_mask(r) for r in self.rows], self.ncols)
+             if p**e == 2 else _PrimePowerSystem(self.rows, self.ncols, p, e))
+            for p, e in _factor(modulus)
         ]
 
     def solve(self, rhs: list[int]) -> ModSolveResult:
@@ -601,7 +609,12 @@ class ModSystem:
         d = self.modulus
         parts = []
         for p, e, system in self.locals:
-            witness, cert = system.solve(rhs)
+            if p**e == 2:
+                sol, ref = system.solve(_parity_mask(rhs))
+                witness = None if sol is None else _bits(sol, self.ncols)
+                cert = None if ref is None else _bits(ref, len(self.rows))
+            else:
+                witness, cert = system.solve(rhs)
             if witness is None:
                 q = p**e
                 scale = d // q
@@ -618,7 +631,11 @@ class ModSystem:
         for p, e, system in self.locals:
             q = p**e
             rest = d // q
-            for g in system.kernel():
+            if q == 2:
+                local = [_bits(v, self.ncols) for v in system.echelon.kernel_basis()]
+            else:
+                local = system.kernel()
+            for g in local:
                 # lift: equal to g mod q, zero mod d/q
                 lifted = tuple(_crt([(q, gj), (rest, 0)]) % d if rest > 1 else gj % d for gj in g)
                 if any(lifted):

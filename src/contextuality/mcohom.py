@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, PreconditionError, StructureError
-from .linalg import Gf2AffineSystem, ModSolveResult, ModSystem, verify_mod_result
+from .linalg import ModSolveResult, ModSystem
 from .pmonoid import (
     CoefficientAction,
     PartialMonoid,
@@ -219,8 +219,9 @@ class CoboundarySolver:
     the cochain must vanish on, so one solver serves every section of a
     context; beta only changes the right-hand side.  Since the monoid
     is commutative and beta is built symmetrically, only ordered pairs
-    are kept.  Cyclic factors of modulus 2 run on the bitmask GF(2)
-    solver; other moduli go through the reusable modular solver.
+    are kept.  Each cyclic factor's modulus gets one ``ModSystem``, built
+    on first use and reused for every later beta; its modulus-2 local is
+    the bitmask GF(2) solver.
     """
 
     def __init__(self, quotient: Quotient, relative_orbits):
@@ -243,26 +244,9 @@ class CoboundarySolver:
                 if j is not None:
                     row[j] += coeff
             self._rows.append(row)
-        self._masks = [
-            sum(1 << j for j, a in enumerate(row) if a % 2)
-            for row in self._rows]
         self._systems: dict[int, ModSystem] = {}
 
     def _solve_factor(self, d: int, rhs: list[int]) -> ModSolveResult:
-        if d == 2:
-            sysm = Gf2AffineSystem(len(self.unknowns))
-            for mask, b in zip(self._masks, rhs):
-                sysm.add(mask, b)
-            sol, ref = sysm.solve()
-            if sol is None:
-                y = tuple((ref >> i) & 1 for i in range(len(self._rows)))
-                res = ModSolveResult(False, None, y)
-            else:
-                res = ModSolveResult(True, tuple(
-                    (sol >> j) & 1 for j in range(len(self.unknowns))))
-            if not verify_mod_result(self._rows, rhs, 2, res):
-                raise InternalCheckError("GF(2) coboundary result failed audit")
-            return res
         if d not in self._systems:
             self._systems[d] = ModSystem(
                 [[a % d for a in row] for row in self._rows], d,

@@ -459,10 +459,22 @@ def global_sections(model: EmpiricalModel) -> tuple[Section, ...]:
     return tuple(Section(tuple(sorted(zip(labels, vals)))) for vals in found)
 
 
+def extension(model: EmpiricalModel, context_index: int, section: Section) -> Section | None:
+    """A global section restricting to an allowed context section, or None.
+
+    One pinned ``_Search`` decides it, so the cost does not grow with the
+    number of global sections.
+    """
+    row = model.section_index(context_index, Section.of(section))
+    found = _Search(model).search((context_index, row))
+    if not found:
+        return None
+    return Section(tuple(sorted(zip(model.scenario.measurements, found[0]))))
+
+
 def section_extends(model: EmpiricalModel, context_index: int, section: Section) -> bool:
     """Does an allowed context section extend to some global section?"""
-    row = model.section_index(context_index, Section.of(section))
-    return bool(_Search(model).search((context_index, row)))
+    return extension(model, context_index, section) is not None
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,49 @@ def test_route1_on_extendable_sections_uses_global(hardy):
                 assert g.setdefault(x, s[x]) == s[x]
 
 
+def test_shortcut_on_a_long_free_chain():
+    """An open chain of 40 binary measurements whose every edge allows all
+    four rows has 2**40 global sections; the shortcut must find one
+    through the queried section without listing them."""
+    labels = [f"x{i}" for i in range(40)]
+    scenario = MeasurementScenario.make(
+        labels, 2, [(labels[i], labels[i + 1]) for i in range(39)])
+    model = EmpiricalModel.make(scenario, [
+        [Section.of({x: a, y: b}) for a in (0, 1) for b in (0, 1)]
+        for x, y in scenario.contexts])
+    ana = CechAnalyzer(model)
+    sec = model.sections[19][2]
+    d1 = ana.family_obstruction(19, sec)
+    d2 = ana.connecting_cocycle(19, sec)
+    assert d1.vanishes and d2.vanishes
+    _audit_family(model, 19, sec, d1.family)
+    assert all(c == 1 for c in d1.family.values())
+    _audit_route2(model, 19, d2)
+
+
+def _certificate_key(cert):
+    return None if cert is None else (cert.kind, cert.rows, cert.coefficients)
+
+
+def test_shared_analyzer_answers_like_fresh_ones(hardy, mermin):
+    """The per-context systems an analyzer caches must not make an answer
+    depend on earlier queries: one analyzer queried in reverse section
+    order agrees, on both routes, with a fresh analyzer per query."""
+    routes = (CechAnalyzer.family_obstruction, CechAnalyzer.connecting_cocycle)
+    for bundle in (hardy, mermin):
+        model = bundle.model
+        shared = CechAnalyzer(model)
+        queries = [(ci, s) for ci, secs in enumerate(model.sections)
+                   for s in secs]
+        for ci, s in reversed(queries):
+            for route in routes:
+                got = route(shared, ci, s)
+                want = route(CechAnalyzer(model), ci, s)
+                assert got.vanishes == want.vanishes
+                assert (_certificate_key(got.certificate)
+                        == _certificate_key(want.certificate))
+
+
 # --- Route 2 --------------------------------------------------------------------
 
 

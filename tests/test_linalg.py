@@ -167,31 +167,36 @@ def test_gf2_echelon_fuzz():
 
 def test_gf2_affine_fuzz():
     rng = random.Random(31)
+    # the reused right-hand sides come from their own generator, so the
+    # systems and first right-hand sides are the draws of rng alone
+    more = random.Random(32)
     for _ in range(300):
         ncols = rng.randint(1, 7)
         nrows = rng.randint(0, 9)
         rows = [(rng.getrandbits(ncols), rng.getrandbits(1))
                 for _ in range(nrows)]
-        sysm = Gf2AffineSystem(ncols)
-        for mask, b in rows:
-            sysm.add(mask, b)
-        sol, ref = sysm.solve()
-        feasible = any(
-            all(((x & mask).bit_count() & 1) == b for mask, b in rows)
-            for x in range(1 << ncols))
-        if feasible:
-            assert sol is not None and ref is None
-            for mask, b in rows:
-                assert ((sol & mask).bit_count() & 1) == b
-        else:
-            assert sol is None and ref is not None
-            acc_mask = 0
-            acc_rhs = 0
-            for i, (mask, b) in enumerate(rows):
-                if (ref >> i) & 1:
-                    acc_mask ^= mask
-                    acc_rhs ^= b
-            assert acc_mask == 0 and acc_rhs == 1
+        sysm = Gf2AffineSystem([mask for mask, _b in rows], ncols)
+        for rhs in ([b for _mask, b in rows],
+                    [more.getrandbits(1) for _ in rows],
+                    [more.getrandbits(1) for _ in rows]):
+            sol, ref = sysm.solve(sum(b << i for i, b in enumerate(rhs)))
+            feasible = any(
+                all(((x & mask).bit_count() & 1) == b
+                    for (mask, _b), b in zip(rows, rhs))
+                for x in range(1 << ncols))
+            if feasible:
+                assert sol is not None and ref is None
+                for (mask, _b), b in zip(rows, rhs):
+                    assert ((sol & mask).bit_count() & 1) == b
+            else:
+                assert sol is None and ref is not None
+                acc_mask = 0
+                acc_rhs = 0
+                for i, ((mask, _b), b) in enumerate(zip(rows, rhs)):
+                    if (ref >> i) & 1:
+                        acc_mask ^= mask
+                        acc_rhs ^= b
+                assert acc_mask == 0 and acc_rhs == 1
 
 
 # --- Integer systems -------------------------------------------------------

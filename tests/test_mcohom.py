@@ -189,6 +189,21 @@ def test_mermin_sections_all_obstructed(mermin, mermin_group):
     assert count == 24
 
 
+def test_shared_group_analyzer_answers_like_fresh_ones(mermin):
+    """One analyzer, whose coboundary solvers serve every later section of
+    their context, queried in reverse section order agrees with a fresh
+    analyzer per query."""
+    st = mermin.structured
+    shared = GroupObstructionAnalyzer(st)
+    queries = [(ci, s) for ci, secs in enumerate(st.model.sections)
+               for s in secs]
+    for ci, s in reversed(queries):
+        got = shared.analyze(ci, s).decision
+        want = GroupObstructionAnalyzer(st).analyze(ci, s).decision
+        assert got.vanishes == want.vanishes
+        assert got.certificates == want.certificates
+
+
 def test_mermin_verdicts_match_brute_force(mermin, mermin_group):
     st = mermin.structured
     quotient = _mermin_quotient(mermin)

@@ -15,6 +15,7 @@ from contextuality.scenario import (
     Section,
     check_no_signalling,
     classify,
+    extension,
     global_sections,
     restrict_section,
     section_extends,
@@ -264,6 +265,10 @@ def test_search_matches_brute_force_on_random_models():
         for ci, secs in enumerate(model.sections):
             for s in secs:
                 assert section_extends(model, ci, s) == ((ci, s) in extends)
+                g = extension(model, ci, s)
+                assert (g is not None) == ((ci, s) in extends)
+                if g is not None:
+                    assert g in brute and g.restrict(sc.contexts[ci]) == s
         kinds.add(expected.kind)
     assert kinds == {"noncontextual", "logically_contextual",
                      "strongly_contextual"}
