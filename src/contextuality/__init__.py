@@ -50,7 +50,6 @@ from .mcohom import (
     GroupObstructionReport,
     SectionObstruction,
     coboundary,
-    composable_tuples,
     group_obstruction,
     is_coboundary,
     make_cochain,

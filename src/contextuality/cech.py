@@ -196,8 +196,9 @@ class CechAnalyzer:
     query, and answers every section of the context from it.  Route 1
     works in kernel coordinates of the unpinned compatibility system,
     which is echeloned over GF(2) once.  A query the parity stage does not
-    refute tries the global-section shortcut (one pinned search), then
-    an exact integer system, built on first use per context and cached.
+    refute tries the global-section shortcut (one pinned search per
+    section, remembered for the other route), then an exact integer
+    system, built on first use per context and cached.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -246,6 +247,7 @@ class CechAnalyzer:
         self._route1_int: dict[int, IntegerSystem] = {}
         self._route2_data: dict[int, tuple] = {}
         self._route2_int: dict[int, IntegerSystem] = {}
+        self._extensions: dict[tuple[int, Section], Section | None] = {}
 
     # -- shared helpers --------------------------------------------------
 
@@ -256,6 +258,14 @@ class CechAnalyzer:
         if section not in secs[context_index]:
             raise PreconditionError(
                 f"{section} is not a section of context {context_index}")
+
+    def _extension(self, context_index: int, section: Section):
+        """``extension`` once per section, shared by both shortcuts."""
+        key = (context_index, section)
+        if key not in self._extensions:
+            self._extensions[key] = extension(
+                self.model, context_index, section)
+        return self._extensions[key]
 
     # -- route 1: pinned compatible-family feasibility -------------------
 
@@ -356,7 +366,7 @@ class CechAnalyzer:
     def _integral_family(self, context_index, section, off, secs, s_pos):
         # shortcut: a global section through s0 is itself a compatible
         # family with coefficient 1 everywhere.
-        g = extension(self.model, context_index, section)
+        g = self._extension(context_index, section)
         if g is not None:
             family = {}
             for ci, ctx in enumerate(self.model.scenario.contexts):
@@ -508,7 +518,7 @@ class CechAnalyzer:
         """Integer potential via the global-section shortcut, else the
         exact solver on the kernel-coordinate system."""
         scenario = self.model.scenario
-        g = extension(self.model, context_index, section)
+        g = self._extension(context_index, section)
         if g is not None:
             potential = {}
             for j, ctx in enumerate(scenario.contexts):

@@ -34,23 +34,6 @@ from .pmonoid import (
 from .scenario import Section, ValidationReport
 
 
-def composable_tuples(monoid: PartialMonoid, degree: int):
-    """The bar-complex index sets: all composable tuples of a degree.
-
-    Degree 0 is the empty tuple; degree 2 requires the pair sum to be
-    defined; degree 3 requires both bracketings to be defined.
-    """
-    if degree == 0:
-        return [()]
-    if degree == 1:
-        return [(x,) for x in monoid.elements]
-    if degree == 2:
-        return list(monoid.composable_pairs())
-    if degree == 3:
-        return list(monoid.composable_triples())
-    raise PreconditionError("only degrees 0..3 are materialised")
-
-
 @dataclass(frozen=True, eq=False)
 class Cochain:
     """A sparse A-valued function on the composable tuples of a degree."""
@@ -81,7 +64,7 @@ def make_cochain(monoid, moduli, degree, values) -> Cochain:
     moduli = tuple(moduli)
     zero = (0,) * len(moduli)
     norm = {}
-    known = set(composable_tuples(monoid, degree))
+    known = monoid.positions(degree)
     for t, v in values.items():
         t = tuple(t)
         if t not in known:
@@ -101,26 +84,40 @@ def coboundary(c: Cochain) -> Cochain:
                         + (-1)^{n+1} f(.. m_n),
     taken componentwise modulo the coefficient moduli.  All inner sums
     are defined whenever the outer tuple is composable.
+
+    Each cyclic factor of f is scattered into a flat list over the
+    n-tuples and summed along the monoid's cached face columns
+    (``PartialMonoid.faces``), one signed column at a time; only the
+    nonzero (n+1)-tuples are kept.  A value on a tuple that is not
+    composable is a precondition error, as in ``make_cochain``.
     """
     P = c.monoid
     n = c.degree
     moduli = c.moduli
-    out = {}
-    for t in composable_tuples(P, n + 1):
-        total = [0] * len(moduli)
-        terms = [c.value(t[1:])]
-        for i in range(1, n + 1):
-            merged = t[:i - 1] + (P.add(t[i - 1], t[i]),) + t[i + 1:]
-            v = c.value(merged)
-            terms.append(v if i % 2 == 0 else tuple(-a for a in v))
-        last = c.value(t[:-1])
-        terms.append(last if (n + 1) % 2 == 0 else tuple(-a for a in last))
-        for v in terms:
-            for k in range(len(moduli)):
-                total[k] += v[k]
-        total = tuple(a % d for a, d in zip(total, moduli))
-        if any(total):
-            out[t] = total
+    cols = P.faces(n)
+    pos = P.positions(n)
+    scattered = []
+    for t, v in c.values.items():
+        j = pos.get(t)
+        if j is None:
+            raise PreconditionError(f"{t} is not a composable {n}-tuple")
+        if len(v) != len(moduli):
+            raise PreconditionError("value arity does not match the moduli")
+        scattered.append((j, v))
+    sums = []
+    for k, d in enumerate(moduli):
+        f = [0] * len(pos)
+        for j, v in scattered:
+            f[j] = v[k]
+        acc = [f[j] for j in cols[0]]
+        for i in range(1, n + 2):
+            if i % 2:
+                acc = [a - f[j] for a, j in zip(acc, cols[i])]
+            else:
+                acc = [a + f[j] for a, j in zip(acc, cols[i])]
+        sums.append([a % d for a in acc])
+    upper = P.composable(n + 1)
+    out = {upper[j]: v for j, v in enumerate(zip(*sums)) if any(v)}
     return Cochain(P, moduli, n + 1, out)
 
 

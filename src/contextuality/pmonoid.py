@@ -27,6 +27,12 @@ class PartialMonoid:
     ``table`` maps unordered pairs of element labels to their sum; a
     missing pair means the sum is undefined.  The table is stored with
     both orientations, so lookups never need to sort.
+
+    The bar complex is cached beside the table: the composable tuples of
+    each degree 0..3, the position of each tuple in that list, and per
+    degree n the face table of the (n+1)-tuples, one int column per face
+    d_0..d_{n+1} holding the face's position among the n-tuples.  The
+    bar differential then sums flat columns instead of labels.
     """
 
     def __init__(self, elements, identity: str, table):
@@ -51,6 +57,8 @@ class PartialMonoid:
                 self._table[key] = z
         self._pairs: list[tuple[str, str]] | None = None
         self._triples: list[tuple[str, str, str]] | None = None
+        self._positions: dict[int, dict[tuple, int]] = {}
+        self._faces: dict[int, tuple[list[int], ...]] = {}
 
     def index(self, x: str) -> int:
         return self._index[x]
@@ -88,6 +96,52 @@ class PartialMonoid:
                         out.append((x, y, z))
             self._triples = out
         return self._triples
+
+    def composable(self, degree: int) -> list[tuple]:
+        """The composable tuples of a degree 0..3, in element order.
+
+        Degree 0 is the empty tuple; degree 2 requires the pair sum to
+        be defined; degree 3 requires both bracketings to be defined.
+        """
+        if degree == 0:
+            return [()]
+        if degree == 1:
+            return [(x,) for x in self.elements]
+        if degree == 2:
+            return self.composable_pairs()
+        if degree == 3:
+            return self.composable_triples()
+        raise PreconditionError("only degrees 0..3 are materialised")
+
+    def positions(self, degree: int) -> dict[tuple, int]:
+        """Each composable tuple of a degree -> its index in ``composable``."""
+        pos = self._positions.get(degree)
+        if pos is None:
+            pos = {t: i for i, t in enumerate(self.composable(degree))}
+            self._positions[degree] = pos
+        return pos
+
+    def faces(self, degree: int) -> tuple[list[int], ...]:
+        """The face columns from degree n = ``degree`` to n + 1 (n <= 2).
+
+        Row j of column i is the position among the n-tuples of face d_i
+        of the j-th composable (n+1)-tuple t: d_0 drops t[0], d_i for
+        0 < i <= n merges t[i-1] + t[i], and d_{n+1} drops t[n].  Every
+        face of a composable tuple is composable, so no entry is missing.
+        """
+        cols = self._faces.get(degree)
+        if cols is None:
+            pos = self.positions(degree)
+            table = self._table
+            cols = tuple([] for _ in range(degree + 2))
+            for t in self.composable(degree + 1):
+                cols[0].append(pos[t[1:]])
+                for i in range(1, degree + 1):
+                    merged = table[(t[i - 1], t[i])]
+                    cols[i].append(pos[t[:i - 1] + (merged,) + t[i + 1:]])
+                cols[degree + 1].append(pos[t[:-1]])
+            self._faces[degree] = cols
+        return cols
 
     def restriction(self, labels) -> "PartialMonoid":
         """The induced partial monoid on a subset of elements.
@@ -177,14 +231,17 @@ class CoefficientAction:
             raise PreconditionError("one image per cyclic generator required")
         if any(d < 1 for d in self.moduli):
             raise PreconditionError("cyclic moduli must be positive")
+        # The group is listed once; the dataclass is frozen, hence the
+        # object.__setattr__.
+        object.__setattr__(self, "_elements", tuple(itertools.product(
+            *(range(d) for d in self.moduli))))
 
     @property
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)
 
-    def elements(self) -> list[tuple[int, ...]]:
-        return [tuple(a) for a in itertools.product(
-            *(range(d) for d in self.moduli))]
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return self._elements
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((u + v) % d for u, v, d in zip(a, b, self.moduli))
@@ -318,6 +375,10 @@ class Quotient:
                     raise StructureError(
                         f"action not total: i({a}) + {x!r} undefined")
                 self._act[(a, x)] = parent.add(img, x)
+        # (a . x, x) -> a, the least such a in group order.
+        self._value = {}
+        for (a, x), y in self._act.items():
+            self._value.setdefault((y, x), a)
         # Freeness: only the zero element may fix a point.
         for a in action.elements():
             if a == action.zero:
@@ -374,11 +435,11 @@ class Quotient:
 
     def value_at(self, x: str, base: str) -> tuple[int, ...]:
         """The unique a with x = a . base, for base in the orbit of x."""
-        for a in self.action.elements():
-            if self._act[(a, base)] == x:
-                return a
-        raise InternalCheckError(
-            f"{x!r} not in the orbit of {base!r}")
+        try:
+            return self._value[(x, base)]
+        except KeyError:
+            raise InternalCheckError(
+                f"{x!r} not in the orbit of {base!r}") from None
 
 
 def quotient_by_action(parent: PartialMonoid,

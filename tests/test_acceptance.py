@@ -30,7 +30,6 @@ from contextuality.linalg import (
 )
 from contextuality.mcohom import (
     coboundary,
-    composable_tuples,
     make_cochain,
     obstruction_cocycle,
     splitting_of_section,
@@ -273,7 +272,7 @@ def test_criterion_08_coboundary_squares_to_zero_and_beta_is_stable(
     monoid_count = 0
     for _ in range(500):
         q = rng.choice(quotients)
-        tuples = composable_tuples(q.monoid, 1)
+        tuples = q.monoid.composable(1)
         vals = {t: tuple(rng.randrange(d) for d in q.action.moduli)
                 for t in rng.sample(tuples, k=min(len(tuples), 6))}
         c = make_cochain(q.monoid, q.action.moduli, 1, vals)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import contextuality.cech as cech_module
 from contextuality.cech import (
     CechAnalyzer,
     build_nerve,
@@ -274,6 +275,28 @@ def test_shared_analyzer_answers_like_fresh_ones(hardy, mermin):
                 assert got.vanishes == want.vanishes
                 assert (_certificate_key(got.certificate)
                         == _certificate_key(want.certificate))
+
+
+def test_both_routes_share_one_pinned_search(hardy, monkeypatch):
+    """A section that parity does not refute is pinned once per analyzer:
+    route 1's family and route 2's potential reuse the same extension,
+    and a None answer is remembered as well."""
+    calls = []
+    real = cech_module.extension
+
+    def counted(model, ci, section):
+        calls.append((ci, section))
+        return real(model, ci, section)
+
+    monkeypatch.setattr(cech_module, "extension", counted)
+    model = hardy.model
+    ana = CechAnalyzer(model)
+    for ci, sec in ((1, model.sections[1][0]),
+                    (0, Section.of({"a1": 0, "b1": 0}))):
+        calls.clear()
+        assert ana.family_obstruction(ci, sec).vanishes
+        assert ana.connecting_cocycle(ci, sec).vanishes
+        assert calls == [(ci, sec)]
 
 
 # --- Route 2 --------------------------------------------------------------------

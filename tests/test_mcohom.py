@@ -13,10 +13,10 @@ import pytest
 
 from contextuality.errors import PreconditionError, InternalCheckError
 from contextuality.mcohom import (
+    Cochain,
     CoboundarySolver,
     GroupObstructionAnalyzer,
     coboundary,
-    composable_tuples,
     group_obstruction,
     is_coboundary,
     make_cochain,
@@ -57,6 +57,16 @@ def _z3xz3_quotient():
     return quotient_by_action(m, CoefficientAction((3,), ("10",)))
 
 
+def _z2cubed_quotient():
+    """Z2^3 modulo the Z2 x Z2 on its first two bits: two cyclic factors."""
+    els = [f"{a}{b}{c}" for a in range(2) for b in range(2) for c in range(2)]
+    table = {(x, y): "".join(str((int(u) + int(v)) % 2)
+                             for u, v in zip(x, y))
+             for x in els for y in els}
+    m = PartialMonoid(els, "000", table)
+    return quotient_by_action(m, CoefficientAction((2, 2), ("100", "010")))
+
+
 def _mermin_quotient(mermin):
     mon = glue_contexts(mermin.structured)
     return quotient_by_action(mon, mermin.structured.action)
@@ -68,12 +78,12 @@ def _mermin_quotient(mermin):
 def test_composable_tuples_degrees(mermin):
     q = _mermin_quotient(mermin)
     mon = q.monoid
-    assert composable_tuples(mon, 0) == [()]
-    assert composable_tuples(mon, 1) == [(x,) for x in mon.elements]
-    assert composable_tuples(mon, 2) == mon.composable_pairs()
-    assert composable_tuples(mon, 3) == mon.composable_triples()
+    assert mon.composable(0) == [()]
+    assert mon.composable(1) == [(x,) for x in mon.elements]
+    assert mon.composable(2) == mon.composable_pairs()
+    assert mon.composable(3) == mon.composable_triples()
     with pytest.raises(PreconditionError):
-        composable_tuples(mon, 4)
+        mon.composable(4)
     # weak associativity: both bracketings defined
     for x, y, z in mon.composable_triples():
         assert mon.defined(x, y) and mon.defined(mon.add(x, y), z)
@@ -105,18 +115,61 @@ def test_coboundary_formula_by_hand():
 
 def test_d_after_d_is_zero_random(mermin):
     rng = random.Random(77)
-    quotients = [_mermin_quotient(mermin), _z9_quotient(), _z3xz3_quotient()]
+    quotients = [_mermin_quotient(mermin), _z9_quotient(), _z3xz3_quotient(),
+                 _z2cubed_quotient()]
     for _ in range(60):
         q = rng.choice(quotients)
         mon = q.monoid
         moduli = q.action.moduli
-        deg = 1  # the materialised complex spans degrees 1..3
-        tuples = composable_tuples(mon, deg)
+        for deg in (0, 1):  # the materialised complex spans degrees 0..3
+            tuples = mon.composable(deg)
+            vals = {t: tuple(rng.randrange(d) for d in moduli)
+                    for t in rng.sample(tuples, k=min(len(tuples), 6))}
+            c = make_cochain(mon, moduli, deg, vals)
+            dd = coboundary(coboundary(c))
+            assert not dd.values
+
+
+def test_degree_two_coboundary_formula_by_hand(mermin):
+    """d beta(x, y, z) = beta(y, z) - beta(x + y, z) + beta(x, y + z)
+    - beta(x, y) on every composable triple, for random 2-cochains that
+    are not cocycles, with one and with several cyclic factors."""
+    rng = random.Random(2024)
+    quotients = [_mermin_quotient(mermin), _z9_quotient(), _z3xz3_quotient(),
+                 _z2cubed_quotient()]
+    non_cocycles = 0
+    for _ in range(60):
+        q = rng.choice(quotients)
+        mon = q.monoid
+        moduli = rng.choice([q.action.moduli, (2, 3), (4, 9, 2)])
+        pairs = mon.composable(2)
         vals = {t: tuple(rng.randrange(d) for d in moduli)
-                for t in rng.sample(tuples, k=min(len(tuples), 6))}
-        c = make_cochain(mon, moduli, deg, vals)
-        dd = coboundary(coboundary(c))
-        assert not dd.values
+                for t in rng.sample(pairs, k=min(len(pairs), 8))}
+        beta = make_cochain(mon, moduli, 2, vals)
+        d_beta = coboundary(beta)
+        assert d_beta.degree == 3 and d_beta.moduli == moduli
+        triples = mon.composable(3)
+        assert set(d_beta.values) <= set(triples)
+        for x, y, z in triples:
+            want = tuple(
+                (beta.value((y, z))[k] - beta.value((mon.add(x, y), z))[k]
+                 + beta.value((x, mon.add(y, z)))[k]
+                 - beta.value((x, y))[k]) % d
+                for k, d in enumerate(moduli))
+            assert d_beta.value((x, y, z)) == want
+        non_cocycles += bool(d_beta.values)
+    assert non_cocycles >= 50
+
+
+def test_coboundary_rejects_values_off_the_composable_tuples(mermin):
+    mon = _mermin_quotient(mermin).monoid
+    apart = next((x, y) for x in mon.elements for y in mon.elements
+                 if not mon.defined(x, y))
+    for key in (apart, ("[+II]", "nope"), ("[+II]",)):
+        with pytest.raises(PreconditionError):
+            coboundary(Cochain(mon, (2,), 2, {key: (1,)}))
+    with pytest.raises(PreconditionError):
+        coboundary(Cochain(mon, (2,), 1, {(mon.elements[1],): (1, 0)}))
 
 
 # --- Obstruction cocycles -------------------------------------------------------
