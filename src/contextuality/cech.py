@@ -4,13 +4,15 @@ The free abelian presheaf F assigns to each set of jointly measurable
 labels the integer formal sums of its possibilistic sections.  A
 section s0 at a context C0 extends to a compatible integer family iff
 its class gamma(s0) in the first Cech cohomology of the kernel
-presheaf (sums vanishing under restriction into C0) is zero.  The two
-equivalent routes implemented:
+presheaf (sums vanishing under restriction into C0) is zero.  Both
+routes run on the compatibility matrix A = -delta on 0-cochains, read on
+the pairs i < j of the nerve:
 
 * family feasibility: an integer linear system pins the C0 component
-  to 1*s0 and demands pairwise compatibility everywhere;
-* connecting cocycle: lift s0 to a 0-cochain, take its coboundary z,
-  and decide whether z bounds inside the kernel presheaf.
+  to 1*s0 and demands A x = 0;
+* connecting cocycle: lift s0 to a 0-cochain, take its coboundary
+  z = -A x_lift, and decide whether A in kernel-presheaf coordinates
+  reaches z, i.e. whether z bounds inside the kernel presheaf.
 
 Both run a GF(2) refutation first, then an exact integer decision, and
 every verdict carries a re-verified witness or separating certificate.
@@ -19,20 +21,20 @@ every verdict carries a re-verified witness or separating certificate.
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
 from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem
 from .mcohom import GroupObstructionAnalyzer
-from .pmonoid import StructuredModel, glue_contexts
+from .pmonoid import StructuredModel
 from .scenario import (
     EmpiricalModel,
     Section,
     check_no_signalling,
     extension,
     restrict_section,
-    sections_below,
 )
 
 FormalSum = dict  # Section -> int coefficient
@@ -50,14 +52,8 @@ def fs_combine(target: FormalSum, other: FormalSum, scale: int = 1) -> None:
 def fs_restrict(fs: FormalSum, labels) -> FormalSum:
     """Push a formal sum along the restriction of its sections."""
     out: FormalSum = {}
-    labels = tuple(labels)
     for s, c in fs.items():
-        r = restrict_section(s, labels)
-        new = out.get(r, 0) + c
-        if new:
-            out[r] = new
-        else:
-            out.pop(r, None)
+        fs_combine(out, {restrict_section(s, labels): c})
     return out
 
 
@@ -190,12 +186,20 @@ class CocycleDecision:
 class CechAnalyzer:
     """Shared matrices for every obstruction query against one model.
 
+    The compatibility matrix A has a column per context section and a row
+    per pair i < j of overlapping contexts and section t of the overlap:
+    +1 on C_i's and -1 on C_j's sections restricting to t, so A x is
+    -delta(x) read on the pairs i < j.  Set-up restricts each section to
+    each overlap once and keeps, per pair, an int list per side from
+    section position to row; only the audits restrict again.
+
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
     builds its GF(2) system once per context, on that context's first
     query, and answers every section of the context from it.  Route 1
     works in kernel coordinates of the unpinned compatibility system,
-    which is echeloned over GF(2) once.  A query the parity stage does not
+    which is echeloned over GF(2) once; route 2's system is A in
+    kernel-presheaf coordinates.  A query the parity stage does not
     refute tries the global-section shortcut (one pinned search per
     section, remembered for the other route), then an exact integer
     system, built on first use per context and cached.
@@ -207,37 +211,45 @@ class CechAnalyzer:
             raise PreconditionError(
                 "model is signalling: " + "; ".join(ns.violations[:3]))
         self.model = model
-        scenario = model.scenario
-        m = len(scenario.contexts)
+        contexts = model.scenario.contexts
         self.blocks = []
         offset = 0
         for secs in model.sections:
             self.blocks.append((offset, list(secs)))
             offset += len(secs)
         self.nunknowns = offset
+        self._position = [{s.values_on(ctx): u for u, s in enumerate(secs)}
+                          for ctx, secs in zip(contexts, model.sections)]
         self.pair_overlaps = {}
+        # (j, k) -> for each section of C_j, the row of pair {j, k} that
+        # it restricts to; (j, j) -> section positions (singleton classes)
+        self._side = {(j, j): range(len(secs))
+                      for j, secs in enumerate(model.sections)}
+        self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
         self.rows = []   # sparse {unknown: coeff}
         self.tags = []   # ("pair", i, j, section over the overlap)
-        for i in range(m):
-            for j in range(i + 1, m):
-                overlap = set(scenario.contexts[i]) & set(scenario.contexts[j])
-                if not overlap:
-                    continue
-                labels = scenario.sort_labels(overlap)
-                self.pair_overlaps[(i, j)] = labels
-                for t in sections_below(model, labels):
-                    row = {}
-                    off_i, secs_i = self.blocks[i]
-                    for u, s in enumerate(secs_i):
-                        if restrict_section(s, labels) == t:
-                            row[off_i + u] = row.get(off_i + u, 0) + 1
-                    off_j, secs_j = self.blocks[j]
-                    for u, s in enumerate(secs_j):
-                        if restrict_section(s, labels) == t:
-                            row[off_j + u] = row.get(off_j + u, 0) - 1
-                    row = {k: v for k, v in row.items() if v}
-                    self.rows.append(row)
-                    self.tags.append(("pair", i, j, t))
+        for i, j in combinations(range(len(contexts)), 2):
+            labels = tuple(x for x in contexts[i] if x in contexts[j])
+            if not labels:
+                continue
+            keys = {k: [s.values_on(labels) for s in model.sections[k]]
+                    for k in (i, j)}
+            below = sorted(set(keys[i]))
+            if set(keys[j]) != set(below):
+                raise InternalCheckError(
+                    f"contexts {i} and {j} restrict differently to {labels}")
+            row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
+            self.pair_overlaps[(i, j)] = labels
+            self.rows.extend({} for _ in below)
+            self.tags.extend(
+                ("pair", i, j, Section(tuple(sorted(zip(labels, key)))))
+                for key in below)
+            for k, other, sign in ((i, j, 1), (j, i, -1)):
+                side = [row_of[key] for key in keys[k]]
+                self._side[(k, other)] = side
+                self._incident[k].append((side, sign))
+                for col, r in enumerate(side, self.blocks[k][0]):
+                    self.rows[r][col] = sign
         self.row_by_tag = dict(zip(self.tags, self.rows))
         self._gf2 = Gf2Echelon(
             [sum(1 << k for k, v in row.items() if v % 2) for row in self.rows],
@@ -247,33 +259,28 @@ class CechAnalyzer:
         self._route1_int: dict[int, IntegerSystem] = {}
         self._route2_data: dict[int, tuple] = {}
         self._route2_int: dict[int, IntegerSystem] = {}
-        self._extensions: dict[tuple[int, Section], Section | None] = {}
+        self._extensions: dict[tuple[int, Section], list | None] = {}
 
     # -- shared helpers --------------------------------------------------
 
-    def _check_query(self, context_index: int, section: Section) -> None:
-        secs = self.model.sections
-        if not 0 <= context_index < len(secs):
-            raise PreconditionError("context index out of range")
-        if section not in secs[context_index]:
-            raise PreconditionError(
-                f"{section} is not a section of context {context_index}")
-
     def _extension(self, context_index: int, section: Section):
-        """``extension`` once per section, shared by both shortcuts."""
+        """Per context, the position of the section that a global section
+        through ``section`` restricts to, or None; ``extension`` runs once
+        per section, shared by both shortcuts."""
         key = (context_index, section)
         if key not in self._extensions:
-            self._extensions[key] = extension(
-                self.model, context_index, section)
+            g = extension(self.model, context_index, section)
+            self._extensions[key] = None if g is None else [
+                pos[g.values_on(ctx)] for pos, ctx in
+                zip(self._position, self.model.scenario.contexts)]
         return self._extensions[key]
 
     # -- route 1: pinned compatible-family feasibility -------------------
 
     def family_obstruction(self, context_index: int,
                            section: Section) -> FamilyDecision:
-        self._check_query(context_index, section)
+        s_pos = self.model.section_index(context_index, section)
         off, secs = self.blocks[context_index]
-        s_pos = secs.index(section)
         _sol, ref = self._route1_parity(context_index).solve(1 << s_pos)
         if ref is not None:
             return FamilyDecision(
@@ -368,9 +375,8 @@ class CechAnalyzer:
         # family with coefficient 1 everywhere.
         g = self._extension(context_index, section)
         if g is not None:
-            family = {}
-            for ci, ctx in enumerate(self.model.scenario.contexts):
-                family[(ci, restrict_section(g, ctx))] = 1
+            family = {(ci, ss[u]): 1
+                      for ci, ((_o, ss), u) in enumerate(zip(self.blocks, g))}
             self._audit_family(context_index, section, family)
             return family
         if context_index not in self._route1_int:
@@ -423,38 +429,25 @@ class CechAnalyzer:
 
     def connecting_cocycle(self, context_index: int,
                            section: Section) -> CocycleDecision:
-        self._check_query(context_index, section)
-        scenario = self.model.scenario
-        m = len(scenario.contexts)
-        c0_labels = scenario.contexts[context_index]
-        lift = []
-        for j, ctx in enumerate(scenario.contexts):
-            overlap = scenario.sort_labels(set(ctx) & set(c0_labels))
-            want = section.restrict(overlap)
-            pick = None
-            for s in self.model.sections[j]:
-                if restrict_section(s, overlap) == want:
-                    pick = s
-                    break
-            if pick is None:
-                raise InternalCheckError(
-                    "no-signalling model lost a restriction")
-            lift.append(pick)
-        if lift[context_index] != section:
-            raise InternalCheckError("lift failed to fix the pinned section")
+        s_pos = self.model.section_index(context_index, section)
+        basis, classes, parity = self._route2_rows(context_index)
+        # the lift takes, in each context, the representative of s0's class
+        lift = [reps[key_c[s_pos]] for key_c, reps in classes]
+        rhs = [0] * len(self.rows)  # z = delta(x_lift) = -A x_lift
+        for j, u in enumerate(lift):
+            for side, sign in self._incident[j]:
+                rhs[side[u]] -= sign
         cocycle = {}
-        for (i, j), labels in self.pair_overlaps.items():
-            z: FormalSum = {}
-            fs_combine(z, fs_restrict({lift[j]: 1}, labels), 1)
-            fs_combine(z, fs_restrict({lift[i]: 1}, labels), -1)
-            into = [x for x in labels if x in set(c0_labels)]
-            if fs_restrict(z, into):
+        for r, z in enumerate(rhs):
+            if z:
+                _k, i, j, t = self.tags[r]
+                cocycle.setdefault((i, j), {})[t] = z
+        c0 = self.model.scenario.contexts[context_index]
+        for (i, j), z in cocycle.items():
+            if fs_restrict(z, [x for x in self.pair_overlaps[(i, j)]
+                               if x in c0]):
                 raise InternalCheckError(
                     "connecting cochain leaves the kernel presheaf")
-            if z:
-                cocycle[(i, j)] = z
-        _basis, _index, parity = self._route2_rows(context_index)
-        rhs = [cocycle.get((i, j), {}).get(t, 0) for _k, i, j, t in self.tags]
         _sol, ref = parity.solve(
             sum(1 << r for r, b in enumerate(rhs) if b & 1))
         if ref is not None:
@@ -472,67 +465,60 @@ class CechAnalyzer:
         return CocycleDecision(context_index, section, True, cocycle,
                                potential, None)
 
-    def _route2_rows(self, context_index: int):
-        """Kernel-presheaf basis and the GF(2) system of the constraint
-        rows, one per compatibility tag, for one pin."""
-        if context_index in self._route2_data:
-            return self._route2_data[context_index]
-        scenario = self.model.scenario
-        c0 = set(scenario.contexts[context_index])
-        basis = []   # (context j, section s, class representative)
-        index = {}
-        for j, ctx in enumerate(scenario.contexts):
-            overlap = scenario.sort_labels(set(ctx) & c0)
-            classes: dict[Section, Section] = {}
-            for s in self.model.sections[j]:
-                key = restrict_section(s, overlap)
-                rep = classes.setdefault(key, s)
-                if s != rep:
-                    index[(j, s)] = len(basis)
-                    basis.append((j, s, rep))
-        masks = [sum(1 << k for k, c in row.items() if c & 1)
-                 for row in self._route2_signed_rows(basis, index)]
-        data = (basis, index, Gf2AffineSystem(masks, len(basis)))
-        self._route2_data[context_index] = data
-        return data
+    def _route2_rows(self, c: int):
+        """The kernel-presheaf basis of pin c, its classes and the GF(2)
+        system of A in its coordinates.
 
-    def _route2_signed_rows(self, basis, index):
-        """Each route-2 constraint row, sparse: basis index -> coefficient."""
-        for _kind, i, j, t in self.tags:
-            labels = self.pair_overlaps[(i, j)]
-            row = {}
-            for jj, sign in ((j, 1), (i, -1)):
-                for s in self.model.sections[jj]:
-                    k = index.get((jj, s))
-                    if k is None:
-                        continue
-                    _j, _s, rep = basis[k]
-                    coeff = sign * (
-                        (restrict_section(s, labels) == t)
-                        - (restrict_section(rep, labels) == t))
-                    if coeff:
-                        row[k] = coeff
-            yield row
+        Sections of C_j are in one class when they restrict alike into
+        C_c (all of C_j when the two are disjoint).  The first section
+        rep of a class represents it, and each other one s gives the
+        basis vector (j, s, rep), the 0-cochain s - rep.  ``classes[j]``
+        is (the class of each section of C_c, class -> rep in C_j).
+        """
+        if c not in self._route2_data:
+            basis = []
+            classes = []
+            none_c = [0] * len(self.blocks[c][1])
+            for j, (_off, secs) in enumerate(self.blocks):
+                reps: dict[int, int] = {}
+                side = self._side.get((j, c), [0] * len(secs))
+                for u, key in enumerate(side):
+                    rep = reps.setdefault(key, u)
+                    if rep != u:
+                        basis.append((j, u, rep))
+                classes.append((self._side.get((c, j), none_c), reps))
+            masks = [sum(1 << k for k, v in row.items() if v & 1)
+                     for row in self._kernel_rows(basis)]
+            self._route2_data[c] = (basis, classes,
+                                    Gf2AffineSystem(masks, len(basis)))
+        return self._route2_data[c]
+
+    def _kernel_rows(self, basis):
+        """A in kernel-presheaf coordinates, sparse: row r's entry on the
+        basis vector (j, s, rep) is A[r][rep] - A[r][s]."""
+        rows = [{} for _ in self.rows]
+        for k, (j, s, rep) in enumerate(basis):
+            for side, sign in self._incident[j]:
+                if side[s] != side[rep]:
+                    rows[side[rep]][k] = sign
+                    rows[side[s]][k] = -sign
+        return rows
 
     def _route2_potential(self, context_index, section, lift, cocycle, rhs):
         """Integer potential via the global-section shortcut, else the
         exact solver on the kernel-coordinate system."""
-        scenario = self.model.scenario
         g = self._extension(context_index, section)
         if g is not None:
             potential = {}
-            for j, ctx in enumerate(scenario.contexts):
-                fs: FormalSum = {}
-                fs_combine(fs, {lift[j]: 1}, 1)
-                fs_combine(fs, {restrict_section(g, ctx): 1}, -1)
-                if fs:
-                    potential[j] = fs
+            for j, ((_o, secs), u, v) in enumerate(zip(self.blocks, lift, g)):
+                if u != v:
+                    potential[j] = {secs[u]: 1, secs[v]: -1}
             self._audit_potential(context_index, cocycle, potential)
             return potential
-        basis, index, _parity = self._route2_rows(context_index)
+        basis, _classes, _parity = self._route2_rows(context_index)
         if context_index not in self._route2_int:
             rows = [[row.get(k, 0) for k in range(len(basis))]
-                    for row in self._route2_signed_rows(basis, index)]
+                    for row in self._kernel_rows(basis)]
             self._route2_int[context_index] = IntegerSystem(
                 rows, ncols=len(basis))
         res = self._route2_int[context_index].solve(rhs)
@@ -544,8 +530,9 @@ class CechAnalyzer:
         for k, (j, s, rep) in enumerate(basis):
             c = res.witness[k]
             if c:
+                secs = self.blocks[j][1]
                 fs = potential.setdefault(j, {})
-                fs_combine(fs, {s: 1, rep: -1}, c)
+                fs_combine(fs, {secs[s]: 1, secs[rep]: -1}, c)
         potential = {j: fs for j, fs in potential.items() if fs}
         self._audit_potential(context_index, cocycle, potential)
         return potential
@@ -569,7 +556,7 @@ class CechAnalyzer:
 
     def _audit_route2_refutation(self, context_index, cocycle, cert) -> None:
         """The parity refuter must annihilate rows and pair oddly with z."""
-        _basis, _index, parity = self._route2_rows(context_index)
+        _basis, _classes, parity = self._route2_rows(context_index)
         acc = 0
         pairing = 0
         lookup = dict(zip(self.tags, parity.rows))
@@ -674,7 +661,6 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
     model = structured.model
     cech = _analyzer(model)
     group = GroupObstructionAnalyzer(structured)
-    monoid = group.monoid
     rows = []
     for ci, ctx in enumerate(model.scenario.contexts):
         for s in model.sections[ci]:
@@ -694,20 +680,20 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
                     if collapsed[x] != s[x]:
                         raise InternalCheckError(
                             "collapse does not extend the pinned section")
-                _check_splitting(monoid, structured, collapsed)
+                _check_splitting(group.quotient, structured, collapsed)
             rows.append(CrossCheckRow(ci, s, r1.vanishes, g.vanishes))
     return CrossCheckReport(tuple(rows))
 
 
-def _check_splitting(monoid, structured: StructuredModel, values) -> None:
+def _check_splitting(quotient, structured: StructuredModel, values) -> None:
     """The collapsed assignment must be a homomorphism killing no sign."""
     d = structured.action.moduli[0]
-    images = structured.action.embedding(monoid)
+    monoid = quotient.parent
     for x, y in monoid.composable_pairs():
         if (values[x] + values[y] - values[monoid.add(x, y)]) % d:
             raise InternalCheckError(
                 f"collapse is not a homomorphism at ({x!r}, {y!r})")
-    for a, img in images.items():
+    for a, img in quotient.embedding.items():
         if values[img] != a[0] % d:
             raise InternalCheckError(
                 f"collapse does not retract the embedding at i({a})")

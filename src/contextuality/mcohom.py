@@ -27,7 +27,6 @@ from .pmonoid import (
     StructuredModel,
     glue_contexts,
     quotient_by_action,
-    splitting_from_trivialisation,
     trivialisation_from_right_splitting,
     validate_splitting,
 )
@@ -161,6 +160,12 @@ def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
     if not report.ok:
         raise PreconditionError(
             "not a left splitting: " + "; ".join(report.violations))
+    return _obstruction(quotient, context_labels, splitting, eta_override)
+
+
+def _obstruction(quotient: Quotient, context_labels: tuple, splitting,
+                 eta_override) -> SectionObstruction:
+    """``obstruction_cocycle`` on a splitting already validated."""
     action = quotient.action
     zero = action.zero
     inside = {quotient.orbit_of[x] for x in context_labels}
@@ -304,6 +309,12 @@ def validate_structured_model(structured: StructuredModel) -> ValidationReport:
     that its translation action is free, and that every listed section
     is a left splitting of its context.
     """
+    return _validate(structured)[0]
+
+
+def _validate(structured: StructuredModel):
+    """The report of ``validate_structured_model`` and the quotient of
+    the glued monoid it built, None when it stopped before that."""
     bad = []
     model = structured.model
     scenario = model.scenario
@@ -311,29 +322,29 @@ def validate_structured_model(structured: StructuredModel) -> ValidationReport:
         bad.append(
             "coefficient group must be one cyclic factor matching the "
             "outcome modulus")
-        return ValidationReport(tuple(bad))
+        return ValidationReport(tuple(bad)), None
     try:
         monoid = glue_contexts(structured)
     except (PreconditionError, StructureError) as exc:
         bad.append(f"contexts do not glue: {exc}")
-        return ValidationReport(tuple(bad))
+        return ValidationReport(tuple(bad)), None
     try:
         images = structured.action.embedding(monoid)
     except StructureError as exc:
         bad.append(f"coefficient embedding fails: {exc}")
-        return ValidationReport(tuple(bad))
+        return ValidationReport(tuple(bad)), None
     for a, img in images.items():
         for ctx in scenario.contexts:
             if img not in ctx:
                 bad.append(
                     f"image i({a}) = {img!r} misses context {ctx}")
     if bad:
-        return ValidationReport(tuple(bad))
+        return ValidationReport(tuple(bad)), None
     try:
         quotient = quotient_by_action(monoid, structured.action)
     except StructureError as exc:
         bad.append(f"group action fails: {exc}")
-        return ValidationReport(tuple(bad))
+        return ValidationReport(tuple(bad)), None
     for ci, ctx in enumerate(scenario.contexts):
         for s in model.sections[ci]:
             sp = splitting_of_section(s, ctx, structured.action)
@@ -342,7 +353,7 @@ def validate_structured_model(structured: StructuredModel) -> ValidationReport:
                 bad.append(
                     f"section {s} of context {ci} is not a splitting: "
                     + "; ".join(rep.violations))
-    return ValidationReport(tuple(bad))
+    return ValidationReport(tuple(bad)), quotient
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,16 +372,18 @@ class GroupObstructionReport:
 
 
 class GroupObstructionAnalyzer:
-    """Shared gluing, quotient and per-context solvers for one model."""
+    """Shared gluing, quotient and per-context solvers for one model.
+
+    Set-up validates every section's splitting, so queries do not."""
 
     def __init__(self, structured: StructuredModel):
-        report = validate_structured_model(structured)
+        report, quotient = _validate(structured)
         if not report.ok:
             raise PreconditionError(
                 "structured model invalid: " + "; ".join(report.violations))
         self.structured = structured
-        self.monoid = glue_contexts(structured)
-        self.quotient = quotient_by_action(self.monoid, structured.action)
+        self.quotient = quotient
+        self.monoid = quotient.parent
         self._solvers: dict[int, CoboundarySolver] = {}
 
     def _solver(self, context_index: int) -> CoboundarySolver:
@@ -392,8 +405,7 @@ class GroupObstructionAnalyzer:
                 f"{section} is not a section of context {context_index}")
         ctx = scenario.contexts[context_index]
         sp = splitting_of_section(section, ctx, self.structured.action)
-        obstruction = obstruction_cocycle(
-            self.quotient, ctx, sp, eta_override=eta_override)
+        obstruction = _obstruction(self.quotient, ctx, sp, eta_override)
         decision = self._solver(context_index).decide(obstruction.beta)
         glob = None
         if decision.vanishes:
@@ -405,18 +417,18 @@ class GroupObstructionAnalyzer:
         """Turn eta + gamma into a verified global splitting.
 
         h = eta + i(gamma) is a homomorphic section of the quotient
-        map, and the splitting-lemma correspondence converts it into a
-        left splitting on all measurements, which must agree with the
-        section on its own context.
+        map.  The splitting-lemma correspondence turns it into a
+        trivialisation, validated by ``trivialisation_from_right_splitting``,
+        whose first component is a left splitting on all measurements
+        that must agree with the section on its own context.
         """
         q = self.quotient
         h = {orbit: q.act(decision.gamma[orbit], obstruction.eta[orbit])
              for orbit in q.monoid.elements}
         phi = trivialisation_from_right_splitting(
             q, q.parent.elements, h)
-        split = splitting_from_trivialisation(q, q.parent.elements, phi)
         d = self.structured.action.moduli[0]
-        outcome = {x: split[x][0] % d for x in q.parent.elements}
+        outcome = {x: phi[x][0][0] % d for x in q.parent.elements}
         for x in ctx:
             if outcome[x] != section[x]:
                 raise InternalCheckError(

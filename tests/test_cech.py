@@ -119,7 +119,98 @@ def _audit_route2(model, context_index, decision):
                 want = decision.cocycle.get((i, j), {})
                 assert got == want
     else:
-        assert decision.certificate is not None
+        _audit_route2_certificate(model, context_index, decision)
+
+
+def _kernel_rows(model, context_index, tags):
+    """Route 2's constraint rows for ``tags``, rebuilt from the sections.
+
+    Two sections of a context are in one class when they restrict alike
+    into C0; each class's first section is its representative rep, and
+    every other section s gives the basis vector s - rep of the kernel
+    presheaf.  The row of tag (i, j, t) on that vector is
+    [s|t = t] - [rep|t = t] when s lives on C_j, and minus that on C_i.
+    """
+    scenario = model.scenario
+    c0 = set(scenario.contexts[context_index])
+    basis = []
+    for j, ctx in enumerate(scenario.contexts):
+        reps = {}
+        for s in model.sections[j]:
+            rep = reps.setdefault(
+                restrict_section(s, [x for x in ctx if x in c0]), s)
+            if rep != s:
+                basis.append((j, s, rep))
+    rows = {}
+    for tag in tags:
+        _kind, i, j, t = tag
+        row = {}
+        for k, (jj, s, rep) in enumerate(basis):
+            if jj in (i, j):
+                sign = 1 if jj == j else -1
+                c = sign * ((restrict_section(s, t.domain) == t)
+                            - (restrict_section(rep, t.domain) == t))
+                if c:
+                    row[k] = c
+        rows[tag] = row
+    return rows
+
+
+def _audit_route2_certificate(model, context_index, decision):
+    """y^T R against route 2's rows rebuilt from the sections, and y.z:
+    even and odd for parity, integral and not for "integral", zero and
+    nonzero for "rational"."""
+    cert = decision.certificate
+    contexts = model.scenario.contexts
+    for _kind, i, j, t in cert.rows:
+        assert i < j
+        assert set(t.domain) == set(contexts[i]) & set(contexts[j])
+    rows = _kernel_rows(model, context_index, cert.rows)
+    acc = {}
+    pairing = Fraction(0)
+    for tag, coeff in zip(cert.rows, cert.coefficients):
+        coeff = Fraction(coeff)
+        for k, v in rows[tag].items():
+            acc[k] = acc.get(k, Fraction(0)) + coeff * v
+        _kind, i, j, t = tag
+        pairing += coeff * decision.cocycle.get((i, j), {}).get(t, 0)
+    if cert.kind == "parity":
+        assert all(v % 2 == 0 for v in acc.values())
+        assert pairing % 2 == 1
+    elif cert.kind == "integral":
+        assert all(v.denominator == 1 for v in acc.values())
+        assert pairing.denominator != 1
+    else:
+        assert cert.kind == "rational"
+        assert not any(acc.values()) and pairing != 0
+
+
+def _random_binary_cycles(seed, count):
+    """Binary 3- to 7-cycles whose every edge keeps both outcomes of each
+    of its measurements, so every model is no-signalling."""
+    rng = random.Random(seed)
+    models = []
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        keep = rng.choice((0.3, 0.6))
+        labels = [f"x{i}" for i in range(n)]
+        scenario = MeasurementScenario.make(
+            labels, 2, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+        sections = []
+        for x, y in scenario.contexts:
+            rows = []
+            while ({a for a, _ in rows} != {0, 1}
+                   or {b for _, b in rows} != {0, 1}):
+                rows = [(a, b) for a in (0, 1) for b in (0, 1)
+                        if rng.random() < keep]
+            sections.append([Section.of({x: a, y: b}) for a, b in rows])
+        models.append(EmpiricalModel.make(scenario, sections))
+    return models
+
+
+def _differential_models(hardy, mermin, ghz):
+    return [hardy.model, mermin.model, ghz.model] + _random_binary_cycles(
+        42, 12)
 
 
 # --- Nerve and cochains --------------------------------------------------------
@@ -181,6 +272,56 @@ def test_cech_d_after_d_random(hardy, mermin):
             c = make_cech_cochain(nerve, 0, vals)
             dd = cech_coboundary(nerve, cech_coboundary(nerve, c))
             assert not dd.values
+
+
+def test_compatibility_rows_are_minus_the_cech_differential(
+        hardy, mermin, ghz):
+    """Column k of the analyzer's compatibility matrix is -delta of the
+    0-cochain 1*s on s's context, read on the pairs i < j."""
+    for model in _differential_models(hardy, mermin, ghz):
+        ana = CechAnalyzer(model)
+        nerve = build_nerve(model.scenario, max_degree=1)
+        k = 0
+        for ci, secs in enumerate(model.sections):
+            for s in secs:
+                d = cech_coboundary(
+                    nerve, make_cech_cochain(nerve, 0, {(ci,): {s: 1}}))
+                want = {(i, j, t): -c for (i, j), fs in d.values.items()
+                        if i < j for t, c in fs.items()}
+                got = {tag[1:]: row[k] for tag, row in zip(ana.tags, ana.rows)
+                       if k in row}
+                assert got == want
+                k += 1
+        assert k == ana.nunknowns
+
+
+def test_connecting_cocycle_is_delta_of_the_lift(hardy, mermin, ghz):
+    """Route 2's cocycle is cech_coboundary of the lift that takes, in
+    each context, the first section agreeing with s0 on the overlap."""
+    for model in _differential_models(hardy, mermin, ghz):
+        ana = CechAnalyzer(model)
+        nerve = build_nerve(model.scenario, max_degree=1)
+        contexts = model.scenario.contexts
+        for c0, secs0 in enumerate(model.sections):
+            for s0 in secs0:
+                lift = {}
+                for j, ctx in enumerate(contexts):
+                    inner = [x for x in ctx if x in contexts[c0]]
+                    want = restrict_section(s0, inner)
+                    first = next(s for s in model.sections[j]
+                                 if restrict_section(s, inner) == want)
+                    lift[(j,)] = {first: 1}
+                z = cech_coboundary(nerve, make_cech_cochain(nerve, 0, lift))
+                assert ana.connecting_cocycle(c0, s0).cocycle == {
+                    (i, j): fs for (i, j), fs in z.values.items() if i < j}
+
+
+def test_route2_certificates_hold_against_rebuilt_rows(hardy, mermin, ghz):
+    for model in _differential_models(hardy, mermin, ghz):
+        ana = CechAnalyzer(model)
+        for ci, secs in enumerate(model.sections):
+            for s in secs:
+                _audit_route2(model, ci, ana.connecting_cocycle(ci, s))
 
 
 # --- Route 1 --------------------------------------------------------------------

@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+import contextuality.mcohom as mcohom_module
+import contextuality.pmonoid as pmonoid_module
 from contextuality.errors import PreconditionError, InternalCheckError
 from contextuality.mcohom import (
     Cochain,
@@ -355,6 +357,59 @@ def test_noncontextual_reconstruction():
     # the one-shot helper agrees
     rep = group_obstruction(st, 0, model.sections[0][0])
     assert rep.vanishes
+
+
+def _counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyzer_glues_and_quotients_once(mermin, monkeypatch):
+    """Set-up keeps the glued monoid and quotient its validation built."""
+    glued = _counted(monkeypatch, mcohom_module, "glue_contexts")
+    quotients = _counted(monkeypatch, mcohom_module, "quotient_by_action")
+    ana = GroupObstructionAnalyzer(mermin.structured)
+    assert len(glued) == 1 and len(quotients) == 1
+    assert ana.monoid is ana.quotient.parent
+
+
+def test_splittings_are_validated_once_at_set_up(mermin, monkeypatch):
+    """Every section's splitting is validated by set-up and not again by
+    ``analyze``; the public ``obstruction_cocycle`` still validates."""
+    checked = _counted(monkeypatch, mcohom_module, "validate_splitting")
+    model = mermin.model
+    ana = GroupObstructionAnalyzer(mermin.structured)
+    assert len(checked) == sum(len(secs) for secs in model.sections)
+    checked.clear()
+    for ci, secs in enumerate(model.sections):
+        for s in secs:
+            ana.analyze(ci, s)
+    assert checked == []
+    ctx = model.scenario.contexts[0]
+    sp = splitting_of_section(model.sections[0][0], ctx,
+                              mermin.structured.action)
+    obstruction_cocycle(ana.quotient, ctx, sp)
+    assert len(checked) == 1
+
+
+def test_reconstruction_validates_the_trivialisation_once(monkeypatch):
+    st = build_state_independent_model(
+        [parse_pauli(s) for s in ("+X", "+Z", "-I")])
+    ana = GroupObstructionAnalyzer(st)
+    checked = _counted(monkeypatch, pmonoid_module, "_require_trivialisation")
+    for ci, secs in enumerate(st.model.sections):
+        for s in secs:
+            checked.clear()
+            assert ana.analyze(ci, s).global_splitting is not None
+            assert len(checked) == 1
 
 
 def test_analyzer_rejects_foreign_section(mermin, mermin_group):
