@@ -190,8 +190,9 @@ class CechAnalyzer:
     per pair i < j of overlapping contexts and section t of the overlap:
     +1 on C_i's and -1 on C_j's sections restricting to t, so A x is
     -delta(x) read on the pairs i < j.  Set-up restricts each section to
-    each overlap once and keeps, per pair, an int list per side from
-    section position to row; only the audits restrict again.
+    each overlap once, rejects a signalling model when the two sides'
+    restriction sets differ, and keeps, per pair, an int list per side
+    from section position to row; only the audits restrict again.
 
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
@@ -206,10 +207,6 @@ class CechAnalyzer:
     """
 
     def __init__(self, model: EmpiricalModel):
-        ns = check_no_signalling(model)
-        if not ns.ok:
-            raise PreconditionError(
-                "model is signalling: " + "; ".join(ns.violations[:3]))
         self.model = model
         contexts = model.scenario.contexts
         self.blocks = []
@@ -236,8 +233,10 @@ class CechAnalyzer:
                     for k in (i, j)}
             below = sorted(set(keys[i]))
             if set(keys[j]) != set(below):
-                raise InternalCheckError(
-                    f"contexts {i} and {j} restrict differently to {labels}")
+                # the same comparison, worded for the user
+                ns = check_no_signalling(model)
+                raise PreconditionError(
+                    "model is signalling: " + "; ".join(ns.violations[:3]))
             row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
             self.pair_overlaps[(i, j)] = labels
             self.rows.extend({} for _ in below)
@@ -250,7 +249,7 @@ class CechAnalyzer:
                 self._incident[k].append((side, sign))
                 for col, r in enumerate(side, self.blocks[k][0]):
                     self.rows[r][col] = sign
-        self.row_by_tag = dict(zip(self.tags, self.rows))
+        self._row_of = {tag: r for r, tag in enumerate(self.tags)}
         self._gf2 = Gf2Echelon(
             [sum(1 << k for k, v in row.items() if v % 2) for row in self.rows],
             self.nunknowns)
@@ -355,10 +354,10 @@ class CechAnalyzer:
         for tag, coeff in zip(cert.rows, cert.coefficients):
             coeff = Fraction(coeff)
             if tag[0] == "pair":
-                row = self.row_by_tag[tag]
+                row = self.rows[self._row_of[tag]]
             else:
                 _kind, ci, t = tag
-                row = {self.blocks[ci][0] + self.blocks[ci][1].index(t): 1}
+                row = {self.blocks[ci][0] + self._pin_position(ci, t): 1}
                 if ci == context_index and t == section:
                     rhs += coeff
             for k, v in row.items():
@@ -369,6 +368,17 @@ class CechAnalyzer:
         if rhs.denominator == 1:
             raise InternalCheckError(
                 "certificate pairs integrally with the right-hand side")
+
+    def _pin_position(self, ci, t) -> int:
+        """The position of section t in context ci, for a pinning row."""
+        try:
+            u = self._position[ci][t.values_on(self.model.scenario.contexts[ci])]
+            if self.blocks[ci][1][u] == t:
+                return u
+        except (IndexError, KeyError):
+            pass
+        raise InternalCheckError(
+            f"certificate pins an unknown section {t} of context {ci}")
 
     def _integral_family(self, context_index, section, off, secs, s_pos):
         # shortcut: a global section through s0 is itself a compatible
@@ -559,10 +569,9 @@ class CechAnalyzer:
         _basis, _classes, parity = self._route2_rows(context_index)
         acc = 0
         pairing = 0
-        lookup = dict(zip(self.tags, parity.rows))
         for tag, coeff in zip(cert.rows, cert.coefficients):
             _k, i, j, t = tag
-            acc ^= lookup[tag]
+            acc ^= parity.rows[self._row_of[tag]]
             pairing ^= cocycle.get((i, j), {}).get(t, 0) & 1
         if acc != 0 or pairing != 1:
             raise InternalCheckError("route-2 parity certificate failed audit")
@@ -688,12 +697,16 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
 def _check_splitting(quotient, structured: StructuredModel, values) -> None:
     """The collapsed assignment must be a homomorphism killing no sign."""
     d = structured.action.moduli[0]
-    monoid = quotient.parent
-    for x, y in monoid.composable_pairs():
-        if (values[x] + values[y] - values[monoid.add(x, y)]) % d:
-            raise InternalCheckError(
-                f"collapse is not a homomorphism at ({x!r}, {y!r})")
-    for a, img in quotient.embedding.items():
-        if values[img] != a[0] % d:
+    els = quotient.parent.elements
+    v = [values[x] for x in els]
+    xs, ys, zs = quotient.parent.pairs()
+    bad = next(((x, y) for x, y, z in zip(xs, ys, zs)
+                if (v[x] + v[y] - v[z]) % d), None)
+    if bad is not None:
+        raise InternalCheckError(
+            f"collapse is not a homomorphism at ({els[bad[0]]!r}, "
+            f"{els[bad[1]]!r})")
+    for a, img in zip(quotient.action.elements(), quotient.embedding):
+        if v[img] != a[0] % d:
             raise InternalCheckError(
                 f"collapse does not retract the embedding at i({a})")

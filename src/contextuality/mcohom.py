@@ -33,27 +33,70 @@ from .pmonoid import (
 from .scenario import Section, ValidationReport
 
 
-@dataclass(frozen=True, eq=False)
 class Cochain:
-    """A sparse A-valued function on the composable tuples of a degree."""
+    """An A-valued function on the composable tuples of one degree.
 
-    monoid: PartialMonoid
-    moduli: tuple[int, ...]
-    degree: int
-    values: dict
+    It is held as one flat int list per cyclic factor over
+    ``monoid.composable(degree)``; ``values`` reads it as a sparse dict
+    from label tuples to the nonzero value tuples.  Built from such a
+    dict, a value on a tuple that is not composable, or whose arity does
+    not match the moduli, is a precondition error.
+    """
+
+    def __init__(self, monoid: PartialMonoid, moduli, degree: int,
+                 values: dict):
+        moduli = tuple(moduli)
+        columns = tuple([0] * monoid.count(degree) for _ in moduli)
+        for t, v in values.items():
+            j = monoid.position(t) if len(t) == degree else None
+            if j is None:
+                raise PreconditionError(
+                    f"{t} is not a composable {degree}-tuple")
+            if len(v) != len(moduli):
+                raise PreconditionError("value arity does not match the moduli")
+            for col, a in zip(columns, v):
+                col[j] = a
+        self._set(monoid, moduli, degree, columns)
+
+    @classmethod
+    def of_columns(cls, monoid: PartialMonoid, moduli, degree: int,
+                   columns) -> "Cochain":
+        self = cls.__new__(cls)
+        self._set(monoid, tuple(moduli), degree, tuple(columns))
+        return self
+
+    def _set(self, monoid, moduli, degree, columns) -> None:
+        self.monoid = monoid
+        self.moduli = moduli
+        self.degree = degree
+        self.columns = columns
 
     @property
     def zero_value(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)
 
+    @property
+    def values(self) -> dict:
+        tuples = self.monoid.composable(self.degree)
+        return {tuples[j]: v for j, v in enumerate(zip(*self.columns))
+                if any(v)}
+
     def value(self, t) -> tuple[int, ...]:
-        return self.values.get(tuple(t), self.zero_value)
+        t = tuple(t)
+        j = self.monoid.position(t) if len(t) == self.degree else None
+        if j is None:
+            return self.zero_value
+        return tuple(col[j] for col in self.columns)
+
+    def is_zero(self) -> bool:
+        return not any(any(col) for col in self.columns)
 
     def same_as(self, other: "Cochain") -> bool:
         if self.degree != other.degree or self.moduli != other.moduli:
             return False
-        keys = set(self.values) | set(other.values)
-        return all(self.value(t) == other.value(t) for t in keys)
+        if self.monoid is other.monoid:
+            return self.columns == other.columns
+        return self.values == other.values
 
     def is_zero_on(self, tuples) -> bool:
         return all(self.value(t) == self.zero_value for t in tuples)
@@ -61,18 +104,11 @@ class Cochain:
 
 def make_cochain(monoid, moduli, degree, values) -> Cochain:
     moduli = tuple(moduli)
-    zero = (0,) * len(moduli)
     norm = {}
-    known = monoid.positions(degree)
     for t, v in values.items():
-        t = tuple(t)
-        if t not in known:
-            raise PreconditionError(f"{t} is not a composable {degree}-tuple")
         if len(tuple(v)) != len(moduli):
             raise PreconditionError("value arity does not match the moduli")
-        v = tuple(int(a) % d for a, d in zip(v, moduli))
-        if v != zero:
-            norm[t] = v
+        norm[tuple(t)] = tuple(int(a) % d for a, d in zip(v, moduli))
     return Cochain(monoid, moduli, degree, norm)
 
 
@@ -84,30 +120,13 @@ def coboundary(c: Cochain) -> Cochain:
     taken componentwise modulo the coefficient moduli.  All inner sums
     are defined whenever the outer tuple is composable.
 
-    Each cyclic factor of f is scattered into a flat list over the
-    n-tuples and summed along the monoid's cached face columns
-    (``PartialMonoid.faces``), one signed column at a time; only the
-    nonzero (n+1)-tuples are kept.  A value on a tuple that is not
-    composable is a precondition error, as in ``make_cochain``.
+    Each cyclic factor's flat list is summed along the monoid's cached
+    face columns (``PartialMonoid.faces``), one signed column at a time.
     """
-    P = c.monoid
     n = c.degree
-    moduli = c.moduli
-    cols = P.faces(n)
-    pos = P.positions(n)
-    scattered = []
-    for t, v in c.values.items():
-        j = pos.get(t)
-        if j is None:
-            raise PreconditionError(f"{t} is not a composable {n}-tuple")
-        if len(v) != len(moduli):
-            raise PreconditionError("value arity does not match the moduli")
-        scattered.append((j, v))
+    cols = c.monoid.faces(n)
     sums = []
-    for k, d in enumerate(moduli):
-        f = [0] * len(pos)
-        for j, v in scattered:
-            f[j] = v[k]
+    for f, d in zip(c.columns, c.moduli):
         acc = [f[j] for j in cols[0]]
         for i in range(1, n + 2):
             if i % 2:
@@ -115,9 +134,7 @@ def coboundary(c: Cochain) -> Cochain:
             else:
                 acc = [a + f[j] for a, j in zip(acc, cols[i])]
         sums.append([a % d for a in acc])
-    upper = P.composable(n + 1)
-    out = {upper[j]: v for j, v in enumerate(zip(*sums)) if any(v)}
-    return Cochain(P, moduli, n + 1, out)
+    return Cochain.of_columns(c.monoid, c.moduli, n + 1, sums)
 
 
 def splitting_of_section(section: Section, context,
@@ -135,14 +152,31 @@ def splitting_of_section(section: Section, context,
 
 @dataclass(frozen=True, eq=False)
 class SectionObstruction:
-    """beta and the data that produced it."""
+    """beta and the data that produced it.
+
+    ``inside`` flags the orbits of the context and ``eta_ids`` holds the
+    parent id of each orbit's representative, both over quotient ids;
+    ``relative_orbits`` and ``eta`` read them as labels.
+    """
 
     quotient: Quotient
     context_labels: tuple[str, ...]
-    relative_orbits: frozenset[str]
+    inside: bytes
     splitting: dict
-    eta: dict
+    eta_ids: list[int]
     beta: Cochain
+
+    @property
+    def relative_orbits(self) -> frozenset[str]:
+        names = self.quotient.monoid.elements
+        return frozenset(names[q] for q, flag in enumerate(self.inside)
+                         if flag)
+
+    @property
+    def eta(self) -> dict:
+        els = self.quotient.parent.elements
+        return {q: els[x] for q, x in
+                zip(self.quotient.monoid.elements, self.eta_ids)}
 
 
 def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
@@ -166,52 +200,80 @@ def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
 def _obstruction(quotient: Quotient, context_labels: tuple, splitting,
                  eta_override) -> SectionObstruction:
     """``obstruction_cocycle`` on a splitting already validated."""
-    action = quotient.action
-    zero = action.zero
-    inside = {quotient.orbit_of[x] for x in context_labels}
-    eta = {}
-    for q in quotient.monoid.elements:
-        if q in inside:
-            flat = [x for x in quotient.members[q]
-                    if tuple(splitting[x]) == zero]
+    parent, monoid = quotient.parent, quotient.monoid
+    n, names, orbit = parent.size, monoid.elements, quotient.orbit_ids
+    value = [-1] * n
+    inside = bytearray(monoid.size)
+    for x in context_labels:
+        i = parent.index(x)
+        value[i] = quotient.action.id_of(splitting[x])
+        inside[orbit[i]] = 1
+    eta = []
+    for q, members in enumerate(quotient.member_ids):
+        if inside[q]:
+            flat = [x for x in members if value[x] == 0]
             if len(flat) != 1:
                 raise InternalCheckError(
-                    f"splitting vanishes on {len(flat)} members of {q}")
-            eta[q] = flat[0]
-        elif eta_override is not None and q in eta_override:
-            cand = eta_override[q]
-            if quotient.orbit_of.get(cand) != q:
+                    f"splitting vanishes on {len(flat)} members of {names[q]}")
+            eta.append(flat[0])
+        elif eta_override is not None and names[q] in eta_override:
+            cand = eta_override[names[q]]
+            x = parent.id_of(cand)
+            if x < 0 or orbit[x] != q:
                 raise PreconditionError(
-                    f"override {cand!r} is not a member of {q}")
-            eta[q] = cand
+                    f"override {cand!r} is not a member of {names[q]}")
+            eta.append(x)
         else:
-            eta[q] = quotient.default_representative(q)
-    parent = quotient.parent
-    beta_values = {}
-    for q1, q2 in quotient.monoid.composable_pairs():
-        w = parent.add(eta[q1], eta[q2])
-        base = eta[quotient.monoid.add(q1, q2)]
-        beta_values[(q1, q2)] = quotient.value_at(w, base)
-    beta = make_cochain(quotient.monoid, action.moduli, 2, beta_values)
-    rel_pairs = [(a, b) for a, b in quotient.monoid.composable_pairs()
-                 if a in inside and b in inside]
-    if not beta.is_zero_on(rel_pairs):
+            eta.append(members[0])
+    qx, qy, qz = monoid.pairs()
+    sums = parent.sums
+    w = [sums[eta[a] * n + eta[b]] for a, b in zip(qx, qy)]
+    if -1 in w:
+        k = w.index(-1)
+        raise PreconditionError(
+            f"sum {parent.elements[eta[qx[k]]]!r} + "
+            f"{parent.elements[eta[qy[k]]]!r} is undefined")
+    table = quotient.value_table
+    beta_ids = [table[x * n + eta[c]] for x, c in zip(w, qz)]
+    if -1 in beta_ids:
+        k = beta_ids.index(-1)
+        raise InternalCheckError(
+            f"{parent.elements[w[k]]!r} not in the orbit of "
+            f"{parent.elements[eta[qz[k]]]!r}")
+    if any(b for a, c, b in zip(qx, qy, beta_ids) if inside[a] and inside[c]):
         raise InternalCheckError("beta does not vanish on the context block")
-    if coboundary(beta).values:
+    beta = Cochain.of_columns(monoid, quotient.action.moduli, 2,
+                              quotient.action.columns(beta_ids))
+    if not coboundary(beta).is_zero():
         raise InternalCheckError("beta is not a 2-cocycle")
     return SectionObstruction(
-        quotient, context_labels, frozenset(inside), dict(splitting),
-        eta, beta)
+        quotient, context_labels, bytes(inside), dict(splitting), eta, beta)
 
 
 @dataclass(frozen=True, eq=False)
 class CoboundaryDecision:
-    """Outcome of deciding beta = d(gamma) with gamma relative to C."""
+    """Outcome of deciding beta = d(gamma) with gamma relative to C.
+
+    ``gamma_ids`` holds gamma's group id on each quotient id; ``gamma``
+    reads it as a label dict."""
 
     vanishes: bool
-    gamma: dict | None
+    gamma_ids: list[int] | None
     certificates: tuple[tuple[int, ModSolveResult], ...] | None
-    pair_order: tuple
+    solver: "CoboundarySolver"
+
+    @property
+    def gamma(self) -> dict | None:
+        if self.gamma_ids is None:
+            return None
+        q = self.solver.quotient
+        group = q.action.elements()
+        return {name: group[a]
+                for name, a in zip(q.monoid.elements, self.gamma_ids)}
+
+    @property
+    def pair_order(self) -> tuple:
+        return self.solver.pair_order
 
 
 class CoboundarySolver:
@@ -221,75 +283,89 @@ class CoboundarySolver:
     the cochain must vanish on, so one solver serves every section of a
     context; beta only changes the right-hand side.  Since the monoid
     is commutative and beta is built symmetrically, only ordered pairs
-    are kept.  Each cyclic factor's modulus gets one ``ModSystem``, built
-    on first use and reused for every later beta; its modulus-2 local is
-    the bitmask GF(2) solver.
+    are kept: their positions among the composable pairs, each with the
+    position of its mirror (y, x).  Each cyclic factor's modulus gets one
+    ``ModSystem``, built on first use and reused for every later beta;
+    its modulus-2 local is the bitmask GF(2) solver.
     """
 
     def __init__(self, quotient: Quotient, relative_orbits):
         self.quotient = quotient
         self.relative = frozenset(relative_orbits)
         monoid = quotient.monoid
-        self.unknowns = [q for q in monoid.elements if q not in self.relative]
-        index = {q: j for j, q in enumerate(self.unknowns)}
-        order = {q: j for j, q in enumerate(monoid.elements)}
-        self.pair_order = tuple(
-            t for t in monoid.composable_pairs()
-            if order[t[0]] <= order[t[1]]
-            and not (t[0] in self.relative and t[1] in self.relative
-                     and monoid.add(*t) in self.relative))
+        m = monoid.size
+        rel = bytearray(m)
+        for name in self.relative:
+            q = monoid.id_of(name)
+            if q >= 0:
+                rel[q] = 1
+        self._unknowns = [q for q in range(m) if not rel[q]]
+        column = [-1] * m
+        for j, q in enumerate(self._unknowns):
+            column[q] = j
+        qx, qy, qz = monoid.pairs()
+        index = monoid.pair_index
+        mirror = [index[b * m + a] for a, b in zip(qx, qy)]
+        self._kept = [p for p, (a, b, c) in enumerate(zip(qx, qy, qz))
+                      if a <= b and not (rel[a] and rel[b] and rel[c])]
+        self._mirror = [mirror[p] for p in self._kept]
+        kept = bytearray(len(qx))
+        for p in self._kept:
+            kept[p] = 1
+        self._outside = [p for p, r in enumerate(mirror)
+                         if not kept[p] and not (r >= 0 and kept[r])]
         self._rows = []
-        for q1, q2 in self.pair_order:
-            row = [0] * len(self.unknowns)
-            for q, coeff in ((q1, 1), (q2, 1), (monoid.add(q1, q2), -1)):
-                j = index.get(q)
-                if j is not None:
-                    row[j] += coeff
+        for p in self._kept:
+            row = [0] * len(self._unknowns)
+            for q, coeff in ((qx[p], 1), (qy[p], 1), (qz[p], -1)):
+                if column[q] >= 0:
+                    row[column[q]] += coeff
             self._rows.append(row)
         self._systems: dict[int, ModSystem] = {}
+
+    @property
+    def pair_order(self) -> tuple:
+        """The kept pairs as label tuples."""
+        names = self.quotient.monoid.elements
+        qx, qy, _qz = self.quotient.monoid.pairs()
+        return tuple((names[qx[p]], names[qy[p]]) for p in self._kept)
 
     def _solve_factor(self, d: int, rhs: list[int]) -> ModSolveResult:
         if d not in self._systems:
             self._systems[d] = ModSystem(
                 [[a % d for a in row] for row in self._rows], d,
-                ncols=len(self.unknowns))
+                ncols=len(self._unknowns))
         return self._systems[d].solve(rhs)
 
     def decide(self, beta: Cochain) -> CoboundaryDecision:
-        moduli = self.quotient.action.moduli
-        kept = set(self.pair_order)
-        monoid = self.quotient.monoid
-        for t in monoid.composable_pairs():
-            if t in kept or tuple(reversed(t)) in kept:
-                continue
-            if beta.value(t) != beta.zero_value:
+        action = self.quotient.action
+        for col in beta.columns:
+            if any(col[p] for p in self._outside):
                 raise InternalCheckError(
                     "cochain not relative to the context block")
-        for q1, q2 in self.pair_order:
-            if beta.value((q1, q2)) != beta.value((q2, q1)):
+        for col in beta.columns:
+            if any(col[p] != (col[r] if r >= 0 else 0)
+                   for p, r in zip(self._kept, self._mirror)):
                 raise InternalCheckError("cochain is not symmetric")
         gamma_cols = []
         certificates = []
-        for k, d in enumerate(moduli):
-            rhs = [beta.value(t)[k] % d for t in self.pair_order]
-            res = self._solve_factor(d, rhs)
+        for k, (col, d) in enumerate(zip(beta.columns, action.moduli)):
+            res = self._solve_factor(d, [col[p] % d for p in self._kept])
             if res.feasible:
-                gamma_cols.append(res.witness)
+                gamma = [0] * self.quotient.monoid.size
+                for q, v in zip(self._unknowns, res.witness):
+                    gamma[q] = v % d
+                gamma_cols.append(gamma)
             else:
                 certificates.append((k, res))
         if certificates:
-            return CoboundaryDecision(
-                False, None, tuple(certificates), self.pair_order)
-        gamma = {q: tuple(col[j] for col in gamma_cols)
-                 for j, q in enumerate(self.unknowns)}
-        zero = (0,) * len(moduli)
-        for q in self.relative:
-            gamma[q] = zero
-        one = make_cochain(self.quotient.monoid, moduli, 1,
-                           {(q,): v for q, v in gamma.items()})
+            return CoboundaryDecision(False, None, tuple(certificates), self)
+        one = Cochain.of_columns(self.quotient.monoid, action.moduli, 1,
+                                 gamma_cols)
         if not coboundary(one).same_as(beta):
             raise InternalCheckError("gamma does not bound beta")
-        return CoboundaryDecision(True, gamma, None, self.pair_order)
+        gamma_ids = [action.id_of(v) for v in zip(*gamma_cols)]
+        return CoboundaryDecision(True, gamma_ids, None, self)
 
 
 def is_coboundary(obstruction: SectionObstruction) -> CoboundaryDecision:
@@ -389,7 +465,7 @@ class GroupObstructionAnalyzer:
     def _solver(self, context_index: int) -> CoboundarySolver:
         if context_index not in self._solvers:
             ctx = self.structured.model.scenario.contexts[context_index]
-            inside = frozenset(self.quotient.orbit_of[x] for x in ctx)
+            inside = frozenset(self.quotient.orbit_of(x) for x in ctx)
             self._solvers[context_index] = CoboundarySolver(
                 self.quotient, inside)
         return self._solvers[context_index]
@@ -423,12 +499,12 @@ class GroupObstructionAnalyzer:
         that must agree with the section on its own context.
         """
         q = self.quotient
-        h = {orbit: q.act(decision.gamma[orbit], obstruction.eta[orbit])
-             for orbit in q.monoid.elements}
-        phi = trivialisation_from_right_splitting(
-            q, q.parent.elements, h)
+        els, n = q.parent.elements, q.parent.size
+        h = {orbit: els[q.act_table[a * n + x]] for orbit, a, x in
+             zip(q.monoid.elements, decision.gamma_ids, obstruction.eta_ids)}
+        phi = trivialisation_from_right_splitting(q, els, h)
         d = self.structured.action.moduli[0]
-        outcome = {x: phi[x][0][0] % d for x in q.parent.elements}
+        outcome = {x: a[0] % d for x, (a, _orbit) in phi.items()}
         for x in ctx:
             if outcome[x] != section[x]:
                 raise InternalCheckError(

@@ -9,12 +9,25 @@ yields a second partial monoid.  Splittings of the quotient map (which
 correspond to outcome assignments) and trivialisations (isomorphisms
 with A x (X/A)) translate into each other by an explicit splitting
 lemma, implemented here.
+
+Everything runs on int ids.  A monoid's elements are 0..n-1 in label
+order and its operation is one flat list, ``sums[x * n + y]``, with -1
+for an undefined sum; its composable pairs are three int columns
+(x, y, x + y).  Group elements are mixed-radix ints, the index in
+``CoefficientAction.elements()``, with 0 the zero.  A quotient keeps the
+embedding i(a), the action a . x, the orbit map and each orbit's
+members as flat int lists.  Labels appear only at the edge: the
+constructors, the label methods (``add``, ``defined``, ``orbit_of``,
+``members``, ``act``, ``value_at``), the label dicts that the splitting
+lemma functions take and return, and error messages.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InternalCheckError, PreconditionError, StructureError
 from .graphs import maximal_cliques
@@ -25,14 +38,15 @@ class PartialMonoid:
     """Finite commutative partial monoid given by its operation table.
 
     ``table`` maps unordered pairs of element labels to their sum; a
-    missing pair means the sum is undefined.  The table is stored with
-    both orientations, so lookups never need to sort.
+    missing pair means the sum is undefined.  It is stored with both
+    orientations in the flat int list ``sums``.
 
-    The bar complex is cached beside the table: the composable tuples of
-    each degree 0..3, the position of each tuple in that list, and per
-    degree n the face table of the (n+1)-tuples, one int column per face
-    d_0..d_{n+1} holding the face's position among the n-tuples.  The
-    bar differential then sums flat columns instead of labels.
+    The bar complex is cached beside the table: the composable pairs as
+    int columns, the position of each pair (``pair_index``, flat like
+    ``sums``), and per degree n the face table of the (n+1)-tuples, one
+    int column per face d_0..d_{n+1} holding the face's position among
+    the n-tuples.  The bar differential then sums flat columns instead
+    of labels.
     """
 
     def __init__(self, elements, identity: str, table):
@@ -41,61 +55,93 @@ class PartialMonoid:
             raise PreconditionError("duplicate element labels")
         if identity not in elements:
             raise PreconditionError(f"identity {identity!r} not an element")
-        self.elements = elements
-        self.identity = identity
-        self._index = {x: i for i, x in enumerate(elements)}
-        self._table: dict[tuple[str, str], str] = {}
+        index = {x: i for i, x in enumerate(elements)}
+        n = len(elements)
+        sums = [-1] * (n * n)
         for (x, y), z in table.items():
             for lab in (x, y, z):
-                if lab not in self._index:
+                if lab not in index:
                     raise PreconditionError(f"unknown label {lab!r} in table")
-            for key in ((x, y), (y, x)):
-                old = self._table.get(key)
-                if old is not None and old != z:
+            i, j, k = index[x], index[y], index[z]
+            for key, pair in ((i * n + j, (x, y)), (j * n + i, (y, x))):
+                old = sums[key]
+                if old >= 0 and old != k:
                     raise StructureError(
-                        f"conflicting sums for {key}: {old!r} vs {z!r}")
-                self._table[key] = z
-        self._pairs: list[tuple[str, str]] | None = None
-        self._triples: list[tuple[str, str, str]] | None = None
-        self._positions: dict[int, dict[tuple, int]] = {}
+                        f"conflicting sums for {pair}: {elements[old]!r} "
+                        f"vs {z!r}")
+                sums[key] = k
+        self._setup(elements, index, index[identity], sums)
+
+    @classmethod
+    def _of_ids(cls, elements, unit: int, sums: list[int]) -> "PartialMonoid":
+        """A monoid on an already symmetric flat table of ids."""
+        self = cls.__new__(cls)
+        elements = tuple(elements)
+        self._setup(elements, {x: i for i, x in enumerate(elements)}, unit,
+                    sums)
+        return self
+
+    def _setup(self, elements, index, unit, sums) -> None:
+        self.elements = elements
+        self.size = len(elements)
+        self.unit = unit
+        self.identity = elements[unit]
+        self.sums = sums
+        self._index = index
+        self._pairs: tuple[list[int], list[int], list[int]] | None = None
+        self._pair_index: list[int] | None = None
         self._faces: dict[int, tuple[list[int], ...]] = {}
+        self._labels: dict[int, list[tuple]] = {}
+        self._triple_index: dict[tuple, int] | None = None
 
     def index(self, x: str) -> int:
         return self._index[x]
 
+    def id_of(self, x) -> int:
+        """The id of a label, -1 for an unknown one."""
+        return self._index.get(x, -1)
+
     def defined(self, x: str, y: str) -> bool:
-        return (x, y) in self._table
+        i, j = self.id_of(x), self.id_of(y)
+        return i >= 0 and j >= 0 and self.sums[i * self.size + j] >= 0
 
     def add(self, x: str, y: str) -> str:
-        try:
-            return self._table[(x, y)]
-        except KeyError:
-            raise PreconditionError(f"sum {x!r} + {y!r} is undefined") from None
+        i, j = self.id_of(x), self.id_of(y)
+        z = self.sums[i * self.size + j] if i >= 0 and j >= 0 else -1
+        if z < 0:
+            raise PreconditionError(f"sum {x!r} + {y!r} is undefined")
+        return self.elements[z]
+
+    def pairs(self) -> tuple[list[int], list[int], list[int]]:
+        """The composable pairs as columns (x, y, x + y), in id order."""
+        if self._pairs is None:
+            n = self.size
+            xs, ys, zs = [], [], []
+            index = [-1] * (n * n)
+            for x in range(n):
+                for y, z in enumerate(self.sums[x * n:(x + 1) * n]):
+                    if z >= 0:
+                        index[x * n + y] = len(xs)
+                        xs.append(x)
+                        ys.append(y)
+                        zs.append(z)
+            self._pairs = (xs, ys, zs)
+            self._pair_index = index
+        return self._pairs
+
+    @property
+    def pair_index(self) -> list[int]:
+        """``pair_index[x * n + y]``: the position of (x, y), or -1."""
+        self.pairs()
+        return self._pair_index
 
     def composable_pairs(self) -> list[tuple[str, str]]:
         """All ordered pairs (x, y) with x + y defined, in element order."""
-        if self._pairs is None:
-            self._pairs = [
-                (x, y)
-                for x in self.elements
-                for y in self.elements
-                if self.defined(x, y)
-            ]
-        return self._pairs
+        return self.composable(2)
 
     def composable_triples(self) -> list[tuple[str, str, str]]:
         """Ordered triples where both groupings of the sum are defined."""
-        if self._triples is None:
-            out = []
-            for x, y in self.composable_pairs():
-                xy = self.add(x, y)
-                for z in self.elements:
-                    if not (self.defined(y, z) and self.defined(xy, z)):
-                        continue
-                    if self.defined(x, self.add(y, z)):
-                        out.append((x, y, z))
-            self._triples = out
-        return self._triples
+        return self.composable(3)
 
     def composable(self, degree: int) -> list[tuple]:
         """The composable tuples of a degree 0..3, in element order.
@@ -107,19 +153,43 @@ class PartialMonoid:
             return [()]
         if degree == 1:
             return [(x,) for x in self.elements]
-        if degree == 2:
-            return self.composable_pairs()
-        if degree == 3:
-            return self.composable_triples()
-        raise PreconditionError("only degrees 0..3 are materialised")
+        if degree not in (2, 3):
+            raise PreconditionError("only degrees 0..3 are materialised")
+        if degree not in self._labels:
+            els = self.elements
+            xs, ys, _zs = self.pairs()
+            if degree == 2:
+                ids = zip(xs, ys)
+            else:
+                d0, _d1, _d2, d3 = self.faces(2)
+                ids = ((xs[p], ys[p], ys[q]) for q, p in zip(d0, d3))
+            self._labels[degree] = [tuple(els[i] for i in t) for t in ids]
+        return self._labels[degree]
 
-    def positions(self, degree: int) -> dict[tuple, int]:
-        """Each composable tuple of a degree -> its index in ``composable``."""
-        pos = self._positions.get(degree)
-        if pos is None:
-            pos = {t: i for i, t in enumerate(self.composable(degree))}
-            self._positions[degree] = pos
-        return pos
+    def count(self, degree: int) -> int:
+        """How many composable tuples a degree 0..3 has."""
+        return 1 if degree == 0 else len(self.faces(degree - 1)[0])
+
+    def position(self, t) -> int | None:
+        """The index in ``composable(len(t))`` of a label tuple, or None
+        when it is not a composable tuple of a degree 0..3."""
+        ids = [self.id_of(x) for x in t]
+        if -1 in ids:
+            return None
+        if len(ids) <= 1:
+            return ids[0] if ids else 0
+        if len(ids) == 2:
+            p = self.pair_index[ids[0] * self.size + ids[1]]
+            return p if p >= 0 else None
+        if len(ids) == 3:
+            if self._triple_index is None:
+                xs, ys, _zs = self.pairs()
+                d0, _d1, _d2, d3 = self.faces(2)
+                self._triple_index = {
+                    (xs[p], ys[p], ys[q]): j
+                    for j, (q, p) in enumerate(zip(d0, d3))}
+            return self._triple_index.get(tuple(ids))
+        return None
 
     def faces(self, degree: int) -> tuple[list[int], ...]:
         """The face columns from degree n = ``degree`` to n + 1 (n <= 2).
@@ -128,20 +198,42 @@ class PartialMonoid:
         of the j-th composable (n+1)-tuple t: d_0 drops t[0], d_i for
         0 < i <= n merges t[i-1] + t[i], and d_{n+1} drops t[n].  Every
         face of a composable tuple is composable, so no entry is missing.
+        The degree-2 columns list the composable triples (x, y, z), pair
+        by pair and z ascending: (x, y) is pair d_3 and z is the second
+        entry of pair d_0.
         """
         cols = self._faces.get(degree)
         if cols is None:
-            pos = self.positions(degree)
-            table = self._table
-            cols = tuple([] for _ in range(degree + 2))
-            for t in self.composable(degree + 1):
-                cols[0].append(pos[t[1:]])
-                for i in range(1, degree + 1):
-                    merged = table[(t[i - 1], t[i])]
-                    cols[i].append(pos[t[:i - 1] + (merged,) + t[i + 1:]])
-                cols[degree + 1].append(pos[t[:-1]])
+            n = self.size
+            xs, ys, zs = self.pairs()
+            if degree == 0:
+                cols = ([0] * n, [0] * n)
+            elif degree == 1:
+                cols = (ys, zs, xs)
+            elif degree == 2:
+                cols = self._triple_faces(xs, ys, zs)
+            else:
+                raise PreconditionError("only degrees 0..3 are materialised")
             self._faces[degree] = cols
         return cols
+
+    def _triple_faces(self, xs, ys, zs):
+        n = self.size
+        rows = [self.sums[i * n:(i + 1) * n] for i in range(n)]
+        index = self.pair_index
+        prow = [index[i * n:(i + 1) * n] for i in range(n)]
+        d0, d1, d2, d3 = [], [], [], []
+        for p, (x, y, xy) in enumerate(zip(xs, ys, zs)):
+            rx = rows[x]
+            tail = [(z, yz) for z, (yz, xyz) in enumerate(zip(rows[y], rows[xy]))
+                    if yz >= 0 and xyz >= 0 and rx[yz] >= 0]
+            if tail:
+                py, pxy, px = prow[y], prow[xy], prow[x]
+                d0 += [py[z] for z, _ in tail]
+                d1 += [pxy[z] for z, _ in tail]
+                d2 += [px[yz] for _, yz in tail]
+                d3 += [p] * len(tail)
+        return d0, d1, d2, d3
 
     def restriction(self, labels) -> "PartialMonoid":
         """The induced partial monoid on a subset of elements.
@@ -156,14 +248,16 @@ class PartialMonoid:
                 f"restriction to unknown labels {sorted(unknown)}")
         if self.identity not in keep:
             raise PreconditionError("restriction must contain the identity")
+        els = self.elements
         sub = {}
-        for (x, y), z in self._table.items():
-            if x in keep and y in keep:
-                if z not in keep:
+        for x, y, z in zip(*self.pairs()):
+            if els[x] in keep and els[y] in keep:
+                if els[z] not in keep:
                     raise PreconditionError(
-                        f"subset not closed: {x!r} + {y!r} = {z!r} escapes")
-                sub[(x, y)] = z
-        order = [x for x in self.elements if x in keep]
+                        f"subset not closed: {els[x]!r} + {els[y]!r} = "
+                        f"{els[z]!r} escapes")
+                sub[(els[x], els[y])] = els[z]
+        order = [x for x in els if x in keep]
         return PartialMonoid(order, self.identity, sub)
 
     def maximal_total_submonoids(self) -> list[tuple[str, ...]]:
@@ -218,9 +312,11 @@ class CoefficientAction:
     """A finite abelian group acting on measurement labels.
 
     The group is a direct sum of cyclic groups Z_{d_1} x ... x Z_{d_k};
-    elements are integer tuples reduced mod the moduli.
-    ``generator_images`` names the label that each standard generator
-    maps to under the embedding into the measurement monoid.
+    elements are integer tuples reduced mod the moduli.  Their ids are
+    mixed-radix ints, the last factor fastest: the index in
+    ``elements()``, so the zero is 0.  ``generator_images`` names the
+    label that each standard generator maps to under the embedding into
+    the measurement monoid.
     """
 
     moduli: tuple[int, ...]
@@ -233,8 +329,10 @@ class CoefficientAction:
             raise PreconditionError("cyclic moduli must be positive")
         # The group is listed once; the dataclass is frozen, hence the
         # object.__setattr__.
-        object.__setattr__(self, "_elements", tuple(itertools.product(
-            *(range(d) for d in self.moduli))))
+        elements = tuple(itertools.product(*(range(d) for d in self.moduli)))
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_ids",
+                           {a: i for i, a in enumerate(elements)})
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -243,41 +341,68 @@ class CoefficientAction:
     def elements(self) -> tuple[tuple[int, ...], ...]:
         return self._elements
 
+    def id_of(self, a) -> int:
+        """The id of a reduced element tuple, -1 for anything else."""
+        return self._ids.get(tuple(a), -1)
+
+    def columns(self, ids) -> tuple[list[int], ...]:
+        """Per cyclic factor, the components of a list of element ids."""
+        els = self._elements
+        return tuple([els[a][k] for a in ids] for k in range(len(self.moduli)))
+
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((u + v) % d for u, v, d in zip(a, b, self.moduli))
 
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-u) % d for u, d in zip(a, self.moduli))
 
-    def embedding(self, monoid: PartialMonoid) -> dict[tuple[int, ...], str]:
-        """The label i(a) for every group element a.
+    def sum_table(self) -> list[int]:
+        """``table[a * |A| + b]``: the id of a + b."""
+        els, ids = self._elements, self._ids
+        return [ids[self.add(a, b)] for a in els for b in els]
+
+    def embed(self, monoid: PartialMonoid) -> list[int]:
+        """The id of i(a) for every group id a.
 
         Built by repeated addition from the generator images; raises a
         structure error if any required sum is undefined, if the map
         fails to be an injective homomorphism, or if a generator image
         has the wrong order.
         """
-        images = {self.zero: monoid.identity}
-        for a in self.elements():
-            label = monoid.identity
-            for gen, (coeff, img) in enumerate(zip(a, self.generator_images)):
+        n, sums = monoid.size, monoid.sums
+        images = [monoid.id_of(img) for img in self.generator_images]
+        out = []
+        for a in self._elements:
+            x = monoid.unit
+            for coeff, img in zip(a, images):
                 for _ in range(coeff):
-                    if not monoid.defined(label, img):
+                    x = sums[x * n + img] if img >= 0 else -1
+                    if x < 0:
                         raise StructureError(
                             f"embedding undefined while forming i({a})")
-                    label = monoid.add(label, img)
-            images[tuple(a)] = label
-        if len(set(images.values())) != len(images):
+            out.append(x)
+        if len(set(out)) != len(out):
             raise StructureError("embedding is not injective")
-        for a, la in images.items():
-            for b, lb in images.items():
-                if not monoid.defined(la, lb):
+        # injective, so |A| <= n and the |A| x |A| table stays small
+        table = self.sum_table()
+        order = len(out)
+        for a, x in enumerate(out):
+            for b, y in enumerate(out):
+                z = sums[x * n + y]
+                if z < 0:
                     raise StructureError(
-                        f"embedded group not sum-closed at i({a}) + i({b})")
-                if monoid.add(la, lb) != images[self.add(a, b)]:
+                        f"embedded group not sum-closed at "
+                        f"i({self._elements[a]}) + i({self._elements[b]})")
+                if z != out[table[a * order + b]]:
                     raise StructureError(
-                        f"embedding is not a homomorphism at i({a}) + i({b})")
-        return images
+                        f"embedding is not a homomorphism at "
+                        f"i({self._elements[a]}) + i({self._elements[b]})")
+        return out
+
+    def embedding(self, monoid: PartialMonoid) -> dict[tuple[int, ...], str]:
+        """The label i(a) for every group element a; see ``embed``."""
+        return {a: monoid.elements[x]
+                for a, x in zip(self._elements, self.embed(monoid))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,38 +426,63 @@ def glue_contexts(structured: StructuredModel) -> PartialMonoid:
     Every context table must be total on its context, closed inside
     it, commutative, associative and share one identity; tables must
     agree wherever contexts overlap.  Violations raise structure
-    errors naming the offending entries.
+    errors naming the offending entries.  Each table is read once into
+    a k x k table of positions in its context, and the checks run on
+    that; associativity compares whole rows, (a + b) + c against
+    a + (b + c) for every c at once.
     """
     scenario = structured.model.scenario
     if len(structured.context_ops) != len(scenario.contexts):
         raise PreconditionError("one operation table per context required")
+    labels = scenario.measurements
+    n = len(labels)
+    gid = {x: i for i, x in enumerate(labels)}
+    sums = [-1] * (n * n)
+    origin = [-1] * (n * n)
     units = None
-    for ctx, table in zip(scenario.contexts, structured.context_ops):
-        members = set(ctx)
+    for idx, (ctx, table) in enumerate(zip(scenario.contexts,
+                                           structured.context_ops)):
+        k = len(ctx)
+        pos = {x: i for i, x in enumerate(ctx)}
+        rows = []
         for a in ctx:
+            row = []
             for b in ctx:
                 if (a, b) not in table:
                     raise StructureError(
                         f"table for {ctx} misses the pair ({a!r}, {b!r})")
-                if table[(a, b)] not in members:
+                c = pos.get(table[(a, b)])
+                if c is None:
                     raise StructureError(
                         f"context {ctx} not closed: {a!r} + {b!r} = "
                         f"{table[(a, b)]!r}")
-                if table[(a, b)] != table[(b, a)]:
+                row.append(c)
+            rows.append(row)
+        for i in range(k):
+            for j in range(i + 1, k):
+                if rows[i][j] != rows[j][i]:
                     raise StructureError(
-                        f"context {ctx} not commutative at ({a!r}, {b!r})")
-        for spurious in set(table) - {(a, b) for a in ctx for b in ctx}:
+                        f"context {ctx} not commutative at "
+                        f"({ctx[i]!r}, {ctx[j]!r})")
+        if len(table) != k * k:
+            spurious = next(key for key in table
+                            if key[0] not in pos or key[1] not in pos)
             raise StructureError(
                 f"table for {ctx} mentions outside pair {spurious}")
-        for a in ctx:
-            for b in ctx:
-                for c in ctx:
-                    if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                        raise StructureError(
-                            f"context {ctx} not associative at "
-                            f"({a!r}, {b!r}, {c!r})")
-        ctx_units = [e for e in ctx
-                     if all(table[(e, x)] == x for x in ctx)]
+        rows = [tuple(row) for row in rows]
+        # a one-element context is associative once it is closed
+        take = [itemgetter(*row) for row in rows] if k > 1 else []
+        for a in range(len(take)):
+            for b in range(k):
+                # (a + b) + c is row a + b; a + (b + c) is row a read at row b
+                if rows[rows[a][b]] != take[b](rows[a]):
+                    c = next(c for c in range(k)
+                             if rows[rows[a][b]][c] != rows[a][rows[b][c]])
+                    raise StructureError(
+                        f"context {ctx} not associative at "
+                        f"({ctx[a]!r}, {ctx[b]!r}, {ctx[c]!r})")
+        own = tuple(range(k))
+        ctx_units = [ctx[e] for e in range(k) if rows[e] == own]
         if len(ctx_units) != 1:
             raise StructureError(f"context {ctx} lacks a unique identity")
         if units is None:
@@ -341,18 +491,19 @@ def glue_contexts(structured: StructuredModel) -> PartialMonoid:
             raise StructureError(
                 f"contexts disagree on the identity: {units!r} vs "
                 f"{ctx_units[0]!r}")
-    merged: dict[tuple[str, str], str] = {}
-    origin: dict[tuple[str, str], int] = {}
-    for idx, table in enumerate(structured.context_ops):
-        for key, val in table.items():
-            old = merged.get(key)
-            if old is not None and old != val:
-                raise StructureError(
-                    f"contexts {origin[key]} and {idx} disagree on "
-                    f"{key}: {old!r} vs {val!r}")
-            merged[key] = val
-            origin[key] = idx
-    return PartialMonoid(scenario.measurements, units, merged)
+        ids = [gid[x] for x in ctx]
+        for a, row in zip(ids, rows):
+            for b, c in zip(ids, row):
+                key = a * n + b
+                old = sums[key]
+                if old >= 0 and old != ids[c]:
+                    raise StructureError(
+                        f"contexts {origin[key]} and {idx} disagree on "
+                        f"{(labels[a], labels[b])}: {labels[old]!r} vs "
+                        f"{labels[ids[c]]!r}")
+                sums[key] = ids[c]
+                origin[key] = idx
+    return PartialMonoid._of_ids(labels, gid[units], sums)
 
 
 class Quotient:
@@ -362,84 +513,110 @@ class Quotient:
     induced operation must be independent of the chosen
     representatives, otherwise construction fails with a structure
     error naming the offending pair.
+
+    The tables, all over ids (n parent elements, |A| group elements):
+    ``embedding[a]`` is i(a); ``act_table[a * n + x]`` is a . x =
+    i(a) + x; ``value_table[y * n + x]`` is the least a with a . x = y,
+    or -1; ``orbit_ids[x]`` is the orbit of x, an element of
+    ``monoid``; ``member_ids[q]`` lists the orbit's members in element
+    order; ``group_sums`` is the action's ``sum_table``.
     """
 
     def __init__(self, parent: PartialMonoid, action: CoefficientAction):
         self.parent = parent
         self.action = action
-        self.embedding = action.embedding(parent)
-        self._act = {}
-        for a, img in self.embedding.items():
-            for x in parent.elements:
-                if not parent.defined(img, x):
-                    raise StructureError(
-                        f"action not total: i({a}) + {x!r} undefined")
-                self._act[(a, x)] = parent.add(img, x)
-        # (a . x, x) -> a, the least such a in group order.
-        self._value = {}
-        for (a, x), y in self._act.items():
-            self._value.setdefault((y, x), a)
-        # Freeness: only the zero element may fix a point.
-        for a in action.elements():
-            if a == action.zero:
-                continue
-            for x in parent.elements:
-                if self._act[(a, x)] == x:
-                    raise StructureError(
-                        f"action not free: i({a}) fixes {x!r}")
-        self.orbit_of: dict[str, str] = {}
-        self.members: dict[str, tuple[str, ...]] = {}
-        order = {x: i for i, x in enumerate(parent.elements)}
-        for x in parent.elements:
-            if x in self.orbit_of:
-                continue
-            orbit = sorted({self._act[(a, x)] for a in action.elements()},
-                           key=order.__getitem__)
-            label = f"[{orbit[0]}]"
-            self.members[label] = tuple(orbit)
-            for y in orbit:
-                self.orbit_of[y] = label
-        table = {}
-        for (x, y), z in parent._table.items():
-            key = (self.orbit_of[x], self.orbit_of[y])
-            zq = self.orbit_of[z]
-            old = table.get(key)
-            if old is not None and old != zq:
+        self.embedding = action.embed(parent)
+        self.group_sums = action.sum_table()
+        n, sums, els = parent.size, parent.sums, parent.elements
+        group = action.elements()
+        act = []
+        for a, img in enumerate(self.embedding):
+            row = sums[img * n:(img + 1) * n]
+            if -1 in row:
                 raise StructureError(
-                    f"quotient operation ill-defined at {key}: "
-                    f"{old!r} vs {zq!r}")
-            table[key] = zq
+                    f"action not total: i({group[a]}) + "
+                    f"{els[row.index(-1)]!r} undefined")
+            act += row
+        self.act_table = act
+        value = [-1] * (n * n)
+        for a in range(len(group) - 1, -1, -1):
+            for x, y in enumerate(act[a * n:(a + 1) * n]):
+                value[y * n + x] = a
+        self.value_table = value
+        # Freeness: only the zero element may fix a point.
+        for a in range(1, len(group)):
+            for x, y in enumerate(act[a * n:(a + 1) * n]):
+                if x == y:
+                    raise StructureError(
+                        f"action not free: i({group[a]}) fixes {els[x]!r}")
+        # An orbit is named after its least member; a later orbit takes
+        # over the members it shares with an earlier one.
+        orbit_label = [None] * n
+        members = {}
+        for x in range(n):
+            if orbit_label[x] is None:
+                orbit = sorted(set(act[x::n]))
+                label = f"[{els[orbit[0]]}]"
+                members[label] = orbit
+                for y in orbit:
+                    orbit_label[y] = label
+        names = list(dict.fromkeys(orbit_label))
+        qid = {label: q for q, label in enumerate(names)}
+        self.orbit_ids = [qid[label] for label in orbit_label]
+        self.member_ids = [members[label] for label in names]
+        orbit = self.orbit_ids
+        m = len(names)
+        table = [-1] * (m * m)
+        for x, y, z in zip(*parent.pairs()):
+            key = orbit[x] * m + orbit[y]
+            old = table[key]
+            if old != orbit[z]:
+                if old >= 0:
+                    raise StructureError(
+                        f"quotient operation ill-defined at "
+                        f"{(names[orbit[x]], names[orbit[y]])}: "
+                        f"{names[old]!r} vs {names[orbit[z]]!r}")
+                table[key] = orbit[z]
         # Definedness must also be orbit-independent.
-        for (qx, qy), zq in table.items():
-            for x in self.members[qx]:
-                for y in self.members[qy]:
-                    if not parent.defined(x, y):
+        for key, zq in enumerate(table):
+            if zq < 0:
+                continue
+            qx, qy = divmod(key, m)
+            for x in self.member_ids[qx]:
+                row = sums[x * n:(x + 1) * n]
+                for y in self.member_ids[qy]:
+                    if row[y] < 0:
                         raise StructureError(
                             f"quotient definedness ill-defined at "
-                            f"({qx}, {qy}): {x!r} + {y!r} undefined")
-        orbit_order = []
-        seen = set()
-        for x in parent.elements:
-            q = self.orbit_of[x]
-            if q not in seen:
-                seen.add(q)
-                orbit_order.append(q)
-        self.monoid = PartialMonoid(
-            orbit_order, self.orbit_of[parent.identity], table)
+                            f"({names[qx]}, {names[qy]}): {els[x]!r} + "
+                            f"{els[y]!r} undefined")
+        self.monoid = PartialMonoid._of_ids(names, orbit[parent.unit], table)
+        self._subsets: dict[tuple, _Subset] = {}
+
+    def orbit_of(self, x: str) -> str:
+        return self.monoid.elements[self.orbit_ids[self.parent.index(x)]]
+
+    def members(self, orbit: str) -> tuple[str, ...]:
+        els = self.parent.elements
+        return tuple(els[x] for x in self.member_ids[self.monoid.index(orbit)])
 
     def act(self, a, x: str) -> str:
-        return self._act[(tuple(a), x)]
+        g = self.action.id_of(a)
+        if g < 0:
+            raise PreconditionError(f"{a} is not an element of the group")
+        return self.parent.elements[
+            self.act_table[g * self.parent.size + self.parent.index(x)]]
 
     def default_representative(self, orbit: str) -> str:
-        return self.members[orbit][0]
+        return self.members(orbit)[0]
 
     def value_at(self, x: str, base: str) -> tuple[int, ...]:
         """The unique a with x = a . base, for base in the orbit of x."""
-        try:
-            return self._value[(x, base)]
-        except KeyError:
-            raise InternalCheckError(
-                f"{x!r} not in the orbit of {base!r}") from None
+        i, j = self.parent.id_of(x), self.parent.id_of(base)
+        a = self.value_table[i * self.parent.size + j] if min(i, j) >= 0 else -1
+        if a < 0:
+            raise InternalCheckError(f"{x!r} not in the orbit of {base!r}")
+        return self.action.elements()[a]
 
 
 def quotient_by_action(parent: PartialMonoid,
@@ -457,76 +634,131 @@ def quotient_by_action(parent: PartialMonoid,
 # These translate into each other bijectively.
 
 
-def _check_invariant_subset(q: Quotient, labels) -> list[str]:
-    labs = list(labels)
-    seen = set(labs)
-    if len(seen) != len(labs):
-        return ["duplicate labels in subset"]
+class _Subset(NamedTuple):
+    """A subset of the parent, as given and as ids (-1 for an unknown
+    label), what keeps it from being invariant and sum-closed, and its
+    composable pairs (x, y, x + y) as id columns, in label order."""
+
+    labels: tuple
+    ids: list[int]
+    violations: tuple[str, ...]
+    pairs: tuple[list[int], list[int], list[int]]
+
+
+def _subset(q: Quotient, labels) -> _Subset:
+    """``_check_invariant_subset``, once per quotient and subset: the
+    answer depends on nothing else, and every section of a context, and
+    every reconstruction, asks about the same subset."""
+    labs = tuple(labels)
+    sub = q._subsets.get(labs)
+    if sub is None:
+        sub = q._subsets[labs] = _check_invariant_subset(q, labs)
+    return sub
+
+
+def _check_invariant_subset(q: Quotient, labs: tuple) -> _Subset:
+    parent = q.parent
+    ids = [parent.id_of(x) for x in labs]
+    if len(set(labs)) != len(labs):
+        return _Subset(labs, ids, ("duplicate labels in subset",),
+                       ([], [], []))
+    n, sums, act = parent.size, parent.sums, q.act_table
+    inside = bytearray(n)
+    for i in ids:
+        if i >= 0:
+            inside[i] = 1
     bad = []
-    for x in labs:
-        if x not in q.orbit_of:
+    for x, i in zip(labs, ids):
+        if i < 0:
             bad.append(f"unknown label {x!r}")
+        elif not all(inside[y] for y in act[i::n]):
+            bad.append(f"subset not action-invariant at {x!r}")
+    xs, ys, zs = [], [], []
+    for x, i in zip(labs, ids):
+        if i < 0:
             continue
-        for a in q.action.elements():
-            if q.act(a, x) not in seen:
-                bad.append(f"subset not action-invariant at {x!r}")
-                break
-    for x in labs:
-        for y in labs:
-            if q.parent.defined(x, y) and q.parent.add(x, y) not in seen:
-                bad.append(f"subset not sum-closed at ({x!r}, {y!r})")
-    return bad
+        row = sums[i * n:(i + 1) * n]
+        for y, j in zip(labs, ids):
+            z = row[j] if j >= 0 else -1
+            if z >= 0:
+                if not inside[z]:
+                    bad.append(f"subset not sum-closed at ({x!r}, {y!r})")
+                xs.append(i)
+                ys.append(j)
+                zs.append(z)
+    return _Subset(labs, ids, tuple(bad), (xs, ys, zs))
+
+
+def _group_ids(q: Quotient, sub: _Subset, values, what: str):
+    """The group id of each value, per parent id (-1 off the subset),
+    and the violations of values that are not group elements."""
+    ids = [-1] * q.parent.size
+    bad = []
+    for x, i, v in zip(sub.labels, sub.ids, values):
+        ids[i] = q.action.id_of(v)
+        if ids[i] < 0:
+            bad.append(f"{what} value {v!r} at {x!r} is not a group element")
+    return ids, bad
 
 
 def validate_splitting(q: Quotient, labels, s) -> ValidationReport:
     """Is ``s`` a left splitting on the given subset?"""
-    bad = _check_invariant_subset(q, labels)
-    labs = list(labels)
-    for x in labs:
-        if x not in s:
-            bad.append(f"splitting undefined at {x!r}")
+    sub = _subset(q, labels)
+    bad = list(sub.violations)
+    bad += [f"splitting undefined at {x!r}" for x in sub.labels if x not in s]
+    if not bad:
+        ids, bad = _group_ids(q, sub, [s[x] for x in sub.labels], "splitting")
     if bad:
         return ValidationReport(tuple(bad))
-    for x in labs:
-        for y in labs:
-            if q.parent.defined(x, y):
-                lhs = s[q.parent.add(x, y)]
-                rhs = q.action.add(s[x], s[y])
-                if tuple(lhs) != rhs:
-                    bad.append(f"not a homomorphism at ({x!r}, {y!r})")
-    for a, img in q.embedding.items():
-        if img in s and tuple(s[img]) != a:
-            bad.append(f"does not retract the embedding at i({a})")
+    els = q.parent.elements
+    table, order = q.group_sums, len(q.embedding)
+    bad = [f"not a homomorphism at ({els[x]!r}, {els[y]!r})"
+           for x, y, z in zip(*sub.pairs)
+           if ids[z] != table[ids[x] * order + ids[y]]]
+    group = q.action.elements()
+    for a, img in enumerate(q.embedding):
+        if els[img] in s and tuple(s[els[img]]) != group[a]:
+            bad.append(f"does not retract the embedding at i({group[a]})")
     return ValidationReport(tuple(bad))
+
+
+def _right_splitting(q: Quotient, sub: _Subset, h):
+    """The parent id of h at each orbit of the subset (-1 elsewhere) and
+    what keeps h from being a homomorphic section there."""
+    parent, monoid, orbit = q.parent, q.monoid, q.orbit_ids
+    names = monoid.elements
+    orbits = list(dict.fromkeys(orbit[i] for i in sub.ids))
+    image = [-1] * monoid.size
+    bad = []
+    for o in orbits:
+        if names[o] not in h:
+            bad.append(f"section undefined at {names[o]}")
+            continue
+        x = parent.id_of(h[names[o]])
+        if x < 0 or orbit[x] != o:
+            bad.append(f"not a section at {names[o]}")
+        image[o] = x
+    if bad:
+        return image, bad
+    n, sums = parent.size, parent.sums
+    for qx, qy, qz in zip(*monoid.pairs()):
+        if image[qx] >= 0 and image[qy] >= 0:
+            z = sums[image[qx] * n + image[qy]]
+            if z < 0:
+                raise PreconditionError(
+                    f"sum {parent.elements[image[qx]]!r} + "
+                    f"{parent.elements[image[qy]]!r} is undefined")
+            if image[qz] != z:
+                bad.append(f"not a homomorphism at ({names[qx]}, {names[qy]})")
+    return image, bad
 
 
 def validate_right_splitting(q: Quotient, labels, h) -> ValidationReport:
     """Is ``h`` a homomorphic section of the quotient map on pi(labels)?"""
-    bad = _check_invariant_subset(q, labels)
-    if bad:
-        return ValidationReport(tuple(bad))
-    orbits = []
-    seen = set()
-    for x in labels:
-        qx = q.orbit_of[x]
-        if qx not in seen:
-            seen.add(qx)
-            orbits.append(qx)
-    for qx in orbits:
-        if qx not in h:
-            bad.append(f"section undefined at {qx}")
-        elif q.orbit_of.get(h[qx]) != qx:
-            bad.append(f"not a section at {qx}")
-    if bad:
-        return ValidationReport(tuple(bad))
-    for qx in orbits:
-        for qy in orbits:
-            if q.monoid.defined(qx, qy):
-                lhs = h[q.monoid.add(qx, qy)]
-                rhs = q.parent.add(h[qx], h[qy])
-                if lhs != rhs:
-                    bad.append(f"not a homomorphism at ({qx}, {qy})")
-    return ValidationReport(tuple(bad))
+    sub = _subset(q, labels)
+    if sub.violations:
+        return ValidationReport(sub.violations)
+    return ValidationReport(tuple(_right_splitting(q, sub, h)[1]))
 
 
 def trivialisation_from_splitting(q: Quotient, labels, s):
@@ -535,7 +767,7 @@ def trivialisation_from_splitting(q: Quotient, labels, s):
     if not report.ok:
         raise PreconditionError(
             "not a left splitting: " + "; ".join(report.violations))
-    return {x: (tuple(s[x]), q.orbit_of[x]) for x in labels}
+    return {x: (tuple(s[x]), q.orbit_of(x)) for x in labels}
 
 
 def splitting_from_trivialisation(q: Quotient, labels, phi):
@@ -545,32 +777,37 @@ def splitting_from_trivialisation(q: Quotient, labels, phi):
 
 
 def _require_trivialisation(q: Quotient, labels, phi) -> None:
-    labs = list(labels)
-    bad = _check_invariant_subset(q, labels)
-    if bad:
-        raise PreconditionError("; ".join(bad))
-    for x in labs:
+    sub = _subset(q, labels)
+    if sub.violations:
+        raise PreconditionError("; ".join(sub.violations))
+    names, orbit = q.monoid.elements, q.orbit_ids
+    for x, i in zip(sub.labels, sub.ids):
         if x not in phi:
             raise PreconditionError(f"trivialisation undefined at {x!r}")
-        a, qx = phi[x]
-        if q.orbit_of[x] != qx:
+        _a, qx = phi[x]
+        if names[orbit[i]] != qx:
             raise StructureError(
                 f"second component is not the quotient map at {x!r}")
-    if len({(tuple(phi[x][0]), phi[x][1]) for x in labs}) != len(labs):
+    # with the second components pinned to pi, injectivity and the
+    # homomorphism law are about the first components alone
+    ids, bad = _group_ids(q, sub, [phi[x][0] for x in sub.labels],
+                          "trivialisation")
+    if bad:
+        raise StructureError(bad[0])
+    if len({ids[i] * q.monoid.size + orbit[i] for i in sub.ids}) != len(
+            sub.ids):
         raise StructureError("trivialisation is not injective")
-    for x in labs:
-        for y in labs:
-            if q.parent.defined(x, y):
-                z = q.parent.add(x, y)
-                want = (q.action.add(phi[x][0], phi[y][0]), q.orbit_of[z])
-                got = (tuple(phi[z][0]), phi[z][1])
-                if want != got:
-                    raise StructureError(
-                        f"trivialisation not a homomorphism at ({x!r}, {y!r})")
-    for a, img in q.embedding.items():
-        if img in phi and tuple(phi[img][0]) != a:
+    table, order = q.group_sums, len(q.embedding)
+    group, els = q.action.elements(), q.parent.elements
+    for x, y, z in zip(*sub.pairs):
+        if ids[z] != table[ids[x] * order + ids[y]]:
+            raise StructureError(f"trivialisation not a homomorphism at "
+                                 f"({els[x]!r}, {els[y]!r})")
+    for a, img in enumerate(q.embedding):
+        if els[img] in phi and tuple(phi[els[img]][0]) != group[a]:
             raise StructureError(
-                f"trivialisation does not extend the embedding at i({a})")
+                f"trivialisation does not extend the embedding at "
+                f"i({group[a]})")
 
 
 def right_splitting_of(q: Quotient, labels, phi):
@@ -582,7 +819,7 @@ def right_splitting_of(q: Quotient, labels, phi):
         a, qx = phi[x]
         if tuple(a) == zero:
             h[qx] = x
-    orbits = {q.orbit_of[x] for x in labels}
+    orbits = {q.orbit_of(x) for x in labels}
     if set(h) != orbits:
         raise StructureError("trivialisation misses a zero level")
     return h
@@ -594,14 +831,21 @@ def trivialisation_from_right_splitting(q: Quotient, labels, h):
     Freeness of the action makes the group element unique; the
     resulting map <s, pi> is returned after validation.
     """
-    report = validate_right_splitting(q, labels, h)
-    if not report.ok:
-        raise PreconditionError(
-            "not a right splitting: " + "; ".join(report.violations))
+    sub = _subset(q, labels)
+    bad = sub.violations
+    if not bad:
+        image, bad = _right_splitting(q, sub, h)
+    if bad:
+        raise PreconditionError("not a right splitting: " + "; ".join(bad))
+    n, value, orbit = q.parent.size, q.value_table, q.orbit_ids
+    group, names = q.action.elements(), q.monoid.elements
     phi = {}
-    for x in labels:
-        qx = q.orbit_of[x]
-        a = q.value_at(x, h[qx])
-        phi[x] = (a, qx)
+    for x, i in zip(sub.labels, sub.ids):
+        a = value[i * n + image[orbit[i]]]
+        if a < 0:
+            raise InternalCheckError(
+                f"{x!r} not in the orbit of "
+                f"{q.parent.elements[image[orbit[i]]]!r}")
+        phi[x] = (group[a], names[orbit[i]])
     _require_trivialisation(q, labels, phi)
     return phi

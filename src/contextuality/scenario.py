@@ -230,9 +230,6 @@ class EmpiricalModel:
             table.append(tuple(sorted(cleaned, key=lambda s: s.values_on(ctx))))
         return cls(scenario, tuple(table))
 
-    def sections_at(self, context_index: int) -> tuple[Section, ...]:
-        return self.sections[context_index]
-
     def section_index(self, context_index: int, section: Section) -> int:
         if not 0 <= context_index < len(self.sections):
             raise PreconditionError(f"context index {context_index} out of range")

@@ -306,7 +306,7 @@ def test_criterion_08_coboundary_squares_to_zero_and_beta_is_stable(
         free = [x for x in q.monoid.elements
                 if x not in base.relative_orbits]
         for _ in range(10):
-            override = {x: rng.choice(q.members[x]) for x in free}
+            override = {x: rng.choice(q.members(x)) for x in free}
             report = group.analyze(ci, sec, eta_override=override)
             assert report.vanishes == verdict
             beta_is_cocycle(report.obstruction)

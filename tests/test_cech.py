@@ -13,6 +13,7 @@ import pytest
 import contextuality.cech as cech_module
 from contextuality.cech import (
     CechAnalyzer,
+    CechCertificate,
     build_nerve,
     cech_coboundary,
     cech_obstruction_vanishes,
@@ -535,3 +536,82 @@ def test_analyzer_rejects_signalling_model():
     ])
     with pytest.raises(PreconditionError):
         CechAnalyzer(model)
+
+
+def test_no_signalling_is_decided_by_the_set_up(hardy, mermin, monkeypatch):
+    """Set-up's own per-pair comparison of restriction sets decides
+    no-signalling; ``check_no_signalling`` runs only to word the error."""
+    calls = []
+    real = cech_module.check_no_signalling
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(cech_module, "check_no_signalling", counted)
+    for model in (hardy.model, mermin.model):
+        CechAnalyzer(model)
+    assert calls == []
+    sc = MeasurementScenario.make(("a", "b", "c"), 2,
+                                  [("a", "b"), ("b", "c")])
+    model = EmpiricalModel.make(sc, [
+        [Section.of({"a": 0, "b": 0})],
+        [Section.of({"b": 1, "c": 0})],
+    ])
+    with pytest.raises(PreconditionError,
+                       match="^model is signalling: signalling between"):
+        CechAnalyzer(model)
+    assert calls == [model]
+
+
+def test_audits_reject_mutated_refutations(mermin):
+    """A parity certificate with one refuter bit flipped, or with a pin
+    moved to another section or to one the context does not list, fails
+    its audit."""
+    model = mermin.model
+    ana = CechAnalyzer(model)
+    mutants = 0
+    for ci, secs in enumerate(model.sections):
+        for s in secs:
+            cert = ana.family_obstruction(ci, s).certificate
+            assert cert.kind == "parity"
+            rows, coeffs = list(cert.rows), list(cert.coefficients)
+            k = next(k for k, tag in enumerate(rows) if tag[0] == "pair")
+            dropped = CechCertificate(
+                "parity", tuple(rows[:k] + rows[k + 1:]),
+                tuple(coeffs[:k] + coeffs[k + 1:]))
+            pin = rows.index(("pin", ci, s))
+            other = secs[(secs.index(s) + 1) % len(secs)]
+            moved = list(rows)
+            moved[pin] = ("pin", ci, other)
+            unknown = list(rows)
+            unknown[pin] = ("pin", ci, Section.of({"zz": 0}))
+            wider = list(rows)  # agrees with s on the context, but is not s
+            wider[pin] = ("pin", ci, Section.of({**s.as_dict(), "zz": 0}))
+            for bad in (dropped, CechCertificate("parity", tuple(moved),
+                                                 cert.coefficients),
+                        CechCertificate("parity", tuple(unknown),
+                                        cert.coefficients),
+                        CechCertificate("parity", tuple(wider),
+                                        cert.coefficients)):
+                with pytest.raises(InternalCheckError):
+                    ana._audit_certificate(ci, s, bad)
+                mutants += 1
+            dec = ana.connecting_cocycle(ci, s)
+            cert = dec.certificate
+            assert cert.kind == "parity"
+            ana._audit_route2_refutation(ci, dec.cocycle, cert)
+            parity = ana._route2_rows(ci)[2]
+            held = set(cert.rows)
+            for tag, mask in zip(ana.tags, parity.rows):
+                if mask and tag not in held:
+                    flipped = CechCertificate(
+                        "parity", cert.rows + (tag,), cert.coefficients + (1,))
+                    break
+            tags = list(cert.rows)
+            for bad in (CechCertificate("parity", tuple(tags[1:]),
+                                        cert.coefficients[1:]), flipped):
+                with pytest.raises(InternalCheckError):
+                    ana._audit_route2_refutation(ci, dec.cocycle, bad)
+                mutants += 1
+    assert mutants == 6 * 24

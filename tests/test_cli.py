@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text and structured output."""
 
 import json
+import random
 
 import pytest
 
@@ -173,3 +174,83 @@ def test_section_all(capsys):
                        "--section", "all", "--format", "structured")
     assert code == 0
     assert len(json.loads(out)["payload"]["cech"]) == 13
+
+
+def _mutate(doc, rng):
+    """One seeded mutation of an explicit structured document; returns
+    its kind."""
+    tables = doc["partial_monoid"]["contexts"]
+    contexts = doc["contexts"]
+    ci = rng.randrange(len(contexts))
+    ctx = contexts[ci]
+    kind = rng.choice(("table", "section", "outcome", "image", "moduli",
+                       "relabel", "disagree"))
+    if kind == "table":
+        entry = rng.choice(tables[ci])
+        entry[2] = rng.choice(ctx)
+    elif kind == "section":
+        rows = doc["sections"][str(ci)]
+        k = rng.randrange(len(rows))
+        if rng.random() < 0.5:
+            del rows[k]
+        else:
+            rows[k][rng.randrange(len(ctx))] ^= 1
+    elif kind == "outcome":
+        rows = doc["sections"][str(ci)]
+        rng.choice(rows)[rng.randrange(len(ctx))] = rng.choice((-1, 2, 3))
+    elif kind == "image":
+        images = doc["partial_monoid"]["action"]["images"]
+        images[0] = rng.choice(doc["measurements"] + ["nope"])
+    elif kind == "moduli":
+        doc["partial_monoid"]["action"]["moduli"] = rng.choice(
+            ([0], [1], [3], [4], [2, 2], [-1], []))
+    elif kind == "relabel":
+        # swap the two signs of one operator in one context, in its table
+        # and its sections: the context stays a group with the same shared
+        # products and restriction sets, so it glues, but its products
+        # move against the other contexts'
+        u = rng.choice([x for x in ctx if x[1:] != "II"])
+        v = ("-" if u[0] == "+" else "+") + u[1:]
+        swap = {u: v, v: u}
+        tables[ci] = [[swap.get(x, x) for x in entry]
+                      for entry in tables[ci]]
+        at = [ctx.index(swap.get(x, x)) for x in ctx]
+        doc["sections"][str(ci)] = [[row[k] for k in at]
+                                    for row in doc["sections"][str(ci)]]
+    else:
+        # one shared pair gets another product in this context only
+        shared = {x for cj, other in enumerate(contexts) if cj != ci
+                  for x in other if x in ctx}
+        pairs = [e for e in tables[ci] if e[0] in shared and e[1] in shared]
+        x, y, z = rng.choice(pairs)
+        new = rng.choice([w for w in ctx if w != z])
+        for entry in tables[ci]:
+            if {entry[0], entry[1]} == {x, y}:
+                entry[2] = new
+    return kind
+
+
+def test_fuzzed_structured_documents_exit_0_or_2(tmp_path, capsys, mermin):
+    """Seeded mutations of the mermin document never break an internal
+    invariant: every run ends in a verdict (0) or a named input error
+    (2), never exit 3.  Every composable triple of the glued mermin
+    monoid lies in one context, so associativity across contexts is
+    reached through contexts that still glue: the sign-swap relabelling
+    keeps them gluing and makes the square noncontextual, so the group
+    route reconstructs global splittings on a changed monoid."""
+    base = json.loads(dumps_model(mermin.structured))
+    rng = random.Random(2061)
+    path = tmp_path / "fuzz.json"
+    codes = {}
+    for _ in range(200):
+        doc = json.loads(json.dumps(base))
+        kind = _mutate(doc, rng)
+        path.write_text(json.dumps(doc))
+        code = cli.main(["analyze", str(path), "--all"])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (kind, err)
+        codes[(kind, code)] = codes.get((kind, code), 0) + 1
+    assert {kind for kind, _code in codes} == {
+        "table", "section", "outcome", "image", "moduli", "relabel",
+        "disagree"}
+    assert codes.get(("relabel", 0), 0) > 0

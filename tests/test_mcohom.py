@@ -293,7 +293,7 @@ def test_eta_override_invariance(mermin):
     free = [x for x in quotient.monoid.elements
             if x not in base.relative_orbits]
     for _ in range(10):
-        override = {x: rng.choice(quotient.members[x]) for x in free}
+        override = {x: rng.choice(quotient.members(x)) for x in free}
         ob = obstruction_cocycle(quotient, ctx, s, eta_override=override)
         assert is_coboundary(ob).vanishes == verdict
         # the two cocycles differ by a coboundary: their difference is

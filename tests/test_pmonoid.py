@@ -1,8 +1,22 @@
 """Partial monoids, gluing, quotients and the splitting correspondences."""
 
+import random
+
 import pytest
 
-from contextuality.errors import StructureError, PreconditionError
+from contextuality.errors import (
+    InternalCheckError,
+    PreconditionError,
+    StructureError,
+)
+from contextuality.mcohom import GroupObstructionAnalyzer, splitting_of_section
+from contextuality.pauli import (
+    build_state_dependent_model,
+    build_state_independent_model,
+    close_under_commuting_products,
+    ghz_state,
+    parse_pauli,
+)
 from contextuality.pmonoid import (
     CoefficientAction,
     PartialMonoid,
@@ -17,6 +31,8 @@ from contextuality.pmonoid import (
     validate_right_splitting,
     validate_splitting,
 )
+
+from _oracles import SplittingOracle
 
 
 def _sym(table):
@@ -180,8 +196,8 @@ def test_quotient_of_glued_mermin(mermin):
     q = quotient_by_action(mon, mermin.structured.action)
     assert len(q.monoid.elements) == 10
     assert q.monoid.identity == "[+II]"
-    assert q.orbit_of["+XX"] == q.orbit_of["-XX"] == "[+XX]"
-    assert q.members["[+XX]"] == ("+XX", "-XX")
+    assert q.orbit_of("+XX") == q.orbit_of("-XX") == "[+XX]"
+    assert q.members("[+XX]") == ("+XX", "-XX")
     assert q.default_representative("[+XX]") == "+XX"
     assert q.act((1,), "+XX") == "-XX"
     assert q.value_at("-XX", "+XX") == (1,)
@@ -193,9 +209,9 @@ def test_quotient_z9_by_z3():
     act = CoefficientAction((3,), ("g3",))
     q = quotient_by_action(m, act)
     assert len(q.monoid.elements) == 3
-    assert q.orbit_of["g4"] == q.orbit_of["g7"] == q.orbit_of["g1"]
-    assert q.monoid.add(q.orbit_of["g1"], q.orbit_of["g2"]) == \
-        q.orbit_of["g0"]
+    assert q.orbit_of("g4") == q.orbit_of("g7") == q.orbit_of("g1")
+    assert q.monoid.add(q.orbit_of("g1"), q.orbit_of("g2")) == \
+        q.orbit_of("g0")
 
 
 def test_quotient_rejects_unfree_action():
@@ -261,7 +277,7 @@ def test_splitting_round_trips_mermin(mermin):
             assert splitting_from_trivialisation(q, ctx, phi) == {
                 x: tuple(v) for x, v in s.items()}
             # phi is a bijection onto group x orbits
-            orbits = {q.orbit_of[x] for x in ctx}
+            orbits = {q.orbit_of(x) for x in ctx}
             assert len(set(phi.values())) == len(ctx)
             assert len(ctx) == len(q.action.elements()) * len(orbits)
             h = right_splitting_of(q, ctx, phi)
@@ -302,10 +318,130 @@ def test_trivialisation_rejections():
     labels = tuple(m.elements)
     good = {x: (int(x[0]),) for x in labels}
     phi = trivialisation_from_splitting(q, labels, good)
-    squashed = {x: ((0,), q.orbit_of[x]) for x in labels}
+    squashed = {x: ((0,), q.orbit_of(x)) for x in labels}
     with pytest.raises(StructureError, match="injective"):
         splitting_from_trivialisation(q, labels, squashed)
-    wrong_pi = {x: (v[0], q.orbit_of["10" if x == "00" else "00"])
+    wrong_pi = {x: (v[0], q.orbit_of("10" if x == "00" else "00"))
                 for x, v in phi.items()}
     with pytest.raises(StructureError):
         splitting_from_trivialisation(q, labels, wrong_pi)
+
+
+# --- Int-table validators against the label-dict reference ------------------
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the class of the library error it raises."""
+    try:
+        return ("returned", fn(*args))
+    except (PreconditionError, InternalCheckError) as exc:
+        return ("raised", type(exc))
+
+
+def _pauli_models(seed, count):
+    """Seeded small commuting-closed Pauli models, state-independent and
+    GHZ-state ones, each with a quotient of at most 20 orbits."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 3)
+        gens = [parse_pauli(rng.choice("+-") +
+                            "".join(rng.choice("IXYZ") for _ in range(n)))
+                for _ in range(rng.randint(1, 3))]
+        gens.append(parse_pauli("-" + "I" * n))
+        if len(close_under_commuting_products(gens)) > 40:
+            continue
+        if rng.random() < 0.5:
+            out.append(build_state_dependent_model(gens, ghz_state(n)))
+        else:
+            out.append(build_state_independent_model(gens))
+    return out
+
+
+def _check_against_oracle(st, rng):
+    """Every section's splitting, trivialisation and right splitting, and
+    one mutation of each, give the reference's verdicts; on the whole
+    monoid the same holds for each global splitting the group route
+    reconstructs.  Returns how many mutations were rejected."""
+    q = _quotient_of(st)
+    ref = SplittingOracle(q)
+    d = st.action.moduli[0]
+    rejected = 0
+
+    def same(fn, ref_fn, *args):
+        got, want = _outcome(fn, *args), _outcome(ref_fn, *args)
+        assert got == want
+        return got[0] == "raised"
+
+    def same_report(validate, ref_violations, labels, data):
+        got = validate(q, labels, data).violations
+        assert sorted(got) == sorted(ref_violations(labels, data))
+        return bool(got)
+
+    def mutate_all(labels, s):
+        nonlocal rejected
+        assert not same_report(validate_splitting, ref.splitting_violations,
+                               labels, s)
+        flipped = dict(s)
+        x = rng.choice(labels)
+        flipped[x] = ((s[x][0] + 1) % d,)
+        rejected += same_report(validate_splitting,
+                                ref.splitting_violations, labels, flipped)
+        unretracted = dict(s)
+        unretracted[ref.embedding[(1,)]] = (0,)
+        rejected += same_report(validate_splitting,
+                                ref.splitting_violations, labels, unretracted)
+        phi = trivialisation_from_splitting(q, labels, s)
+        assert phi == {x: (s[x], ref.orbit_of[x]) for x in labels}
+        assert not same(lambda *a: splitting_from_trivialisation(q, *a),
+                        ref.splitting_from_trivialisation, labels, phi)
+        squashed = {x: ((0,), qx) for x, (_a, qx) in phi.items()}
+        other = {ref.orbit_of[y] for y in labels} - {ref.orbit_of[x]}
+        moved = dict(phi)
+        moved[x] = (phi[x][0], min(other)) if other else phi[x]
+        broken = dict(phi)
+        img = ref.embedding[(1,)]
+        broken[img] = ((0,), phi[img][1])
+        for bad in (squashed, moved, broken):
+            rejected += same(lambda *a: splitting_from_trivialisation(q, *a),
+                             ref.splitting_from_trivialisation, labels, bad)
+        h = right_splitting_of(q, labels, phi)
+        assert not same_report(validate_right_splitting,
+                               ref.right_splitting_violations, labels, h)
+        assert not same(lambda *a: trivialisation_from_right_splitting(q, *a),
+                        ref.trivialisation_from_right_splitting, labels, h)
+        if len(h) > 1:  # two orbits sent into each other's orbit
+            swapped = dict(h)
+            a, b = sorted(h)[:2]
+            swapped[a], swapped[b] = h[b], h[a]
+            rejected += same_report(validate_right_splitting,
+                                    ref.right_splitting_violations, labels,
+                                    swapped)
+        shifted = dict(h)
+        orbit = rng.choice(sorted(h))
+        shifted[orbit] = ref.act((1,), h[orbit])
+        same_report(validate_right_splitting,
+                    ref.right_splitting_violations, labels, shifted)
+        rejected += same(
+            lambda *a: trivialisation_from_right_splitting(q, *a),
+            ref.trivialisation_from_right_splitting, labels, shifted)
+
+    model = st.model
+    for ci, ctx in enumerate(model.scenario.contexts):
+        for sec in model.sections[ci]:
+            mutate_all(list(ctx), splitting_of_section(sec, ctx, st.action))
+    group = GroupObstructionAnalyzer(st)
+    for ci, secs in enumerate(model.sections):
+        rep = group.analyze(ci, secs[0])
+        if rep.vanishes:
+            mutate_all(list(q.parent.elements),
+                       {x: (v,) for x, v in rep.global_splitting.items()})
+    return rejected
+
+
+def test_int_validators_match_the_label_reference(mermin, ghz):
+    rng = random.Random(606)
+    rejected = 0
+    for st in [mermin.structured, ghz.structured] + _pauli_models(607, 12):
+        rejected += _check_against_oracle(st, rng)
+    assert rejected > 1000

@@ -1,0 +1,42 @@
+"""The benchmark's layer tracer still finds the group route's names.
+
+``perfbench/spans.py`` patches public functions and methods by name from
+outside the library.  This runs it, unchanged, in a child process (its
+patches are global) over the mermin cross-check and a noncontextual
+Pauli model, whose vanishing sections reach the reconstruction.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+import contextuality as ctx
+from contextuality.pauli import build_state_independent_model, parse_pauli
+for st in (ctx.get_fixture("mermin").structured,
+           build_state_independent_model(
+               [parse_pauli(s) for s in ("+X", "+Z", "-I")])):
+    assert ctx.cross_check_obstructions(st).consistent
+print(json.dumps({"self_ns": tracer.self_ns, "counts": tracer.counts}))
+"""
+
+
+def test_tracer_sees_the_group_route():
+    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    for span in ("pmonoid.glue", "pmonoid.quotient", "pmonoid.reconstruct",
+                 "mcohom.audit", "mcohom.decide"):
+        assert seen["self_ns"].get(span, 0) > 0, span
+    for counter in ("mcohom.triples_audited", "mcohom.quotient_elements"):
+        assert seen["counts"].get(counter, 0) > 0, counter
