@@ -41,14 +41,13 @@ class Theory:
 
 
 def theory_of(model: EmpiricalModel) -> Theory:
-    """Generators of every context's affine relations, stacked."""
+    """Generators of every context's affine relations on its rows, stacked."""
     scenario = model.scenario
     d = scenario.outcome_modulus
     equations = []
     owners = []
     for ci, ctx in enumerate(scenario.contexts):
-        points = [s.values_on(ctx) for s in model.sections[ci]]
-        for r, a in affine_annihilator(points, d):
+        for r, a in affine_annihilator(model.rows[ci], d):
             coeffs = tuple((x, c) for x, c in zip(ctx, r) if c % d)
             if not coeffs and a % d == 0:
                 continue

@@ -21,7 +21,6 @@ every verdict carries a re-verified witness or separating certificate.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from .scenario import (
     EmpiricalModel,
     Section,
     check_no_signalling,
-    extension,
+    extension_rows,
     restrict_section,
 )
 
@@ -189,8 +188,9 @@ class CechAnalyzer:
     The compatibility matrix A has a column per context section and a row
     per pair i < j of overlapping contexts and section t of the overlap:
     +1 on C_i's and -1 on C_j's sections restricting to t, so A x is
-    -delta(x) read on the pairs i < j.  Set-up restricts each section to
-    each overlap once, rejects a signalling model when the two sides'
+    -delta(x) read on the pairs i < j.  Set-up reads each pair's overlap
+    labels and both sides' rows at the overlap positions from the model's
+    ``pair_restrictions``, rejects a signalling model when the two sides'
     restriction sets differ, and keeps, per pair, an int list per side
     from section position to row; only the audits restrict again.
 
@@ -215,8 +215,6 @@ class CechAnalyzer:
             self.blocks.append((offset, list(secs)))
             offset += len(secs)
         self.nunknowns = offset
-        self._position = [{s.values_on(ctx): u for u, s in enumerate(secs)}
-                          for ctx, secs in zip(contexts, model.sections)]
         self.pair_overlaps = {}
         # (j, k) -> for each section of C_j, the row of pair {j, k} that
         # it restricts to; (j, j) -> section positions (singleton classes)
@@ -225,26 +223,21 @@ class CechAnalyzer:
         self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
         self.rows = []   # sparse {unknown: coeff}
         self.tags = []   # ("pair", i, j, section over the overlap)
-        for i, j in combinations(range(len(contexts)), 2):
-            labels = tuple(x for x in contexts[i] if x in contexts[j])
-            if not labels:
-                continue
-            keys = {k: [s.values_on(labels) for s in model.sections[k]]
-                    for k in (i, j)}
-            below = sorted(set(keys[i]))
-            if set(keys[j]) != set(below):
+        for i, j, labels, left, right in model.pair_restrictions():
+            below = set(left)
+            if set(right) != below:
                 # the same comparison, worded for the user
                 ns = check_no_signalling(model)
                 raise PreconditionError(
                     "model is signalling: " + "; ".join(ns.violations[:3]))
+            below = sorted(below)
             row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
             self.pair_overlaps[(i, j)] = labels
             self.rows.extend({} for _ in below)
-            self.tags.extend(
-                ("pair", i, j, Section(tuple(sorted(zip(labels, key)))))
-                for key in below)
-            for k, other, sign in ((i, j, 1), (j, i, -1)):
-                side = [row_of[key] for key in keys[k]]
+            self.tags.extend(("pair", i, j, Section.from_values(labels, key))
+                             for key in below)
+            for k, other, sign, keys in ((i, j, 1, left), (j, i, -1, right)):
+                side = [row_of[key] for key in keys]
                 self._side[(k, other)] = side
                 self._incident[k].append((side, sign))
                 for col, r in enumerate(side, self.blocks[k][0]):
@@ -258,21 +251,10 @@ class CechAnalyzer:
         self._route1_int: dict[int, IntegerSystem] = {}
         self._route2_data: dict[int, tuple] = {}
         self._route2_int: dict[int, IntegerSystem] = {}
-        self._extensions: dict[tuple[int, Section], list | None] = {}
-
-    # -- shared helpers --------------------------------------------------
-
-    def _extension(self, context_index: int, section: Section):
-        """Per context, the position of the section that a global section
-        through ``section`` restricts to, or None; ``extension`` runs once
-        per section, shared by both shortcuts."""
-        key = (context_index, section)
-        if key not in self._extensions:
-            g = extension(self.model, context_index, section)
-            self._extensions[key] = None if g is None else [
-                pos[g.values_on(ctx)] for pos, ctx in
-                zip(self._position, self.model.scenario.contexts)]
-        return self._extensions[key]
+        # (context, section position) -> extension_rows, or None: one
+        # pinned search per section, shared by both shortcuts
+        self._extension = functools.cache(
+            functools.partial(extension_rows, model))
 
     # -- route 1: pinned compatible-family feasibility -------------------
 
@@ -372,18 +354,16 @@ class CechAnalyzer:
     def _pin_position(self, ci, t) -> int:
         """The position of section t in context ci, for a pinning row."""
         try:
-            u = self._position[ci][t.values_on(self.model.scenario.contexts[ci])]
-            if self.blocks[ci][1][u] == t:
-                return u
-        except (IndexError, KeyError):
-            pass
-        raise InternalCheckError(
-            f"certificate pins an unknown section {t} of context {ci}")
+            return self.blocks[ci][1].index(t)
+        except (IndexError, ValueError):
+            raise InternalCheckError(
+                f"certificate pins an unknown section {t} of context {ci}"
+            ) from None
 
     def _integral_family(self, context_index, section, off, secs, s_pos):
         # shortcut: a global section through s0 is itself a compatible
         # family with coefficient 1 everywhere.
-        g = self._extension(context_index, section)
+        g = self._extension(context_index, s_pos)
         if g is not None:
             family = {(ci, ss[u]): 1
                       for ci, ((_o, ss), u) in enumerate(zip(self.blocks, g))}
@@ -467,7 +447,7 @@ class CechAnalyzer:
             self._audit_route2_refutation(context_index, cocycle, cert)
             return CocycleDecision(context_index, section, False, cocycle,
                                    None, cert)
-        potential = self._route2_potential(context_index, section, lift,
+        potential = self._route2_potential(context_index, s_pos, lift,
                                            cocycle, rhs)
         if isinstance(potential, CechCertificate):
             return CocycleDecision(context_index, section, False, cocycle,
@@ -514,10 +494,10 @@ class CechAnalyzer:
                     rows[side[s]][k] = -sign
         return rows
 
-    def _route2_potential(self, context_index, section, lift, cocycle, rhs):
+    def _route2_potential(self, context_index, s_pos, lift, cocycle, rhs):
         """Integer potential via the global-section shortcut, else the
         exact solver on the kernel-coordinate system."""
-        g = self._extension(context_index, section)
+        g = self._extension(context_index, s_pos)
         if g is not None:
             potential = {}
             for j, ((_o, secs), u, v) in enumerate(zip(self.blocks, lift, g)):

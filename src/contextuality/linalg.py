@@ -18,7 +18,7 @@ Each solver factors its matrix once, in its constructor, and then answers
 any number of right-hand sides.  ``Gf2AffineSystem`` is the GF(2) solver:
 a tracked bitmask echelon (``Gf2Echelon``).  Integer feasibility is decided
 through a row-style Hermite normal form of the transposed system (a basis
-of the column lattice), with a cheap GF(2) refutation tried first.
+of the column lattice); callers run their own GF(2) refutation first.
 Modular systems are solved locally at each prime power, then recombined by
 the Chinese remainder theorem: modulo 2 by ``Gf2AffineSystem``, modulo any
 other prime power by elimination with valuation-minimal pivoting.
@@ -277,9 +277,9 @@ def verify_integer_result(rows: Matrix, rhs: list[int], result: IntSolveResult) 
 class IntegerSystem:
     """Reusable exact solver for ``A x = b`` over the integers.
 
-    Precomputes a GF(2) echelon (fast refutations) and, lazily, a Hermite
-    basis of the column lattice of ``A`` (full decisions), so that many
-    right-hand sides can be decided against one matrix.
+    Computes a Hermite basis of the column lattice of ``A`` on the first
+    solve and decides every right-hand side against it, those infeasible
+    mod 2 included, so many can be decided against one matrix.
     """
 
     def __init__(self, rows: Matrix, ncols: int | None = None):
@@ -290,7 +290,6 @@ class IntegerSystem:
         self.ncols = len(self.rows[0]) if self.rows else int(ncols)
         if any(len(r) != self.ncols for r in self.rows):
             raise PreconditionError("ragged matrix")
-        self._gf2 = Gf2Echelon(map(_parity_mask, self.rows), self.ncols)
         self._lattice: tuple | None = None
 
     # lattice of reachable right-hand sides, in constraint-index space
@@ -312,13 +311,6 @@ class IntegerSystem:
     def solve(self, rhs: list[int]) -> IntSolveResult:
         if len(rhs) != self.nrows:
             raise PreconditionError("right-hand side length mismatch")
-        track = self._gf2.refute(_parity_mask(rhs))
-        if track is not None:
-            y = tuple(
-                Fraction(1, 2) if (track >> i) & 1 else Fraction(0) for i in range(self.nrows)
-            )
-            return self._checked(rhs, IntSolveResult(
-                False, None, InfeasibilityCertificate("integral", y)))
         basis, pivots, urows = self._lattice_data()
         # greedy expansion of rhs in the echelon basis, exactly over Q
         num = list(rhs)

@@ -98,9 +98,6 @@ class Cochain:
             return self.columns == other.columns
         return self.values == other.values
 
-    def is_zero_on(self, tuples) -> bool:
-        return all(self.value(t) == self.zero_value for t in tuples)
-
 
 def make_cochain(monoid, moduli, degree, values) -> Cochain:
     moduli = tuple(moduli)

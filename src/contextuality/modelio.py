@@ -88,13 +88,14 @@ def _parse_action(block) -> CoefficientAction:
     return CoefficientAction(tuple(moduli), tuple(images))
 
 
-def _parse_tables(block, scenario) -> tuple:
-    if not isinstance(block, list) or len(block) != len(scenario.contexts):
+def _parse_tables(block, contexts, slot) -> tuple:
+    """Document context ci's table, filed at scenario index ``slot[ci]``."""
+    if not isinstance(block, list) or len(block) != len(contexts):
         raise ModelFormatError(
             "'partial_monoid.contexts' must list one operation table per "
             "context")
-    tables = []
-    for ci, (ctx, triples) in enumerate(zip(scenario.contexts, block)):
+    tables = [None] * len(contexts)
+    for ci, (ctx, triples) in enumerate(zip(contexts, block)):
         if not isinstance(triples, list):
             raise ModelFormatError(f"table {ci} must list [x, y, xy] triples")
         table = {}
@@ -113,7 +114,7 @@ def _parse_tables(block, scenario) -> tuple:
                     f"table {ci} repeats the pair ({x!r}, {y!r}) "
                     f"inconsistently")
             table[(x, y)] = z
-        tables.append(table)
+        tables[slot[ci]] = table
     return tuple(tables)
 
 
@@ -157,6 +158,11 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
             tuple(meas), d, tuple(tuple(c) for c in ctxs))
     except Exception as exc:
         raise ModelFormatError(f"bad scenario: {exc}") from exc
+    # slot[ci]: the scenario index of the document's context ci
+    index = {frozenset(c): k for k, c in enumerate(scenario.contexts)}
+    if len(index) != len(ctxs):
+        raise ModelFormatError("a context is listed twice")
+    slot = [index[frozenset(c)] for c in ctxs]
     secs = doc["sections"]
     if not isinstance(secs, dict):
         raise ModelFormatError(
@@ -169,11 +175,11 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
         except ValueError:
             raise ModelFormatError(
                 f"section key {key!r} is not a context index") from None
-        if not 0 <= ci < len(scenario.contexts):
+        if not 0 <= ci < len(ctxs):
             raise ModelFormatError(f"section key {key!r} out of range")
-        if by_index[ci] is not None:
+        if by_index[slot[ci]] is not None:
             raise ModelFormatError(f"duplicate section key {key!r}")
-        ctx = scenario.contexts[ci]
+        ctx = ctxs[ci]
         if not isinstance(rows, list):
             raise ModelFormatError(f"sections[{key}] must list outcome rows")
         parsed = []
@@ -184,8 +190,8 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
                     f"sections[{key}] rows must list one outcome per "
                     f"measurement of context {list(ctx)}")
             parsed.append(Section.of(dict(zip(ctx, row))))
-        by_index[ci] = tuple(parsed)
-    holes = [i for i, v in enumerate(by_index) if v is None]
+        by_index[slot[ci]] = tuple(parsed)
+    holes = [ci for ci, k in enumerate(slot) if by_index[k] is None]
     if holes:
         raise ModelFormatError(f"missing sections for contexts {holes}")
     try:
@@ -205,7 +211,7 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
         raise ModelFormatError(
             "'partial_monoid' needs 'contexts' and 'action'")
     action = _parse_action(block["action"])
-    tables = _parse_tables(block["contexts"], scenario)
+    tables = _parse_tables(block["contexts"], ctxs, slot)
     return StructuredModel(model, tables, action)
 
 

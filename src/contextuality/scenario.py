@@ -21,6 +21,12 @@ each branch from one trail of changes instead of copying state.
 sections it restricts to as extendable, so a pinned search runs only for
 sections not yet marked.
 
+Sections run on int rows: ``EmpiricalModel.make`` reads each section's
+outcomes once, in its context's label order, and ``pair_restrictions``
+reads every pair overlap off those rows at the overlap's positions.
+Everything after loading works from rows and positions, except the
+label-level audits; ``Section`` objects stay at the edge.
+
 Scenario-law violations (cover not covering, nested contexts, signalling)
 are reported as data by the validators rather than raised, so that broken
 models can be inspected.  Malformed input (labels not in the scenario,
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
+from operator import itemgetter
 
 from .errors import PreconditionError
 
@@ -48,6 +55,11 @@ class Section:
             return assignment
         pairs = tuple(sorted((str(m), int(v)) for m, v in dict(assignment).items()))
         return cls(pairs)
+
+    @classmethod
+    def from_values(cls, labels, values) -> "Section":
+        """The section taking ``values[k]`` at ``labels[k]``."""
+        return cls(tuple(sorted(zip(labels, values))))
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -122,12 +134,6 @@ class MeasurementScenario:
         normalized.sort(key=lambda c: tuple(order[m] for m in c))
         return cls(labels, int(outcome_modulus), tuple(normalized))
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.measurements.index(label)
-        except ValueError:
-            raise PreconditionError(f"unknown measurement {label!r}") from None
-
     def sort_labels(self, labels) -> tuple[str, ...]:
         order = {m: i for i, m in enumerate(self.measurements)}
         return tuple(sorted(labels, key=order.__getitem__))
@@ -136,16 +142,6 @@ class MeasurementScenario:
         want = set(labels)
         return tuple(i for i, c in enumerate(self.contexts) if want <= set(c))
 
-    def is_compatible(self, labels) -> bool:
-        """True when the label set lies beneath some context."""
-        return bool(self.containing_contexts(labels))
-
-    def context_index(self, context) -> int:
-        ctx = self.sort_labels(context)
-        try:
-            return self.contexts.index(ctx)
-        except ValueError:
-            raise PreconditionError(f"not a context of this scenario: {ctx}") from None
 
 
 @dataclass(frozen=True)
@@ -202,33 +198,41 @@ def validate_scenario(scenario: MeasurementScenario) -> ValidationReport:
 
 @dataclass(frozen=True)
 class EmpiricalModel:
-    """Per-context sets of possible sections over a scenario."""
+    """Per-context sets of possible sections over a scenario.
+
+    ``rows[c][u]`` holds the outcomes of ``sections[c][u]`` in context c's
+    label order, and each context lists its sections in row order.  Only
+    ``make`` builds it; equality and hashing ignore it.
+    """
 
     scenario: MeasurementScenario
     sections: tuple[tuple[Section, ...], ...]
+    rows: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
 
     @classmethod
     def make(cls, scenario: MeasurementScenario, sections_by_context) -> "EmpiricalModel":
         if len(sections_by_context) != len(scenario.contexts):
             raise PreconditionError("need a section set for every context")
         d = scenario.outcome_modulus
-        table = []
+        sections, rows = [], []
         for ctx, raw in zip(scenario.contexts, sections_by_context):
             ctx_set = set(ctx)
-            cleaned = set()
+            cleaned = {}
             for s in raw:
                 s = Section.of(s)
-                if set(s.domain) != ctx_set:
+                values = s.as_dict()
+                if values.keys() != ctx_set:
                     raise PreconditionError(
                         f"section {s} does not have domain exactly {ctx}"
                     )
-                if any(not 0 <= v < d for _, v in s.items):
+                if any(not 0 <= v < d for v in values.values()):
                     raise PreconditionError(f"section {s} has outcomes outside Z_{d}")
-                cleaned.add(s)
+                cleaned[tuple(values[m] for m in ctx)] = s
             if not cleaned:
                 raise PreconditionError(f"context {ctx} has an empty section set")
-            table.append(tuple(sorted(cleaned, key=lambda s: s.values_on(ctx))))
-        return cls(scenario, tuple(table))
+            rows.append(tuple(sorted(cleaned)))
+            sections.append(tuple(cleaned[k] for k in rows[-1]))
+        return cls(scenario, tuple(sections), tuple(rows))
 
     def section_index(self, context_index: int, section: Section) -> int:
         if not 0 <= context_index < len(self.sections):
@@ -241,12 +245,32 @@ class EmpiricalModel:
                 f"{self.scenario.contexts[context_index]}"
             ) from None
 
+    def pair_restrictions(self):
+        """``(i, j, labels, left, right)`` for each pair i < j of contexts
+        that share the measurements ``labels``: ``left[u]`` (``right[u]``)
+        is row u of C_i (C_j) read at the positions of those labels."""
+        contexts = self.scenario.contexts
+        members = [set(c) for c in contexts]
+        for i, j in combinations(range(len(contexts)), 2):
+            at_i = [p for p, x in enumerate(contexts[i]) if x in members[j]]
+            if not at_i:
+                continue
+            at_j = [p for p, x in enumerate(contexts[j]) if x in members[i]]
+            yield (i, j, tuple(contexts[i][p] for p in at_i),
+                   _read(self.rows[i], at_i), _read(self.rows[j], at_j))
+
+
+def _read(rows, positions) -> list[tuple[int, ...]]:
+    """Each row's outcomes at ``positions``, as a tuple."""
+    get = itemgetter(*positions)
+    return [get(row) for row in rows] if positions[1:] else [(get(row),) for row in rows]
+
 
 def sections_below(model: EmpiricalModel, labels) -> tuple[Section, ...]:
     """Possible sections on a compatible set ``V``: restrictions from a context.
 
-    Computed from the first context containing ``V``; under no-signalling
-    every containing context induces the same set.
+    Computed from the rows of the first context containing ``V``; under
+    no-signalling every containing context induces the same set.
     """
     scenario = model.scenario
     v = scenario.sort_labels(labels)
@@ -255,8 +279,9 @@ def sections_below(model: EmpiricalModel, labels) -> tuple[Section, ...]:
     hosts = scenario.containing_contexts(v)
     if not hosts:
         raise PreconditionError(f"{list(v)} is not beneath any context")
-    seen = {s.restrict(v) for s in model.sections[hosts[0]]}
-    return tuple(sorted(seen, key=lambda s: s.values_on(v)))
+    ctx = scenario.contexts[hosts[0]]
+    below = set(_read(model.rows[hosts[0]], [ctx.index(x) for x in v]))
+    return tuple(Section.from_values(v, key) for key in sorted(below))
 
 
 def check_no_signalling(model: EmpiricalModel) -> ValidationReport:
@@ -267,20 +292,14 @@ def check_no_signalling(model: EmpiricalModel) -> ValidationReport:
     """
     violations = []
     contexts = model.scenario.contexts
-    for i in range(len(contexts)):
-        for j in range(i + 1, len(contexts)):
-            overlap = tuple(m for m in contexts[i] if m in set(contexts[j]))
-            if not overlap:
-                continue
-            left = {s.restrict(overlap) for s in model.sections[i]}
-            right = {s.restrict(overlap) for s in model.sections[j]}
-            if left != right:
-                only_left = sorted(str(s) for s in left - right)
-                only_right = sorted(str(s) for s in right - left)
-                violations.append(
-                    f"signalling between {contexts[i]} and {contexts[j]} on "
-                    f"{overlap}: only-left={only_left} only-right={only_right}"
-                )
+    for i, j, labels, left, right in model.pair_restrictions():
+        left, right = set(left), set(right)
+        if left != right:
+            only = [sorted(str(Section.from_values(labels, k)) for k in a - b)
+                    for a, b in ((left, right), (right, left))]
+            violations.append(
+                f"signalling between {contexts[i]} and {contexts[j]} on "
+                f"{labels}: only-left={only[0]} only-right={only[1]}")
     return ValidationReport(tuple(violations))
 
 
@@ -303,8 +322,7 @@ class _Search:
         pos = {m: i for i, m in enumerate(scenario.measurements)}
         self.d = scenario.outcome_modulus
         self.scope = [tuple(pos[m] for m in c) for c in scenario.contexts]
-        self.rows = [[s.values_on(c) for s in secs]
-                     for c, secs in zip(scenario.contexts, model.sections)]
+        self.rows = model.rows
         self.watch: list[list[int]] = [[] for _ in pos]
         for c, scope in enumerate(self.scope):
             for m in scope:
@@ -453,7 +471,7 @@ def global_sections(model: EmpiricalModel) -> tuple[Section, ...]:
     """
     labels = model.scenario.measurements
     found = sorted(_Search(model).search(find_all=True))
-    return tuple(Section(tuple(sorted(zip(labels, vals)))) for vals in found)
+    return tuple(Section.from_values(labels, vals) for vals in found)
 
 
 def extension(model: EmpiricalModel, context_index: int, section: Section) -> Section | None:
@@ -464,9 +482,17 @@ def extension(model: EmpiricalModel, context_index: int, section: Section) -> Se
     """
     row = model.section_index(context_index, Section.of(section))
     found = _Search(model).search((context_index, row))
-    if not found:
-        return None
-    return Section(tuple(sorted(zip(model.scenario.measurements, found[0]))))
+    return Section.from_values(model.scenario.measurements, found[0]) if found else None
+
+
+def extension_rows(model: EmpiricalModel, context_index: int, row: int) -> list[int] | None:
+    """Per context, the row position that a global section through row
+    ``row`` of context ``context_index`` restricts to, or None; one pinned
+    ``_Search`` decides it, as in ``extension``."""
+    search = _Search(model)
+    found = search.search((context_index, row))
+    return None if not found else [rows.index(tuple(found[0][m] for m in scope))
+                                   for rows, scope in zip(model.rows, search.scope)]
 
 
 def section_extends(model: EmpiricalModel, context_index: int, section: Section) -> bool:

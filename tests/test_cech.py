@@ -5,12 +5,14 @@ model alone (no analyzer internals), so a wrong verdict cannot hide
 behind its own bookkeeping.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import contextuality.cech as cech_module
+from contextuality.avn import theory_of
 from contextuality.cech import (
     CechAnalyzer,
     CechCertificate,
@@ -28,6 +30,9 @@ from contextuality.scenario import (
     EmpiricalModel,
     MeasurementScenario,
     Section,
+    check_no_signalling,
+    classify,
+    extension_rows,
     global_sections,
     restrict_section,
     section_extends,
@@ -424,13 +429,13 @@ def test_both_routes_share_one_pinned_search(hardy, monkeypatch):
     route 1's family and route 2's potential reuse the same extension,
     and a None answer is remembered as well."""
     calls = []
-    real = cech_module.extension
+    real = cech_module.extension_rows
 
-    def counted(model, ci, section):
-        calls.append((ci, section))
-        return real(model, ci, section)
+    def counted(model, ci, row):
+        calls.append((ci, model.sections[ci][row]))
+        return real(model, ci, row)
 
-    monkeypatch.setattr(cech_module, "extension", counted)
+    monkeypatch.setattr(cech_module, "extension_rows", counted)
     model = hardy.model
     ana = CechAnalyzer(model)
     for ci, sec in ((1, model.sections[1][0]),
@@ -615,3 +620,100 @@ def test_audits_reject_mutated_refutations(mermin):
                     ana._audit_route2_refutation(ci, dec.cocycle, bad)
                 mutants += 1
     assert mutants == 6 * 24
+
+
+# --- Sections on int rows -------------------------------------------------------
+
+
+def test_loaded_models_are_read_from_int_rows(hardy, mermin, ghz,
+                                              monkeypatch):
+    """Once a model is loaded, classification, the Cech set-up, the
+    global-section shortcut, the no-signalling check and the affine
+    theories read its int rows: none derives section values from labels.
+    The audits restrict labelled sections on purpose and are not run."""
+    models = [bundle.model for bundle in (hardy, mermin, ghz)]
+    calls = []
+    for name in ("values_on", "restrict"):
+        def counted(self, labels, _real=getattr(Section, name), _name=name):
+            calls.append(_name)
+            return _real(self, labels)
+        monkeypatch.setattr(Section, name, counted)
+    for model in models:
+        classify(model)
+        CechAnalyzer(model)
+        for ci, secs in enumerate(model.sections):
+            for u in range(len(secs)):
+                extension_rows(model, ci, u)
+        check_no_signalling(model)
+        theory_of(model)
+    assert calls == []
+    Section.of({"a": 0}).restrict(("a",))
+    assert calls == ["restrict"]  # the hook itself counts
+
+
+def _reference_violations(model):
+    """No-signalling violations from sets of restricted ``Section``s."""
+    out = []
+    contexts = model.scenario.contexts
+    for i, j in itertools.combinations(range(len(contexts)), 2):
+        overlap = tuple(m for m in contexts[i] if m in contexts[j])
+        if not overlap:
+            continue
+        left = {s.restrict(overlap) for s in model.sections[i]}
+        right = {s.restrict(overlap) for s in model.sections[j]}
+        if left != right:
+            only_left = sorted(str(s) for s in left - right)
+            only_right = sorted(str(s) for s in right - left)
+            out.append(
+                f"signalling between {contexts[i]} and {contexts[j]} on "
+                f"{overlap}: only-left={only_left} only-right={only_right}")
+    return tuple(out)
+
+
+def _restricted_model(rng):
+    """2-5 distinct contexts of 1-3 labels over at most 6 measurements,
+    binary or ternary, whose sections are the restrictions of a few random
+    global assignments (so no-signalling holds)."""
+    d = rng.choice((2, 3))
+    labels = [f"m{i}" for i in range(rng.randint(2, 6))]
+    subsets = [c for k in (1, 2, 3)
+               for c in itertools.combinations(labels, k)]
+    contexts = rng.sample(subsets, rng.randint(2, min(5, len(subsets))))
+    scenario = MeasurementScenario.make(labels, d, contexts)
+    globals_ = [{m: rng.randrange(d) for m in labels}
+                for _ in range(rng.randint(1, 4))]
+    secs = [[Section.of({m: g[m] for m in ctx}) for g in globals_]
+            for ctx in scenario.contexts]
+    return scenario, secs
+
+
+def test_pair_restrictions_match_section_restrictions():
+    """check_no_signalling and the analyzer's set-up read one per-pair
+    restriction; on random models, half made signalling by dropping one
+    row, its violations equal, word for word, those of sets of restricted
+    ``Section``s, and the set-up raises exactly when there are some."""
+    rng = random.Random(7)
+    signalling = 0
+    for k in range(50):
+        scenario, secs = _restricted_model(rng)
+        if k % 2:
+            wide = [ci for ci, ss in enumerate(secs) if len(set(ss)) > 1]
+            if wide:
+                ci = rng.choice(wide)
+                drop = rng.choice(secs[ci])
+                secs[ci] = [s for s in secs[ci] if s != drop]
+        model = EmpiricalModel.make(scenario, secs)
+        want = _reference_violations(model)
+        assert check_no_signalling(model).violations == want
+        if want:
+            signalling += 1
+            with pytest.raises(PreconditionError,
+                               match="^model is signalling"):
+                CechAnalyzer(model)
+        else:
+            ana = CechAnalyzer(model)
+            for (i, j), labels in ana.pair_overlaps.items():
+                for c in (i, j):
+                    assert set(sections_below(model, labels)) == {
+                        s.restrict(labels) for s in model.sections[c]}
+    assert 5 <= signalling <= 25

@@ -146,3 +146,60 @@ def test_malformed_structured_tables(mermin):
 def test_loads_rejects_bad_json():
     with pytest.raises(ModelFormatError):
         loads_model("{not json")
+
+
+def _permuted(doc, order):
+    """The same model with its contexts listed in ``order`` (new position k
+    holds old context order[k]) and the labels inside each context, with
+    their outcomes, in reverse."""
+    out = json.loads(json.dumps(doc))
+    out["contexts"] = [doc["contexts"][ci][::-1] for ci in order]
+    out["sections"] = {str(k): [row[::-1] for row in doc["sections"][str(ci)]]
+                       for k, ci in enumerate(order)}
+    if "partial_monoid" in doc:
+        out["partial_monoid"]["contexts"] = [
+            doc["partial_monoid"]["contexts"][ci][::-1] for ci in order]
+    return out
+
+
+def test_documents_load_whatever_their_context_order(hardy, mermin):
+    """Rows and tables are read against the document's own contexts, so a
+    document listing its contexts, or the labels inside them, in another
+    order loads to the same model and verdicts."""
+    from contextuality import classify, cross_check_obstructions, is_avn
+
+    for bundle, obj in ((hardy, hardy.model), (mermin, mermin.structured)):
+        doc = model_to_document(obj)
+        n = len(doc["contexts"])
+        orders = ([1, 0] + list(range(2, n)), list(range(n))[::-1],
+                  list(range(1, n)) + [0])
+        for order in orders:
+            back = document_to_model(_permuted(doc, order))
+            assert model_to_document(back) == doc
+            model = back.model if isinstance(back, StructuredModel) else back
+            assert model.sections == bundle.model.sections
+            assert model.rows == bundle.model.rows
+            assert classify(model).witnesses == classify(
+                bundle.model).witnesses
+            assert is_avn(model).avn == is_avn(bundle.model).avn
+            if isinstance(back, StructuredModel):
+                assert back.context_ops == obj.context_ops
+                rows = [(r.context_index, r.section, r.cech_vanishes,
+                         r.group_vanishes)
+                        for r in cross_check_obstructions(back).rows]
+                assert rows == [(r.context_index, r.section, r.cech_vanishes,
+                                 r.group_vanishes)
+                                for r in cross_check_obstructions(obj).rows]
+    witnesses = classify(document_to_model(
+        _permuted(model_to_document(hardy.model), [1, 0, 2, 3]))).witnesses
+    assert [(ci, s.as_dict()) for ci, s in witnesses] == [
+        (0, {"a1": 0, "b1": 0})]
+
+
+def test_context_listed_twice_is_rejected(hardy):
+    doc = json.loads(json.dumps(model_to_document(hardy.model)))
+    doc["contexts"].append(doc["contexts"][0][::-1])
+    doc["sections"][str(len(doc["contexts"]) - 1)] = [
+        row[::-1] for row in doc["sections"]["0"]]
+    with pytest.raises(ModelFormatError, match="listed twice"):
+        document_to_model(doc)

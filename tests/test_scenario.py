@@ -82,9 +82,6 @@ def test_scenario_canonicalizes():
     sc = MeasurementScenario.make(("a", "b", "c"), 2, [("c", "a"), ("b", "c")])
     assert all(ctx == sc.sort_labels(ctx) for ctx in sc.contexts)
     assert set(sc.contexts) == {("a", "c"), ("b", "c")}
-    assert sc.label_index("b") == 1
-    assert sc.is_compatible(("a", "c"))
-    assert not sc.is_compatible(("a", "b"))
     assert sc.containing_contexts(("c",)) == (0, 1) or \
         sc.containing_contexts(("c",)) == (1, 0) or \
         len(sc.containing_contexts(("c",))) == 2

@@ -1,9 +1,10 @@
-"""The benchmark's layer tracer still finds the group route's names.
+"""The benchmark's layer tracer still finds the group and Cech routes' names.
 
 ``perfbench/spans.py`` patches public functions and methods by name from
 outside the library.  This runs it, unchanged, in a child process (its
 patches are global) over the mermin cross-check and a noncontextual
-Pauli model, whose vanishing sections reach the reconstruction.
+Pauli model, whose vanishing sections reach the reconstruction.  A
+renamed layer would read 0 there, so each span and counter must not.
 """
 
 import json
@@ -36,7 +37,9 @@ def test_tracer_sees_the_group_route():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     for span in ("pmonoid.glue", "pmonoid.quotient", "pmonoid.reconstruct",
-                 "mcohom.audit", "mcohom.decide"):
+                 "mcohom.audit", "mcohom.decide", "cech.setup",
+                 "cech.route1", "cech.route2", "cech.crosscheck"):
         assert seen["self_ns"].get(span, 0) > 0, span
-    for counter in ("mcohom.triples_audited", "mcohom.quotient_elements"):
+    for counter in ("mcohom.triples_audited", "mcohom.quotient_elements",
+                    "cech.rows", "cech.unknowns"):
         assert seen["counts"].get(counter, 0) > 0, counter
