@@ -16,6 +16,10 @@ the pairs i < j of the nerve:
 
 Both run a GF(2) refutation first, then an exact integer decision, and
 every verdict carries a re-verified witness or separating certificate.
+Each audit calls the one checker of its law: ``linalg.separates`` for a
+separating functional, ``cech_coboundary`` on the analyzer's nerve for a
+family's compatibility and a potential's coboundary, and
+``pmonoid.validate_splitting`` for the cross-check's collapsed family.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem
+from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem, separates
 from .mcohom import GroupObstructionAnalyzer
-from .pmonoid import StructuredModel
+from .pmonoid import StructuredModel, validate_splitting
 from .scenario import (
     EmpiricalModel,
     Section,
@@ -60,8 +64,8 @@ def fs_restrict(fs: FormalSum, labels) -> FormalSum:
 class Nerve:
     """Tuples of cover indices with jointly measurable support.
 
-    Degenerate tuples (repeated indices) are retained; each degree
-    lists its simplices in lexicographic order.
+    ``build_nerve`` retains degenerate tuples (repeated indices); each
+    degree lists its simplices in lexicographic order.
     """
 
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
@@ -243,6 +247,12 @@ class CechAnalyzer:
                 for col, r in enumerate(side, self.blocks[k][0]):
                     self.rows[r][col] = sign
         self._row_of = {tag: r for r, tag in enumerate(self.tags)}
+        # the audits' nerve: contexts in degree 0, pairs i < j in degree 1
+        self.nerve = Nerve(
+            (tuple((c,) for c in range(len(contexts))),
+             tuple(self.pair_overlaps)),
+            {**{(c,): ctx for c, ctx in enumerate(contexts)},
+             **self.pair_overlaps})
         self._gf2 = Gf2Echelon(
             [sum(1 << k for k, v in row.items() if v % 2) for row in self.rows],
             self.nunknowns)
@@ -326,30 +336,23 @@ class CechAnalyzer:
         return cert
 
     def _audit_certificate(self, context_index, section, cert) -> None:
-        """Re-verify y^T A integral and y^T b non-integral, sparsely.
+        """Re-verify y^T A integral and y^T b non-integral with ``separates``.
 
         The right-hand side is zero on compatibility rows and the
         indicator of the pinned section on pinning rows.
         """
-        acc: dict[int, Fraction] = {}
-        rhs = Fraction(0)
+        terms = []
         for tag, coeff in zip(cert.rows, cert.coefficients):
-            coeff = Fraction(coeff)
             if tag[0] == "pair":
-                row = self.rows[self._row_of[tag]]
+                terms.append((coeff, self.rows[self._row_of[tag]], 0))
             else:
                 _kind, ci, t = tag
-                row = {self.blocks[ci][0] + self._pin_position(ci, t): 1}
-                if ci == context_index and t == section:
-                    rhs += coeff
-            for k, v in row.items():
-                acc[k] = acc.get(k, Fraction(0)) + coeff * v
-        if any(v.denominator != 1 for v in acc.values()):
+                col = self.blocks[ci][0] + self._pin_position(ci, t)
+                terms.append((coeff, {col: 1},
+                              int(ci == context_index and t == section)))
+        if not separates(terms, 1):
             raise InternalCheckError(
-                "certificate does not clear the coefficient matrix")
-        if rhs.denominator == 1:
-            raise InternalCheckError(
-                "certificate pairs integrally with the right-hand side")
+                "certificate does not separate the pinned section")
 
     def _pin_position(self, ci, t) -> int:
         """The position of section t in context ci, for a pinning row."""
@@ -399,21 +402,18 @@ class CechAnalyzer:
 
     def _audit_family(self, context_index, section, family) -> None:
         """A claimed family must be pinned, mass-1 and pair-compatible."""
-        scenario = self.model.scenario
-        per_ctx: list[FormalSum] = [dict() for _ in scenario.contexts]
+        per_ctx: dict = {}
         for (ci, s), c in family.items():
             if s not in self.model.sections[ci]:
                 raise InternalCheckError("family uses an unknown section")
-            per_ctx[ci][s] = c
-        for ci, fs in enumerate(per_ctx):
-            if sum(fs.values()) != 1:
+            per_ctx.setdefault((ci,), {})[s] = c
+        for ci in range(len(self.blocks)):
+            if sum(per_ctx.get((ci,), {}).values()) != 1:
                 raise InternalCheckError("family mass differs from 1")
-        if per_ctx[context_index] != {section: 1}:
+        if per_ctx[(context_index,)] != {section: 1}:
             raise InternalCheckError("family is not pinned to the section")
-        for (i, j), labels in self.pair_overlaps.items():
-            if fs_restrict(per_ctx[i], labels) != fs_restrict(
-                    per_ctx[j], labels):
-                raise InternalCheckError("family fails pair compatibility")
+        if cech_coboundary(self.nerve, CechCochain(0, per_ctx)).values:
+            raise InternalCheckError("family fails pair compatibility")
 
     # -- route 2: connecting cocycle --------------------------------------
 
@@ -432,12 +432,9 @@ class CechAnalyzer:
             if z:
                 _k, i, j, t = self.tags[r]
                 cocycle.setdefault((i, j), {})[t] = z
-        c0 = self.model.scenario.contexts[context_index]
-        for (i, j), z in cocycle.items():
-            if fs_restrict(z, [x for x in self.pair_overlaps[(i, j)]
-                               if x in c0]):
-                raise InternalCheckError(
-                    "connecting cochain leaves the kernel presheaf")
+        if self._leaves_kernel(context_index, CechCochain(1, cocycle)):
+            raise InternalCheckError(
+                "connecting cochain leaves the kernel presheaf")
         _sol, ref = parity.solve(
             sum(1 << r for r, b in enumerate(rhs) if b & 1))
         if ref is not None:
@@ -527,22 +524,21 @@ class CechAnalyzer:
         self._audit_potential(context_index, cocycle, potential)
         return potential
 
+    def _leaves_kernel(self, context_index, cochain) -> bool:
+        """Does some value of a cochain on the nerve restrict to a nonzero
+        sum into the pinned context, i.e. leave the kernel presheaf?"""
+        c0 = set(self.model.scenario.contexts[context_index])
+        supports = self.nerve.supports
+        return any(fs_restrict(fs, [x for x in supports[simplex] if x in c0])
+                   for simplex, fs in cochain.values.items())
+
     def _audit_potential(self, context_index, cocycle, potential) -> None:
         """potential must live in the kernel presheaf and bound z."""
-        scenario = self.model.scenario
-        c0 = set(scenario.contexts[context_index])
-        for j, fs in potential.items():
-            overlap = [x for x in scenario.contexts[j] if x in c0]
-            if fs_restrict(fs, overlap):
-                raise InternalCheckError(
-                    "potential leaves the kernel presheaf")
-        for (i, j), labels in self.pair_overlaps.items():
-            want = dict(cocycle.get((i, j), {}))
-            got: FormalSum = {}
-            fs_combine(got, fs_restrict(potential.get(j, {}), labels), 1)
-            fs_combine(got, fs_restrict(potential.get(i, {}), labels), -1)
-            if got != want:
-                raise InternalCheckError("potential does not bound the cocycle")
+        pot = CechCochain(0, {(j,): fs for j, fs in potential.items()})
+        if self._leaves_kernel(context_index, pot):
+            raise InternalCheckError("potential leaves the kernel presheaf")
+        if cech_coboundary(self.nerve, pot).values != cocycle:
+            raise InternalCheckError("potential does not bound the cocycle")
 
     def _audit_route2_refutation(self, context_index, cocycle, cert) -> None:
         """The parity refuter must annihilate rows and pair oddly with z."""
@@ -669,24 +665,16 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
                     if collapsed[x] != s[x]:
                         raise InternalCheckError(
                             "collapse does not extend the pinned section")
-                _check_splitting(group.quotient, structured, collapsed)
+                _check_splitting(group.quotient, collapsed)
             rows.append(CrossCheckRow(ci, s, r1.vanishes, g.vanishes))
     return CrossCheckReport(tuple(rows))
 
 
-def _check_splitting(quotient, structured: StructuredModel, values) -> None:
-    """The collapsed assignment must be a homomorphism killing no sign."""
-    d = structured.action.moduli[0]
+def _check_splitting(quotient, values) -> None:
+    """The collapsed assignment must be a splitting on the whole monoid."""
     els = quotient.parent.elements
-    v = [values[x] for x in els]
-    xs, ys, zs = quotient.parent.pairs()
-    bad = next(((x, y) for x, y, z in zip(xs, ys, zs)
-                if (v[x] + v[y] - v[z]) % d), None)
-    if bad is not None:
+    report = validate_splitting(quotient, els, {x: (values[x],) for x in els})
+    if not report.ok:
         raise InternalCheckError(
-            f"collapse is not a homomorphism at ({els[bad[0]]!r}, "
-            f"{els[bad[1]]!r})")
-    for a, img in zip(quotient.action.elements(), quotient.embedding):
-        if v[img] != a[0] % d:
-            raise InternalCheckError(
-                f"collapse does not retract the embedding at i({a})")
+            "collapse is not a global splitting: "
+            + "; ".join(report.violations[:3]))

@@ -11,8 +11,11 @@ The solvers share one reporting convention:
   already infeasible over the rationals (kind ``"rational"``).  For
   modular systems ``y^T A = 0 (mod d)`` while ``y^T b != 0 (mod d)``.
 
-Every witness and certificate is re-verified by substitution before it is
-returned; a failed re-verification raises ``InternalCheckError``.
+Every witness and certificate is re-verified before it is returned; a
+failed re-verification raises ``InternalCheckError``.  Certificates of
+every kind have one checker, ``separates``, which works on integer
+numerators over the common denominator of ``y``; the Cech route-1 audit
+calls it too.
 
 Each solver factors its matrix once, in its constructor, and then answers
 any number of right-hand sides.  ``Gf2AffineSystem`` is the GF(2) solver:
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalCheckError, PreconditionError
 
@@ -239,39 +242,58 @@ class IntSolveResult:
     certificate: InfeasibilityCertificate | None = None
 
 
-def _dot_frac(y, col) -> Fraction:
-    s = Fraction(0)
-    for a, b in zip(y, col):
-        if a and b:
-            s += a * b
-    return s
+def separates(terms, modulus: int) -> bool:
+    """Does ``y`` separate ``b`` from what ``A`` reaches: the one check of
+    every infeasibility certificate.
+
+    ``terms`` lists ``(y_i, row_i, b_i)`` for the rows where ``y`` is
+    nonzero, each row sparse as ``{column: coefficient}``; ``y_i`` is an
+    int or a ``Fraction``.  With ``D`` the common denominator of ``y`` and
+    ``n_i = D y_i``, everything is checked on integer numerators:
+    ``sum n_i row_i`` must vanish and ``sum n_i b_i`` must not, modulo
+    ``modulus * D``, where modulus 0 means exactly.  So modulus 0 checks
+    kind "rational", modulus 1 kind "integral" (``y^T A`` integral,
+    ``y^T b`` not) and modulus d an integer certificate mod d.
+    """
+    terms = list(terms)
+    den = lcm(*(y.denominator for y, _row, _b in terms))
+    acc: dict[int, int] = {}
+    pairing = 0
+    for y, row, b in terms:
+        n = y.numerator * (den // y.denominator)
+        pairing += n * b
+        for j, a in row.items():
+            acc[j] = acc.get(j, 0) + n * a
+    m = modulus * den
+    if m == 0:
+        return not any(acc.values()) and pairing != 0
+    return all(c % m == 0 for c in acc.values()) and pairing % m != 0
 
 
-def verify_integer_result(rows: Matrix, rhs: list[int], result: IntSolveResult) -> bool:
-    """Substitution check for a witness or certificate against A x = b."""
+def _verify(rows: Matrix, rhs: list[int], result, modulus: int, y,
+            cert_modulus: int) -> bool:
+    """A witness must solve A x = b modulo ``modulus`` (0: exactly), a
+    certificate ``y`` must pass ``separates`` modulo ``cert_modulus``."""
     n = len(rows[0]) if rows else (len(result.witness) if result.witness else 0)
     if result.feasible:
         x = result.witness
         if x is None or len(x) != n:
             return False
-        for row, b in zip(rows, rhs):
-            if sum(a * v for a, v in zip(row, x)) != b:
-                return False
-        return True
-    cert = result.certificate
-    if cert is None or len(cert.vector) != len(rows):
+        residues = [sum(a * v for a, v in zip(row, x)) - b
+                    for row, b in zip(rows, rhs)]
+        return not any(r % modulus if modulus else r for r in residues)
+    if y is None or len(y) != len(rows):
         return False
-    y = cert.vector
-    yb = _dot_frac(y, rhs)
-    for j in range(n):
-        yj = _dot_frac(y, [row[j] for row in rows])
-        if cert.kind == "rational":
-            if yj != 0:
-                return False
-        else:
-            if yj.denominator != 1:
-                return False
-    return yb != 0 if cert.kind == "rational" else yb.denominator != 1
+    return separates([(yi, {j: a for j, a in enumerate(row) if a}, b)
+                      for yi, row, b in zip(y, rows, rhs) if yi],
+                     cert_modulus)
+
+
+def verify_integer_result(rows: Matrix, rhs: list[int], result: IntSolveResult) -> bool:
+    """Substitution check for a witness or certificate against A x = b."""
+    cert = result.certificate
+    return _verify(rows, rhs, result, 0, cert and cert.vector,
+                   int(cert is not None and cert.kind != "rational"))
 
 
 class IntegerSystem:
@@ -338,12 +360,12 @@ class IntegerSystem:
                     num = [a // g for a in num]
         if any(num):
             q = next(i for i, a in enumerate(num) if a)
-            y = self._orthogonal_dual(q)
+            y = self._dual(q=q)
             return self._checked(rhs, IntSolveResult(
                 False, None, InfeasibilityCertificate("rational", tuple(y))))
         bad = next((k for k, c in enumerate(coeffs) if c.denominator != 1), None)
         if bad is not None:
-            y = self._pivot_dual(bad)
+            y = self._dual(bad)
             return self._checked(rhs, IntSolveResult(
                 False, None, InfeasibilityCertificate("integral", tuple(y))))
         x = [0] * self.ncols
@@ -355,35 +377,21 @@ class IntegerSystem:
                         x[j] += ci * urow[j]
         return self._checked(rhs, IntSolveResult(True, tuple(x), None))
 
-    def _pivot_dual(self, k: int) -> list[Fraction]:
-        """y supported on pivot coordinates with y . h_j = delta_{jk}."""
+    def _dual(self, k: int = -1, q: int | None = None) -> list[Fraction]:
+        """y on the pivot coordinates with y . h_j = delta_{jk}; or, for a
+        non-pivot column q, y_q = 1 and y . h_j = 0 for every basis row."""
         basis, pivots, _ = self._lattice_data()
         r = len(basis)
         alpha = [Fraction(0)] * r
         for j in range(r - 1, -1, -1):
-            s = Fraction(1 if j == k else 0)
+            s = Fraction(int(j == k) if q is None else -basis[j][q])
             for l in range(j + 1, r):
                 if basis[j][pivots[l]]:
                     s -= alpha[l] * basis[j][pivots[l]]
             alpha[j] = s / basis[j][pivots[j]]
         y = [Fraction(0)] * self.nrows
-        for l in range(r):
-            y[pivots[l]] = alpha[l]
-        return y
-
-    def _orthogonal_dual(self, q: int) -> list[Fraction]:
-        """y with y . h_j = 0 for all j and y_q = 1 (q not a pivot column)."""
-        basis, pivots, _ = self._lattice_data()
-        r = len(basis)
-        alpha = [Fraction(0)] * r
-        for j in range(r - 1, -1, -1):
-            s = Fraction(-basis[j][q])
-            for l in range(j + 1, r):
-                if basis[j][pivots[l]]:
-                    s -= alpha[l] * basis[j][pivots[l]]
-            alpha[j] = s / basis[j][pivots[j]]
-        y = [Fraction(0)] * self.nrows
-        y[q] = Fraction(1)
+        if q is not None:
+            y[q] = Fraction(1)
         for l in range(r):
             y[pivots[l]] = alpha[l]
         return y
@@ -412,25 +420,8 @@ class ModSolveResult:
 
 
 def verify_mod_result(rows: Matrix, rhs: list[int], modulus: int, result: ModSolveResult) -> bool:
-    n = len(rows[0]) if rows else (len(result.witness) if result.witness else 0)
-    if result.feasible:
-        x = result.witness
-        if x is None or len(x) != n:
-            return False
-        return all(
-            sum(a * v for a, v in zip(row, x)) % modulus == b % modulus
-            for row, b in zip(rows, rhs)
-        )
-    y = result.certificate
-    if y is None or len(y) != len(rows):
-        return False
-    acc = [0] * n
-    for yi, row in zip(y, rows):
-        if yi:
-            acc = [a + yi * r for a, r in zip(acc, row)]
-    if any(a % modulus for a in acc):
-        return False
-    return sum(a * b for a, b in zip(y, rhs)) % modulus != 0
+    """Substitution check for a witness or certificate of A x = b (mod d)."""
+    return _verify(rows, rhs, result, modulus, result.certificate, modulus)
 
 
 def _factor(n: int) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ messages naming the offending field; nothing is silently ignored.
 from __future__ import annotations
 
 import json
+from math import prod
 
 from .errors import ModelFormatError
 from .pauli import (
@@ -71,7 +72,9 @@ def _parse_pauli_block(block) -> StructuredModel:
     return build_state_independent_model(ops)
 
 
-def _parse_action(block) -> CoefficientAction:
+def _parse_action(block, nmeas: int) -> CoefficientAction:
+    """The coefficient action; its group must fit among the ``nmeas``
+    measurements it embeds into injectively, checked before it is built."""
     if not isinstance(block, dict):
         raise ModelFormatError("'partial_monoid.action' must be an object")
     unknown = set(block) - {"moduli", "images"}
@@ -85,6 +88,10 @@ def _parse_action(block) -> CoefficientAction:
     if (not isinstance(images, list)
             or not all(isinstance(x, str) for x in images)):
         raise ModelFormatError("'action.images' must list measurement labels")
+    if prod(moduli) > nmeas:
+        raise ModelFormatError(
+            f"coefficient group of order {prod(moduli)} cannot embed into "
+            f"{nmeas} measurements")
     return CoefficientAction(tuple(moduli), tuple(images))
 
 
@@ -210,7 +217,7 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
     if "contexts" not in block or "action" not in block:
         raise ModelFormatError(
             "'partial_monoid' needs 'contexts' and 'action'")
-    action = _parse_action(block["action"])
+    action = _parse_action(block["action"], len(meas))
     tables = _parse_tables(block["contexts"], ctxs, slot)
     return StructuredModel(model, tables, action)
 

@@ -20,6 +20,11 @@ members as flat int lists.  Labels appear only at the edge: the
 constructors, the label methods (``add``, ``defined``, ``orbit_of``,
 ``members``, ``act``, ``value_at``), the label dicts that the splitting
 lemma functions take and return, and error messages.
+
+The splitting law (values in the group, the homomorphism law on the
+subset's composable pairs, the embedding retracted) has one checker,
+``_splitting_law``: ``validate_splitting`` and the trivialisation checks
+both call it.
 """
 
 from __future__ import annotations
@@ -689,16 +694,31 @@ def _check_invariant_subset(q: Quotient, labs: tuple) -> _Subset:
     return _Subset(labs, ids, tuple(bad), (xs, ys, zs))
 
 
-def _group_ids(q: Quotient, sub: _Subset, values, what: str):
-    """The group id of each value, per parent id (-1 off the subset),
-    and the violations of values that are not group elements."""
+def _splitting_law(q: Quotient, sub: _Subset, values) -> list[str]:
+    """The one check of the splitting law: what keeps ``values``, the
+    group element at each label of the subset, from a left splitting.
+
+    Values that are not group elements are reported alone; otherwise the
+    composable pairs where the homomorphism law fails, then the embedding
+    images in the subset that the values do not retract.
+    """
     ids = [-1] * q.parent.size
     bad = []
     for x, i, v in zip(sub.labels, sub.ids, values):
         ids[i] = q.action.id_of(v)
         if ids[i] < 0:
-            bad.append(f"{what} value {v!r} at {x!r} is not a group element")
-    return ids, bad
+            bad.append(f"value {v!r} at {x!r} is not a group element")
+    if bad:
+        return bad
+    els = q.parent.elements
+    table, order = q.group_sums, len(q.embedding)
+    bad = [f"not a homomorphism at ({els[x]!r}, {els[y]!r})"
+           for x, y, z in zip(*sub.pairs)
+           if ids[z] != table[ids[x] * order + ids[y]]]
+    group = q.action.elements()
+    bad += [f"does not retract the embedding at i({group[a]})"
+            for a, img in enumerate(q.embedding) if ids[img] not in (-1, a)]
+    return bad
 
 
 def validate_splitting(q: Quotient, labels, s) -> ValidationReport:
@@ -707,18 +727,7 @@ def validate_splitting(q: Quotient, labels, s) -> ValidationReport:
     bad = list(sub.violations)
     bad += [f"splitting undefined at {x!r}" for x in sub.labels if x not in s]
     if not bad:
-        ids, bad = _group_ids(q, sub, [s[x] for x in sub.labels], "splitting")
-    if bad:
-        return ValidationReport(tuple(bad))
-    els = q.parent.elements
-    table, order = q.group_sums, len(q.embedding)
-    bad = [f"not a homomorphism at ({els[x]!r}, {els[y]!r})"
-           for x, y, z in zip(*sub.pairs)
-           if ids[z] != table[ids[x] * order + ids[y]]]
-    group = q.action.elements()
-    for a, img in enumerate(q.embedding):
-        if els[img] in s and tuple(s[els[img]]) != group[a]:
-            bad.append(f"does not retract the embedding at i({group[a]})")
+        bad = _splitting_law(q, sub, [s[x] for x in sub.labels])
     return ValidationReport(tuple(bad))
 
 
@@ -789,25 +798,15 @@ def _require_trivialisation(q: Quotient, labels, phi) -> None:
             raise StructureError(
                 f"second component is not the quotient map at {x!r}")
     # with the second components pinned to pi, injectivity and the
-    # homomorphism law are about the first components alone
-    ids, bad = _group_ids(q, sub, [phi[x][0] for x in sub.labels],
-                          "trivialisation")
-    if bad:
-        raise StructureError(bad[0])
-    if len({ids[i] * q.monoid.size + orbit[i] for i in sub.ids}) != len(
+    # splitting law are about the first components alone
+    firsts = [phi[x][0] for x in sub.labels]
+    if len({(tuple(a), orbit[i]) for a, i in zip(firsts, sub.ids)}) != len(
             sub.ids):
         raise StructureError("trivialisation is not injective")
-    table, order = q.group_sums, len(q.embedding)
-    group, els = q.action.elements(), q.parent.elements
-    for x, y, z in zip(*sub.pairs):
-        if ids[z] != table[ids[x] * order + ids[y]]:
-            raise StructureError(f"trivialisation not a homomorphism at "
-                                 f"({els[x]!r}, {els[y]!r})")
-    for a, img in enumerate(q.embedding):
-        if els[img] in phi and tuple(phi[els[img]][0]) != group[a]:
-            raise StructureError(
-                f"trivialisation does not extend the embedding at "
-                f"i({group[a]})")
+    bad = _splitting_law(q, sub, firsts)
+    if bad:
+        raise StructureError(f"trivialisation breaks the splitting law: "
+                             f"{bad[0]}")
 
 
 def right_splitting_of(q: Quotient, labels, phi):

@@ -532,6 +532,29 @@ def test_cross_check_noncontextual_model():
     assert all(r.cech_vanishes and r.group_vanishes for r in report.rows)
 
 
+def test_cross_check_audits_the_collapse(monkeypatch):
+    """On a model whose sections all vanish, a collapsed family with one
+    value flipped, outside the pinned context or at -I, fails the
+    cross-check's audit of the collapse."""
+    st = build_state_independent_model(
+        [parse_pauli(s) for s in ("+X", "+Z", "-I")])
+    scenario = st.model.scenario
+    # the cross-check collapses context 0's first section first
+    outside = next(x for x in scenario.measurements
+                   if x not in scenario.contexts[0])
+    real = cech_module.collapse_family
+    for label, match in ((outside, "not a global splitting"),
+                         ("-I", "collapse")):
+        def flipped(model, family, _label=label):
+            out = real(model, family)
+            out[_label] = (out[_label] + 1) % 2
+            return out
+
+        monkeypatch.setattr(cech_module, "collapse_family", flipped)
+        with pytest.raises(InternalCheckError, match=match):
+            cross_check_obstructions(st)
+
+
 def test_analyzer_rejects_signalling_model():
     sc = MeasurementScenario.make(("a", "b", "c"), 2,
                                   [("a", "b"), ("b", "c")])
@@ -570,9 +593,9 @@ def test_no_signalling_is_decided_by_the_set_up(hardy, mermin, monkeypatch):
 
 
 def test_audits_reject_mutated_refutations(mermin):
-    """A parity certificate with one refuter bit flipped, or with a pin
-    moved to another section or to one the context does not list, fails
-    its audit."""
+    """A parity certificate with one refuter bit flipped, with a pair
+    row's coefficient raised from 1/2 to 1, or with a pin moved to another
+    section or to one the context does not list, fails its audit."""
     model = mermin.model
     ana = CechAnalyzer(model)
     mutants = 0
@@ -585,6 +608,10 @@ def test_audits_reject_mutated_refutations(mermin):
             dropped = CechCertificate(
                 "parity", tuple(rows[:k] + rows[k + 1:]),
                 tuple(coeffs[:k] + coeffs[k + 1:]))
+            assert coeffs[k] == Fraction(1, 2)
+            raised = CechCertificate(
+                "parity", cert.rows,
+                tuple(coeffs[:k] + [Fraction(1)] + coeffs[k + 1:]))
             pin = rows.index(("pin", ci, s))
             other = secs[(secs.index(s) + 1) % len(secs)]
             moved = list(rows)
@@ -593,7 +620,8 @@ def test_audits_reject_mutated_refutations(mermin):
             unknown[pin] = ("pin", ci, Section.of({"zz": 0}))
             wider = list(rows)  # agrees with s on the context, but is not s
             wider[pin] = ("pin", ci, Section.of({**s.as_dict(), "zz": 0}))
-            for bad in (dropped, CechCertificate("parity", tuple(moved),
+            for bad in (dropped, raised,
+                        CechCertificate("parity", tuple(moved),
                                                  cert.coefficients),
                         CechCertificate("parity", tuple(unknown),
                                         cert.coefficients),
@@ -619,7 +647,59 @@ def test_audits_reject_mutated_refutations(mermin):
                 with pytest.raises(InternalCheckError):
                     ana._audit_route2_refutation(ci, dec.cocycle, bad)
                 mutants += 1
-    assert mutants == 6 * 24
+    assert mutants == 7 * 24
+
+
+def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
+    """A vanishing verdict's family with one coefficient moved to another
+    section of its context fails the route-1 audit, as it fails the
+    independent one; a potential with its sign flipped, or
+    with one section added where it meets the pinned context, fails the
+    route-2 audit; a lone section on a pair meeting the pinned context
+    leaves the kernel presheaf."""
+    moved = negated = widened = 0
+    for model in _differential_models(hardy, mermin, ghz):
+        ana = CechAnalyzer(model)
+        contexts = model.scenario.contexts
+        for ci, secs in enumerate(model.sections):
+            for s in secs:
+                dec = ana.family_obstruction(ci, s)
+                if not dec.vanishes:
+                    continue
+                (c, t), k = next(((key, k) for key, k in dec.family.items()
+                                  if key[0] != ci
+                                  and len(model.sections[key[0]]) > 1))
+                other = next(u for u in model.sections[c] if u != t)
+                bad = dict(dec.family)
+                del bad[(c, t)]
+                bad[(c, other)] = bad.get((c, other), 0) + k
+                bad = {key: v for key, v in bad.items() if v}
+                with pytest.raises(AssertionError):
+                    _audit_family(model, ci, s, bad)
+                with pytest.raises(InternalCheckError):
+                    ana._audit_family(ci, s, bad)
+                moved += 1
+                r2 = ana.connecting_cocycle(ci, s)
+                if r2.cocycle:
+                    with pytest.raises(InternalCheckError, match="bound"):
+                        ana._audit_potential(ci, r2.cocycle, {
+                            j: {u: -v for u, v in fs.items()}
+                            for j, fs in r2.potential.items()})
+                    negated += 1
+                j = next(j for j, ctx in enumerate(contexts)
+                         if j != ci and set(ctx) & set(contexts[ci]))
+                wide = {**r2.potential, j: dict(r2.potential.get(j, {}))}
+                u = model.sections[j][0]
+                wide[j][u] = wide[j].get(u, 0) + 1
+                with pytest.raises(InternalCheckError, match="kernel"):
+                    ana._audit_potential(ci, r2.cocycle, wide)
+                widened += 1
+        for (i, j), labels in ana.pair_overlaps.items():
+            t = restrict_section(model.sections[i][0], labels)
+            for c in (i, j):
+                assert ana._leaves_kernel(
+                    c, cech_module.CechCochain(1, {(i, j): {t: 1}}))
+    assert moved > 100 and negated > 100 and widened > 100
 
 
 # --- Sections on int rows -------------------------------------------------------

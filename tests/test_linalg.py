@@ -15,6 +15,9 @@ from contextuality.errors import PreconditionError
 from contextuality.linalg import (
     Gf2AffineSystem,
     Gf2Echelon,
+    InfeasibilityCertificate,
+    IntSolveResult,
+    ModSolveResult,
     ModSystem,
     affine_annihilator,
     hermite_normal_form,
@@ -217,14 +220,20 @@ def test_solve_integer_feasible_fuzz():
             assert sum(a * v for a, v in zip(row, res.witness)) == b
 
 
-def test_solve_integer_random_rhs_fuzz():
+def _integer_fuzz_systems():
+    """The seeded systems ``(A, b)`` of the random right-hand-side fuzz."""
     rng = random.Random(47)
-    seen_infeasible = 0
     for _ in range(150):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         mat = _rand_matrix(rng, m, n, -3, 3)
-        rhs = [rng.randint(-6, 6) for _ in range(m)]
+        yield mat, [rng.randint(-6, 6) for _ in range(m)]
+
+
+def test_solve_integer_random_rhs_fuzz():
+    seen_infeasible = 0
+    for mat, rhs in _integer_fuzz_systems():
+        m, n = len(mat), len(mat[0])
         res = solve_integer(mat, rhs)
         assert verify_integer_result(mat, rhs, res)
         if not res.feasible:
@@ -269,14 +278,23 @@ def _brute_mod(rows, rhs, d, n):
     return None
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12])
-def test_solve_mod_brute_force(d):
+MODULI = [2, 3, 4, 6, 8, 9, 12]
+
+
+def _mod_fuzz_systems(d):
+    """The seeded systems ``(A, b)`` of the brute-force fuzz mod d."""
     rng = random.Random(100 + d)
     for _ in range(60):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
         rows = [[rng.randrange(d) for _ in range(n)] for _ in range(m)]
-        rhs = [rng.randrange(d) for _ in range(m)]
+        yield rows, [rng.randrange(d) for _ in range(m)]
+
+
+@pytest.mark.parametrize("d", MODULI)
+def test_solve_mod_brute_force(d):
+    for rows, rhs in _mod_fuzz_systems(d):
+        m, n = len(rows), len(rows[0])
         res = solve_mod(rows, rhs, d)
         brute = _brute_mod(rows, rhs, d, n)
         assert res.feasible == (brute is not None)
@@ -305,6 +323,65 @@ def test_solve_mod_twelve_unknowns():
     rhs2 = [0] * n
     res2 = solve_mod(rows, rhs2, 2)
     assert res2.feasible and set(res2.witness) == {0}
+
+
+def _separates_directly(rows, rhs, y, modulus):
+    """y^T A = 0 and y^T b != 0 modulo ``modulus`` (0: exactly, 1: modulo
+    the integers), column by column over Fractions."""
+    def vanishes(v):
+        return v == 0 if modulus == 0 else (v / modulus).denominator == 1
+    cols = [sum(Fraction(yi) * row[j] for yi, row in zip(y, rows))
+            for j in range(len(rows[0]))]
+    pairing = sum(Fraction(yi) * b for yi, b in zip(y, rhs))
+    return all(map(vanishes, cols)) and not vanishes(pairing)
+
+
+def _certificate_mutants(rhs, y, halve):
+    """Per row i in the support of y: y_i halved, row i dropped, and b_i
+    changed, each as ``(rhs, y)``."""
+    for i, yi in enumerate(y):
+        if yi:
+            for new_y, new_b in ((halve(yi), rhs[i]), (0, rhs[i]),
+                                 (yi, rhs[i] + 1)):
+                yield (rhs[:i] + [new_b] + rhs[i + 1:],
+                       tuple(y[:i]) + (new_y,) + tuple(y[i + 1:]))
+
+
+def test_verifiers_reject_mutated_certificates():
+    """Corrupted certificates from the seeded fuzz systems are rejected by
+    ``verify_integer_result`` and ``verify_mod_result`` exactly when a
+    direct check finds them invalid.  A mutant can stay valid (a changed
+    b_i often leaves the pairing nonzero), but most do not."""
+    mutants = rejected = 0
+    for mat, rhs in _integer_fuzz_systems():
+        res = solve_integer(mat, rhs)
+        if res.feasible:
+            continue
+        cert = res.certificate
+        modulus = 0 if cert.kind == "rational" else 1
+        assert _separates_directly(mat, rhs, cert.vector, modulus)
+        for new_rhs, y in _certificate_mutants(rhs, cert.vector,
+                                               lambda v: v / 2):
+            bad = IntSolveResult(False, None,
+                                 InfeasibilityCertificate(cert.kind, y))
+            valid = _separates_directly(mat, new_rhs, y, modulus)
+            assert verify_integer_result(mat, new_rhs, bad) == valid
+            mutants += 1
+            rejected += not valid
+    for d in MODULI:
+        for rows, rhs in _mod_fuzz_systems(d):
+            res = solve_mod(rows, rhs, d)
+            if res.feasible:
+                continue
+            assert _separates_directly(rows, rhs, res.certificate, d)
+            for new_rhs, y in _certificate_mutants(rhs, res.certificate,
+                                                   lambda v: v // 2):
+                valid = _separates_directly(rows, new_rhs, y, d)
+                assert verify_mod_result(rows, new_rhs, d, ModSolveResult(
+                    False, None, y)) == valid
+                mutants += 1
+                rejected += not valid
+    assert mutants > 1000 and rejected > 2 * mutants / 3
 
 
 def test_kernel_mod_fuzz():

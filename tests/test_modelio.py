@@ -203,3 +203,20 @@ def test_context_listed_twice_is_rejected(hardy):
         row[::-1] for row in doc["sections"]["0"]]
     with pytest.raises(ModelFormatError, match="listed twice"):
         document_to_model(doc)
+
+
+def test_oversized_coefficient_group_is_rejected_at_load(mermin, tmp_path):
+    """The group embeds injectively into the measurements, so a document
+    whose group outnumbers them is a format error, raised before the
+    group is built; ``validate`` exits 2."""
+    from contextuality import cli
+
+    doc = model_to_document(mermin.structured)
+    assert len(doc["measurements"]) == 20
+    doc["partial_monoid"]["action"]["moduli"] = [64]
+    text = json.dumps(doc)
+    with pytest.raises(ModelFormatError, match="order 64 cannot embed"):
+        loads_model(text)
+    path = tmp_path / "oversized.json"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 2
