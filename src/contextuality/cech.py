@@ -35,8 +35,9 @@ from .pmonoid import StructuredModel, validate_splitting
 from .scenario import (
     EmpiricalModel,
     Section,
+    _cover_connected,
     check_no_signalling,
-    extension_rows,
+    extension_table,
     restrict_section,
 )
 
@@ -205,9 +206,9 @@ class CechAnalyzer:
     works in kernel coordinates of the unpinned compatibility system,
     which is echeloned over GF(2) once; route 2's system is A in
     kernel-presheaf coordinates.  A query the parity stage does not
-    refute tries the global-section shortcut (one pinned search per
-    section, remembered for the other route), then an exact integer
-    system, built on first use per context and cached.
+    refute tries the global-section shortcut (the model's
+    ``extension_table``, made by the first query to reach it), then an
+    exact integer system, built on first use per context and cached.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -257,20 +258,24 @@ class CechAnalyzer:
             [sum(1 << k for k, v in row.items() if v % 2) for row in self.rows],
             self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
+        self.connected = _cover_connected(contexts)
         self._route1_gf2: dict[int, Gf2AffineSystem] = {}
         self._route1_int: dict[int, IntegerSystem] = {}
         self._route2_data: dict[int, tuple] = {}
         self._route2_int: dict[int, IntegerSystem] = {}
-        # (context, section position) -> extension_rows, or None: one
-        # pinned search per section, shared by both shortcuts
-        self._extension = functools.cache(
-            functools.partial(extension_rows, model))
+
+    def _position(self, context_index: int, section: Section) -> int:
+        """The pinned section's position.  On a disconnected cover nothing
+        fixes a family's mass on a component without the pin."""
+        if not self.connected:
+            raise PreconditionError("Cech analysis needs a connected cover")
+        return self.model.section_index(context_index, section)
 
     # -- route 1: pinned compatible-family feasibility -------------------
 
     def family_obstruction(self, context_index: int,
                            section: Section) -> FamilyDecision:
-        s_pos = self.model.section_index(context_index, section)
+        s_pos = self._position(context_index, section)
         off, secs = self.blocks[context_index]
         _sol, ref = self._route1_parity(context_index).solve(1 << s_pos)
         if ref is not None:
@@ -366,7 +371,7 @@ class CechAnalyzer:
     def _integral_family(self, context_index, section, off, secs, s_pos):
         # shortcut: a global section through s0 is itself a compatible
         # family with coefficient 1 everywhere.
-        g = self._extension(context_index, s_pos)
+        g = self._table[context_index][s_pos]
         if g is not None:
             family = {(ci, ss[u]): 1
                       for ci, ((_o, ss), u) in enumerate(zip(self.blocks, g))}
@@ -400,6 +405,10 @@ class CechAnalyzer:
             lambda r: self.tags[r] if r < npair
             else ("pin", context_index, secs[r - npair]))
 
+    @functools.cached_property
+    def _table(self):
+        return extension_table(self.model)
+
     def _audit_family(self, context_index, section, family) -> None:
         """A claimed family must be pinned, mass-1 and pair-compatible."""
         per_ctx: dict = {}
@@ -419,7 +428,7 @@ class CechAnalyzer:
 
     def connecting_cocycle(self, context_index: int,
                            section: Section) -> CocycleDecision:
-        s_pos = self.model.section_index(context_index, section)
+        s_pos = self._position(context_index, section)
         basis, classes, parity = self._route2_rows(context_index)
         # the lift takes, in each context, the representative of s0's class
         lift = [reps[key_c[s_pos]] for key_c, reps in classes]
@@ -494,7 +503,7 @@ class CechAnalyzer:
     def _route2_potential(self, context_index, s_pos, lift, cocycle, rhs):
         """Integer potential via the global-section shortcut, else the
         exact solver on the kernel-coordinate system."""
-        g = self._extension(context_index, s_pos)
+        g = self._table[context_index][s_pos]
         if g is not None:
             potential = {}
             for j, ((_o, secs), u, v) in enumerate(zip(self.blocks, lift, g)):
@@ -526,11 +535,16 @@ class CechAnalyzer:
 
     def _leaves_kernel(self, context_index, cochain) -> bool:
         """Does some value of a cochain on the nerve restrict to a nonzero
-        sum into the pinned context, i.e. leave the kernel presheaf?"""
+        sum into the pinned context, i.e. leave the kernel presheaf?  On a
+        support disjoint from that context, restriction to the empty
+        section is the sum of the coefficients."""
         c0 = set(self.model.scenario.contexts[context_index])
         supports = self.nerve.supports
-        return any(fs_restrict(fs, [x for x in supports[simplex] if x in c0])
-                   for simplex, fs in cochain.values.items())
+        for simplex, fs in cochain.values.items():
+            labels = [x for x in supports[simplex] if x in c0]
+            if fs_restrict(fs, labels) if labels else sum(fs.values()):
+                return True
+        return False
 
     def _audit_potential(self, context_index, cocycle, potential) -> None:
         """potential must live in the kernel presheaf and bound z."""

@@ -28,6 +28,12 @@ _EXPLICIT_KEYS = {"measurements", "outcome_modulus", "contexts", "sections",
 _PAULI_KEYS = {"pauli"}
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: ``true`` and ``false`` are Python ints, but not
+    integers of the format."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_state_text(spec, n: int) -> GaussianStateVector:
     """A state is "ghz:<n>" or a full list of [re, im] integer pairs."""
     if isinstance(spec, str):
@@ -40,7 +46,7 @@ def parse_state_text(spec, n: int) -> GaussianStateVector:
     entries = []
     for pair in spec:
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)):
+                or not all(_is_int(v) for v in pair)):
             raise ModelFormatError(
                 "state amplitudes must be [re, im] integer pairs")
         entries.append((pair[0], pair[1]))
@@ -83,7 +89,7 @@ def _parse_action(block, nmeas: int) -> CoefficientAction:
     moduli = block.get("moduli")
     images = block.get("images")
     if (not isinstance(moduli, list)
-            or not all(isinstance(d, int) for d in moduli)):
+            or not all(_is_int(d) for d in moduli)):
         raise ModelFormatError("'action.moduli' must list integers")
     if (not isinstance(images, list)
             or not all(isinstance(x, str) for x in images)):
@@ -152,7 +158,7 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
             or not all(isinstance(x, str) for x in meas)):
         raise ModelFormatError("'measurements' must list labels")
     d = doc["outcome_modulus"]
-    if not isinstance(d, int):
+    if not _is_int(d):
         raise ModelFormatError("'outcome_modulus' must be an integer")
     ctxs = doc["contexts"]
     if (not isinstance(ctxs, list)
@@ -192,7 +198,7 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
         parsed = []
         for row in rows:
             if (not isinstance(row, list) or len(row) != len(ctx)
-                    or not all(isinstance(v, int) for v in row)):
+                    or not all(_is_int(v) for v in row)):
                 raise ModelFormatError(
                     f"sections[{key}] rows must list one outcome per "
                     f"measurement of context {list(ctx)}")

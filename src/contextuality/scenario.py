@@ -17,9 +17,9 @@ measurements' remaining values, and a value stays only while every
 context containing the measurement has a row that uses it.  It branches
 fail first, on the context with the fewest remaining rows, and undoes
 each branch from one trail of changes instead of copying state.
-``classify`` reuses witnesses: every global section found marks all the
-sections it restricts to as extendable, so a pinned search runs only for
-sections not yet marked.
+``extension_table`` is the one classification pass: each global section
+found marks every row it restricts to, so a pinned search runs only for
+unmarked rows; ``classify`` and the Cech shortcuts read the marks.
 
 Sections run on int rows: ``EmpiricalModel.make`` reads each section's
 outcomes once, in its context's label order, and ``pair_restrictions``
@@ -312,9 +312,10 @@ class _Search:
     row count is pushed on one undo trail, so backtracking restores a
     node's state without copying it.  The root state is made arc
     consistent once, and every search starts from it and returns to it.
-    ``seen[c][r]`` records the rows that some global section found so far
-    restricts to, ``unseen[c]`` counts the rows of ``c`` alive at the root
-    and not seen yet, and ``fresh`` lists the contexts with such rows.
+    ``seen[c][r]`` is the first global section found through row r of c,
+    as one row position per context, or None; ``unseen[c]`` counts the rows
+    of ``c`` alive at the root and not seen yet, and ``fresh`` lists the
+    contexts with such rows.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -330,7 +331,7 @@ class _Search:
         self.dom = [(1 << self.d) - 1] * len(pos)
         self.perm = [list(range(len(rows))) for rows in self.rows]
         self.size = [len(rows) for rows in self.rows]
-        self.seen = [[False] * len(rows) for rows in self.rows]
+        self.seen = [[None] * len(rows) for rows in self.rows]
         self.trail: list[tuple[int, int]] = []
         self.consistent = self._propagate(range(len(self.scope)))
         self.unseen = list(self.size)
@@ -414,9 +415,10 @@ class _Search:
         context has one value left; measurements in no context range over
         Z_d.
         """
-        for c, p in enumerate(self.perm):
-            if not self.seen[c][p[0]]:
-                self.seen[c][p[0]] = True
+        g = tuple(p[0] for p in self.perm)
+        for c, r in enumerate(g):
+            if self.seen[c][r] is None:
+                self.seen[c][r] = g
                 self.unseen[c] -= 1
         self.fresh = [c for c in self.fresh if self.unseen[c]]
         values = [[v for v in range(self.d) if mask >> v & 1]
@@ -446,7 +448,7 @@ class _Search:
             else:
                 seen = self.seen[c]
                 rows = sorted(self.perm[c][:self.size[c]],
-                              key=lambda r: (seen[r], r))
+                              key=lambda r: (seen[r] is not None, r))
                 stack.append((c, iter(rows), len(self.trail)))
             ok = False
             while stack and not ok:
@@ -485,16 +487,6 @@ def extension(model: EmpiricalModel, context_index: int, section: Section) -> Se
     return Section.from_values(model.scenario.measurements, found[0]) if found else None
 
 
-def extension_rows(model: EmpiricalModel, context_index: int, row: int) -> list[int] | None:
-    """Per context, the row position that a global section through row
-    ``row`` of context ``context_index`` restricts to, or None; one pinned
-    ``_Search`` decides it, as in ``extension``."""
-    search = _Search(model)
-    found = search.search((context_index, row))
-    return None if not found else [rows.index(tuple(found[0][m] for m in scope))
-                                   for rows, scope in zip(model.rows, search.scope)]
-
-
 def section_extends(model: EmpiricalModel, context_index: int, section: Section) -> bool:
     """Does an allowed context section extend to some global section?"""
     return extension(model, context_index, section) is not None
@@ -527,24 +519,32 @@ class ContextualityClass:
         return self.kind
 
 
-def classify(model: EmpiricalModel) -> ContextualityClass:
-    """Possibilistic contextuality class of a model.
+def extension_table(model: EmpiricalModel) -> list[list[tuple[int, ...] | None]]:
+    """``[c][r]``: the first global section found through row r of context
+    c, as one row position per context, or None where none extends the row.
 
-    One ``_Search`` serves the whole classification and reuses its
-    witnesses: every global section it finds marks each section it
-    restricts to as extendable.  A pinned search runs only for a section
-    not yet marked, and it branches on unmarked rows first, so each global
-    section it finds tends to mark new sections as well.  Sections whose
-    pinned search fails are the witnesses, in context and section order.
+    One ``_Search`` fills it: an unpinned search, then a pinned search for
+    each row still unmarked, which branches on unmarked rows first.
     """
     search = _Search(model)
-    if not search.search():
+    if search.search():
+        for c, marks in enumerate(search.seen):
+            for r, g in enumerate(marks):
+                if g is None:
+                    search.search((c, r))
+    return search.seen
+
+
+def classify(model: EmpiricalModel) -> ContextualityClass:
+    """Possibilistic contextuality class of a model, read off
+    ``extension_table``: the witnesses are its None entries, in context and
+    section order, and no global section at all is strong contextuality.
+    """
+    table = extension_table(model)
+    if table and all(g is None for g in table[0]):
         return ContextualityClass("strongly_contextual")
-    witnesses = []
-    for ci, secs in enumerate(model.sections):
-        for r, s in enumerate(secs):
-            if not search.seen[ci][r] and not search.search((ci, r)):
-                witnesses.append((ci, s))
+    witnesses = tuple((c, model.sections[c][r]) for c, marks in enumerate(table)
+                      for r, g in enumerate(marks) if g is None)
     if witnesses:
-        return ContextualityClass("logically_contextual", tuple(witnesses))
+        return ContextualityClass("logically_contextual", witnesses)
     return ContextualityClass("noncontextual")

@@ -6,12 +6,15 @@ behind its own bookkeeping.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import contextuality.cech as cech_module
+import contextuality.scenario as scenario_module
+from contextuality import cli
 from contextuality.avn import theory_of
 from contextuality.cech import (
     CechAnalyzer,
@@ -25,6 +28,7 @@ from contextuality.cech import (
     make_cech_cochain,
 )
 from contextuality.errors import InternalCheckError, PreconditionError
+from contextuality.modelio import document_to_model, model_to_document
 from contextuality.pauli import build_state_independent_model, parse_pauli
 from contextuality.scenario import (
     EmpiricalModel,
@@ -32,7 +36,7 @@ from contextuality.scenario import (
     Section,
     check_no_signalling,
     classify,
-    extension_rows,
+    extension_table,
     global_sections,
     restrict_section,
     section_extends,
@@ -406,9 +410,10 @@ def _certificate_key(cert):
 
 
 def test_shared_analyzer_answers_like_fresh_ones(hardy, mermin):
-    """The per-context systems an analyzer caches must not make an answer
-    depend on earlier queries: one analyzer queried in reverse section
-    order agrees, on both routes, with a fresh analyzer per query."""
+    """The per-context systems and the extension table an analyzer caches
+    must not make an answer depend on earlier queries: one analyzer
+    queried in reverse section order agrees, on both routes, with a fresh
+    analyzer per query, down to its families, cocycles and potentials."""
     routes = (CechAnalyzer.family_obstruction, CechAnalyzer.connecting_cocycle)
     for bundle in (hardy, mermin):
         model = bundle.model
@@ -422,28 +427,54 @@ def test_shared_analyzer_answers_like_fresh_ones(hardy, mermin):
                 assert got.vanishes == want.vanishes
                 assert (_certificate_key(got.certificate)
                         == _certificate_key(want.certificate))
+                for field in ("family", "cocycle", "potential"):
+                    assert (getattr(got, field, None)
+                            == getattr(want, field, None))
 
 
-def test_both_routes_share_one_pinned_search(hardy, monkeypatch):
-    """A section that parity does not refute is pinned once per analyzer:
-    route 1's family and route 2's potential reuse the same extension,
-    and a None answer is remembered as well."""
-    calls = []
-    real = cech_module.extension_rows
+def test_both_routes_share_one_pinned_search(hardy, mermin, ghz,
+                                             monkeypatch):
+    """An analyzer builds one search over all its queries on both routes:
+    the extension table, made by the first query that reaches the
+    global-section shortcut.  On mermin and ghz parity refutes every
+    section, so none is built."""
+    built = []
+    real = scenario_module._Search.__init__
 
-    def counted(model, ci, row):
-        calls.append((ci, model.sections[ci][row]))
-        return real(model, ci, row)
+    def counted(self, model):
+        built.append(model)
+        real(self, model)
 
-    monkeypatch.setattr(cech_module, "extension_rows", counted)
-    model = hardy.model
-    ana = CechAnalyzer(model)
-    for ci, sec in ((1, model.sections[1][0]),
-                    (0, Section.of({"a1": 0, "b1": 0}))):
-        calls.clear()
-        assert ana.family_obstruction(ci, sec).vanishes
-        assert ana.connecting_cocycle(ci, sec).vanishes
-        assert calls == [(ci, sec)]
+    monkeypatch.setattr(scenario_module._Search, "__init__", counted)
+    for bundle, searches in ((hardy, 1), (mermin, 0), (ghz, 0)):
+        model = bundle.model
+        ana = CechAnalyzer(model)
+        built.clear()
+        for ci, secs in enumerate(model.sections):
+            for sec in secs:
+                ana.family_obstruction(ci, sec)
+                ana.connecting_cocycle(ci, sec)
+        assert len(built) == searches
+
+
+def test_disconnected_cover_is_bad_input(hardy, tmp_path, capsys):
+    """On a disconnected cover nothing fixes a family's mass on a component
+    without the pinned context, so both routes refuse the model as bad
+    input before any solve, and ``--cech`` exits 2; ``--classify`` works."""
+    doc = model_to_document(hardy.model)
+    doc["measurements"].append("e")
+    doc["contexts"].append(["e"])
+    doc["sections"][str(len(doc["contexts"]) - 1)] = [[0]]
+    ana = CechAnalyzer(document_to_model(doc))
+    witness = Section.of({"a1": 0, "b1": 0})
+    for route in (ana.family_obstruction, ana.connecting_cocycle):
+        with pytest.raises(PreconditionError, match="connected cover"):
+            route(0, witness)
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path), "--cech"]) == 2
+    assert "connected cover" in capsys.readouterr().err
+    assert cli.main(["analyze", str(path), "--classify"]) == 0
 
 
 # --- Route 2 --------------------------------------------------------------------
@@ -702,6 +733,29 @@ def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
     assert moved > 100 and negated > 100 and widened > 100
 
 
+def test_kernel_check_on_supports_disjoint_from_the_pin(hardy):
+    """Into a pinned context that shares no label with a support, a sum
+    restricts to its total coefficient: the kernel-presheaf check rejects
+    a nonzero total there, on potentials and on cocycle entries alike."""
+    model = hardy.model
+    ana = CechAnalyzer(model)
+    contexts = model.scenario.contexts
+    assert not set(contexts[0]) & set(contexts[3])
+    assert not set(contexts[0]) & set(ana.pair_overlaps[(2, 3)])
+    s, t = model.sections[3][:2]
+    cochain = cech_module.CechCochain
+    assert ana._leaves_kernel(0, cochain(0, {(3,): {s: 1}}))
+    assert not ana._leaves_kernel(0, cochain(0, {(3,): {s: 2, t: -2}}))
+    u = restrict_section(s, ana.pair_overlaps[(2, 3)])
+    assert ana._leaves_kernel(0, cochain(1, {(2, 3): {u: -1}}))
+    r2 = ana.connecting_cocycle(0, model.sections[0][1])
+    assert r2.vanishes
+    wide = {**r2.potential, 3: dict(r2.potential.get(3, {}))}
+    wide[3][s] = wide[3].get(s, 0) + 1
+    with pytest.raises(InternalCheckError, match="kernel"):
+        ana._audit_potential(0, r2.cocycle, wide)
+
+
 # --- Sections on int rows -------------------------------------------------------
 
 
@@ -721,9 +775,7 @@ def test_loaded_models_are_read_from_int_rows(hardy, mermin, ghz,
     for model in models:
         classify(model)
         CechAnalyzer(model)
-        for ci, secs in enumerate(model.sections):
-            for u in range(len(secs)):
-                extension_rows(model, ci, u)
+        extension_table(model)
         check_no_signalling(model)
         theory_of(model)
     assert calls == []

@@ -220,3 +220,26 @@ def test_oversized_coefficient_group_is_rejected_at_load(mermin, tmp_path):
     path = tmp_path / "oversized.json"
     path.write_text(text)
     assert cli.main(["validate", str(path)]) == 2
+
+
+def test_booleans_are_not_integers(hardy, mermin, tmp_path):
+    """JSON ``true`` and ``false`` decode to Python ints; the loader still
+    rejects them wherever the format asks for an integer, and
+    ``validate`` exits 2."""
+    from contextuality import cli
+
+    bad_row = model_to_document(hardy.model)
+    bad_row["sections"]["0"][0] = [True, False]
+    bad_modulus = model_to_document(hardy.model)
+    bad_modulus["outcome_modulus"] = True
+    bad_state = {"pauli": {"generators": ["+XX", "+ZZ", "-II"],
+                           "state": [[1, 0], [0, 0], [0, 0], [True, 0]]}}
+    bad_moduli = model_to_document(mermin.structured)
+    bad_moduli["partial_monoid"]["action"]["moduli"] = [True]
+    for k, doc in enumerate((bad_row, bad_modulus, bad_state, bad_moduli)):
+        text = json.dumps(doc)
+        with pytest.raises(ModelFormatError):
+            loads_model(text)
+        path = tmp_path / f"boolean{k}.json"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 2

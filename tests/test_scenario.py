@@ -16,6 +16,7 @@ from contextuality.scenario import (
     check_no_signalling,
     classify,
     extension,
+    extension_table,
     global_sections,
     restrict_section,
     section_extends,
@@ -269,6 +270,80 @@ def test_search_matches_brute_force_on_random_models():
         kinds.add(expected.kind)
     assert kinds == {"noncontextual", "logically_contextual",
                      "strongly_contextual"}
+
+
+def _no_signalling_models(rng):
+    """Restrictions of a few random global assignments to 1-5 contexts,
+    each also with one row dropped or one mixing those assignments added,
+    to be kept where no-signalling survives;
+    then the PR box (strongly contextual) and a scenario with no contexts."""
+    for _ in range(30):
+        d = rng.choice((2, 3))
+        labels = [f"m{i}" for i in range(rng.randint(2, 6))]
+        contexts = sorted({tuple(sorted(rng.sample(labels, rng.randint(
+            1, min(3, len(labels)))))) for _ in range(rng.randint(1, 5))})
+        scenario = MeasurementScenario.make(labels, d, contexts)
+        globals_ = [{m: rng.randrange(d) for m in labels}
+                    for _ in range(rng.randint(1, 4))]
+        rows = [{tuple(g[m] for m in ctx) for g in globals_}
+                for ctx in scenario.contexts]
+        yield scenario, rows
+        ci = rng.randrange(len(rows))
+        changed = [set(r) for r in rows]
+        if len(rows[ci]) > 1 and rng.random() < 0.5:
+            changed[ci].discard(min(rows[ci]))
+        else:
+            changed[ci].add(tuple(rng.choice(globals_)[m]
+                                  for m in scenario.contexts[ci]))
+        yield scenario, changed
+    pr = _pr_box()
+    yield pr.scenario, [set(r) for r in pr.rows]
+    yield MeasurementScenario.make(("x",), 2, ()), []
+
+
+def test_extension_table_matches_pinned_searches(hardy):
+    """On those models and on hardy, every entry of the classification
+    pass's table agrees with a fresh pinned search: None exactly where
+    ``extension`` finds nothing, and
+    otherwise a global section, one row per context, through its own row
+    whose rows agree on every pair overlap; ``classify``'s witnesses are
+    the None entries, in order, unless every entry is None."""
+    rng = random.Random(9)
+    kinds, tested = set(), 0
+    hardy_rows = (hardy.model.scenario, hardy.model.rows)
+    for scenario, rows in [*_no_signalling_models(rng), hardy_rows]:
+        model = EmpiricalModel.make(scenario, [
+            [Section.of(dict(zip(ctx, r))) for r in sorted(rs)]
+            for ctx, rs in zip(scenario.contexts, rows)])
+        if not check_no_signalling(model).ok:
+            continue
+        table = extension_table(model)
+        assert len(table) == len(model.sections)
+        overlaps = list(model.pair_restrictions())
+        for c, marks in enumerate(table):
+            assert len(marks) == len(model.sections[c])
+            for r, g in enumerate(marks):
+                assert ((g is None)
+                        == (extension(model, c, model.sections[c][r]) is None))
+                if g is not None:
+                    assert len(g) == len(table) and g[c] == r
+                    assert all(left[g[i]] == right[g[j]]
+                               for i, j, _l, left, right in overlaps)
+        blocked = tuple((c, model.sections[c][r])
+                        for c, marks in enumerate(table)
+                        for r, g in enumerate(marks) if g is None)
+        verdict = classify(model)
+        if verdict.strongly_contextual:  # every entry None, none listed
+            assert len(blocked) == sum(map(len, table)) and table
+            blocked = ()
+        assert verdict.witnesses == blocked
+        kinds.add(verdict.kind)
+        tested += 1
+    assert tested >= 45
+    assert kinds == {"noncontextual", "logically_contextual",
+                     "strongly_contextual"}
+    empty = EmpiricalModel.make(MeasurementScenario.make(("x",), 2, ()), ())
+    assert classify(empty).kind == "noncontextual"
 
 
 def _chain_model(rng, n):

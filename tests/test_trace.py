@@ -3,8 +3,10 @@
 ``perfbench/spans.py`` patches public functions and methods by name from
 outside the library.  This runs it, unchanged, in a child process (its
 patches are global) over the mermin cross-check and a noncontextual
-Pauli model, whose vanishing sections reach the reconstruction.  A
-renamed layer would read 0 there, so each span and counter must not.
+Pauli model, whose vanishing sections reach the reconstruction and the
+Cech global-section shortcut.  A renamed layer, or a shortcut that sent
+them to the lattice stage, would read 0 there, so each span and counter
+must not.
 """
 
 import json
@@ -41,5 +43,6 @@ def test_tracer_sees_the_group_route():
                  "cech.route1", "cech.route2", "cech.crosscheck"):
         assert seen["self_ns"].get(span, 0) > 0, span
     for counter in ("mcohom.triples_audited", "mcohom.quotient_elements",
-                    "cech.rows", "cech.unknowns"):
+                    "cech.rows", "cech.unknowns",
+                    "cech.route1.shortcut", "cech.route2.shortcut"):
         assert seen["counts"].get(counter, 0) > 0, counter
