@@ -6,28 +6,41 @@ from __future__ import annotations
 def maximal_cliques(n: int, adjacent) -> list[tuple[int, ...]]:
     """All maximal cliques of the graph on ``range(n)``, canonically sorted.
 
-    ``adjacent(i, j)`` must be symmetric and irreflexive.  Bron-Kerbosch
-    with pivoting; the output is independent of search order because each
+    ``adjacent(i, j)`` must be symmetric and irreflexive; it is read once
+    per pair into int bitmask rows.  Bron-Kerbosch with pivoting on those
+    bitmasks; the output is independent of search order because each
     clique is sorted and the list of cliques is sorted lexicographically.
     """
-    neighbours = [set() for _ in range(n)]
+    neighbours = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if adjacent(i, j):
-                neighbours[i].add(j)
-                neighbours[j].add(i)
+                neighbours[i] |= 1 << j
+                neighbours[j] |= 1 << i
     out: list[tuple[int, ...]] = []
 
-    def expand(r: set, p: set, x: set) -> None:
+    def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
-            out.append(tuple(sorted(r)))
+            out.append(tuple(_members(r)))
             return
-        pivot = max(p | x, key=lambda v: len(neighbours[v] & p))
-        for v in sorted(p - neighbours[pivot]):
-            expand(r | {v}, p & neighbours[v], x & neighbours[v])
-            p = p - {v}
-            x = x | {v}
+        most = -1
+        for v in _members(p | x):
+            degree = (neighbours[v] & p).bit_count()
+            if degree > most:
+                most, pivot = degree, v
+        for v in _members(p & ~neighbours[pivot]):
+            expand(r | 1 << v, p & neighbours[v], x & neighbours[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    expand(set(), set(range(n)), set())
+    expand(0, (1 << n) - 1, 0)
     out.sort()
     return out
+
+
+def _members(mask: int):
+    """The set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -186,8 +186,10 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
         try:
             ci = int(key)
         except ValueError:
+            ci = None
+        if ci is None or key != str(ci):
             raise ModelFormatError(
-                f"section key {key!r} is not a context index") from None
+                f"section key {key!r} is not a context index")
         if not 0 <= ci < len(ctxs):
             raise ModelFormatError(f"section key {key!r} out of range")
         if by_index[slot[ci]] is not None:

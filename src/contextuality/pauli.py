@@ -13,6 +13,21 @@ the maximal pairwise-commuting subsets, and the possibilistic table at
 each context consists of the group homomorphisms to Z_2 sending -I to
 1.  State vectors over the Gaussian integers make the Born-rule
 support test exact.
+
+Models are built on (x, z, phase) int triples between parsing and
+``EmpiricalModel.make``, in the style of Aaronson and Gottesman
+(quant-ph/0406196): commutation is the parity of (x1 & z2) ^ (z1 & x2),
+and products follow the phase rule of ``multiply``.  Each closure
+member's label is made once.  A context of k = 2^r members is an
+elementary abelian 2-group; ``_coordinates`` picks a greedy basis of r
+generators and gives every member a coordinate mask over it, so the
+product of two members is the member whose mask is the xor of theirs,
+and a homomorphism ``hom`` to Z_2 takes the parity of ``hom & mask``.
+Born supports are tested on the basis alone.  That is exact: for a
+homomorphism chi, each member p is a product of basis generators, and
+the product of the factors (I + chi(p) p) over the whole context equals
+2^(k - r) times the product over the basis, so one annihilates the
+state exactly when the other does.
 """
 
 from __future__ import annotations
@@ -26,6 +41,41 @@ from .scenario import EmpiricalModel, MeasurementScenario, Section
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS = {v: k for k, v in _LETTERS.items()}
+_MINUS = (0, 0, 2)
+
+
+def _word(x: int, z: int, n: int) -> str:
+    return "".join(_LETTERS[((x >> k) & 1, (z >> k) & 1)]
+                   for k in range(n - 1, -1, -1))
+
+
+def _word_key(x: int, z: int) -> int:
+    """Sorts words of one length as their strings do: each letter is a
+    base-4 digit, I < X < Y < Z, qubit 1 the most significant."""
+    y = x ^ z
+    key = 0
+    for k in range((x | z).bit_length()):
+        key |= (((z >> k) & 1) << 1 | ((y >> k) & 1)) << 2 * k
+    return key
+
+
+def _order(p: PauliOperator) -> tuple[int, int]:
+    """The (word, phase) order of operators on one qubit count."""
+    return (_word_key(p.x, p.z), p.phase)
+
+
+def _mul(p, q):
+    """Product of (x, z, phase) triples, tracking the i^phase prefactor."""
+    px, pz, pph = p
+    qx, qz, qph = q
+    x, z = px ^ qx, pz ^ qz
+    return (x, z, (pph + qph + (pz & px).bit_count() + (qz & qx).bit_count()
+                   + 2 * (pz & qx).bit_count() - (z & x).bit_count()) % 4)
+
+
+def _anticommute(p, q) -> int:
+    """1 when the triples anticommute, 0 when they commute."""
+    return ((p[0] & q[1]) ^ (p[1] & q[0])).bit_count() & 1
 
 
 @dataclass(frozen=True, order=True)
@@ -49,9 +99,7 @@ class PauliOperator:
 
     @property
     def word(self) -> str:
-        return "".join(
-            _LETTERS[((self.x >> k) & 1, (self.z >> k) & 1)]
-            for k in range(self.n - 1, -1, -1))
+        return _word(self.x, self.z, self.n)
 
     @property
     def is_sign_operator(self) -> bool:
@@ -97,19 +145,13 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Exact operator product, tracking the i^phase prefactor."""
     if p.n != q.n:
         raise PreconditionError("qubit counts differ")
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
-    phase = (p.phase + q.phase
-             + (p.z & p.x).bit_count() + (q.z & q.x).bit_count()
-             + 2 * (p.z & q.x).bit_count()
-             - (z3 & x3).bit_count()) % 4
-    return PauliOperator(p.n, x3, z3, phase)
+    return PauliOperator(p.n, *_mul((p.x, p.z, p.phase), (q.x, q.z, q.phase)))
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     if p.n != q.n:
         raise PreconditionError("qubit counts differ")
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
+    return not _anticommute((p.x, p.z), (q.x, q.z))
 
 
 def close_under_commuting_products(ops) -> tuple[PauliOperator, ...]:
@@ -126,25 +168,30 @@ def close_under_commuting_products(ops) -> tuple[PauliOperator, ...]:
     for p in pool:
         if not p.is_sign_operator:
             raise PreconditionError(f"{p} is not a sign operator")
-    frontier = set(pool)
+    members = {(p.x, p.z, p.phase) for p in pool}
+    frontier = set(members)
     while frontier:
         fresh = set()
         for p in frontier:
-            for q in pool:
-                if commutes(p, q):
-                    r = multiply(p, q)
-                    if r not in pool and r not in fresh:
+            for q in members:
+                if not _anticommute(p, q):
+                    r = _mul(p, q)
+                    if r not in members:
                         fresh.add(r)
-        pool |= fresh
+        members |= fresh
         frontier = fresh
-    return tuple(sorted(pool, key=lambda p: (p.word, p.phase)))
+    n = sizes.pop()
+    return tuple(sorted((PauliOperator(n, *t) for t in members), key=_order))
 
 
 def maximal_contexts(ops) -> list[tuple[PauliOperator, ...]]:
     """Maximal pairwise-commuting subsets of a product-closed set."""
     ops = tuple(ops)
+    if len({p.n for p in ops}) > 1:
+        raise PreconditionError("qubit counts differ")
+    xz = [(p.x, p.z) for p in ops]
     cliques = maximal_cliques(
-        len(ops), lambda i, j: commutes(ops[i], ops[j]))
+        len(ops), lambda i, j: not _anticommute(xz[i], xz[j]))
     return [tuple(ops[i] for i in cl) for cl in cliques]
 
 
@@ -265,6 +312,52 @@ def determined_outcomes(ops, state: GaussianStateVector):
 # --- Contexts as elementary abelian 2-groups --------------------------
 
 
+def _coordinates(members, n: int):
+    """Greedy basis of a context and the coordinate mask of each member.
+
+    ``members`` are (x, z, phase) triples in (word, phase) order on ``n``
+    qubits.  Each member not yet spanned joins the basis, and its
+    products with the members spanned so far are placed at their masks,
+    so that ``span[m]`` is the position of the member whose coordinate
+    mask is m.  Returns the basis positions and ``span``.  The checks
+    run in O(k + r^2) for k members and r generators: the identity is
+    present, the basis commutes, every product placed is a member and
+    is placed once (so the masks cover all k members), and a generator
+    that squares to -I finds -I in the context.
+    """
+    def named(t):
+        return PauliOperator(n, *t)
+
+    index = {t: i for i, t in enumerate(members)}
+    if (0, 0, 0) not in index:
+        raise PreconditionError("context must contain the identity")
+    span = [index[(0, 0, 0)]]
+    placed = set(span)
+    basis: list[int] = []
+    for i, p in enumerate(members):
+        if i in placed:
+            continue
+        for b in basis:
+            if _anticommute(p, members[b]):
+                raise PreconditionError(
+                    f"{named(members[b])} and {named(p)} do not commute")
+        if p[2] % 2 and _MINUS not in index:
+            raise PreconditionError(
+                f"context not product-closed at {named(p)}, {named(p)}")
+        for j in list(span):
+            at = index.get(_mul(p, members[j]))
+            if at is None:
+                raise PreconditionError(
+                    f"context not product-closed at {named(p)}, "
+                    f"{named(members[j])}")
+            if at in placed:
+                raise PreconditionError("context is not a subgroup")
+            placed.add(at)
+            span.append(at)
+        basis.append(i)
+    return basis, span
+
+
 def context_splittings(context) -> list[dict[PauliOperator, int]]:
     """All admissible joint-outcome assignments on a closed context.
 
@@ -274,93 +367,75 @@ def context_splittings(context) -> list[dict[PauliOperator, int]]:
     1 survive (quantum mechanics forbids the rest, and so does the
     algebra of eigenvalues).
     """
-    ops = sorted(set(context), key=lambda p: (p.word, p.phase))
+    ops = sorted(set(context), key=_order)
     if not ops:
         raise PreconditionError("empty context")
     n = ops[0].n
-    ident = identity(n)
-    if ident not in ops:
-        raise PreconditionError("context must contain the identity")
-    members = set(ops)
-    for i, p in enumerate(ops):
-        for q in ops[i:]:
-            if not commutes(p, q):
-                raise PreconditionError(f"{p} and {q} do not commute")
-            if multiply(p, q) not in members:
-                raise PreconditionError(
-                    f"context not product-closed at {p}, {q}")
-    # Greedy basis; every sign operator squares to +I, so the context
-    # is an elementary abelian 2-group.
-    coords: dict[PauliOperator, int] = {ident: 0}
-    basis: list[PauliOperator] = []
-    for p in ops:
-        if p in coords:
-            continue
-        bit = 1 << len(basis)
-        for q, mask in list(coords.items()):
-            coords[multiply(p, q)] = mask | bit
-        basis.append(p)
-    if len(coords) != len(ops):
-        raise PreconditionError("context is not a subgroup")
-    minus = negate(ident)
+    if any(p.n != n for p in ops):
+        raise PreconditionError("qubit counts differ")
+    triples = [(p.x, p.z, p.phase) for p in ops]
+    basis, span = _coordinates(triples, n)
+    minus = span.index(triples.index(_MINUS)) if _MINUS in triples else 0
     out = []
     for hom in range(1 << len(basis)):
-        s = {p: (hom & mask).bit_count() % 2 for p, mask in coords.items()}
-        if minus in s and s[minus] != 1:
+        if minus and not (hom & minus).bit_count() & 1:
             continue
-        out.append(s)
+        out.append({ops[at]: (hom & m).bit_count() & 1
+                    for m, at in enumerate(span)})
     return out
 
 
 # --- Model builders ----------------------------------------------------
 
 
-def _scenario_from_closure(closure):
-    ops = tuple(closure)
-    n = ops[0].n
-    minus = negate(identity(n))
-    if identity(n) not in ops or minus not in ops:
+def _build(closure, state) -> StructuredModel:
+    """The structured model of a closure; with a ``state``, a context's
+    homomorphism survives only if its Born support is nonzero on the
+    context's basis generators."""
+    n = closure[0].n
+    triples = [(p.x, p.z, p.phase) for p in closure]
+    at = {t: i for i, t in enumerate(triples)}
+    if (0, 0, 0) not in at or _MINUS not in at:
         raise PreconditionError("closure must contain +I...I and -I...I")
-    by_label = {p.label(): p for p in ops}
-    contexts = [tuple(p.label() for p in ctx) for ctx in maximal_contexts(ops)]
+    labels = [("+" if ph == 0 else "-") + _word(x, z, n)
+              for x, z, ph in triples]
+    # Cliques come in closure (= measurement) order and sorted, which is
+    # the order MeasurementScenario.make keeps for contexts.
+    contexts = [[at[(p.x, p.z, p.phase)] for p in ctx]
+                for ctx in maximal_contexts(closure)]
     scenario = MeasurementScenario.make(
-        tuple(by_label), 2, contexts)
-    return scenario, by_label
-
-
-def _context_tables(scenario, by_label):
-    tables = []
-    for ctx in scenario.contexts:
-        ops = {lab: by_label[lab] for lab in ctx}
-        tables.append({
-            (a, b): multiply(ops[a], ops[b]).label()
-            for a in ctx for b in ctx})
-    return tuple(tables)
-
-
-def _sections_for(scenario, by_label, keep=None):
-    sections = []
-    for ctx in scenario.contexts:
-        ops = [by_label[lab] for lab in ctx]
+        labels, 2, [[labels[i] for i in ids] for ids in contexts])
+    tables, sections = [], []
+    for ids in contexts:
+        basis, span = _coordinates([triples[i] for i in ids], n)
+        mask = [0] * len(ids)
+        for m, j in enumerate(span):
+            mask[j] = m
+        lab = [labels[i] for i in ids]
+        tables.append({(lab[a], lab[b]): lab[span[ma ^ mb]]
+                       for a, ma in enumerate(mask)
+                       for b, mb in enumerate(mask)})
+        minus = mask[ids.index(at[_MINUS])]
+        gens = [closure[ids[b]] for b in basis]
         rows = []
-        for s in context_splittings(ops):
-            if keep is not None and not keep(s):
+        for hom in range(1 << len(basis)):
+            if not (hom & minus).bit_count() & 1:
                 continue
-            rows.append(Section.of({p.label(): v for p, v in s.items()}))
-        sections.append(tuple(rows))
-    return tuple(sections)
+            if state is not None and not born_consistent(
+                    {g: (hom >> k) & 1 for k, g in enumerate(gens)}, state):
+                continue
+            rows.append(Section.from_values(
+                lab, [(hom & m).bit_count() & 1 for m in mask]))
+        sections.append(rows)
+    model = EmpiricalModel.make(scenario, sections)
+    action = CoefficientAction((2,), (labels[at[_MINUS]],))
+    return StructuredModel(model, tuple(tables), action)
 
 
 def build_state_independent_model(generators) -> StructuredModel:
     """Scenario, possibilistic table and monoid structure from sign
     operators; every admissible assignment is allowed at each context."""
-    closure = close_under_commuting_products(generators)
-    scenario, by_label = _scenario_from_closure(closure)
-    sections = _sections_for(scenario, by_label)
-    model = EmpiricalModel.make(scenario, sections)
-    n = closure[0].n
-    action = CoefficientAction((2,), (negate(identity(n)).label(),))
-    return StructuredModel(model, _context_tables(scenario, by_label), action)
+    return _build(close_under_commuting_products(generators), None)
 
 
 def build_state_dependent_model(generators,
@@ -373,9 +448,4 @@ def build_state_dependent_model(generators,
         raise PreconditionError("state and operators disagree on qubits")
     if state.is_zero:
         raise PreconditionError("state vector must be nonzero")
-    scenario, by_label = _scenario_from_closure(closure)
-    sections = _sections_for(
-        scenario, by_label, keep=lambda s: born_consistent(s, state))
-    model = EmpiricalModel.make(scenario, sections)
-    action = CoefficientAction((2,), (negate(identity(state.n)).label(),))
-    return StructuredModel(model, _context_tables(scenario, by_label), action)
+    return _build(closure, state)

@@ -164,3 +164,102 @@ class SplittingOracle:
                for x in labels}
         self.require_trivialisation(labels, phi)
         return phi
+
+
+# --- Label-level reference for the Pauli model build ---------------------
+#
+# The build on PauliOperator objects, one operator at a time: closure by
+# pairwise ``commutes`` and ``multiply``, contexts by set-based
+# Bron-Kerbosch over ``commutes``, greedy coordinates by ``multiply``,
+# every table entry as ``multiply(a, b).label()`` and Born supports over
+# every member of a context.
+
+from contextuality.pauli import (  # noqa: E402
+    born_consistent,
+    commutes,
+    identity,
+    multiply,
+    negate,
+)
+from contextuality.pmonoid import CoefficientAction, StructuredModel  # noqa: E402
+from contextuality.scenario import (  # noqa: E402
+    EmpiricalModel,
+    MeasurementScenario,
+    Section,
+)
+
+
+def _reference_closure(generators):
+    pool = set(generators)
+    frontier = set(pool)
+    while frontier:
+        fresh = {multiply(p, q) for p in frontier for q in pool
+                 if commutes(p, q)} - pool
+        pool |= fresh
+        frontier = fresh
+    return sorted(pool, key=lambda p: (p.word, p.phase))
+
+
+def _reference_cliques(ops):
+    nbrs = [{j for j, q in enumerate(ops) if j != i and commutes(p, q)}
+            for i, p in enumerate(ops)]
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda v: len(nbrs[v] & p))
+        for v in sorted(p - nbrs[pivot]):
+            expand(r | {v}, p & nbrs[v], x & nbrs[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(range(len(ops))), set())
+    return sorted(out)
+
+
+def _reference_splittings(ops):
+    """Homomorphisms to Z_2 sending -I to 1, on coordinates of a greedy
+    basis; ``ops`` in (word, phase) order."""
+    ident = identity(ops[0].n)
+    coords = {ident: 0}
+    rank = 0
+    for p in ops:
+        if p not in coords:
+            for q, mask in list(coords.items()):
+                coords[multiply(p, q)] = mask | 1 << rank
+            rank += 1
+    assert set(coords) == set(ops)
+    minus = negate(ident)
+    out = []
+    for hom in range(1 << rank):
+        s = {p: bin(hom & mask).count("1") % 2 for p, mask in coords.items()}
+        if s.get(minus, 1) == 1:
+            out.append(s)
+    return out
+
+
+def reference_pauli_model(generators, state=None) -> StructuredModel:
+    """The structured model of ``generators``, kept to the sections whose
+    Born support on ``state`` is nonzero when a state is given."""
+    closure = _reference_closure(generators)
+    ident = identity(closure[0].n)
+    if ident not in closure or negate(ident) not in closure:
+        raise PreconditionError("closure must contain +I...I and -I...I")
+    labels = [p.label() for p in closure]
+    by_label = dict(zip(labels, closure))
+    scenario = MeasurementScenario.make(
+        labels, 2, [[labels[i] for i in cl]
+                    for cl in _reference_cliques(closure)])
+    tables, sections = [], []
+    for ctx in scenario.contexts:
+        ops = [by_label[lab] for lab in ctx]
+        tables.append({(a.label(), b.label()): multiply(a, b).label()
+                       for a in ops for b in ops})
+        sections.append([Section.of({p.label(): v for p, v in s.items()})
+                         for s in _reference_splittings(ops)
+                         if state is None or born_consistent(s, state)])
+    return StructuredModel(EmpiricalModel.make(scenario, sections),
+                           tuple(tables),
+                           CoefficientAction((2,), (negate(ident).label(),)))

@@ -243,3 +243,20 @@ def test_booleans_are_not_integers(hardy, mermin, tmp_path):
         path = tmp_path / f"boolean{k}.json"
         path.write_text(text)
         assert cli.main(["validate", str(path)]) == 2
+
+
+def test_section_keys_are_canonical_indices(hardy, tmp_path):
+    """A section key must be a context index spelled as ``str(index)``;
+    ``int`` would read each of these as 0, and the loader rejects them
+    and ``validate`` exits 2."""
+    from contextuality import cli
+
+    for k, key in enumerate((" 0", "+0", "00", "0_0", "٠", "-0", "0 ")):
+        doc = model_to_document(hardy.model)
+        doc["sections"][key] = doc["sections"].pop("0")
+        text = json.dumps(doc)
+        with pytest.raises(ModelFormatError, match="not a context index"):
+            loads_model(text)
+        path = tmp_path / f"key{k}.json"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 2

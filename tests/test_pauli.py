@@ -17,7 +17,10 @@ from contextuality.pauli import (
     PauliOperator,
     apply_pauli,
     born_consistent,
+    build_state_dependent_model,
+    build_state_independent_model,
     close_under_commuting_products,
+    commutes,
     context_splittings,
     determined_outcomes,
     ghz_state,
@@ -29,7 +32,7 @@ from contextuality.pauli import (
 )
 from contextuality.fixtures import MERMIN_GENERATORS
 
-from _oracles import all_ops, op_matrix, state_vector
+from _oracles import all_ops, op_matrix, reference_pauli_model, state_vector
 
 _I = np.eye(2, dtype=complex)
 
@@ -225,3 +228,111 @@ def test_context_splittings_preconditions():
     with pytest.raises(PreconditionError):
         context_splittings(
             [identity(2), parse_pauli("+XI"), parse_pauli("+ZI")])
+    # i*I and i*X square to -I, which the context lacks
+    with pytest.raises(PreconditionError):
+        context_splittings([identity(1), PauliOperator(1, 0, 0, 1),
+                            parse_pauli("+X"), PauliOperator(1, 1, 0, 1)])
+
+
+def _random_generators(rng, cap=40):
+    """1-4 random signed words on 1-4 qubits, mostly with -I..I, whose
+    closure has at most ``cap`` members."""
+    while True:
+        n = rng.randint(1, 4)
+        gens = [parse_pauli(rng.choice("+-") + "".join(
+            rng.choice("IXYZ") for _ in range(n)))
+            for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.8:
+            gens.append(negate(identity(n)))
+        if len(close_under_commuting_products(gens)) <= cap:
+            return n, gens
+
+
+def _random_state(rng, n, gens):
+    """Gaussian-integer amplitudes, often sparse, then projected by
+    (I +/- g) for some generators g, so that many joint outcomes get zero
+    probability."""
+    density = rng.choice((0.15, 0.3, 0.9))
+    size = rng.choice((1, 2))
+    state = None
+    while state is None or state.is_zero:
+        state = GaussianStateVector(n, tuple(
+            (rng.randint(-size, size), rng.randint(-size, size))
+            if rng.random() < density else (0, 0) for _ in range(1 << n)))
+    for g in gens:
+        sign = rng.choice((-1, 0, 1))
+        moved = apply_pauli(g, state).entries
+        projected = GaussianStateVector(n, tuple(
+            (a + sign * c, b + sign * d)
+            for (a, b), (c, d) in zip(state.entries, moved)))
+        if sign and not projected.is_zero:
+            state = projected
+    return state
+
+
+def _structured_dump(st):
+    m = st.model
+    return (m.scenario, m.sections, m.rows,
+            [list(t.items()) for t in st.context_ops], st.action)
+
+
+def _build_or_error(build):
+    try:
+        return _structured_dump(build())
+    except PreconditionError:
+        return PreconditionError
+
+
+def test_build_matches_label_level_reference():
+    rng = random.Random(10)
+    kinds = {"none": 0, "ghz": 0, "gaussian": 0}
+    for k in range(120):
+        n, gens = _random_generators(rng)
+        kind = ("none", "ghz", "gaussian")[k % 3]
+        if kind == "none":
+            got = _build_or_error(lambda: build_state_independent_model(gens))
+            want = _build_or_error(lambda: reference_pauli_model(gens))
+        else:
+            state = (ghz_state(n) if kind == "ghz"
+                     else _random_state(rng, n, gens))
+            got = _build_or_error(
+                lambda: build_state_dependent_model(gens, state))
+            want = _build_or_error(lambda: reference_pauli_model(gens, state))
+        assert got == want, (kind, [str(g) for g in gens])
+        kinds[kind] += got is not PreconditionError
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_born_support_on_the_basis_matches_projectors():
+    """The state-dependent build tests Born supports on each context's
+    basis only; every homomorphism it keeps (drops) must have a nonzero
+    (zero) product of projectors over all the context's members."""
+    rng = random.Random(11)
+    checked = dropped = 0
+    for _ in range(150):
+        # up to four commuting words, so that contexts reach 2^5 members
+        n = rng.randint(1, 4)
+        size = rng.randint(2, 5)
+        pool = [p for p in all_ops(n) if p.is_sign_operator]
+        rng.shuffle(pool)
+        gens = [negate(identity(n))]
+        for p in pool:
+            if len(gens) < size and all(commutes(p, q) for q in gens):
+                gens.append(p)
+        state = _random_state(rng, n, gens)
+        model = build_state_dependent_model(gens, state).model
+        closure = {p.label(): p for p in close_under_commuting_products(gens)}
+        vec = state_vector(state)
+        for ctx, kept in zip(model.scenario.contexts, model.sections):
+            ops = [closure[lab] for lab in ctx]
+            for s in context_splittings(ops):
+                proj = np.eye(1 << n, dtype=complex)
+                for p, a in s.items():
+                    proj = proj @ (np.eye(1 << n) + (-1) ** a * op_matrix(p))
+                want = bool(np.linalg.norm(proj @ vec) > 1e-9)
+                section = {p.label(): a for p, a in s.items()}
+                got = any(t.as_dict() == section for t in kept)
+                assert got == want, (ctx, section)
+                checked += 1
+                dropped += not want
+    assert checked > 600 and dropped > 300, (checked, dropped)

@@ -1,12 +1,14 @@
-"""The benchmark's layer tracer still finds the group and Cech routes' names.
+"""The benchmark's layer tracer still finds the library's layer names.
 
 ``perfbench/spans.py`` patches public functions and methods by name from
 outside the library.  This runs it, unchanged, in a child process (its
-patches are global) over the mermin cross-check and a noncontextual
+patches are global) over the mermin cross-check, a noncontextual
 Pauli model, whose vanishing sections reach the reconstruction and the
-Cech global-section shortcut.  A renamed layer, or a shortcut that sent
-them to the lattice stage, would read 0 there, so each span and counter
-must not.
+Cech global-section shortcut, and one state-dependent Pauli document
+loaded through ``loads_model``, whose build calls the closure, context
+and Born-support names.  A renamed layer, a build that stopped calling
+those names, or a shortcut that sent sections to the lattice stage,
+would read 0 there, so each span and counter must not.
 """
 
 import json
@@ -28,6 +30,9 @@ for st in (ctx.get_fixture("mermin").structured,
            build_state_independent_model(
                [parse_pauli(s) for s in ("+X", "+Z", "-I")])):
     assert ctx.cross_check_obstructions(st).consistent
+ctx.loads_model(json.dumps({"pauli": {
+    "generators": ["+XXX", "+XYY", "+ZZI", "+IZZ", "-III"],
+    "state": "ghz:3"}}))
 print(json.dumps({"self_ns": tracer.self_ns, "counts": tracer.counts}))
 """
 
@@ -40,9 +45,12 @@ def test_tracer_sees_the_group_route():
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     for span in ("pmonoid.glue", "pmonoid.quotient", "pmonoid.reconstruct",
                  "mcohom.audit", "mcohom.decide", "cech.setup",
-                 "cech.route1", "cech.route2", "cech.crosscheck"):
+                 "cech.route1", "cech.route2", "cech.crosscheck",
+                 "pauli.build", "pauli.closure", "pauli.contexts",
+                 "pauli.born"):
         assert seen["self_ns"].get(span, 0) > 0, span
     for counter in ("mcohom.triples_audited", "mcohom.quotient_elements",
                     "cech.rows", "cech.unknowns",
-                    "cech.route1.shortcut", "cech.route2.shortcut"):
+                    "cech.route1.shortcut", "cech.route2.shortcut",
+                    "pauli.operators", "pauli.contexts"):
         assert seen["counts"].get(counter, 0) > 0, counter
