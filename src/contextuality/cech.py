@@ -37,7 +37,6 @@ from .scenario import (
     Section,
     _cover_connected,
     check_no_signalling,
-    extension_table,
     restrict_section,
 )
 
@@ -193,11 +192,13 @@ class CechAnalyzer:
     The compatibility matrix A has a column per context section and a row
     per pair i < j of overlapping contexts and section t of the overlap:
     +1 on C_i's and -1 on C_j's sections restricting to t, so A x is
-    -delta(x) read on the pairs i < j.  Set-up reads each pair's overlap
-    labels and both sides' rows at the overlap positions from the model's
-    ``pair_restrictions``, rejects a signalling model when the two sides'
-    restriction sets differ, and keeps, per pair, an int list per side
-    from section position to row; only the audits restrict again.
+    -delta(x) read on the pairs i < j.  A is kept once, as its incidence:
+    ``rows[r]`` tags row r ("pair", i, j, t), and per pair an int list per
+    side maps section positions to rows, read from ``pair_restrictions``
+    (a signalling model, whose two sides restrict to different sets, is
+    rejected).  ``_columns`` reads A on any column basis for the GF(2)
+    echelon and both routes' systems, ``_pair_row`` reads the rows that
+    certificates name, and only the audits restrict sections again.
 
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
@@ -206,9 +207,9 @@ class CechAnalyzer:
     works in kernel coordinates of the unpinned compatibility system,
     which is echeloned over GF(2) once; route 2's system is A in
     kernel-presheaf coordinates.  A query the parity stage does not
-    refute tries the global-section shortcut (the model's
-    ``extension_table``, made by the first query to reach it), then an
-    exact integer system, built on first use per context and cached.
+    refute tries the global-section shortcut (the model's cached
+    ``extension_table``), then an exact integer system, built on first
+    use per context and cached.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -226,8 +227,7 @@ class CechAnalyzer:
         self._side = {(j, j): range(len(secs))
                       for j, secs in enumerate(model.sections)}
         self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
-        self.rows = []   # sparse {unknown: coeff}
-        self.tags = []   # ("pair", i, j, section over the overlap)
+        self.rows = []   # ("pair", i, j, section over the overlap)
         for i, j, labels, left, right in model.pair_restrictions():
             below = set(left)
             if set(right) != below:
@@ -238,25 +238,21 @@ class CechAnalyzer:
             below = sorted(below)
             row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
             self.pair_overlaps[(i, j)] = labels
-            self.rows.extend({} for _ in below)
-            self.tags.extend(("pair", i, j, Section.from_values(labels, key))
+            self.rows.extend(("pair", i, j, Section.from_values(labels, key))
                              for key in below)
             for k, other, sign, keys in ((i, j, 1, left), (j, i, -1, right)):
                 side = [row_of[key] for key in keys]
                 self._side[(k, other)] = side
                 self._incident[k].append((side, sign))
-                for col, r in enumerate(side, self.blocks[k][0]):
-                    self.rows[r][col] = sign
-        self._row_of = {tag: r for r, tag in enumerate(self.tags)}
+        self._row_of = {tag: r for r, tag in enumerate(self.rows)}
+        self._rows_read: dict[tuple, dict] = {}
         # the audits' nerve: contexts in degree 0, pairs i < j in degree 1
         self.nerve = Nerve(
             (tuple((c,) for c in range(len(contexts))),
              tuple(self.pair_overlaps)),
             {**{(c,): ctx for c, ctx in enumerate(contexts)},
              **self.pair_overlaps})
-        self._gf2 = Gf2Echelon(
-            [sum(1 << k for k, v in row.items() if v % 2) for row in self.rows],
-            self.nunknowns)
+        self._gf2 = Gf2Echelon(_parity_masks(self._columns()), self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
         self.connected = _cover_connected(contexts)
         self._route1_gf2: dict[int, Gf2AffineSystem] = {}
@@ -295,13 +291,8 @@ class CechAnalyzer:
         coordinates of the compatibility system."""
         if context_index not in self._route1_gf2:
             off, secs = self.blocks[context_index]
-            masks = []
-            for u in range(len(secs)):
-                mask = 0
-                for k, vec in enumerate(self._kernel):
-                    if (vec >> (off + u)) & 1:
-                        mask |= 1 << k
-                masks.append(mask)
+            masks = [sum(1 << k for k, vec in enumerate(self._kernel)
+                         if vec >> (off + u) & 1) for u in range(len(secs))]
             self._route1_gf2[context_index] = Gf2AffineSystem(
                 masks, len(self._kernel))
         return self._route1_gf2[context_index]
@@ -316,27 +307,15 @@ class CechAnalyzer:
         half-integer combination with the pinned right-hand side gives
         1/2, which no integer family can produce.
         """
-        vmask = 0
-        phi = []
-        for u in range(len(secs)):
-            if (ref >> u) & 1:
-                vmask |= 1 << (off + u)
-                phi.append(u)
-        track = self._gf2.express(vmask)
+        track = self._gf2.express(ref << off)
         if track is None:
             raise InternalCheckError(
                 "parity refuter escaped the compatibility row space")
-        rows = []
-        coeffs = []
-        half = Fraction(1, 2)
-        for r in range(len(self.rows)):
-            if (track >> r) & 1:
-                rows.append(self.tags[r])
-                coeffs.append(half)
-        for u in phi:
-            rows.append(("pin", context_index, secs[u]))
-            coeffs.append(half)
-        cert = CechCertificate("parity", tuple(rows), tuple(coeffs))
+        rows = [tag for r, tag in enumerate(self.rows) if track >> r & 1]
+        rows += [("pin", context_index, s) for u, s in enumerate(secs)
+                 if ref >> u & 1]
+        cert = CechCertificate("parity", tuple(rows),
+                               (Fraction(1, 2),) * len(rows))
         self._audit_certificate(context_index, section, cert)
         return cert
 
@@ -349,7 +328,8 @@ class CechAnalyzer:
         terms = []
         for tag, coeff in zip(cert.rows, cert.coefficients):
             if tag[0] == "pair":
-                terms.append((coeff, self.rows[self._row_of[tag]], 0))
+                row = self._rows_read.get(tag) or self._pair_row(tag)
+                terms.append((coeff, row, 0))
             else:
                 _kind, ci, t = tag
                 col = self.blocks[ci][0] + self._pin_position(ci, t)
@@ -368,46 +348,76 @@ class CechAnalyzer:
                 f"certificate pins an unknown section {t} of context {ci}"
             ) from None
 
+    def _row_indexes(self, tags) -> list[int]:
+        """The rows of A that a certificate's pair tags name."""
+        rows = list(map(self._row_of.get, tags))
+        if None in rows:
+            raise InternalCheckError(
+                f"certificate names no row of A: {tags[rows.index(None)]}")
+        return rows
+
+    def _pair_row(self, tag) -> dict:
+        """The row of A that a pair tag names, ``{column: entry}``, read
+        from the incidence and kept in ``_rows_read`` for the next audit
+        that names it.  A parity certificate names only rows that made a
+        pivot of the set-up echelon, so at most rank(A) rows are kept."""
+        (r,) = self._row_indexes([tag])
+        _kind, i, j, _t = tag
+        row = self._rows_read[tag] = {}
+        for k, other, sign in ((i, j, 1), (j, i, -1)):
+            off = self.blocks[k][0]
+            for u, at in enumerate(self._side[k, other]):
+                if at == r:
+                    row[off + u] = sign
+        return row
+
+    def _columns(self, basis=None) -> list[dict]:
+        """A on a column basis, one sparse row ``{k: entry}`` per row: basis
+        vector k is ``(j, u, v)``, the column A e_u - A e_v of sections u, v
+        of C_j, or A e_u when v is None; by default every A e_u in order."""
+        if basis is None:
+            basis = [(j, u, None) for j, (_o, secs) in enumerate(self.blocks)
+                     for u in range(len(secs))]
+        rows = [{} for _ in self.rows]
+        for k, (j, u, v) in enumerate(basis):
+            for side, sign in self._incident[j]:
+                if v is None:
+                    rows[side[u]][k] = sign
+                elif side[u] != side[v]:
+                    rows[side[u]][k] = sign
+                    rows[side[v]][k] = -sign
+        return rows
+
     def _integral_family(self, context_index, section, off, secs, s_pos):
         # shortcut: a global section through s0 is itself a compatible
         # family with coefficient 1 everywhere.
-        g = self._table[context_index][s_pos]
+        g = self.model.extension_table[context_index][s_pos]
         if g is not None:
             family = {(ci, ss[u]): 1
                       for ci, ((_o, ss), u) in enumerate(zip(self.blocks, g))}
             self._audit_family(context_index, section, family)
             return family
         if context_index not in self._route1_int:
-            dense = []
-            for row in self.rows:
-                dense.append([row.get(k, 0) for k in range(self.nunknowns)])
-            for u in range(len(secs)):
-                r = [0] * self.nunknowns
-                r[off + u] = 1
-                dense.append(r)
+            dense = [[row.get(k, 0) for k in range(self.nunknowns)]
+                     for row in self._columns()]
+            dense += [[int(k == off + u) for k in range(self.nunknowns)]
+                      for u in range(len(secs))]
             self._route1_int[context_index] = IntegerSystem(
                 dense, ncols=self.nunknowns)
         rhs = [0] * len(self.rows) + [
             1 if u == s_pos else 0 for u in range(len(secs))]
         res = self._route1_int[context_index].solve(rhs)
         if res.feasible:
-            family = {}
-            for ci, (o, ss) in enumerate(self.blocks):
-                for u, s in enumerate(ss):
-                    c = res.witness[o + u]
-                    if c:
-                        family[(ci, s)] = c
+            family = {(ci, s): res.witness[o + u]
+                      for ci, (o, ss) in enumerate(self.blocks)
+                      for u, s in enumerate(ss) if res.witness[o + u]}
             self._audit_family(context_index, section, family)
             return family
         npair = len(self.rows)
         return _tagged_certificate(
             res.certificate.kind, res.certificate.vector,
-            lambda r: self.tags[r] if r < npair
+            lambda r: self.rows[r] if r < npair
             else ("pin", context_index, secs[r - npair]))
-
-    @functools.cached_property
-    def _table(self):
-        return extension_table(self.model)
 
     def _audit_family(self, context_index, section, family) -> None:
         """A claimed family must be pinned, mass-1 and pair-compatible."""
@@ -439,7 +449,7 @@ class CechAnalyzer:
         cocycle = {}
         for r, z in enumerate(rhs):
             if z:
-                _k, i, j, t = self.tags[r]
+                _k, i, j, t = self.rows[r]
                 cocycle.setdefault((i, j), {})[t] = z
         if self._leaves_kernel(context_index, CechCochain(1, cocycle)):
             raise InternalCheckError(
@@ -447,9 +457,8 @@ class CechAnalyzer:
         _sol, ref = parity.solve(
             sum(1 << r for r, b in enumerate(rhs) if b & 1))
         if ref is not None:
-            cert = _tagged_certificate(
-                "parity", [ref >> r & 1 for r in range(len(self.tags))],
-                self.tags.__getitem__)
+            rows = tuple(t for r, t in enumerate(self.rows) if ref >> r & 1)
+            cert = CechCertificate("parity", rows, (1,) * len(rows))
             self._audit_route2_refutation(context_index, cocycle, cert)
             return CocycleDecision(context_index, section, False, cocycle,
                                    None, cert)
@@ -468,8 +477,9 @@ class CechAnalyzer:
         Sections of C_j are in one class when they restrict alike into
         C_c (all of C_j when the two are disjoint).  The first section
         rep of a class represents it, and each other one s gives the
-        basis vector (j, s, rep), the 0-cochain s - rep.  ``classes[j]``
-        is (the class of each section of C_c, class -> rep in C_j).
+        basis vector (j, rep, s), the 0-cochain s - rep, whose column is
+        A e_rep - A e_s = delta(s - rep).  ``classes[j]`` is (the class of
+        each section of C_c, class -> rep in C_j).
         """
         if c not in self._route2_data:
             basis = []
@@ -481,29 +491,16 @@ class CechAnalyzer:
                 for u, key in enumerate(side):
                     rep = reps.setdefault(key, u)
                     if rep != u:
-                        basis.append((j, u, rep))
+                        basis.append((j, rep, u))
                 classes.append((self._side.get((c, j), none_c), reps))
-            masks = [sum(1 << k for k, v in row.items() if v & 1)
-                     for row in self._kernel_rows(basis)]
-            self._route2_data[c] = (basis, classes,
-                                    Gf2AffineSystem(masks, len(basis)))
+            self._route2_data[c] = (basis, classes, Gf2AffineSystem(
+                _parity_masks(self._columns(basis)), len(basis)))
         return self._route2_data[c]
-
-    def _kernel_rows(self, basis):
-        """A in kernel-presheaf coordinates, sparse: row r's entry on the
-        basis vector (j, s, rep) is A[r][rep] - A[r][s]."""
-        rows = [{} for _ in self.rows]
-        for k, (j, s, rep) in enumerate(basis):
-            for side, sign in self._incident[j]:
-                if side[s] != side[rep]:
-                    rows[side[rep]][k] = sign
-                    rows[side[s]][k] = -sign
-        return rows
 
     def _route2_potential(self, context_index, s_pos, lift, cocycle, rhs):
         """Integer potential via the global-section shortcut, else the
         exact solver on the kernel-coordinate system."""
-        g = self._table[context_index][s_pos]
+        g = self.model.extension_table[context_index][s_pos]
         if g is not None:
             potential = {}
             for j, ((_o, secs), u, v) in enumerate(zip(self.blocks, lift, g)):
@@ -514,16 +511,16 @@ class CechAnalyzer:
         basis, _classes, _parity = self._route2_rows(context_index)
         if context_index not in self._route2_int:
             rows = [[row.get(k, 0) for k in range(len(basis))]
-                    for row in self._kernel_rows(basis)]
+                    for row in self._columns(basis)]
             self._route2_int[context_index] = IntegerSystem(
                 rows, ncols=len(basis))
         res = self._route2_int[context_index].solve(rhs)
         if not res.feasible:
             return _tagged_certificate(res.certificate.kind,
                                        res.certificate.vector,
-                                       self.tags.__getitem__)
+                                       self.rows.__getitem__)
         potential = {}
-        for k, (j, s, rep) in enumerate(basis):
+        for k, (j, rep, s) in enumerate(basis):
             c = res.witness[k]
             if c:
                 secs = self.blocks[j][1]
@@ -555,16 +552,23 @@ class CechAnalyzer:
             raise InternalCheckError("potential does not bound the cocycle")
 
     def _audit_route2_refutation(self, context_index, cocycle, cert) -> None:
-        """The parity refuter must annihilate rows and pair oddly with z."""
-        _basis, _classes, parity = self._route2_rows(context_index)
-        acc = 0
-        pairing = 0
-        for tag, coeff in zip(cert.rows, cert.coefficients):
-            _k, i, j, t = tag
-            acc ^= parity.rows[self._row_of[tag]]
-            pairing ^= cocycle.get((i, j), {}).get(t, 0) & 1
+        """The parity refuter, its coefficients read mod 2, must annihilate
+        the rows of route 2's system and pair oddly with z."""
+        parity = self._route2_rows(context_index)[2]
+        acc = pairing = 0
+        for tag, coeff, r in zip(cert.rows, cert.coefficients,
+                                 self._row_indexes(cert.rows)):
+            if coeff % 2 == 1:
+                _k, i, j, t = tag
+                acc ^= parity.rows[r]
+                pairing ^= cocycle.get((i, j), {}).get(t, 0) & 1
         if acc != 0 or pairing != 1:
             raise InternalCheckError("route-2 parity certificate failed audit")
+
+
+def _parity_masks(rows) -> list[int]:
+    """Sparse rows ``{k: entry}`` as GF(2) bitmasks over k."""
+    return [sum(1 << k for k, v in row.items() if v & 1) for row in rows]
 
 
 def _tagged_certificate(kind, coefficients, tag_of) -> CechCertificate:

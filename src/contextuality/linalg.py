@@ -19,7 +19,9 @@ calls it too.
 
 Each solver factors its matrix once, in its constructor, and then answers
 any number of right-hand sides.  ``Gf2AffineSystem`` is the GF(2) solver:
-a tracked bitmask echelon (``Gf2Echelon``).  Integer feasibility is decided
+a bitmask echelon (``Gf2Echelon``) that keeps its rows as they came and no
+left kernel: the refuter is found on demand from the first dependent row
+that the pivot solution breaks.  Integer feasibility is decided
 through a row-style Hermite normal form of the transposed system (a basis
 of the column lattice); callers run their own GF(2) refutation first.
 Modular systems are solved locally at each prime power, then recombined by
@@ -107,37 +109,36 @@ def hermite_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
 class Gf2Echelon:
     """Reduced row echelon of a GF(2) matrix, rows as bitmasks over columns.
 
-    Tracks every reduced row as a combination of the original rows, which
-    is what turns a refutation into a checkable certificate.  ``pivots``
-    maps a column index to ``(rowmask, trackmask)``; rows that reduce to
-    zero contribute their track to the left kernel.
+    ``rows`` keeps the rows as they came.  ``pivots`` maps a column index
+    to ``(rowmask, trackmask)``: a reduced row and the independent rows
+    that sum to it.  ``dependent`` lists the rows that reduce to zero.
     """
 
     def __init__(self, row_masks, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, tuple[int, int]] = {}
         self._pivot_mask = 0
-        self.zero_tracks: list[int] = []
-        self.nrows = 0
+        self.rows: list[int] = []
+        self.dependent: list[int] = []
         for mask in row_masks:
             self.add_row(mask)
 
     def add_row(self, mask: int) -> None:
-        track = 1 << self.nrows
-        self.nrows += 1
-        mask, track = self._reduce(mask, track)
-        if mask == 0:
-            self.zero_tracks.append(track)
+        r = len(self.rows)
+        self.rows.append(mask)
+        reduced, track = self._reduce(mask, 1 << r)
+        if reduced == 0:
+            self.dependent.append(r)
             return
-        col = mask.bit_length() - 1
+        col = reduced.bit_length() - 1
         # keep the form reduced: clear this column from existing pivot rows.
         # pivot rows never contain other pivot columns, so each row of the
         # form has support {own pivot} + free columns only.
         bit = 1 << col
         for c, (m, tr) in list(self.pivots.items()):
             if m & bit:
-                self.pivots[c] = (m ^ mask, tr ^ track)
-        self.pivots[col] = (mask, track)
+                self.pivots[c] = (m ^ reduced, tr ^ track)
+        self.pivots[col] = (reduced, track)
         self._pivot_mask |= bit
 
     def _reduce(self, mask: int, track: int) -> tuple[int, int]:
@@ -156,11 +157,23 @@ class Gf2Echelon:
         mask, track = self._reduce(mask, 0)
         return track if mask == 0 else None
 
-    def refute(self, rhs_mask: int) -> int | None:
-        """Row combination ``y`` with ``y^T A = 0`` and ``y . b`` odd, or None."""
-        for tr in self.zero_tracks:
-            if (tr & rhs_mask).bit_count() & 1:
-                return tr
+    def solution(self, rhs_mask: int) -> int:
+        """x meeting ``b`` on every independent row: each pivot column is
+        its track's parity against ``b``, each free column 0."""
+        sol = 0
+        for col, (_mask, track) in self.pivots.items():
+            if (track & rhs_mask).bit_count() & 1:
+                sol |= 1 << col
+        return sol
+
+    def refute(self, rhs_mask: int, solution: int | None = None) -> int | None:
+        """Row combination ``y`` with ``y^T A = 0`` and ``y . b`` odd, or
+        None: ``e_r + express(row_r)`` for the first dependent row r that
+        the pivot ``solution`` x breaks, ``row_r . x != b_r``."""
+        x = self.solution(rhs_mask) if solution is None else solution
+        for r in self.dependent:
+            if ((self.rows[r] & x).bit_count() ^ (rhs_mask >> r)) & 1:
+                return (1 << r) | self.express(self.rows[r])
         return None
 
     def kernel_basis(self) -> list[int]:
@@ -190,36 +203,17 @@ def _bits(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-class Gf2AffineSystem:
-    """Reusable solver for ``A x = b`` over GF(2), the one GF(2) entry point.
-
-    ``row_masks[i]`` is row i of ``A`` as a bitmask over columns.  The rows
-    are echeloned once, with tracking; each right-hand side, a bitmask over
-    rows, is then answered by ``solve`` without touching the echelon.
-    """
-
-    def __init__(self, row_masks, ncols: int):
-        self.ncols = ncols
-        self.rows = list(row_masks)
-        self.echelon = Gf2Echelon(self.rows, ncols)
+class Gf2AffineSystem(Gf2Echelon):
+    """Reusable solver for ``A x = b`` over GF(2), the one GF(2) entry point:
+    the rows are echeloned once, then ``solve`` answers each right-hand
+    side, a bitmask over rows, without touching the echelon."""
 
     def solve(self, rhs_mask: int) -> tuple[int | None, int | None]:
-        """``(solution_mask, None)`` if feasible else ``(None, refuter)``.
-
-        The refuter is a bitmask over rows whose GF(2) sum is ``0`` while
-        their right-hand sides sum to 1.  A solution sets each pivot column
-        to the parity of its pivot row's track against ``b`` (every pivot
-        row is a sum of original rows whose only pivot column is its own)
-        and every free column to 0.
-        """
-        ref = self.echelon.refute(rhs_mask)
-        if ref is not None:
-            return None, ref
-        sol = 0
-        for col, (_mask, track) in self.echelon.pivots.items():
-            if (track & rhs_mask).bit_count() & 1:
-                sol |= 1 << col
-        return sol, None
+        """``(solution_mask, None)`` if feasible, else ``(None, refuter)``:
+        rows whose GF(2) sum is 0 while their right-hand sides sum to 1."""
+        sol = self.solution(rhs_mask)
+        ref = self.refute(rhs_mask, sol)
+        return (None, ref) if ref is not None else (sol, None)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +609,7 @@ class ModSystem:
             q = p**e
             rest = d // q
             if q == 2:
-                local = [_bits(v, self.ncols) for v in system.echelon.kernel_basis()]
+                local = [_bits(v, self.ncols) for v in system.kernel_basis()]
             else:
                 local = system.kernel()
             for g in local:

@@ -17,9 +17,9 @@ measurements' remaining values, and a value stays only while every
 context containing the measurement has a row that uses it.  It branches
 fail first, on the context with the fewest remaining rows, and undoes
 each branch from one trail of changes instead of copying state.
-``extension_table`` is the one classification pass: each global section
-found marks every row it restricts to, so a pinned search runs only for
-unmarked rows; ``classify`` and the Cech shortcuts read the marks.
+``extension_table`` is the one classification pass, cached on the model:
+each global section found marks every row it restricts to, so a pinned
+search runs only for unmarked rows; ``classify`` and Cech read the marks.
 
 Sections run on int rows: ``EmpiricalModel.make`` reads each section's
 outcomes once, in its context's label order, and ``pair_restrictions``
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 
@@ -244,6 +245,23 @@ class EmpiricalModel:
                 f"section {section} is not allowed at context "
                 f"{self.scenario.contexts[context_index]}"
             ) from None
+
+    @cached_property
+    def extension_table(self) -> list[list[tuple[int, ...] | None]]:
+        """``[c][r]``: the first global section found through row r of
+        context c, as one row position per context, or None where none
+        extends the row.  Read-only, and made once per model.
+
+        One ``_Search`` fills it: an unpinned search, then a pinned search
+        for each row still unmarked, which branches on unmarked rows first.
+        """
+        search = _Search(self)
+        if search.search():
+            for c, marks in enumerate(search.seen):
+                for r, g in enumerate(marks):
+                    if g is None:
+                        search.search((c, r))
+        return search.seen
 
     def pair_restrictions(self):
         """``(i, j, labels, left, right)`` for each pair i < j of contexts
@@ -519,28 +537,12 @@ class ContextualityClass:
         return self.kind
 
 
-def extension_table(model: EmpiricalModel) -> list[list[tuple[int, ...] | None]]:
-    """``[c][r]``: the first global section found through row r of context
-    c, as one row position per context, or None where none extends the row.
-
-    One ``_Search`` fills it: an unpinned search, then a pinned search for
-    each row still unmarked, which branches on unmarked rows first.
-    """
-    search = _Search(model)
-    if search.search():
-        for c, marks in enumerate(search.seen):
-            for r, g in enumerate(marks):
-                if g is None:
-                    search.search((c, r))
-    return search.seen
-
-
 def classify(model: EmpiricalModel) -> ContextualityClass:
-    """Possibilistic contextuality class of a model, read off
+    """Possibilistic contextuality class of a model, read off its
     ``extension_table``: the witnesses are its None entries, in context and
     section order, and no global section at all is strong contextuality.
     """
-    table = extension_table(model)
+    table = model.extension_table
     if table and all(g is None for g in table[0]):
         return ContextualityClass("strongly_contextual")
     witnesses = tuple((c, model.sections[c][r]) for c, marks in enumerate(table)

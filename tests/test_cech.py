@@ -36,7 +36,6 @@ from contextuality.scenario import (
     Section,
     check_no_signalling,
     classify,
-    extension_table,
     global_sections,
     restrict_section,
     section_extends,
@@ -286,11 +285,14 @@ def test_cech_d_after_d_random(hardy, mermin):
 
 def test_compatibility_rows_are_minus_the_cech_differential(
         hardy, mermin, ghz):
-    """Column k of the analyzer's compatibility matrix is -delta of the
-    0-cochain 1*s on s's context, read on the pairs i < j."""
+    """Column k of the analyzer's compatibility matrix, as ``_columns``
+    reads it, is -delta of the 0-cochain 1*s on s's context, read on the
+    pairs i < j; the audits' ``_pair_row`` reads the same rows."""
     for model in _differential_models(hardy, mermin, ghz):
         ana = CechAnalyzer(model)
         nerve = build_nerve(model.scenario, max_degree=1)
+        columns = ana._columns()
+        assert [ana._pair_row(tag) for tag in ana.rows] == columns
         k = 0
         for ci, secs in enumerate(model.sections):
             for s in secs:
@@ -298,7 +300,7 @@ def test_compatibility_rows_are_minus_the_cech_differential(
                     nerve, make_cech_cochain(nerve, 0, {(ci,): {s: 1}}))
                 want = {(i, j, t): -c for (i, j), fs in d.values.items()
                         if i < j for t, c in fs.items()}
-                got = {tag[1:]: row[k] for tag, row in zip(ana.tags, ana.rows)
+                got = {tag[1:]: row[k] for tag, row in zip(ana.rows, columns)
                        if k in row}
                 assert got == want
                 k += 1
@@ -410,8 +412,9 @@ def _certificate_key(cert):
 
 
 def test_shared_analyzer_answers_like_fresh_ones(hardy, mermin):
-    """The per-context systems and the extension table an analyzer caches
-    must not make an answer depend on earlier queries: one analyzer
+    """The per-context systems and audited rows an analyzer caches, and the
+    extension table the model caches, must not make an answer depend on
+    earlier queries: one analyzer
     queried in reverse section order agrees, on both routes, with a fresh
     analyzer per query, down to its families, cocycles and potentials."""
     routes = (CechAnalyzer.family_obstruction, CechAnalyzer.connecting_cocycle)
@@ -437,7 +440,8 @@ def test_both_routes_share_one_pinned_search(hardy, mermin, ghz,
     """An analyzer builds one search over all its queries on both routes:
     the extension table, made by the first query that reaches the
     global-section shortcut.  On mermin and ghz parity refutes every
-    section, so none is built."""
+    section, so none is built.  Each model is a fresh copy, since the
+    table is cached on the model."""
     built = []
     real = scenario_module._Search.__init__
 
@@ -447,7 +451,8 @@ def test_both_routes_share_one_pinned_search(hardy, mermin, ghz,
 
     monkeypatch.setattr(scenario_module._Search, "__init__", counted)
     for bundle, searches in ((hardy, 1), (mermin, 0), (ghz, 0)):
-        model = bundle.model
+        model = EmpiricalModel.make(bundle.model.scenario,
+                                    bundle.model.sections)
         ana = CechAnalyzer(model)
         built.clear()
         for ci, secs in enumerate(model.sections):
@@ -455,6 +460,27 @@ def test_both_routes_share_one_pinned_search(hardy, mermin, ghz,
                 ana.family_obstruction(ci, sec)
                 ana.connecting_cocycle(ci, sec)
         assert len(built) == searches
+
+
+def test_classify_and_cross_check_share_one_search(monkeypatch):
+    """``classify`` and the cross-check's global-section shortcuts read one
+    extension table per model: on a noncontextual model, whose every
+    section reaches the shortcut on both routes, one search is built."""
+    built = []
+    real = scenario_module._Search.__init__
+
+    def counted(self, model):
+        built.append(model)
+        real(self, model)
+
+    monkeypatch.setattr(scenario_module._Search, "__init__", counted)
+    cech_module._analyzer.cache_clear()
+    st = build_state_independent_model(
+        [parse_pauli(s) for s in ("+X", "+Z", "-I")])
+    assert classify(st.model).kind == "noncontextual"
+    report = cross_check_obstructions(st)
+    assert all(r.cech_vanishes for r in report.rows)
+    assert built == [st.model]
 
 
 def test_disconnected_cover_is_bad_input(hardy, tmp_path, capsys):
@@ -625,8 +651,10 @@ def test_no_signalling_is_decided_by_the_set_up(hardy, mermin, monkeypatch):
 
 def test_audits_reject_mutated_refutations(mermin):
     """A parity certificate with one refuter bit flipped, with a pair
-    row's coefficient raised from 1/2 to 1, or with a pin moved to another
-    section or to one the context does not list, fails its audit."""
+    row's coefficient raised from 1/2 to 1 (route 1) or from 1 to 2
+    (route 2, whose audit reads coefficients mod 2), with a pin moved to
+    another section or to one the context does not list, or with a pair
+    tag that names no row of A, fails its audit."""
     model = mermin.model
     ana = CechAnalyzer(model)
     mutants = 0
@@ -651,6 +679,13 @@ def test_audits_reject_mutated_refutations(mermin):
             unknown[pin] = ("pin", ci, Section.of({"zz": 0}))
             wider = list(rows)  # agrees with s on the context, but is not s
             wider[pin] = ("pin", ci, Section.of({**s.as_dict(), "zz": 0}))
+            stray = list(rows)
+            stray[k] = rows[k][:3] + (Section.of({"zz": 0}),)
+            with pytest.raises(InternalCheckError, match="names no row of A"):
+                ana._audit_certificate(
+                    ci, s, CechCertificate("parity", tuple(stray),
+                                           cert.coefficients))
+            mutants += 1
             for bad in (dropped, raised,
                         CechCertificate("parity", tuple(moved),
                                                  cert.coefficients),
@@ -665,20 +700,32 @@ def test_audits_reject_mutated_refutations(mermin):
             cert = dec.certificate
             assert cert.kind == "parity"
             ana._audit_route2_refutation(ci, dec.cocycle, cert)
-            parity = ana._route2_rows(ci)[2]
+            basis = ana._route2_rows(ci)[0]
             held = set(cert.rows)
-            for tag, mask in zip(ana.tags, parity.rows):
-                if mask and tag not in held:
+            for tag, row in zip(ana.rows, ana._columns(basis)):
+                if any(v % 2 for v in row.values()) and tag not in held:
                     flipped = CechCertificate(
                         "parity", cert.rows + (tag,), cert.coefficients + (1,))
                     break
             tags = list(cert.rows)
+            doubled = CechCertificate("parity", cert.rows,
+                                      (2,) + cert.coefficients[1:])
             for bad in (CechCertificate("parity", tuple(tags[1:]),
-                                        cert.coefficients[1:]), flipped):
+                                        cert.coefficients[1:]), flipped,
+                        doubled):
                 with pytest.raises(InternalCheckError):
                     ana._audit_route2_refutation(ci, dec.cocycle, bad)
                 mutants += 1
-    assert mutants == 7 * 24
+            stray = CechCertificate(
+                "parity", (tags[0][:3] + (Section.of({"zz": 0}),),
+                           *tags[1:]), cert.coefficients)
+            with pytest.raises(InternalCheckError, match="names no row of A"):
+                ana._audit_route2_refutation(ci, dec.cocycle, stray)
+            mutants += 1
+    assert mutants == 10 * 24
+    # parity certificates name only pivot rows of the set-up echelon, so
+    # the audits keep at most rank(A) rows read from the incidence
+    assert 0 < len(ana._rows_read) <= len(ana._gf2.pivots)
 
 
 def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
@@ -764,8 +811,11 @@ def test_loaded_models_are_read_from_int_rows(hardy, mermin, ghz,
     """Once a model is loaded, classification, the Cech set-up, the
     global-section shortcut, the no-signalling check and the affine
     theories read its int rows: none derives section values from labels.
-    The audits restrict labelled sections on purpose and are not run."""
-    models = [bundle.model for bundle in (hardy, mermin, ghz)]
+    The audits restrict labelled sections on purpose and are not run.
+    Fresh copies of the models, whose extension tables are not yet
+    cached, make classification run its search here."""
+    models = [EmpiricalModel.make(b.model.scenario, b.model.sections)
+              for b in (hardy, mermin, ghz)]
     calls = []
     for name in ("values_on", "restrict"):
         def counted(self, labels, _real=getattr(Section, name), _name=name):
@@ -775,7 +825,6 @@ def test_loaded_models_are_read_from_int_rows(hardy, mermin, ghz,
     for model in models:
         classify(model)
         CechAnalyzer(model)
-        extension_table(model)
         check_no_signalling(model)
         theory_of(model)
     assert calls == []

@@ -202,6 +202,64 @@ def test_gf2_affine_fuzz():
                 assert acc_mask == 0 and acc_rhs == 1
 
 
+def _brute_refuter(masks, rhs):
+    """The refuter pinned by brute force: e_r plus the unique expression
+    of row r in the independent rows before it, for the first dependent
+    row r whose expression pairs oddly with the right-hand side; None if
+    there is no such row."""
+    independent = []  # (index, mask)
+    for r, mask in enumerate(masks):
+        combos = [sub for k in range(len(independent) + 1)
+                  for sub in itertools.combinations(independent, k)
+                  if _xor(m for _i, m in sub) == mask]
+        if not combos:
+            independent.append((r, mask))
+            continue
+        (sub,) = combos  # independent rows express it at most one way
+        expr = sum(1 << i for i, _m in sub)
+        if (rhs >> r ^ (expr & rhs).bit_count()) & 1:
+            return (1 << r) | expr
+    return None
+
+
+def _xor(masks):
+    acc = 0
+    for m in masks:
+        acc ^= m
+    return acc
+
+
+def test_gf2_refuter_is_pinned_by_brute_force():
+    """``Gf2AffineSystem.solve`` and ``ModSystem`` mod 2 return exactly the
+    brute-force refuter on seeded random systems of up to 10 x 8, and a
+    solution whenever there is none."""
+    rng = random.Random(47)
+    refuted = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 8)
+        nrows = rng.randint(0, 10)
+        masks = [rng.getrandbits(ncols) for _ in range(nrows)]
+        dense = [[mask >> j & 1 for j in range(ncols)] for mask in masks]
+        gf2 = Gf2AffineSystem(masks, ncols)
+        mod2 = ModSystem(dense, 2, ncols=ncols)
+        for _ in range(3):
+            rhs = rng.getrandbits(nrows) if nrows else 0
+            want = _brute_refuter(masks, rhs)
+            sol, ref = gf2.solve(rhs)
+            res = mod2.solve([rhs >> i & 1 for i in range(nrows)])
+            assert ref == want
+            if want is None:
+                assert res.feasible
+                for i, mask in enumerate(masks):
+                    assert (sol & mask).bit_count() & 1 == rhs >> i & 1
+            else:
+                assert sol is None and not res.feasible
+                assert res.certificate == tuple(
+                    want >> i & 1 for i in range(nrows))
+                refuted += 1
+    assert refuted > 100
+
+
 # --- Integer systems -------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from contextuality.scenario import (
     check_no_signalling,
     classify,
     extension,
-    extension_table,
     global_sections,
     restrict_section,
     section_extends,
@@ -317,7 +316,7 @@ def test_extension_table_matches_pinned_searches(hardy):
             for ctx, rs in zip(scenario.contexts, rows)])
         if not check_no_signalling(model).ok:
             continue
-        table = extension_table(model)
+        table = model.extension_table
         assert len(table) == len(model.sections)
         overlaps = list(model.pair_restrictions())
         for c, marks in enumerate(table):

@@ -7,8 +7,9 @@ Pauli model, whose vanishing sections reach the reconstruction and the
 Cech global-section shortcut, and one state-dependent Pauli document
 loaded through ``loads_model``, whose build calls the closure, context
 and Born-support names.  A renamed layer, a build that stopped calling
-those names, or a shortcut that sent sections to the lattice stage,
-would read 0 there, so each span and counter must not.
+those names, a GF(2) solver whose methods moved out from under the
+names the tracer patches, or a shortcut that sent sections to the
+lattice stage, would read 0 there, so each span and counter must not.
 """
 
 import json
@@ -47,10 +48,11 @@ def test_tracer_sees_the_group_route():
                  "mcohom.audit", "mcohom.decide", "cech.setup",
                  "cech.route1", "cech.route2", "cech.crosscheck",
                  "pauli.build", "pauli.closure", "pauli.contexts",
-                 "pauli.born"):
+                 "pauli.born", "linalg.gf2"):
         assert seen["self_ns"].get(span, 0) > 0, span
     for counter in ("mcohom.triples_audited", "mcohom.quotient_elements",
                     "cech.rows", "cech.unknowns",
                     "cech.route1.shortcut", "cech.route2.shortcut",
-                    "pauli.operators", "pauli.contexts"):
+                    "pauli.operators", "pauli.contexts",
+                    "linalg.gf2_solves"):
         assert seen["counts"].get(counter, 0) > 0, counter
