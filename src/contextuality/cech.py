@@ -196,9 +196,13 @@ class CechAnalyzer:
     ``rows[r]`` tags row r ("pair", i, j, t), and per pair an int list per
     side maps section positions to rows, read from ``pair_restrictions``
     (a signalling model, whose two sides restrict to different sets, is
-    rejected).  ``_columns`` reads A on any column basis for the GF(2)
-    echelon and both routes' systems, ``_pair_row`` reads the rows that
-    certificates name, and only the audits restrict sections again.
+    rejected).  ``_parity_rows`` reads A mod 2 on any column basis as
+    bitmasks, for the set-up GF(2) echelon and route 2's parity system;
+    ``_columns`` reads it as sparse rows ``{k: entry}``, which both routes'
+    integer systems take as they are, so no system here is dense.
+    ``_row_of`` maps a row's pair and overlap section to its index,
+    ``_pair_row`` reads the rows that certificates name, and only the
+    audits restrict sections again.
 
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
@@ -228,6 +232,9 @@ class CechAnalyzer:
                       for j, secs in enumerate(model.sections)}
         self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
         self.rows = []   # ("pair", i, j, section over the overlap)
+        # (i, j, section items) -> row: hashes the section's items tuple,
+        # not the Section through its dataclass __hash__
+        self._row_of = {}
         for i, j, labels, left, right in model.pair_restrictions():
             below = set(left)
             if set(right) != below:
@@ -238,21 +245,22 @@ class CechAnalyzer:
             below = sorted(below)
             row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
             self.pair_overlaps[(i, j)] = labels
-            self.rows.extend(("pair", i, j, Section.from_values(labels, key))
-                             for key in below)
+            for key in below:
+                t = Section.from_values(labels, key)
+                self._row_of[i, j, t.items] = len(self.rows)
+                self.rows.append(("pair", i, j, t))
             for k, other, sign, keys in ((i, j, 1, left), (j, i, -1, right)):
                 side = [row_of[key] for key in keys]
                 self._side[(k, other)] = side
                 self._incident[k].append((side, sign))
-        self._row_of = {tag: r for r, tag in enumerate(self.rows)}
-        self._rows_read: dict[tuple, dict] = {}
+        self._rows_read: dict[int, dict] = {}
         # the audits' nerve: contexts in degree 0, pairs i < j in degree 1
         self.nerve = Nerve(
             (tuple((c,) for c in range(len(contexts))),
              tuple(self.pair_overlaps)),
             {**{(c,): ctx for c, ctx in enumerate(contexts)},
              **self.pair_overlaps})
-        self._gf2 = Gf2Echelon(_parity_masks(self._columns()), self.nunknowns)
+        self._gf2 = Gf2Echelon(self._parity_rows(), self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
         self.connected = _cover_connected(contexts)
         self._route1_gf2: dict[int, Gf2AffineSystem] = {}
@@ -328,12 +336,11 @@ class CechAnalyzer:
         terms = []
         for tag, coeff in zip(cert.rows, cert.coefficients):
             if tag[0] == "pair":
-                row = self._rows_read.get(tag) or self._pair_row(tag)
-                terms.append((coeff, row, 0))
+                terms.append((coeff, self._pair_row(tag), 0))
             else:
                 _kind, ci, t = tag
-                col = self.blocks[ci][0] + self._pin_position(ci, t)
-                terms.append((coeff, {col: 1},
+                u = self._pin_position(ci, t)  # checks ci before it is read
+                terms.append((coeff, {self.blocks[ci][0] + u: 1},
                               int(ci == context_index and t == section)))
         if not separates(terms, 1):
             raise InternalCheckError(
@@ -341,16 +348,17 @@ class CechAnalyzer:
 
     def _pin_position(self, ci, t) -> int:
         """The position of section t in context ci, for a pinning row."""
+        secs = self.blocks[ci][1] if 0 <= ci < len(self.blocks) else []
         try:
-            return self.blocks[ci][1].index(t)
-        except (IndexError, ValueError):
+            return secs.index(t)
+        except ValueError:
             raise InternalCheckError(
                 f"certificate pins an unknown section {t} of context {ci}"
             ) from None
 
     def _row_indexes(self, tags) -> list[int]:
         """The rows of A that a certificate's pair tags name."""
-        rows = list(map(self._row_of.get, tags))
+        rows = [self._row_of.get((i, j, t.items)) for _k, i, j, t in tags]
         if None in rows:
             raise InternalCheckError(
                 f"certificate names no row of A: {tags[rows.index(None)]}")
@@ -358,28 +366,36 @@ class CechAnalyzer:
 
     def _pair_row(self, tag) -> dict:
         """The row of A that a pair tag names, ``{column: entry}``, read
-        from the incidence and kept in ``_rows_read`` for the next audit
-        that names it.  A parity certificate names only rows that made a
-        pivot of the set-up echelon, so at most rank(A) rows are kept."""
-        (r,) = self._row_indexes([tag])
-        _kind, i, j, _t = tag
-        row = self._rows_read[tag] = {}
-        for k, other, sign in ((i, j, 1), (j, i, -1)):
-            off = self.blocks[k][0]
-            for u, at in enumerate(self._side[k, other]):
-                if at == r:
-                    row[off + u] = sign
+        from the incidence and kept in ``_rows_read`` by row index for the
+        next audit that names it.  A parity certificate names only rows
+        that made a pivot of the set-up echelon, so at most rank(A) rows
+        are kept."""
+        _kind, i, j, t = tag
+        row = self._rows_read.get(self._row_of.get((i, j, t.items)))
+        if row is None:
+            (r,) = self._row_indexes([tag])
+            row = self._rows_read[r] = {}
+            for k, other, sign in ((i, j, 1), (j, i, -1)):
+                off = self.blocks[k][0]
+                for u, at in enumerate(self._side[k, other]):
+                    if at == r:
+                        row[off + u] = sign
         return row
 
-    def _columns(self, basis=None) -> list[dict]:
-        """A on a column basis, one sparse row ``{k: entry}`` per row: basis
-        vector k is ``(j, u, v)``, the column A e_u - A e_v of sections u, v
-        of C_j, or A e_u when v is None; by default every A e_u in order."""
+    def _basis(self, basis) -> list:
+        """Column basis vector k is ``(j, u, v)``, the column A e_u - A e_v of
+        sections u, v of C_j, or A e_u when v is None; by default every
+        A e_u in order."""
         if basis is None:
             basis = [(j, u, None) for j, (_o, secs) in enumerate(self.blocks)
                      for u in range(len(secs))]
+        return basis
+
+    def _columns(self, basis=None) -> list[dict]:
+        """A on a column basis (``_basis``), one sparse row ``{k: entry}``
+        per row, read from the incidence."""
         rows = [{} for _ in self.rows]
-        for k, (j, u, v) in enumerate(basis):
+        for k, (j, u, v) in enumerate(self._basis(basis)):
             for side, sign in self._incident[j]:
                 if v is None:
                     rows[side[u]][k] = sign
@@ -387,6 +403,21 @@ class CechAnalyzer:
                     rows[side[u]][k] = sign
                     rows[side[v]][k] = -sign
         return rows
+
+    def _parity_rows(self, basis=None) -> list[int]:
+        """A mod 2 on a column basis (``_basis``), one bitmask over k per
+        row, read from the incidence: each row meets a basis vector on at
+        most one side of its pair, so every entry there is +-1."""
+        masks = [0] * len(self.rows)
+        for k, (j, u, v) in enumerate(self._basis(basis)):
+            bit = 1 << k
+            for side, _sign in self._incident[j]:
+                if v is None:
+                    masks[side[u]] |= bit
+                elif side[u] != side[v]:
+                    masks[side[u]] |= bit
+                    masks[side[v]] |= bit
+        return masks
 
     def _integral_family(self, context_index, section, off, secs, s_pos):
         # shortcut: a global section through s0 is itself a compatible
@@ -398,12 +429,9 @@ class CechAnalyzer:
             self._audit_family(context_index, section, family)
             return family
         if context_index not in self._route1_int:
-            dense = [[row.get(k, 0) for k in range(self.nunknowns)]
-                     for row in self._columns()]
-            dense += [[int(k == off + u) for k in range(self.nunknowns)]
-                      for u in range(len(secs))]
+            pins = [{off + u: 1} for u in range(len(secs))]
             self._route1_int[context_index] = IntegerSystem(
-                dense, ncols=self.nunknowns)
+                self._columns() + pins, self.nunknowns)
         rhs = [0] * len(self.rows) + [
             1 if u == s_pos else 0 for u in range(len(secs))]
         res = self._route1_int[context_index].solve(rhs)
@@ -494,7 +522,7 @@ class CechAnalyzer:
                         basis.append((j, rep, u))
                 classes.append((self._side.get((c, j), none_c), reps))
             self._route2_data[c] = (basis, classes, Gf2AffineSystem(
-                _parity_masks(self._columns(basis)), len(basis)))
+                self._parity_rows(basis), len(basis)))
         return self._route2_data[c]
 
     def _route2_potential(self, context_index, s_pos, lift, cocycle, rhs):
@@ -510,10 +538,8 @@ class CechAnalyzer:
             return potential
         basis, _classes, _parity = self._route2_rows(context_index)
         if context_index not in self._route2_int:
-            rows = [[row.get(k, 0) for k in range(len(basis))]
-                    for row in self._columns(basis)]
             self._route2_int[context_index] = IntegerSystem(
-                rows, ncols=len(basis))
+                self._columns(basis), len(basis))
         res = self._route2_int[context_index].solve(rhs)
         if not res.feasible:
             return _tagged_certificate(res.certificate.kind,
@@ -553,22 +579,23 @@ class CechAnalyzer:
 
     def _audit_route2_refutation(self, context_index, cocycle, cert) -> None:
         """The parity refuter, its coefficients read mod 2, must annihilate
-        the rows of route 2's system and pair oddly with z."""
+        the rows of route 2's system and pair oddly with z.  Both are read
+        as bitmasks over the rows of A: the refuter's rows with odd
+        coefficients, and the rows where z is odd."""
         parity = self._route2_rows(context_index)[2]
-        acc = pairing = 0
-        for tag, coeff, r in zip(cert.rows, cert.coefficients,
-                                 self._row_indexes(cert.rows)):
+        acc = odd = z = 0
+        for coeff, r in zip(cert.coefficients,
+                            self._row_indexes(cert.rows)):
             if coeff % 2 == 1:
-                _k, i, j, t = tag
                 acc ^= parity.rows[r]
-                pairing ^= cocycle.get((i, j), {}).get(t, 0) & 1
-        if acc != 0 or pairing != 1:
+                odd ^= 1 << r
+        for (i, j), fs in cocycle.items():
+            for t, c in fs.items():
+                r = self._row_of.get((i, j, t.items))
+                if c & 1 and r is not None:
+                    z |= 1 << r
+        if acc != 0 or (odd & z).bit_count() & 1 != 1:
             raise InternalCheckError("route-2 parity certificate failed audit")
-
-
-def _parity_masks(rows) -> list[int]:
-    """Sparse rows ``{k: entry}`` as GF(2) bitmasks over k."""
-    return [sum(1 << k for k, v in row.items() if v & 1) for row in rows]
 
 
 def _tagged_certificate(kind, coefficients, tag_of) -> CechCertificate:

@@ -1,7 +1,13 @@
 """Exact integer and modular linear algebra with verifiable certificates.
 
-All matrices are dense lists of Python ints, so nothing here ever rounds.
-The solvers share one reporting convention:
+Nothing here ever rounds: every entry is a Python int.  The integer
+solver works on sparse rows, ``{column: entry}`` dicts with no zero
+entries, and so does its Hermite normal form.  Dense ``list[list[int]]``
+input is taken only at the public boundary (``hermite_normal_form``,
+``solve_integer``, ``verify_integer_result``, ``verify_mod_result`` and
+``ModSystem``), which converts it and runs the same code; only the
+eliminations at prime powers other than 2 work on dense rows.  GF(2)
+rows are bitmasks.  The solvers share one reporting convention:
 
 * a witness is an assignment satisfying the system exactly;
 * an infeasibility certificate is a vector ``y`` that provably separates
@@ -17,20 +23,24 @@ every kind have one checker, ``separates``, which works on integer
 numerators over the common denominator of ``y``; the Cech route-1 audit
 calls it too.
 
-Each solver factors its matrix once, in its constructor, and then answers
-any number of right-hand sides.  ``Gf2AffineSystem`` is the GF(2) solver:
-a bitmask echelon (``Gf2Echelon``) that keeps its rows as they came and no
-left kernel: the refuter is found on demand from the first dependent row
-that the pivot solution breaks.  Integer feasibility is decided
-through a row-style Hermite normal form of the transposed system (a basis
-of the column lattice); callers run their own GF(2) refutation first.
-Modular systems are solved locally at each prime power, then recombined by
-the Chinese remainder theorem: modulo 2 by ``Gf2AffineSystem``, modulo any
-other prime power by elimination with valuation-minimal pivoting.
+Each solver factors its matrix once, in its constructor or on its first
+solve, and then answers any number of right-hand sides.
+``Gf2AffineSystem`` is the GF(2) solver: a bitmask echelon
+(``Gf2Echelon``) that keeps its rows as they came, no left kernel, and
+pivot rows that are not back-reduced as rows arrive: solutions
+back-substitute, the kernel basis reduces the form when asked, and the
+refuter is found on demand from the first dependent row that the pivot
+solution breaks.  Integer feasibility is decided through a row-style
+Hermite normal form of the transposed system (a basis of the column
+lattice); callers run their own GF(2) refutation first.  Modular systems
+are solved locally at each prime power, then recombined by the Chinese
+remainder theorem: modulo 2 by ``Gf2AffineSystem``, modulo any other
+prime power by elimination with valuation-minimal pivoting.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -38,6 +48,35 @@ from math import gcd, lcm
 from .errors import InternalCheckError, PreconditionError
 
 Matrix = list  # list[list[int]]
+SparseRow = dict  # {column: nonzero int}
+
+
+def _shape(rows: Matrix, ncols: int | None) -> int:
+    """The column count of a dense system, which must not be ragged."""
+    if not rows and ncols is None:
+        raise PreconditionError("empty system needs an explicit column count")
+    n = len(rows[0]) if rows else int(ncols)
+    if any(len(r) != n for r in rows):
+        raise PreconditionError("ragged matrix")
+    return n
+
+
+def _sparse(rows: Matrix) -> list[SparseRow]:
+    return [{j: a for j, a in enumerate(map(int, row)) if a} for row in rows]
+
+
+def _dense(rows: list[SparseRow], n: int) -> Matrix:
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def _subtract(row: SparseRow, q: int, other: SparseRow) -> None:
+    """``row -= q * other`` in place, for ``q != 0``, dropping zeros."""
+    for j, b in other.items():
+        a = row.get(j, 0) - q * b
+        if a:
+            row[j] = a
+        else:
+            del row[j]
 
 
 # ---------------------------------------------------------------------------
@@ -50,21 +89,32 @@ def hermite_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
 
     Returns ``(H, U)`` with ``U * mat == H``, ``U`` unimodular, ``H`` in row
     echelon form with positive pivots and entries above each pivot reduced
-    to ``[0, pivot)``.  Zero rows sit at the bottom.
+    to ``[0, pivot)``.  Zero rows sit at the bottom.  The dense boundary of
+    ``_hermite``, which computes it on sparse rows.
     """
-    h = [list(map(int, row)) for row in mat]
+    n = _shape(mat, 0)
+    h, u = _hermite(_sparse(mat), n)
+    return _dense(h, n), _dense(u, len(mat))
+
+
+def _hermite(h: list[SparseRow], n: int) -> tuple[list, list]:
+    """``hermite_normal_form`` on sparse rows, in place on ``h``.
+
+    Column by column, the row with the smallest nonzero entry (the first
+    such row on a tie) is swapped up to the pivot position and floor
+    quotients of it are subtracted from the rows below, until the column
+    is clear below the pivot; the pivot is made positive and the rows
+    above are reduced by floor quotients.  U starts as the identity and
+    takes every row operation of H.
+    """
     m = len(h)
-    n = len(h[0]) if m else 0
-    if any(len(row) != n for row in h):
-        raise PreconditionError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = [{i: 1} for i in range(m)]
     t = 0
     for j in range(n):
         if t >= m:
             break
-        # gcd-eliminate column j below row t
         while True:
-            nz = [i for i in range(t, m) if h[i][j] != 0]
+            nz = [i for i in range(t, m) if j in h[i]]
             if not nz:
                 break
             best = min(nz, key=lambda i: (abs(h[i][j]), i))
@@ -72,31 +122,28 @@ def hermite_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
                 h[t], h[best] = h[best], h[t]
                 u[t], u[best] = u[best], u[t]
             done = True
-            piv = h[t][j]
-            for i in range(t + 1, m):
-                if h[i][j]:
-                    q = h[i][j] // piv
-                    if q:
-                        hi, ht = h[i], h[t]
-                        h[i] = [a - q * b for a, b in zip(hi, ht)]
-                        ui, ut = u[i], u[t]
-                        u[i] = [a - q * b for a, b in zip(ui, ut)]
-                    if h[i][j]:
-                        done = False
+            piv, ht, ut = h[t][j], h[t], u[t]
+            # the rows below t that are nonzero in column j, after the swap
+            for i in [best if i == t else i for i in nz if i != best]:
+                hi = h[i]
+                q = hi[j] // piv
+                if q:
+                    _subtract(hi, q, ht)
+                    _subtract(u[i], q, ut)
+                if j in hi:
+                    done = False
             if done:
                 break
-        if t < m and h[t][j] != 0:
+        if j in h[t]:
             if h[t][j] < 0:
-                h[t] = [-a for a in h[t]]
-                u[t] = [-a for a in u[t]]
-            piv = h[t][j]
+                h[t] = {c: -a for c, a in h[t].items()}
+                u[t] = {c: -a for c, a in u[t].items()}
+            piv, ht, ut = h[t][j], h[t], u[t]
             for i in range(t):
-                q = h[i][j] // piv  # floor: leaves 0 <= entry < pivot
+                q = h[i].get(j, 0) // piv  # floor: leaves 0 <= entry < pivot
                 if q:
-                    hi, ht = h[i], h[t]
-                    h[i] = [a - q * b for a, b in zip(hi, ht)]
-                    ui, ut = u[i], u[t]
-                    u[i] = [a - q * b for a, b in zip(ui, ut)]
+                    _subtract(h[i], q, ht)
+                    _subtract(u[i], q, ut)
             t += 1
     return h, u
 
@@ -107,16 +154,21 @@ def hermite_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
 
 
 class Gf2Echelon:
-    """Reduced row echelon of a GF(2) matrix, rows as bitmasks over columns.
+    """Row echelon of a GF(2) matrix, rows as bitmasks over columns.
 
     ``rows`` keeps the rows as they came.  ``pivots`` maps a column index
-    to ``(rowmask, trackmask)``: a reduced row and the independent rows
-    that sum to it.  ``dependent`` lists the rows that reduce to zero.
+    to ``(rowmask, trackmask)``: a row whose highest set bit is that
+    column, and the independent rows that sum to it.  ``dependent`` lists
+    the rows that reduce to zero.  A new pivot is not cleared from the
+    earlier pivot rows: the pivot columns are the leading bits of the row
+    space either way, ``solution`` back-substitutes in ascending pivot
+    order and ``kernel_basis`` reduces the form when it is called.
     """
 
     def __init__(self, row_masks, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, tuple[int, int]] = {}
+        self._order: list[int] = []  # the pivot columns, ascending
         self._pivot_mask = 0
         self.rows: list[int] = []
         self.dependent: list[int] = []
@@ -131,18 +183,13 @@ class Gf2Echelon:
             self.dependent.append(r)
             return
         col = reduced.bit_length() - 1
-        # keep the form reduced: clear this column from existing pivot rows.
-        # pivot rows never contain other pivot columns, so each row of the
-        # form has support {own pivot} + free columns only.
-        bit = 1 << col
-        for c, (m, tr) in list(self.pivots.items()):
-            if m & bit:
-                self.pivots[c] = (m ^ reduced, tr ^ track)
         self.pivots[col] = (reduced, track)
-        self._pivot_mask |= bit
+        insort(self._order, col)
+        self._pivot_mask |= 1 << col
 
     def _reduce(self, mask: int, track: int) -> tuple[int, int]:
-        # each step clears one pivot column and cannot set another
+        # clear pivot columns from the top: a pivot row's other bits lie
+        # below its pivot, so each step leaves the higher bits alone
         hits = mask & self._pivot_mask
         while hits:
             col = hits.bit_length() - 1
@@ -158,11 +205,14 @@ class Gf2Echelon:
         return track if mask == 0 else None
 
     def solution(self, rhs_mask: int) -> int:
-        """x meeting ``b`` on every independent row: each pivot column is
-        its track's parity against ``b``, each free column 0."""
+        """The x with every free column 0 that meets ``b`` on every
+        independent row: pivot row c pairs with x as its track pairs with
+        ``b``, which fixes x_c once the lower columns are known."""
         sol = 0
-        for col, (_mask, track) in self.pivots.items():
-            if (track & rhs_mask).bit_count() & 1:
+        pivots = self.pivots
+        for col in self._order:
+            mask, track = pivots[col]
+            if ((track & rhs_mask).bit_count() ^ (mask & sol).bit_count()) & 1:
                 sol |= 1 << col
         return sol
 
@@ -177,23 +227,34 @@ class Gf2Echelon:
         return None
 
     def kernel_basis(self) -> list[int]:
-        """Masks over columns spanning ``{x : A x = 0 (mod 2)}``."""
-        pivot_cols = set(self.pivots)
+        """Masks over columns spanning ``{x : A x = 0 (mod 2)}``: one per
+        free column f, read off the reduced form, in which each pivot row
+        holds its own pivot and free columns only."""
+        reduced = {}
+        for col in self._order:
+            m = self.pivots[col][0]
+            lower = m & self._pivot_mask ^ (1 << col)
+            while lower:
+                c = lower.bit_length() - 1
+                m ^= reduced[c]
+                lower ^= 1 << c
+            reduced[col] = m
         basis = []
         for f in range(self.ncols):
-            if f in pivot_cols:
+            if f in reduced:
                 continue
             vec = 1 << f
-            for c, (m, _tr) in self.pivots.items():
+            for c, m in reduced.items():
                 if (m >> f) & 1:
                     vec |= 1 << c
             basis.append(vec)
         return basis
 
 
-def _parity_mask(vec: list[int]) -> int:
+def _parity_mask(entries) -> int:
+    """The bitmask of the odd values among ``(index, value)`` pairs."""
     mask = 0
-    for i, a in enumerate(vec):
+    for i, a in entries:
         if a & 1:
             mask |= 1 << i
     return mask
@@ -264,63 +325,74 @@ def separates(terms, modulus: int) -> bool:
     return all(c % m == 0 for c in acc.values()) and pairing % m != 0
 
 
-def _verify(rows: Matrix, rhs: list[int], result, modulus: int, y,
-            cert_modulus: int) -> bool:
-    """A witness must solve A x = b modulo ``modulus`` (0: exactly), a
-    certificate ``y`` must pass ``separates`` modulo ``cert_modulus``."""
-    n = len(rows[0]) if rows else (len(result.witness) if result.witness else 0)
+def _verify(rows: list[SparseRow], ncols: int, rhs: list[int], result,
+            modulus: int, y, cert_modulus: int) -> bool:
+    """On sparse rows over ``ncols`` columns: a witness must solve
+    A x = b modulo ``modulus`` (0: exactly), a certificate ``y`` must pass
+    ``separates`` modulo ``cert_modulus``."""
     if result.feasible:
         x = result.witness
-        if x is None or len(x) != n:
+        if x is None or len(x) != ncols:
             return False
-        residues = [sum(a * v for a, v in zip(row, x)) - b
-                    for row, b in zip(rows, rhs)]
-        return not any(r % modulus if modulus else r for r in residues)
+        for row, b in zip(rows, rhs):
+            r = sum(a * x[j] for j, a in row.items()) - b
+            if r % modulus if modulus else r:
+                return False
+        return True
     if y is None or len(y) != len(rows):
         return False
-    return separates([(yi, {j: a for j, a in enumerate(row) if a}, b)
-                      for yi, row, b in zip(y, rows, rhs) if yi],
+    return separates([(yi, row, b) for yi, row, b in zip(y, rows, rhs) if yi],
                      cert_modulus)
+
+
+def _verify_dense(rows: Matrix, rhs: list[int], result, modulus: int, y,
+                  cert_modulus: int) -> bool:
+    """``_verify`` for dense rows; an empty system takes its column count
+    from the witness."""
+    n = len(rows[0]) if rows else (len(result.witness) if result.witness else 0)
+    return _verify([{j: a for j, a in enumerate(row) if a} for row in rows],
+                   n, rhs, result, modulus, y, cert_modulus)
 
 
 def verify_integer_result(rows: Matrix, rhs: list[int], result: IntSolveResult) -> bool:
     """Substitution check for a witness or certificate against A x = b."""
     cert = result.certificate
-    return _verify(rows, rhs, result, 0, cert and cert.vector,
-                   int(cert is not None and cert.kind != "rational"))
+    return _verify_dense(rows, rhs, result, 0, cert and cert.vector,
+                         int(cert is not None and cert.kind != "rational"))
 
 
 class IntegerSystem:
     """Reusable exact solver for ``A x = b`` over the integers.
 
-    Computes a Hermite basis of the column lattice of ``A`` on the first
-    solve and decides every right-hand side against it, those infeasible
-    mod 2 included, so many can be decided against one matrix.
+    ``rows`` are sparse, ``{column: nonzero int}`` over ``ncols`` columns,
+    and are kept as given.  Computes a Hermite basis of the column lattice
+    of ``A``, sparse, on the first solve and decides every right-hand side
+    against it, those infeasible mod 2 included, so many can be decided
+    against one matrix.
     """
 
-    def __init__(self, rows: Matrix, ncols: int | None = None):
-        if not rows and ncols is None:
-            raise PreconditionError("empty system needs an explicit column count")
-        self.rows = [list(map(int, r)) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else int(ncols)
-        if any(len(r) != self.ncols for r in self.rows):
-            raise PreconditionError("ragged matrix")
+    def __init__(self, rows: list[SparseRow], ncols: int):
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = ncols
+        if any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
+            raise PreconditionError("row entry outside the column range")
         self._lattice: tuple | None = None
 
     # lattice of reachable right-hand sides, in constraint-index space
     def _lattice_data(self):
         if self._lattice is None:
-            transpose = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-            h, u = hermite_normal_form(transpose)
+            transpose = [{} for _ in range(self.ncols)]
+            for i, row in enumerate(self.rows):
+                for j, a in row.items():
+                    transpose[j][i] = a
+            h, u = _hermite(transpose, self.nrows)
             basis, pivots, urows = [], [], []
-            for k, row in enumerate(h):
-                lead = next((j for j, a in enumerate(row) if a), None)
-                if lead is None:
-                    continue
-                basis.append(row)
-                pivots.append(lead)
-                urows.append(u[k])
+            for row, urow in zip(h, u):
+                if row:
+                    basis.append(row)
+                    pivots.append(min(row))
+                    urows.append(urow)
             self._lattice = (basis, pivots, urows)
         return self._lattice
 
@@ -328,33 +400,32 @@ class IntegerSystem:
         if len(rhs) != self.nrows:
             raise PreconditionError("right-hand side length mismatch")
         basis, pivots, urows = self._lattice_data()
-        # greedy expansion of rhs in the echelon basis, exactly over Q
-        num = list(rhs)
+        # greedy expansion of rhs in the echelon basis, exactly over Q:
+        # rhs = den^-1 num + sum coeffs_k basis_k, num sparse
+        num = {i: b for i, b in enumerate(rhs) if b}
         den = 1
         coeffs: list[Fraction] = []
         for brow, pcol in zip(basis, pivots):
-            v = num[pcol]
+            v = num.get(pcol, 0)
             p = brow[pcol]
             coeffs.append(Fraction(v, den * p))
             if v == 0:
                 continue
-            if p == 1:
-                num = [a - v * hb for a, hb in zip(num, brow)]
-            else:
-                num = [p * a - v * hb for a, hb in zip(num, brow)]
+            if p != 1:
+                num = {i: p * a for i, a in num.items()}
                 den *= p
+            _subtract(num, v, brow)
+            if p != 1:
                 g = den
-                for a in num:
-                    if a:
-                        g = gcd(g, a)
-                        if g == 1:
-                            break
+                for a in num.values():
+                    g = gcd(g, a)
+                    if g == 1:
+                        break
                 if g > 1:
                     den //= g
-                    num = [a // g for a in num]
-        if any(num):
-            q = next(i for i, a in enumerate(num) if a)
-            y = self._dual(q=q)
+                    num = {i: a // g for i, a in num.items()}
+        if num:
+            y = self._dual(q=min(num))
             return self._checked(rhs, IntSolveResult(
                 False, None, InfeasibilityCertificate("rational", tuple(y))))
         bad = next((k for k, c in enumerate(coeffs) if c.denominator != 1), None)
@@ -366,9 +437,8 @@ class IntegerSystem:
         for c, urow in zip(coeffs, urows):
             if c:
                 ci = int(c)
-                for j in range(self.ncols):
-                    if urow[j]:
-                        x[j] += ci * urow[j]
+                for j, a in urow.items():
+                    x[j] += ci * a
         return self._checked(rhs, IntSolveResult(True, tuple(x), None))
 
     def _dual(self, k: int = -1, q: int | None = None) -> list[Fraction]:
@@ -376,13 +446,16 @@ class IntegerSystem:
         non-pivot column q, y_q = 1 and y . h_j = 0 for every basis row."""
         basis, pivots, _ = self._lattice_data()
         r = len(basis)
+        index = {p: l for l, p in enumerate(pivots)}
         alpha = [Fraction(0)] * r
         for j in range(r - 1, -1, -1):
-            s = Fraction(int(j == k) if q is None else -basis[j][q])
-            for l in range(j + 1, r):
-                if basis[j][pivots[l]]:
-                    s -= alpha[l] * basis[j][pivots[l]]
-            alpha[j] = s / basis[j][pivots[j]]
+            row = basis[j]
+            s = Fraction(int(j == k) if q is None else -row.get(q, 0))
+            for c, a in row.items():
+                l = index.get(c, -1)
+                if l > j:
+                    s -= alpha[l] * a
+            alpha[j] = s / row[pivots[j]]
         y = [Fraction(0)] * self.nrows
         if q is not None:
             y[q] = Fraction(1)
@@ -391,14 +464,17 @@ class IntegerSystem:
         return y
 
     def _checked(self, rhs: list[int], result: IntSolveResult) -> IntSolveResult:
-        if not verify_integer_result(self.rows, rhs, result):
+        cert = result.certificate
+        if not _verify(self.rows, self.ncols, rhs, result, 0,
+                       cert and cert.vector,
+                       int(cert is not None and cert.kind != "rational")):
             raise InternalCheckError("integer solver produced an unverifiable answer")
         return result
 
 
 def solve_integer(rows: Matrix, rhs: list[int], ncols: int | None = None) -> IntSolveResult:
     """Decide ``A x = b`` over the integers; witness or certificate."""
-    return IntegerSystem(rows, ncols).solve(rhs)
+    return IntegerSystem(_sparse(rows), _shape(rows, ncols)).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +491,8 @@ class ModSolveResult:
 
 def verify_mod_result(rows: Matrix, rhs: list[int], modulus: int, result: ModSolveResult) -> bool:
     """Substitution check for a witness or certificate of A x = b (mod d)."""
-    return _verify(rows, rhs, result, modulus, result.certificate, modulus)
+    return _verify_dense(rows, rhs, result, modulus, result.certificate,
+                         modulus)
 
 
 def _factor(n: int) -> list[tuple[int, int]]:
@@ -560,23 +637,22 @@ class _PrimePowerSystem:
 class ModSystem:
     """Reusable solver for ``A x = b (mod d)``: CRT over prime-power locals.
 
-    The local at ``p^e = 2`` is a ``Gf2AffineSystem``; every other local is
-    a ``_PrimePowerSystem``.
+    The rows are kept sparse, for re-verification.  The local at
+    ``p^e = 2`` is a ``Gf2AffineSystem`` on their parity masks; every other
+    local is a ``_PrimePowerSystem``, which eliminates on dense rows.
     """
 
     def __init__(self, rows: Matrix, modulus: int, ncols: int | None = None):
         if modulus < 2:
             raise PreconditionError("modulus must be at least 2")
-        if not rows and ncols is None:
-            raise PreconditionError("empty system needs an explicit column count")
-        self.rows = [list(map(int, r)) for r in rows]
+        self.ncols = _shape(rows, ncols)
+        self.rows = _sparse(rows)
         self.modulus = modulus
-        self.ncols = len(self.rows[0]) if self.rows else int(ncols)
-        if any(len(r) != self.ncols for r in self.rows):
-            raise PreconditionError("ragged matrix")
         self.locals = [
-            (p, e, Gf2AffineSystem([_parity_mask(r) for r in self.rows], self.ncols)
-             if p**e == 2 else _PrimePowerSystem(self.rows, self.ncols, p, e))
+            (p, e, Gf2AffineSystem([_parity_mask(r.items()) for r in self.rows],
+                                   self.ncols)
+             if p**e == 2 else _PrimePowerSystem(_dense(self.rows, self.ncols),
+                                                 self.ncols, p, e))
             for p, e in _factor(modulus)
         ]
 
@@ -587,7 +663,7 @@ class ModSystem:
         parts = []
         for p, e, system in self.locals:
             if p**e == 2:
-                sol, ref = system.solve(_parity_mask(rhs))
+                sol, ref = system.solve(_parity_mask(enumerate(rhs)))
                 witness = None if sol is None else _bits(sol, self.ncols)
                 cert = None if ref is None else _bits(ref, len(self.rows))
             else:
@@ -620,7 +696,8 @@ class ModSystem:
         return gens
 
     def _checked(self, rhs: list[int], result: ModSolveResult) -> ModSolveResult:
-        if not verify_mod_result(self.rows, rhs, self.modulus, result):
+        if not _verify(self.rows, self.ncols, rhs, result, self.modulus,
+                       result.certificate, self.modulus):
             raise InternalCheckError("modular solver produced an unverifiable answer")
         return result
 

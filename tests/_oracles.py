@@ -263,3 +263,120 @@ def reference_pauli_model(generators, state=None) -> StructuredModel:
     return StructuredModel(EmpiricalModel.make(scenario, sections),
                            tuple(tables),
                            CoefficientAction((2,), (negate(ident).label(),)))
+
+
+# --- Dense exact kernels: the references for the sparse ones in linalg ----
+#
+# ``dense_hermite_normal_form`` keeps both H and U as dense lists, and
+# ``EagerGf2Echelon`` keeps its pivot rows fully reduced as each row
+# arrives: the direct forms of linalg's sparse Hermite form and of its
+# echelon reduced on demand.  The differential tests require the same
+# (H, U) and the same GF(2) answers.
+
+
+def dense_hermite_normal_form(mat):
+    """Row-style Hermite normal form ``(H, U)`` with ``U * mat == H``."""
+    h = [list(map(int, row)) for row in mat]
+    m = len(h)
+    n = len(h[0]) if m else 0
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    t = 0
+    for j in range(n):
+        if t >= m:
+            break
+        # gcd-eliminate column j below row t
+        while True:
+            nz = [i for i in range(t, m) if h[i][j] != 0]
+            if not nz:
+                break
+            best = min(nz, key=lambda i: (abs(h[i][j]), i))
+            if best != t:
+                h[t], h[best] = h[best], h[t]
+                u[t], u[best] = u[best], u[t]
+            done = True
+            piv = h[t][j]
+            for i in range(t + 1, m):
+                if h[i][j]:
+                    q = h[i][j] // piv
+                    if q:
+                        h[i] = [a - q * b for a, b in zip(h[i], h[t])]
+                        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+                    if h[i][j]:
+                        done = False
+            if done:
+                break
+        if t < m and h[t][j] != 0:
+            if h[t][j] < 0:
+                h[t] = [-a for a in h[t]]
+                u[t] = [-a for a in u[t]]
+            piv = h[t][j]
+            for i in range(t):
+                q = h[i][j] // piv  # floor: leaves 0 <= entry < pivot
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[t])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+            t += 1
+    return h, u
+
+
+class EagerGf2Echelon:
+    """Reduced row echelon over GF(2), cleared as each row arrives: a new
+    pivot column is removed from every earlier pivot row at once."""
+
+    def __init__(self, row_masks, ncols):
+        self.ncols = ncols
+        self.pivots = {}  # column -> (reduced row, track of original rows)
+        self.rows = []
+        self.dependent = []
+        for mask in row_masks:
+            self.add_row(mask)
+
+    def add_row(self, mask):
+        r = len(self.rows)
+        self.rows.append(mask)
+        reduced, track = self._reduce(mask, 1 << r)
+        if reduced == 0:
+            self.dependent.append(r)
+            return
+        col = reduced.bit_length() - 1
+        for c, (m, tr) in list(self.pivots.items()):
+            if m >> col & 1:
+                self.pivots[c] = (m ^ reduced, tr ^ track)
+        self.pivots[col] = (reduced, track)
+
+    def _reduce(self, mask, track):
+        for col, (m, tr) in self.pivots.items():
+            if mask >> col & 1:
+                mask ^= m
+                track ^= tr
+        return mask, track
+
+    def express(self, mask):
+        mask, track = self._reduce(mask, 0)
+        return track if mask == 0 else None
+
+    def solution(self, rhs_mask):
+        sol = 0
+        for col, (_m, track) in self.pivots.items():
+            if (track & rhs_mask).bit_count() & 1:
+                sol |= 1 << col
+        return sol
+
+    def refute(self, rhs_mask):
+        x = self.solution(rhs_mask)
+        for r in self.dependent:
+            if ((self.rows[r] & x).bit_count() ^ (rhs_mask >> r)) & 1:
+                return (1 << r) | self.express(self.rows[r])
+        return None
+
+    def kernel_basis(self):
+        basis = []
+        for f in range(self.ncols):
+            if f in self.pivots:
+                continue
+            vec = 1 << f
+            for c, (m, _tr) in self.pivots.items():
+                if m >> f & 1:
+                    vec |= 1 << c
+            basis.append(vec)
+        return basis

@@ -653,8 +653,10 @@ def test_audits_reject_mutated_refutations(mermin):
     """A parity certificate with one refuter bit flipped, with a pair
     row's coefficient raised from 1/2 to 1 (route 1) or from 1 to 2
     (route 2, whose audit reads coefficients mod 2), with a pin moved to
-    another section or to one the context does not list, or with a pair
-    tag that names no row of A, fails its audit."""
+    another section or to one the context does not list, with a pin whose
+    context index is out of range or counted from the end, or with a pair
+    tag that names no row of A, fails its audit, and so does a route-2
+    refuter against a cocycle made even at one of its rows."""
     model = mermin.model
     ana = CechAnalyzer(model)
     mutants = 0
@@ -686,6 +688,15 @@ def test_audits_reject_mutated_refutations(mermin):
                     ci, s, CechCertificate("parity", tuple(stray),
                                            cert.coefficients))
             mutants += 1
+            for far in (len(model.sections), ci - len(model.sections)):
+                outside = list(rows)
+                outside[pin] = ("pin", far, s)
+                with pytest.raises(InternalCheckError,
+                                   match="pins an unknown section"):
+                    ana._audit_certificate(
+                        ci, s, CechCertificate("parity", tuple(outside),
+                                               cert.coefficients))
+                mutants += 1
             for bad in (dropped, raised,
                         CechCertificate("parity", tuple(moved),
                                                  cert.coefficients),
@@ -722,7 +733,17 @@ def test_audits_reject_mutated_refutations(mermin):
             with pytest.raises(InternalCheckError, match="names no row of A"):
                 ana._audit_route2_refutation(ci, dec.cocycle, stray)
             mutants += 1
-    assert mutants == 10 * 24
+            # the refuter pairs oddly with z; made even at one of its rows,
+            # z pairs evenly
+            _k, i, j, t = next(
+                tag for tag in tags
+                if dec.cocycle.get(tag[1:3], {}).get(tag[3], 0) % 2)
+            even = {pair: dict(fs) for pair, fs in dec.cocycle.items()}
+            even[i, j][t] += 1
+            with pytest.raises(InternalCheckError):
+                ana._audit_route2_refutation(ci, even, cert)
+            mutants += 1
+    assert mutants == 13 * 24
     # parity certificates name only pivot rows of the set-up echelon, so
     # the audits keep at most rank(A) rows read from the incidence
     assert 0 < len(ana._rows_read) <= len(ana._gf2.pivots)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import EagerGf2Echelon, dense_hermite_normal_form
 from contextuality.errors import PreconditionError
 from contextuality.linalg import (
     Gf2AffineSystem,
@@ -123,6 +124,50 @@ def test_hnf_matches_sympy_row_style():
 def test_hnf_ragged_rejected():
     with pytest.raises(PreconditionError):
         hermite_normal_form([[1, 2], [3]])
+
+
+def _hnf_differential_matrices(rng):
+    """Seeded matrices of every shape the sparse form must not treat
+    differently: non-unit entries, mostly-zero +-1 rows like the Cech
+    systems', zero and duplicate rows, and rank-deficient products."""
+    yield []
+    yield [[0, 0], [0, 0]]
+    for _ in range(150):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        yield _rand_matrix(rng, m, n)
+    for _ in range(100):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        yield [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)]
+               for _ in range(m)]
+    for _ in range(100):
+        m, n = rng.randint(2, 7), rng.randint(1, 6)
+        mat = _rand_matrix(rng, m, n, -4, 4)
+        mat[rng.randrange(m)] = [0] * n
+        i, k = rng.sample(range(m), 2)
+        mat[k] = list(mat[i])
+        yield mat
+    for _ in range(100):
+        m, n, r = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 2)
+        left = _rand_matrix(rng, m, r, -3, 3)
+        right = _rand_matrix(rng, r, n, -3, 3)
+        yield [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+               for row in left]
+
+
+def test_hnf_matches_dense_reference():
+    """The sparse Hermite form gives exactly the dense reference's
+    (H, U), entry for entry, so every witness and certificate read from
+    it is unchanged."""
+    rng = random.Random(67)
+    non_unit = deficient = 0
+    for mat in _hnf_differential_matrices(rng):
+        h, u = hermite_normal_form(mat)
+        assert (h, u) == dense_hermite_normal_form(mat)
+        if mat:
+            _check_hnf(mat, h, u)
+        non_unit += any(abs(a) > 1 for row in h for a in row)
+        deficient += any(not any(row) for row in h)
+    assert non_unit > 100 and deficient > 100
 
 
 # --- GF(2) echelon --------------------------------------------------------
@@ -258,6 +303,39 @@ def test_gf2_refuter_is_pinned_by_brute_force():
                     want >> i & 1 for i in range(nrows))
                 refuted += 1
     assert refuted > 100
+
+
+def test_gf2_echelon_matches_eager_reference():
+    """The echelon reduced on demand has the eager reference's pivot
+    columns and dependent rows, and the same solution, refuter,
+    expression and kernel basis, also when rows arrive after a kernel
+    basis was read; zero and duplicate rows included."""
+    rng = random.Random(71)
+    for _ in range(300):
+        ncols = rng.randint(1, 10)
+        masks = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 12))]
+        if masks and rng.random() < 0.5:
+            masks.append(0)
+            masks.append(rng.choice(masks))
+            rng.shuffle(masks)
+        split = rng.randint(0, len(masks))
+        ech = Gf2Echelon(masks[:split], ncols)
+        ref = EagerGf2Echelon(masks[:split], ncols)
+        assert ech.kernel_basis() == ref.kernel_basis()
+        for mask in masks[split:]:
+            ech.add_row(mask)
+            ref.add_row(mask)
+        assert set(ech.pivots) == set(ref.pivots)
+        assert ech.dependent == ref.dependent
+        assert ech.kernel_basis() == ref.kernel_basis()
+        for _ in range(4):
+            rhs = rng.getrandbits(len(masks)) if masks else 0
+            assert ech.solution(rhs) == ref.solution(rhs)
+            assert ech.refute(rhs) == ref.refute(rhs)
+            target = rng.getrandbits(ncols)
+            assert ech.express(target) == ref.express(target)
+        for mask in masks:
+            assert ech.express(mask) == ref.express(mask)
 
 
 # --- Integer systems -------------------------------------------------------
