@@ -144,8 +144,7 @@ def avn_cech_consistency(model: EmpiricalModel) -> AvnCechReport:
     report = is_avn(model)
     if not report.avn:
         return AvnCechReport(False, ())
-    from .cech import _analyzer
-    analyzer = _analyzer(model)
+    analyzer = model.cech_analyzer
     rows = []
     for ci in range(len(model.scenario.contexts)):
         for s in model.sections[ci]:

@@ -24,7 +24,6 @@ family's compatibility and a potential's coboundary, and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -606,22 +605,17 @@ def _tagged_certificate(kind, coefficients, tag_of) -> CechCertificate:
                            tuple(c for _t, c in kept))
 
 
-@functools.lru_cache(maxsize=8)
-def _analyzer(model: EmpiricalModel) -> CechAnalyzer:
-    return CechAnalyzer(model)
-
-
 def cech_obstruction_vanishes(model: EmpiricalModel, context_index: int,
                               section: Section) -> FamilyDecision:
     """Route 1: does gamma(1*s0) vanish, i.e. does a pinned compatible
     integer family exist?"""
-    return _analyzer(model).family_obstruction(context_index, section)
+    return model.cech_analyzer.family_obstruction(context_index, section)
 
 
 def connecting_cocycle(model: EmpiricalModel, context_index: int,
                        section: Section) -> CocycleDecision:
     """Route 2: the connecting cocycle of s0 and whether it bounds."""
-    return _analyzer(model).connecting_cocycle(context_index, section)
+    return model.cech_analyzer.connecting_cocycle(context_index, section)
 
 
 def collapse_family(model: EmpiricalModel, family) -> dict:
@@ -633,22 +627,22 @@ def collapse_family(model: EmpiricalModel, family) -> dict:
     """
     scenario = model.scenario
     d = scenario.outcome_modulus
-    per_ctx: list[FormalSum] = [dict() for _ in scenario.contexts]
+    per_ctx = [[] for _ in scenario.contexts]  # (section as dict, coeff)
     for (ci, s), c in family.items():
         if not 0 <= ci < len(per_ctx):
             raise PreconditionError("family context index out of range")
         if s not in model.sections[ci]:
             raise PreconditionError(f"{s} is not a section of context {ci}")
         if c:
-            per_ctx[ci][s] = c
-    for ci, fs in enumerate(per_ctx):
-        if sum(fs.values()) != 1:
+            per_ctx[ci].append((dict(s.items), c))
+    for ci, terms in enumerate(per_ctx):
+        if sum(c for _v, c in terms) != 1:
             raise PreconditionError(
                 f"family mass at context {ci} differs from 1")
     out: dict[str, int] = {}
     for ci, ctx in enumerate(scenario.contexts):
         for x in ctx:
-            val = sum(c * s[x] for s, c in per_ctx[ci].items()) % d
+            val = sum(c * v[x] for v, c in per_ctx[ci]) % d
             if x in out and out[x] != val:
                 raise InternalCheckError(
                     f"collapse disagrees across contexts at {x!r}")
@@ -689,7 +683,7 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
     it coexists with a non-vanishing group obstruction.
     """
     model = structured.model
-    cech = _analyzer(model)
+    cech = model.cech_analyzer
     group = GroupObstructionAnalyzer(structured)
     rows = []
     for ci, ctx in enumerate(model.scenario.contexts):

@@ -117,20 +117,21 @@ def coboundary(c: Cochain) -> Cochain:
     taken componentwise modulo the coefficient moduli.  All inner sums
     are defined whenever the outer tuple is composable.
 
-    Each cyclic factor's flat list is summed along the monoid's cached
-    face columns (``PartialMonoid.faces``), one signed column at a time.
+    Each output entry is one signed sum over the monoid's cached face
+    columns (``PartialMonoid.faces``), read in a single pass over the
+    zipped columns and reduced there.
     """
     n = c.degree
     cols = c.monoid.faces(n)
     sums = []
     for f, d in zip(c.columns, c.moduli):
-        acc = [f[j] for j in cols[0]]
-        for i in range(1, n + 2):
-            if i % 2:
-                acc = [a - f[j] for a, j in zip(acc, cols[i])]
-            else:
-                acc = [a + f[j] for a, j in zip(acc, cols[i])]
-        sums.append([a % d for a in acc])
+        if n == 0:
+            sums.append([(f[a] - f[b]) % d for a, b in zip(*cols)])
+        elif n == 1:
+            sums.append([(f[a] - f[b] + f[x]) % d for a, b, x in zip(*cols)])
+        else:
+            sums.append([(f[a] - f[b] + f[x] - f[y]) % d
+                         for a, b, x, y in zip(*cols)])
     return Cochain.of_columns(c.monoid, c.moduli, n + 1, sums)
 
 
@@ -144,7 +145,8 @@ def splitting_of_section(section: Section, context,
     if len(action.moduli) != 1:
         raise PreconditionError(
             "sections translate to splittings only for cyclic coefficients")
-    return {x: (section[x] % action.moduli[0],) for x in context}
+    d, values = action.moduli[0], dict(section.items)
+    return {x: (values[x] % d,) for x in context}
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +178,23 @@ class SectionObstruction:
                 zip(self.quotient.monoid.elements, self.eta_ids)}
 
 
+def _frame(quotient: Quotient, context_labels) -> tuple:
+    """What every section's obstruction on one context shares: its labels,
+    their parent ids, the inside-orbit flags and the inside orbits, the
+    positions of the context block's pairs, and the least members."""
+    ids = [quotient.parent.index(x) for x in context_labels]
+    m, index = quotient.monoid.size, quotient.monoid.pair_index
+    inside = bytearray(m)
+    for i in ids:
+        inside[quotient.orbit_ids[i]] = 1
+    orbits = [q for q, flag in enumerate(inside) if flag]
+    # (a, b) runs in id order, as the pair positions do
+    block = [index[a * m + b] for a in orbits for b in orbits
+             if index[a * m + b] >= 0]
+    return (tuple(context_labels), ids, bytes(inside), orbits, block,
+            [members[0] for members in quotient.member_ids])
+
+
 def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
                         eta_override=None) -> SectionObstruction:
     """The 2-cocycle measuring how far a context section is from global.
@@ -184,44 +203,45 @@ def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
     one representative per orbit: on orbits inside the context it is
     forced to the member where the splitting vanishes; elsewhere it
     defaults to the least member, and ``eta_override`` may replace those
-    free choices (the cohomology class does not depend on them).
+    free choices (the cohomology class does not depend on them); a key
+    that names no orbit, or one inside the context, is refused.
     """
     context_labels = tuple(context_labels)
     report = validate_splitting(quotient, context_labels, splitting)
     if not report.ok:
         raise PreconditionError(
             "not a left splitting: " + "; ".join(report.violations))
-    return _obstruction(quotient, context_labels, splitting, eta_override)
+    return _obstruction(quotient, _frame(quotient, context_labels),
+                        splitting, eta_override)
 
 
-def _obstruction(quotient: Quotient, context_labels: tuple, splitting,
+def _obstruction(quotient: Quotient, frame: tuple, splitting,
                  eta_override) -> SectionObstruction:
-    """``obstruction_cocycle`` on a splitting already validated."""
+    """``obstruction_cocycle`` on a splitting already validated, with its
+    context's ``_frame``."""
+    labels, ids, inside, orbits, block, defaults = frame
     parent, monoid = quotient.parent, quotient.monoid
     n, names, orbit = parent.size, monoid.elements, quotient.orbit_ids
-    value = [-1] * n
-    inside = bytearray(monoid.size)
-    for x in context_labels:
-        i = parent.index(x)
-        value[i] = quotient.action.id_of(splitting[x])
-        inside[orbit[i]] = 1
-    eta = []
-    for q, members in enumerate(quotient.member_ids):
-        if inside[q]:
-            flat = [x for x in members if value[x] == 0]
-            if len(flat) != 1:
-                raise InternalCheckError(
-                    f"splitting vanishes on {len(flat)} members of {names[q]}")
-            eta.append(flat[0])
-        elif eta_override is not None and names[q] in eta_override:
-            cand = eta_override[names[q]]
-            x = parent.id_of(cand)
-            if x < 0 or orbit[x] != q:
-                raise PreconditionError(
-                    f"override {cand!r} is not a member of {names[q]}")
-            eta.append(x)
-        else:
-            eta.append(members[0])
+    eta = list(defaults)
+    for name, cand in (eta_override or {}).items():
+        q = monoid.id_of(name)
+        if q < 0 or inside[q]:
+            raise PreconditionError(
+                f"override key {name!r} names no orbit outside the context")
+        x = parent.id_of(cand)
+        if x < 0 or orbit[x] != q:
+            raise PreconditionError(
+                f"override {cand!r} is not a member of {name}")
+        eta[q] = x
+    # validated values are reduced, so 0 is the one with no nonzero entry
+    flat = [i for x, i in zip(labels, ids) if not any(splitting[x])]
+    hits = [orbit[i] for i in flat]
+    if sorted(hits) != orbits:
+        q = next(q for q in orbits if hits.count(q) != 1)
+        raise InternalCheckError(
+            f"splitting vanishes on {hits.count(q)} members of {names[q]}")
+    for q, i in zip(hits, flat):
+        eta[q] = i
     qx, qy, qz = monoid.pairs()
     sums = parent.sums
     w = [sums[eta[a] * n + eta[b]] for a, b in zip(qx, qy)]
@@ -237,14 +257,14 @@ def _obstruction(quotient: Quotient, context_labels: tuple, splitting,
         raise InternalCheckError(
             f"{parent.elements[w[k]]!r} not in the orbit of "
             f"{parent.elements[eta[qz[k]]]!r}")
-    if any(b for a, c, b in zip(qx, qy, beta_ids) if inside[a] and inside[c]):
+    if any([beta_ids[p] for p in block]):
         raise InternalCheckError("beta does not vanish on the context block")
     beta = Cochain.of_columns(monoid, quotient.action.moduli, 2,
                               quotient.action.columns(beta_ids))
     if not coboundary(beta).is_zero():
         raise InternalCheckError("beta is not a 2-cocycle")
-    return SectionObstruction(
-        quotient, context_labels, bytes(inside), dict(splitting), eta, beta)
+    return SectionObstruction(quotient, labels, inside, dict(splitting), eta,
+                              beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +298,14 @@ class CoboundarySolver:
 
     The linear system depends only on the quotient and on which orbits
     the cochain must vanish on, so one solver serves every section of a
-    context; beta only changes the right-hand side.  Since the monoid
-    is commutative and beta is built symmetrically, only ordered pairs
-    are kept: their positions among the composable pairs, each with the
-    position of its mirror (y, x).  Each cyclic factor's modulus gets one
-    ``ModSystem``, built on first use and reused for every later beta;
-    its modulus-2 local is the bitmask GF(2) solver.
+    context; beta only changes the right-hand side.  A relative name that
+    is no orbit is refused.  Since the monoid is commutative and beta is
+    built symmetrically, only ordered pairs are kept: their positions
+    among the composable pairs, each with the position of its mirror
+    (y, x); the audits compare columns read there as lists.  Each cyclic
+    factor's modulus gets one ``ModSystem``, built on first use and
+    reused for every later beta; its modulus-2 local is the bitmask GF(2)
+    solver.
     """
 
     def __init__(self, quotient: Quotient, relative_orbits):
@@ -294,23 +316,21 @@ class CoboundarySolver:
         rel = bytearray(m)
         for name in self.relative:
             q = monoid.id_of(name)
-            if q >= 0:
-                rel[q] = 1
+            if q < 0:
+                raise PreconditionError(f"{name!r} is not an orbit")
+            rel[q] = 1
         self._unknowns = [q for q in range(m) if not rel[q]]
         column = [-1] * m
         for j, q in enumerate(self._unknowns):
             column[q] = j
         qx, qy, qz = monoid.pairs()
         index = monoid.pair_index
-        mirror = [index[b * m + a] for a, b in zip(qx, qy)]
         self._kept = [p for p, (a, b, c) in enumerate(zip(qx, qy, qz))
                       if a <= b and not (rel[a] and rel[b] and rel[c])]
-        self._mirror = [mirror[p] for p in self._kept]
-        kept = bytearray(len(qx))
-        for p in self._kept:
-            kept[p] = 1
-        self._outside = [p for p, r in enumerate(mirror)
-                         if not kept[p] and not (r >= 0 and kept[r])]
+        self._mirror = [index[qy[p] * m + qx[p]] for p in self._kept]
+        # neither the pair nor its mirror is kept
+        self._outside = [p for p, (a, b, c) in enumerate(zip(qx, qy, qz))
+                         if rel[a] and rel[b] and rel[c]]
         self._rows = []
         for p in self._kept:
             row = [0] * len(self._unknowns)
@@ -337,12 +357,11 @@ class CoboundarySolver:
     def decide(self, beta: Cochain) -> CoboundaryDecision:
         action = self.quotient.action
         for col in beta.columns:
-            if any(col[p] for p in self._outside):
+            if any([col[p] for p in self._outside]):
                 raise InternalCheckError(
                     "cochain not relative to the context block")
         for col in beta.columns:
-            if any(col[p] != (col[r] if r >= 0 else 0)
-                   for p, r in zip(self._kept, self._mirror)):
+            if [col[p] for p in self._kept] != [col[r] for r in self._mirror]:
                 raise InternalCheckError("cochain is not symmetric")
         gamma_cols = []
         certificates = []
@@ -445,7 +464,8 @@ class GroupObstructionReport:
 
 
 class GroupObstructionAnalyzer:
-    """Shared gluing, quotient and per-context solvers for one model.
+    """Shared gluing, quotient, and per-context obstruction frames and
+    coboundary solvers for one model.
 
     Set-up validates every section's splitting, so queries do not."""
 
@@ -457,15 +477,16 @@ class GroupObstructionAnalyzer:
         self.structured = structured
         self.quotient = quotient
         self.monoid = quotient.parent
-        self._solvers: dict[int, CoboundarySolver] = {}
+        self._contexts: dict[int, tuple] = {}
 
-    def _solver(self, context_index: int) -> CoboundarySolver:
-        if context_index not in self._solvers:
+    def _context(self, context_index: int):
+        if context_index not in self._contexts:
             ctx = self.structured.model.scenario.contexts[context_index]
             inside = frozenset(self.quotient.orbit_of(x) for x in ctx)
-            self._solvers[context_index] = CoboundarySolver(
-                self.quotient, inside)
-        return self._solvers[context_index]
+            self._contexts[context_index] = (
+                _frame(self.quotient, ctx),
+                CoboundarySolver(self.quotient, inside))
+        return self._contexts[context_index]
 
     def analyze(self, context_index: int, section: Section,
                 eta_override=None) -> GroupObstructionReport:
@@ -477,9 +498,10 @@ class GroupObstructionAnalyzer:
             raise PreconditionError(
                 f"{section} is not a section of context {context_index}")
         ctx = scenario.contexts[context_index]
+        frame, solver = self._context(context_index)
         sp = splitting_of_section(section, ctx, self.structured.action)
-        obstruction = _obstruction(self.quotient, ctx, sp, eta_override)
-        decision = self._solver(context_index).decide(obstruction.beta)
+        obstruction = _obstruction(self.quotient, frame, sp, eta_override)
+        decision = solver.decide(obstruction.beta)
         glob = None
         if decision.vanishes:
             glob = self._reconstruct(obstruction, decision, ctx, section)
@@ -502,8 +524,9 @@ class GroupObstructionAnalyzer:
         phi = trivialisation_from_right_splitting(q, els, h)
         d = self.structured.action.moduli[0]
         outcome = {x: a[0] % d for x, (a, _orbit) in phi.items()}
+        values = dict(section.items)
         for x in ctx:
-            if outcome[x] != section[x]:
+            if outcome[x] != values[x]:
                 raise InternalCheckError(
                     f"reconstructed splitting disagrees with the section "
                     f"at {x!r}")

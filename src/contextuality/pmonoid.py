@@ -750,15 +750,20 @@ def _right_splitting(q: Quotient, sub: _Subset, h):
     if bad:
         return image, bad
     n, sums = parent.size, parent.sums
-    for qx, qy, qz in zip(*monoid.pairs()):
-        if image[qx] >= 0 and image[qy] >= 0:
-            z = sums[image[qx] * n + image[qy]]
-            if z < 0:
-                raise PreconditionError(
-                    f"sum {parent.elements[image[qx]]!r} + "
-                    f"{parent.elements[image[qy]]!r} is undefined")
-            if image[qz] != z:
-                bad.append(f"not a homomorphism at ({names[qx]}, {names[qy]})")
+    xs, ys, zs = monoid.pairs()
+    if len(orbits) < monoid.size:  # only the pairs of the subset's orbits
+        on = [p for p, (a, b) in enumerate(zip(xs, ys))
+              if image[a] >= 0 and image[b] >= 0]
+        xs, ys, zs = ([col[p] for p in on] for col in (xs, ys, zs))
+    got = [sums[image[a] * n + image[b]] for a, b in zip(xs, ys)]
+    if -1 in got:
+        k = got.index(-1)
+        raise PreconditionError(
+            f"sum {parent.elements[image[xs[k]]]!r} + "
+            f"{parent.elements[image[ys[k]]]!r} is undefined")
+    if got != [image[c] for c in zs]:
+        bad = [f"not a homomorphism at ({names[a]}, {names[b]})"
+               for a, b, c, z in zip(xs, ys, zs, got) if image[c] != z]
     return image, bad
 
 

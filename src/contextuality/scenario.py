@@ -35,6 +35,7 @@ outcomes out of range) raises ``PreconditionError``.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -262,6 +263,14 @@ class EmpiricalModel:
                     if g is None:
                         search.search((c, r))
         return search.seen
+
+    @cached_property
+    def cech_analyzer(self):
+        """The model's ``cech.CechAnalyzer``, made by the first Cech query
+        and shared by every later one.  It reads the model through a weak
+        proxy, so no cycle outlives the model: use it only while it lives."""
+        from .cech import CechAnalyzer
+        return CechAnalyzer(weakref.proxy(self))
 
     def pair_restrictions(self):
         """``(i, j, labels, left, right)`` for each pair i < j of contexts

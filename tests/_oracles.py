@@ -380,3 +380,26 @@ class EagerGf2Echelon:
                     vec |= 1 << c
             basis.append(vec)
         return basis
+
+
+# --- The bar differential as signed passes: the reference for mcohom's ----
+#
+# ``signed_pass_coboundary`` sums a cochain's face columns one signed pass
+# at a time and reduces at the end, as the one-pass ``mcohom.coboundary``
+# did before it read each entry in a single comprehension.  It returns the
+# columns of d(c), one flat list per cyclic factor.
+
+
+def signed_pass_coboundary(c):
+    n = c.degree
+    cols = c.monoid.faces(n)
+    sums = []
+    for f, d in zip(c.columns, c.moduli):
+        acc = [f[j] for j in cols[0]]
+        for i in range(1, n + 2):
+            if i % 2:
+                acc = [a - f[j] for a, j in zip(acc, cols[i])]
+            else:
+                acc = [a + f[j] for a, j in zip(acc, cols[i])]
+        sums.append([a % d for a in acc])
+    return tuple(sums)

@@ -14,7 +14,6 @@ import numpy as np
 from contextuality import fixtures
 from contextuality.avn import LinearEquation, entails, is_avn, theory_of
 from contextuality.cech import (
-    _analyzer,
     build_nerve,
     cech_coboundary,
     cross_check_obstructions,
@@ -67,7 +66,6 @@ def _fresh_start():
     fixtures.mermin_square.cache_clear()
     fixtures.ghz_mermin.cache_clear()
     fixtures.hardy_model.cache_clear()
-    _analyzer.cache_clear()
 
 
 def _ok(n, msg):
@@ -137,7 +135,7 @@ def test_criterion_04_cech_obstructed_everywhere_and_routes_agree():
     blocked = 0
     for name in ("mermin", "ghz"):
         model = get_fixture(name).model
-        an = _analyzer(model)
+        an = model.cech_analyzer
         for ci in range(len(model.scenario.contexts)):
             for sec in model.sections[ci]:
                 d1 = an.family_obstruction(ci, sec)
@@ -147,7 +145,7 @@ def test_criterion_04_cech_obstructed_everywhere_and_routes_agree():
                 agreed += d1.vanishes == d2.vanishes
                 blocked += 1
     hardy = get_fixture("hardy").model
-    an = _analyzer(hardy)
+    an = hardy.cech_analyzer
     for ci in range(len(hardy.scenario.contexts)):
         for sec in hardy.sections[ci]:
             d1 = an.family_obstruction(ci, sec)
@@ -168,7 +166,7 @@ def test_criterion_05_hardy_false_positive_with_integer_family(hardy):
     assert verdict.kind == "logically_contextual"
     ci, sec = verdict.witnesses[0]
     assert not section_extends(model, ci, sec)
-    decision = _analyzer(model).family_obstruction(ci, sec)
+    decision = model.cech_analyzer.family_obstruction(ci, sec)
     assert decision.vanishes
     family = decision.family
     assert all(isinstance(c, int) for c in family.values())

@@ -8,6 +8,7 @@ behind its own bookkeeping.
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import contextuality.cech as cech_module
 import contextuality.scenario as scenario_module
 from contextuality import cli
-from contextuality.avn import theory_of
+from contextuality.avn import avn_cech_consistency, theory_of
 from contextuality.cech import (
     CechAnalyzer,
     CechCertificate,
@@ -23,6 +24,7 @@ from contextuality.cech import (
     cech_coboundary,
     cech_obstruction_vanishes,
     collapse_family,
+    connecting_cocycle,
     cross_check_obstructions,
     fs_restrict,
     make_cech_cochain,
@@ -30,6 +32,7 @@ from contextuality.cech import (
 from contextuality.errors import InternalCheckError, PreconditionError
 from contextuality.modelio import document_to_model, model_to_document
 from contextuality.pauli import build_state_independent_model, parse_pauli
+from contextuality.pmonoid import StructuredModel
 from contextuality.scenario import (
     EmpiricalModel,
     MeasurementScenario,
@@ -462,6 +465,39 @@ def test_both_routes_share_one_pinned_search(hardy, mermin, ghz,
         assert len(built) == searches
 
 
+def test_model_holds_its_cech_analyzer(mermin, monkeypatch):
+    """Every module-level Cech query on a model, the cross-check and the
+    AvN consistency check read the one analyzer the model holds: it is
+    built once, and no query hashes the model.  The analyzer reads the
+    model through a weak proxy, so dropping the model frees both without
+    the cycle collector."""
+    built = []
+    real = CechAnalyzer.__init__
+
+    def counted(self, model):
+        built.append(model)
+        real(self, model)
+
+    def unhashable(_self):
+        raise AssertionError("a Cech query hashed the model")
+
+    monkeypatch.setattr(CechAnalyzer, "__init__", counted)
+    monkeypatch.setattr(EmpiricalModel, "__hash__", unhashable)
+    st = mermin.structured
+    model = EmpiricalModel.make(st.model.scenario, st.model.sections)
+    for ci, secs in enumerate(model.sections):
+        for sec in secs:
+            assert not cech_obstruction_vanishes(model, ci, sec).vanishes
+            assert not connecting_cocycle(model, ci, sec).vanishes
+    assert avn_cech_consistency(model).avn
+    assert cross_check_obstructions(
+        StructuredModel(model, st.context_ops, st.action)).consistent
+    assert len(built) == 1 and model.cech_analyzer.model == model
+    alive = weakref.ref(model.cech_analyzer)
+    del model
+    assert alive() is None
+
+
 def test_classify_and_cross_check_share_one_search(monkeypatch):
     """``classify`` and the cross-check's global-section shortcuts read one
     extension table per model: on a noncontextual model, whose every
@@ -474,7 +510,6 @@ def test_classify_and_cross_check_share_one_search(monkeypatch):
         real(self, model)
 
     monkeypatch.setattr(scenario_module._Search, "__init__", counted)
-    cech_module._analyzer.cache_clear()
     st = build_state_independent_model(
         [parse_pauli(s) for s in ("+X", "+Z", "-I")])
     assert classify(st.model).kind == "noncontextual"

@@ -14,6 +14,7 @@ import pytest
 import contextuality.mcohom as mcohom_module
 import contextuality.pmonoid as pmonoid_module
 from contextuality.errors import PreconditionError, InternalCheckError
+from contextuality.linalg import ModSolveResult
 from contextuality.mcohom import (
     Cochain,
     CoboundarySolver,
@@ -40,6 +41,9 @@ from contextuality.scenario import (
     global_sections,
     section_extends,
 )
+
+from _oracles import signed_pass_coboundary
+from test_pauli import _random_generators
 
 
 def _z9_quotient():
@@ -70,6 +74,7 @@ def _z2cubed_quotient():
 
 
 def _mermin_quotient(mermin):
+    """The quotient of a fixture's glued monoid (mermin's, or any other)."""
     mon = glue_contexts(mermin.structured)
     return quotient_by_action(mon, mermin.structured.action)
 
@@ -163,6 +168,34 @@ def test_degree_two_coboundary_formula_by_hand(mermin):
     assert non_cocycles >= 50
 
 
+def test_coboundary_matches_signed_pass_reference(mermin, ghz):
+    """The one-pass bar differential gives the columns of the signed-pass
+    reference (``_oracles.signed_pass_coboundary``) on seeded random
+    cochains of degrees 0-2, for moduli 2, 3, 4, 6, 9 and the pair (6, 9),
+    with reduced values and with unreduced, negative ones, on the mermin,
+    ghz and Z9 monoids and their quotients."""
+    rng = random.Random(41)
+    monoids = []
+    for q in [_mermin_quotient(mermin), _mermin_quotient(ghz),
+              _z9_quotient()]:
+        monoids += [q.parent, q.monoid]
+    checked = 0
+    for mon in monoids:
+        for degree in (0, 1, 2):
+            for moduli in ((2,), (3,), (4,), (6,), (9,), (6, 9)):
+                for reduced in (True, False):
+                    cols = [[rng.randrange(d) if reduced
+                             else rng.randrange(-3 * d, 3 * d)
+                             for _ in range(mon.count(degree))]
+                            for d in moduli]
+                    c = Cochain.of_columns(mon, moduli, degree, cols)
+                    got = coboundary(c)
+                    assert (got.degree, got.moduli) == (degree + 1, moduli)
+                    assert got.columns == signed_pass_coboundary(c)
+                    checked += 1
+    assert checked == 6 * 3 * 6 * 2
+
+
 def test_coboundary_rejects_values_off_the_composable_tuples(mermin):
     mon = _mermin_quotient(mermin).monoid
     apart = next((x, y) for x in mon.elements for y in mon.elements
@@ -244,19 +277,44 @@ def test_mermin_sections_all_obstructed(mermin, mermin_group):
     assert count == 24
 
 
+def _report_key(report):
+    ob, dec = report.obstruction, report.decision
+    return (ob.eta_ids, ob.beta.columns, ob.inside, dec.vanishes,
+            dec.gamma_ids, dec.certificates, report.global_splitting)
+
+
 def test_shared_group_analyzer_answers_like_fresh_ones(mermin):
-    """One analyzer, whose coboundary solvers serve every later section of
-    their context, queried in reverse section order agrees with a fresh
-    analyzer per query."""
-    st = mermin.structured
-    shared = GroupObstructionAnalyzer(st)
-    queries = [(ci, s) for ci, secs in enumerate(st.model.sections)
-               for s in secs]
-    for ci, s in reversed(queries):
-        got = shared.analyze(ci, s).decision
-        want = GroupObstructionAnalyzer(st).analyze(ci, s).decision
-        assert got.vanishes == want.vanishes
-        assert got.certificates == want.certificates
+    """One analyzer, whose obstruction frames and coboundary solvers serve
+    every later section of their context, queried in reverse section
+    order agrees with a fresh analyzer per query: eta, beta, gamma, the
+    certificates and the global splitting, also after a query on each
+    context that overrode every free representative.  The models are
+    mermin and 30 seeded Pauli models, some of whose sections vanish."""
+    rng = random.Random(113)
+    models = [mermin.structured]
+    while len(models) < 31:
+        _n, gens = _random_generators(rng, cap=24)
+        try:
+            models.append(build_state_independent_model(gens))
+        except PreconditionError:
+            continue
+    vanishing = 0
+    for st in models:
+        shared = GroupObstructionAnalyzer(st)
+        q = shared.quotient
+        for ci, secs in enumerate(st.model.sections):
+            inside = shared.analyze(ci, secs[0]).obstruction.relative_orbits
+            shared.analyze(ci, secs[0], eta_override={
+                o: q.members(o)[-1] for o in q.monoid.elements
+                if o not in inside})
+        queries = [(ci, s) for ci, secs in enumerate(st.model.sections)
+                   for s in secs]
+        for ci, s in reversed(queries):
+            got = shared.analyze(ci, s)
+            want = GroupObstructionAnalyzer(st).analyze(ci, s)
+            assert _report_key(got) == _report_key(want)
+            vanishing += got.vanishes
+    assert vanishing >= 30
 
 
 def test_mermin_verdicts_match_brute_force(mermin, mermin_group):
@@ -436,3 +494,121 @@ def test_coboundary_solver_rejects_non_symmetric(mermin):
     bad = make_cochain(quotient.monoid, (2,), 2, vals)
     with pytest.raises(InternalCheckError):
         solver.decide(bad)
+
+
+def test_group_route_rejects_input_it_cannot_use(mermin):
+    """A relative orbit name that is no orbit, and an eta override keyed by
+    no orbit or by an orbit inside the context, where the representative
+    is forced, are precondition errors, not silently dropped."""
+    quotient = _mermin_quotient(mermin)
+    st = mermin.structured
+    ctx = st.model.scenario.contexts[0]
+    sec = st.model.sections[0][0]
+    sp = splitting_of_section(sec, ctx, st.action)
+    inside = sorted(obstruction_cocycle(quotient, ctx, sp).relative_orbits)
+    with pytest.raises(PreconditionError, match="is not an orbit"):
+        CoboundarySolver(quotient, inside + ["+XX"])
+    forced = inside[-1]
+    ana = GroupObstructionAnalyzer(st)
+    for override, message in (
+            ({"[nope]": "+II"}, "names no orbit outside"),
+            ({"+XX": "+XX"}, "names no orbit outside"),
+            ({forced: quotient.members(forced)[1]}, "names no orbit outside")):
+        with pytest.raises(PreconditionError, match=message):
+            obstruction_cocycle(quotient, ctx, sp, eta_override=override)
+        with pytest.raises(PreconditionError, match=message):
+            ana.analyze(0, sec, eta_override=override)
+
+
+_AUDITED = "beta is not a 2-cocycle|beta does not vanish on the context block"
+
+
+def test_obstruction_audits_catch_a_tampered_value_table(mermin):
+    """Each value-table entry that beta reads, changed to the other group
+    element, makes the next query fail the block check or the 2-cocycle
+    audit; each audit fires on some entry."""
+    st = mermin.structured
+    fired = set()
+    for ci, secs in enumerate(st.model.sections):
+        ana = GroupObstructionAnalyzer(st)
+        q = ana.quotient
+        n = q.parent.size
+        eta = ana.analyze(ci, secs[0]).obstruction.eta_ids
+        qx, qy, qz = q.monoid.pairs()
+        for a, b, c in zip(qx, qy, qz):
+            k = q.parent.sums[eta[a] * n + eta[b]] * n + eta[c]
+            q.value_table[k] ^= 1
+            with pytest.raises(InternalCheckError, match=_AUDITED) as err:
+                ana.analyze(ci, secs[0])
+            fired.add(str(err.value))
+            q.value_table[k] ^= 1
+    assert fired == set(_AUDITED.split("|"))
+
+
+def _split_model():
+    """A noncontextual two-context model: every section vanishes, and each
+    orbit outside a context composes with an orbit other than itself and
+    the identity's, so no single orbit's indicator is a 1-cocycle."""
+    return build_state_independent_model(
+        [parse_pauli(s) for s in ("+XI", "+IX", "+ZI", "-II")])
+
+
+def test_decide_catches_a_tampered_gamma(monkeypatch):
+    """A coboundary witness with one coordinate moved by 1 no longer bounds
+    beta, and ``decide`` says so, on every coordinate of every section."""
+    st = _split_model()
+    real = mcohom_module.ModSystem
+    moved = []
+
+    class Tampered(real):
+        def solve(self, rhs):
+            res = real.solve(self, rhs)
+            w = list(res.witness)
+            w[moved[-1]] = (w[moved[-1]] + 1) % self.modulus
+            return ModSolveResult(True, tuple(w), None)
+
+    free = {}
+    for ci, secs in enumerate(st.model.sections):
+        for s in secs:
+            report = GroupObstructionAnalyzer(st).analyze(ci, s)
+            assert report.vanishes
+            free[ci, s] = (report.obstruction.quotient.monoid.size
+                           - len(report.obstruction.relative_orbits))
+    monkeypatch.setattr(mcohom_module, "ModSystem", Tampered)
+    tampered = 0
+    for (ci, s), unknowns in free.items():
+        ana = GroupObstructionAnalyzer(st)
+        for j in range(unknowns):
+            moved.append(j)
+            with pytest.raises(InternalCheckError,
+                               match="gamma does not bound beta"):
+                ana.analyze(ci, s)
+            tampered += 1
+    assert tampered == 16
+
+
+def test_reconstruction_catches_a_tampered_action_table():
+    """Each action-table entry that the reconstruction reads, moved to a
+    member of another orbit, makes h fail to be a section of the quotient
+    map, and the query is refused."""
+    st = _split_model()
+    tampered = 0
+    for ci, secs in enumerate(st.model.sections):
+        for s in secs:
+            ana = GroupObstructionAnalyzer(st)
+            report = ana.analyze(ci, s)
+            q = ana.quotient
+            n = q.parent.size
+            for a, x in zip(report.decision.gamma_ids,
+                            report.obstruction.eta_ids):
+                k = a * n + x
+                real = q.act_table[k]
+                q.act_table[k] = next(y for y in range(n)
+                                      if q.orbit_ids[y] != q.orbit_ids[real])
+                with pytest.raises(PreconditionError,
+                                   match="not a right splitting: not a "
+                                         "section"):
+                    ana.analyze(ci, s)
+                q.act_table[k] = real
+                tampered += 1
+    assert tampered == 8 * 6
