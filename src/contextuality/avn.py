@@ -64,7 +64,7 @@ def entails(theory: Theory, equation: LinearEquation) -> bool:
     """
     labels = theory.model.scenario.measurements
     pos = {x: i for i, x in enumerate(labels)}
-    rows = [[0] * len(theory.equations) for _ in range(len(labels) + 1)]
+    rows = [{} for _ in range(len(labels) + 1)]
     for j, eq in enumerate(theory.equations):
         for x, c in eq.coeffs:
             rows[pos[x]][j] = c % theory.modulus
@@ -75,7 +75,7 @@ def entails(theory: Theory, equation: LinearEquation) -> bool:
             raise PreconditionError(f"unknown measurement {x!r}")
         rhs[pos[x]] = c % theory.modulus
     rhs[len(labels)] = equation.constant % theory.modulus
-    res = ModSystem(rows, theory.modulus).solve(rhs)
+    res = ModSystem(rows, theory.modulus, len(theory.equations)).solve(rhs)
     return res.feasible
 
 
@@ -99,22 +99,16 @@ def is_avn(model: EmpiricalModel) -> AvnReport:
     theory = theory_of(model)
     labels = model.scenario.measurements
     pos = {x: i for i, x in enumerate(labels)}
-    rows = []
-    rhs = []
-    for eq in theory.equations:
-        row = [0] * len(labels)
-        for x, c in eq.coeffs:
-            row[pos[x]] = c % theory.modulus
-        rows.append(row)
-        rhs.append(eq.constant % theory.modulus)
+    d = theory.modulus
+    rows = [{pos[x]: c % d for x, c in eq.coeffs} for eq in theory.equations]
+    rhs = [eq.constant % d for eq in theory.equations]
     if not rows:
-        return AvnReport(False, theory,
-                         witness={x: 0 for x in labels})
-    res = ModSystem(rows, theory.modulus, ncols=len(labels)).solve(rhs)
+        return AvnReport(False, theory, witness={x: 0 for x in labels})
+    res = ModSystem(rows, d, len(labels)).solve(rhs)
     if res.feasible:
         witness = {x: res.witness[pos[x]] for x in labels}
         for eq in theory.equations:
-            if eq.evaluate(witness, theory.modulus):
+            if eq.evaluate(witness, d):
                 raise InternalCheckError("theory witness fails an equation")
         return AvnReport(False, theory, witness=witness)
     return AvnReport(True, theory, certificate=res)

@@ -22,7 +22,7 @@ import sys
 import time
 
 from .avn import is_avn
-from .cech import CechAnalyzer, collapse_family, cross_check_obstructions
+from .cech import collapse_family, cross_check_obstructions
 from .errors import InternalCheckError, PreconditionError
 from .fixtures import get_fixture, list_fixtures
 from .mcohom import GroupObstructionAnalyzer, validate_structured_model
@@ -137,7 +137,7 @@ def _cmd_analyze(args) -> int:
             raise PreconditionError(
                 "Cech analysis needs a no-signalling model")
         t0 = time.perf_counter()
-        analyzer = CechAnalyzer(model)
+        analyzer = model.cech_analyzer
         rows = []
         for ci, s in _select_queries(model, args, witnesses):
             dec = analyzer.family_obstruction(ci, s)

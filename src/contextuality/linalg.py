@@ -1,13 +1,14 @@
 """Exact integer and modular linear algebra with verifiable certificates.
 
-Nothing here ever rounds: every entry is a Python int.  The integer
-solver works on sparse rows, ``{column: entry}`` dicts with no zero
-entries, and so does its Hermite normal form.  Dense ``list[list[int]]``
-input is taken only at the public boundary (``hermite_normal_form``,
-``solve_integer``, ``verify_integer_result``, ``verify_mod_result`` and
-``ModSystem``), which converts it and runs the same code; only the
-eliminations at prime powers other than 2 work on dense rows.  GF(2)
-rows are bitmasks.  The solvers share one reporting convention:
+Nothing here ever rounds: every entry is a Python int.  Every exact
+solver works on sparse rows, ``{column: entry}`` dicts over an explicit
+column count: the integer solver and its Hermite normal form, and the
+modular solver and its eliminations at every prime power.  Dense
+``list[list[int]]`` input is taken only by the one-shot public functions
+(``hermite_normal_form``, ``solve_integer``, ``solve_mod``,
+``kernel_mod``, ``verify_integer_result`` and ``verify_mod_result``),
+which convert it and run the same code.  GF(2) rows are bitmasks.  The
+solvers share one reporting convention:
 
 * a witness is an assignment satisfying the system exactly;
 * an infeasibility certificate is a vector ``y`` that provably separates
@@ -67,6 +68,12 @@ def _sparse(rows: Matrix) -> list[SparseRow]:
 
 def _dense(rows: list[SparseRow], n: int) -> Matrix:
     return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def _check_columns(rows: list[SparseRow], ncols: int) -> None:
+    """The precondition of every sparse system: columns in ``range(ncols)``."""
+    if any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
+        raise PreconditionError("row entry outside the column range")
 
 
 def _subtract(row: SparseRow, q: int, other: SparseRow) -> None:
@@ -350,8 +357,7 @@ def _verify_dense(rows: Matrix, rhs: list[int], result, modulus: int, y,
     """``_verify`` for dense rows; an empty system takes its column count
     from the witness."""
     n = len(rows[0]) if rows else (len(result.witness) if result.witness else 0)
-    return _verify([{j: a for j, a in enumerate(row) if a} for row in rows],
-                   n, rhs, result, modulus, y, cert_modulus)
+    return _verify(_sparse(rows), n, rhs, result, modulus, y, cert_modulus)
 
 
 def verify_integer_result(rows: Matrix, rhs: list[int], result: IntSolveResult) -> bool:
@@ -372,11 +378,10 @@ class IntegerSystem:
     """
 
     def __init__(self, rows: list[SparseRow], ncols: int):
+        _check_columns(rows, ncols)
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
-        if any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
-            raise PreconditionError("row entry outside the column range")
         self._lattice: tuple | None = None
 
     # lattice of reachable right-hand sides, in constraint-index space
@@ -520,139 +525,142 @@ def _val(a: int, p: int) -> int:
     return v
 
 
+def _subtract_mod(row: SparseRow, f: int, other: SparseRow, q: int) -> None:
+    """``row -= f * other (mod q)`` in place, dropping zeros."""
+    for c, b in other.items():
+        a = (row.get(c, 0) - f * b) % q
+        if a:
+            row[c] = a
+        else:
+            row.pop(c, None)
+
+
 class _PrimePowerSystem:
     """Elimination over Z_{p^e} with valuation-minimal pivoting.
 
     Pivots are chosen globally by increasing p-valuation, so every entry
     remaining to the right of (or below) a pivot has valuation at least
     the pivot's.  That makes back-substitution with zeroed free variables
-    complete: a division failure genuinely certifies infeasibility.
+    complete: a division failure genuinely certifies infeasibility.  Rows
+    and their tracks, the combinations of original rows they now hold,
+    are sparse with entries in ``[1, p^e)``; a track is expanded to a
+    dense vector only when it is returned as a certificate.
     """
 
-    def __init__(self, rows: Matrix, ncols: int, p: int, e: int):
+    def __init__(self, rows: list[SparseRow], ncols: int, p: int, e: int):
         self.p, self.e, self.q = p, e, p**e
         self.ncols = ncols
         q = self.q
-        self.mat = [[a % q for a in row] for row in rows]
-        m = len(self.mat)
-        self.track = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        self.mat = [{j: a % q for j, a in row.items() if a % q} for row in rows]
+        self.track = [{i: 1} for i in range(len(rows))]
         self.pivots: list[tuple[int, int, int]] = []  # (row, col, valuation)
         self._eliminate()
 
     def _eliminate(self) -> None:
         p, q = self.p, self.q
-        m = len(self.mat)
-        used_cols: set[int] = set()
+        mat, track = self.mat, self.track
+        m = len(mat)
         r = 0
         while r < m:
-            best = None  # (valuation, col, row)
+            # least (valuation, col, row), up to the first row with a unit;
+            # the rows below a pivot are clear in its column
+            best = None
             for i in range(r, m):
-                row = self.mat[i]
-                for j in range(self.ncols):
-                    if j in used_cols or row[j] == 0:
-                        continue
-                    v = _val(row[j], p)
-                    if best is None or (v, j, i) < best:
-                        best = (v, j, i)
+                for j, a in mat[i].items():
+                    cand = (_val(a, p), j, i)
+                    if best is None or cand < best:
+                        best = cand
                 if best is not None and best[0] == 0:
                     break  # unit pivot is as good as it gets
             if best is None:
                 break
             v, j, i = best
-            self.mat[r], self.mat[i] = self.mat[i], self.mat[r]
-            self.track[r], self.track[i] = self.track[i], self.track[r]
-            unit = self.mat[r][j] // (p**v)
-            inv = pow(unit, -1, q)
-            self.mat[r] = [(a * inv) % q for a in self.mat[r]]
-            self.track[r] = [(a * inv) % q for a in self.track[r]]
+            mat[r], mat[i] = mat[i], mat[r]
+            track[r], track[i] = track[i], track[r]
             pv = p**v
+            inv = pow(mat[r][j] // pv, -1, q)
+            rowr = mat[r] = {c: a * inv % q for c, a in mat[r].items()}
+            tr = track[r] = {c: a * inv % q for c, a in track[r].items()}
             for i2 in range(r + 1, m):
-                a = self.mat[i2][j]
+                a = mat[i2].get(j)
                 if a:
                     f = a // pv  # exact: every remaining entry has valuation >= v
-                    row2, rowr = self.mat[i2], self.mat[r]
-                    self.mat[i2] = [(x - f * y) % q for x, y in zip(row2, rowr)]
-                    t2, tr = self.track[i2], self.track[r]
-                    self.track[i2] = [(x - f * y) % q for x, y in zip(t2, tr)]
+                    _subtract_mod(mat[i2], f, rowr, q)
+                    _subtract_mod(track[i2], f, tr, q)
             self.pivots.append((r, j, v))
-            used_cols.add(j)
             r += 1
         self.rank = r
 
-    def _apply_track(self, rhs: list[int]) -> list[int]:
-        q = self.q
-        return [sum(t * b for t, b in zip(trow, rhs)) % q for trow in self.track]
+    def _certificate(self, i: int, scale: int = 1) -> tuple[int, ...]:
+        """``scale`` times track ``i``, dense over the original rows."""
+        t = self.track[i]
+        return tuple(scale * t.get(k, 0) % self.q for k in range(len(self.mat)))
 
-    def solve(self, rhs: list[int]) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-        """(witness mod q, None) or (None, certificate mod q)."""
-        p, q, e = self.p, self.q, self.e
-        c = self._apply_track(rhs)
-        for i in range(self.rank, len(self.mat)):
-            if c[i] % q:
-                return None, tuple(self.track[i])
-        x = [0] * self.ncols
-        for r, j, v in reversed(self.pivots):
-            residual = (c[r] - sum(self.mat[r][t] * x[t] for t in range(self.ncols) if x[t])) % q
-            pv = p**v
-            if residual % pv:
-                scale = q // pv
-                cert = tuple((scale * t) % q for t in self.track[r])
-                return None, cert
-            x[j] = (residual // pv) % (q // pv)
-        return tuple(x), None
-
-    def kernel(self) -> list[list[int]]:
-        """Generating set of ``{x : A x = 0 (mod p^e)}``."""
-        p, q = self.p, self.q
-        pivot_cols = {j for _, j, _ in self.pivots}
-        gens = []
-        for f in range(self.ncols):
-            if f in pivot_cols:
-                continue
-            x = [0] * self.ncols
-            x[f] = 1
-            self._back_substitute_homogeneous(x)
-            gens.append(x)
-        for r, j, v in self.pivots:
-            if v == 0:
-                continue
-            x = [0] * self.ncols
-            x[j] = p ** (self.e - v)
-            self._back_substitute_homogeneous(x, skip_row=r)
-            gens.append(x)
-        return gens
-
-    def _back_substitute_homogeneous(self, x: list[int], skip_row: int = -1) -> None:
+    def _back_substitute(self, x: list[int], c: list[int], skip_row: int = -1):
+        """Set each pivot's column of ``x``, last pivot first, so that its
+        row pairs with ``x`` to ``c[row]``; the first pivot row whose
+        residual its pivot does not divide, or None."""
         p, q = self.p, self.q
         for r, j, v in reversed(self.pivots):
             if r == skip_row:
                 continue
-            residual = (-sum(self.mat[r][t] * x[t] for t in range(self.ncols) if x[t])) % q
+            residual = (c[r] - sum(a * x[t] for t, a in self.mat[r].items())) % q
             pv = p**v
             if residual % pv:
-                raise InternalCheckError("homogeneous back-substitution hit a non-divisible residual")
+                return r
             x[j] = (residual // pv) % (q // pv)
+        return None
+
+    def solve(self, rhs: list[int]) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+        """(witness mod q, None) or (None, certificate mod q)."""
+        q = self.q
+        c = [sum(t * rhs[k] for k, t in trow.items()) % q for trow in self.track]
+        for i in range(self.rank, len(self.mat)):
+            if c[i]:
+                return None, self._certificate(i)
+        x = [0] * self.ncols
+        r = self._back_substitute(x, c)
+        if r is not None:
+            return None, self._certificate(r, q // self.p ** self.pivots[r][2])
+        return tuple(x), None
+
+    def kernel(self) -> list[list[int]]:
+        """Generating set of ``{x : A x = 0 (mod p^e)}``: one vector per
+        free column, and one per pivot of positive valuation v, set to
+        ``p^(e-v)`` there, each completed by back-substitution."""
+        pivot_cols = {j for _, j, _ in self.pivots}
+        starts = [(f, 1, -1) for f in range(self.ncols) if f not in pivot_cols]
+        starts += [(j, self.p ** (self.e - v), r) for r, j, v in self.pivots if v]
+        zero = [0] * len(self.mat)
+        gens = []
+        for col, value, skip_row in starts:
+            x = [0] * self.ncols
+            x[col] = value
+            if self._back_substitute(x, zero, skip_row) is not None:
+                raise InternalCheckError("homogeneous back-substitution hit a non-divisible residual")
+            gens.append(x)
+        return gens
 
 
 class ModSystem:
     """Reusable solver for ``A x = b (mod d)``: CRT over prime-power locals.
 
-    The rows are kept sparse, for re-verification.  The local at
-    ``p^e = 2`` is a ``Gf2AffineSystem`` on their parity masks; every other
-    local is a ``_PrimePowerSystem``, which eliminates on dense rows.
+    ``rows`` are sparse, ``{column: int}`` over ``ncols`` columns, and are
+    kept as given, for re-verification; their entries need not be reduced
+    mod d.  The local at ``p^e = 2`` is a ``Gf2AffineSystem`` on their
+    parity masks; every other local is a ``_PrimePowerSystem``.
     """
 
-    def __init__(self, rows: Matrix, modulus: int, ncols: int | None = None):
+    def __init__(self, rows: list[SparseRow], modulus: int, ncols: int):
         if modulus < 2:
             raise PreconditionError("modulus must be at least 2")
-        self.ncols = _shape(rows, ncols)
-        self.rows = _sparse(rows)
+        _check_columns(rows, ncols)
+        self.rows = rows
+        self.ncols = ncols
         self.modulus = modulus
         self.locals = [
-            (p, e, Gf2AffineSystem([_parity_mask(r.items()) for r in self.rows],
-                                   self.ncols)
-             if p**e == 2 else _PrimePowerSystem(_dense(self.rows, self.ncols),
-                                                 self.ncols, p, e))
+            (p, e, Gf2AffineSystem([_parity_mask(r.items()) for r in rows], ncols)
+             if p**e == 2 else _PrimePowerSystem(rows, ncols, p, e))
             for p, e in _factor(modulus)
         ]
 
@@ -716,16 +724,15 @@ def _crt(parts: list[tuple[int, int]]) -> int:
 
 def solve_mod(rows: Matrix, rhs: list[int], modulus: int, ncols: int | None = None) -> ModSolveResult:
     """Decide ``A x = b (mod d)``; witness or annihilating certificate."""
-    return ModSystem(rows, modulus, ncols).solve(rhs)
+    return ModSystem(_sparse(rows), modulus, _shape(rows, ncols)).solve(rhs)
 
 
 def kernel_mod(rows: Matrix, modulus: int, ncols: int | None = None) -> list[tuple[int, ...]]:
     """Generating set of ``{x : A x = 0 (mod d)}``."""
+    n = _shape(rows, ncols)
     if not rows:
-        if ncols is None:
-            raise PreconditionError("empty kernel query needs an explicit column count")
-        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
-    return ModSystem(rows, modulus, ncols).kernel()
+        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    return ModSystem(_sparse(rows), modulus, n).kernel()
 
 
 def affine_annihilator(points: Matrix, modulus: int) -> list[tuple[tuple[int, ...], int]]:

@@ -302,9 +302,10 @@ class CoboundarySolver:
     is no orbit is refused.  Since the monoid is commutative and beta is
     built symmetrically, only ordered pairs are kept: their positions
     among the composable pairs, each with the position of its mirror
-    (y, x); the audits compare columns read there as lists.  Each cyclic
-    factor's modulus gets one ``ModSystem``, built on first use and
-    reused for every later beta; its modulus-2 local is the bitmask GF(2)
+    (y, x); the audits compare columns read there as lists.  Each kept
+    pair's row is built once, sparse, and every cyclic factor's modulus
+    gets one ``ModSystem`` on those rows, built on first use and reused
+    for every later beta; its modulus-2 local is the bitmask GF(2)
     solver.
     """
 
@@ -333,11 +334,11 @@ class CoboundarySolver:
                          if rel[a] and rel[b] and rel[c]]
         self._rows = []
         for p in self._kept:
-            row = [0] * len(self._unknowns)
+            row = {}
             for q, coeff in ((qx[p], 1), (qy[p], 1), (qz[p], -1)):
                 if column[q] >= 0:
-                    row[column[q]] += coeff
-            self._rows.append(row)
+                    row[column[q]] = row.get(column[q], 0) + coeff
+            self._rows.append({j: a for j, a in row.items() if a})
         self._systems: dict[int, ModSystem] = {}
 
     @property
@@ -349,9 +350,7 @@ class CoboundarySolver:
 
     def _solve_factor(self, d: int, rhs: list[int]) -> ModSolveResult:
         if d not in self._systems:
-            self._systems[d] = ModSystem(
-                [[a % d for a in row] for row in self._rows], d,
-                ncols=len(self._unknowns))
+            self._systems[d] = ModSystem(self._rows, d, len(self._unknowns))
         return self._systems[d].solve(rhs)
 
     def decide(self, beta: Cochain) -> CoboundaryDecision:

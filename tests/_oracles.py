@@ -382,6 +382,133 @@ class EagerGf2Echelon:
         return basis
 
 
+# --- Dense elimination over Z_{p^e}: the reference for linalg's sparse one -
+#
+# ``DensePrimePowerSystem`` keeps its rows and its m x m track as dense
+# lists, each row operation applied to every entry: the direct form of
+# ``linalg._PrimePowerSystem``, which does the same operations on sparse
+# rows and tracks.  The differential tests require the same pivots, rank,
+# reduced rows, tracks, witnesses, certificates and kernels.
+
+
+def _valuation(a, p):
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+class DensePrimePowerSystem:
+    """Elimination over Z_{p^e} with valuation-minimal pivoting: the least
+    (valuation, column, row), up to the first row that offers a unit."""
+
+    def __init__(self, rows, ncols, p, e):
+        self.p, self.e, self.q = p, e, p**e
+        self.ncols = ncols
+        q = self.q
+        self.mat = [[a % q for a in row] for row in rows]
+        m = len(self.mat)
+        self.track = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        self.pivots = []  # (row, col, valuation)
+        self._eliminate()
+
+    def _eliminate(self):
+        p, q = self.p, self.q
+        m = len(self.mat)
+        used_cols = set()
+        r = 0
+        while r < m:
+            best = None  # (valuation, col, row)
+            for i in range(r, m):
+                row = self.mat[i]
+                for j in range(self.ncols):
+                    if j in used_cols or row[j] == 0:
+                        continue
+                    v = _valuation(row[j], p)
+                    if best is None or (v, j, i) < best:
+                        best = (v, j, i)
+                if best is not None and best[0] == 0:
+                    break
+            if best is None:
+                break
+            v, j, i = best
+            self.mat[r], self.mat[i] = self.mat[i], self.mat[r]
+            self.track[r], self.track[i] = self.track[i], self.track[r]
+            unit = self.mat[r][j] // (p**v)
+            inv = pow(unit, -1, q)
+            self.mat[r] = [(a * inv) % q for a in self.mat[r]]
+            self.track[r] = [(a * inv) % q for a in self.track[r]]
+            pv = p**v
+            for i2 in range(r + 1, m):
+                a = self.mat[i2][j]
+                if a:
+                    f = a // pv
+                    row2, rowr = self.mat[i2], self.mat[r]
+                    self.mat[i2] = [(x - f * y) % q for x, y in zip(row2, rowr)]
+                    t2, tr = self.track[i2], self.track[r]
+                    self.track[i2] = [(x - f * y) % q for x, y in zip(t2, tr)]
+            self.pivots.append((r, j, v))
+            used_cols.add(j)
+            r += 1
+        self.rank = r
+
+    def _apply_track(self, rhs):
+        q = self.q
+        return [sum(t * b for t, b in zip(trow, rhs)) % q for trow in self.track]
+
+    def solve(self, rhs):
+        """(witness mod q, None) or (None, certificate mod q)."""
+        p, q = self.p, self.q
+        c = self._apply_track(rhs)
+        for i in range(self.rank, len(self.mat)):
+            if c[i] % q:
+                return None, tuple(self.track[i])
+        x = [0] * self.ncols
+        for r, j, v in reversed(self.pivots):
+            residual = (c[r] - sum(self.mat[r][t] * x[t]
+                                   for t in range(self.ncols) if x[t])) % q
+            pv = p**v
+            if residual % pv:
+                scale = q // pv
+                return None, tuple((scale * t) % q for t in self.track[r])
+            x[j] = (residual // pv) % (q // pv)
+        return tuple(x), None
+
+    def kernel(self):
+        """Generating set of ``{x : A x = 0 (mod p^e)}``."""
+        p = self.p
+        pivot_cols = {j for _, j, _ in self.pivots}
+        gens = []
+        for f in range(self.ncols):
+            if f in pivot_cols:
+                continue
+            x = [0] * self.ncols
+            x[f] = 1
+            self._back_substitute_homogeneous(x)
+            gens.append(x)
+        for r, j, v in self.pivots:
+            if v == 0:
+                continue
+            x = [0] * self.ncols
+            x[j] = p ** (self.e - v)
+            self._back_substitute_homogeneous(x, skip_row=r)
+            gens.append(x)
+        return gens
+
+    def _back_substitute_homogeneous(self, x, skip_row=-1):
+        p, q = self.p, self.q
+        for r, j, v in reversed(self.pivots):
+            if r == skip_row:
+                continue
+            residual = (-sum(self.mat[r][t] * x[t]
+                             for t in range(self.ncols) if x[t])) % q
+            pv = p**v
+            if residual % pv:
+                raise AssertionError("non-divisible homogeneous residual")
+            x[j] = (residual // pv) % (q // pv)
+
+
 # --- The bar differential as signed passes: the reference for mcohom's ----
 #
 # ``signed_pass_coboundary`` sums a cochain's face columns one signed pass

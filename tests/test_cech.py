@@ -787,11 +787,14 @@ def test_audits_reject_mutated_refutations(mermin):
 def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
     """A vanishing verdict's family with one coefficient moved to another
     section of its context fails the route-1 audit, as it fails the
-    independent one; a potential with its sign flipped, or
+    independent one; so does the family with a section of the pinned
+    context put in another context, with every coefficient doubled, or
+    with its pin moved to another section, each under its own message.
+    A potential with its sign flipped, or
     with one section added where it meets the pinned context, fails the
     route-2 audit; a lone section on a pair meeting the pinned context
     leaves the kernel presheaf."""
-    moved = negated = widened = 0
+    moved = unknown = heavy = unpinned = negated = widened = 0
     for model in _differential_models(hardy, mermin, ghz):
         ana = CechAnalyzer(model)
         contexts = model.scenario.contexts
@@ -813,6 +816,23 @@ def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
                 with pytest.raises(InternalCheckError):
                     ana._audit_family(ci, s, bad)
                 moved += 1
+                with pytest.raises(InternalCheckError,
+                                   match="unknown section"):
+                    ana._audit_family(ci, s, {**dec.family, (c, s): 1})
+                unknown += 1
+                with pytest.raises(InternalCheckError,
+                                   match="mass differs from 1"):
+                    ana._audit_family(ci, s, {key: 2 * v for key, v
+                                              in dec.family.items()})
+                heavy += 1
+                pin = next((u for u in secs if u != s), None)
+                if pin is not None:
+                    bad = {key: v for key, v in dec.family.items()
+                           if key != (ci, s)}
+                    with pytest.raises(InternalCheckError,
+                                       match="not pinned"):
+                        ana._audit_family(ci, s, {**bad, (ci, pin): 1})
+                    unpinned += 1
                 r2 = ana.connecting_cocycle(ci, s)
                 if r2.cocycle:
                     with pytest.raises(InternalCheckError, match="bound"):
@@ -834,6 +854,7 @@ def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
                 assert ana._leaves_kernel(
                     c, cech_module.CechCochain(1, {(i, j): {t: 1}}))
     assert moved > 100 and negated > 100 and widened > 100
+    assert unknown == heavy == moved and unpinned > 100
 
 
 def test_kernel_check_on_supports_disjoint_from_the_pin(hardy):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from contextuality import cli
+from contextuality.cech import CechAnalyzer
 from contextuality.errors import InternalCheckError
 from contextuality.modelio import dumps_model
 
@@ -85,6 +86,25 @@ def test_analyze_mermin_all(capsys):
     assert all(not r["vanishes"] for r in payload["cech"])
     assert len(payload["group"]) == 24
     assert all(not r["vanishes"] for r in payload["group"])
+
+
+def test_analyze_all_sets_up_one_cech_analyzer(tmp_path, capsys, mermin,
+                                               monkeypatch):
+    """``--all`` on a freshly loaded document answers the Cech queries
+    and the cross-check from one analyzer, the model's own."""
+    path = tmp_path / "mermin.json"
+    path.write_text(dumps_model(mermin.structured))
+    made = []
+    real = CechAnalyzer.__init__
+
+    def counted(self, model):
+        made.append(self)
+        real(self, model)
+
+    monkeypatch.setattr(CechAnalyzer, "__init__", counted)
+    code, out, _ = run(capsys, "analyze", str(path), "--all")
+    assert code == 0 and "cross-check: 24 sections" in out
+    assert len(made) == 1
 
 
 def test_analyze_all_on_plain_model_skips_group(capsys):

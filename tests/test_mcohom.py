@@ -478,6 +478,9 @@ def test_analyzer_rejects_foreign_section(mermin, mermin_group):
 
 
 def test_coboundary_solver_rejects_non_symmetric(mermin):
+    """A cochain moved on one kept pair but not on its mirror fails the
+    symmetry audit; moved on a pair inside the context block, it fails
+    the relative audit first."""
     quotient = _mermin_quotient(mermin)
     st = mermin.structured
     ctx = st.model.scenario.contexts[0]
@@ -485,15 +488,20 @@ def test_coboundary_solver_rejects_non_symmetric(mermin):
     ob = obstruction_cocycle(quotient, ctx, splitting_of_section(
         sec, ctx, st.action))
     solver = CoboundarySolver(quotient, ob.relative_orbits)
-    # tamper: make the cochain asymmetric
-    pairs = [t for t in quotient.monoid.composable_pairs()
-             if t[0] != t[1]]
-    t0 = pairs[0]
-    vals = dict(ob.beta.values)
-    vals[t0] = ((vals.get(t0, (0,))[0] + 1) % 2,)
-    bad = make_cochain(quotient.monoid, (2,), 2, vals)
-    with pytest.raises(InternalCheckError):
-        solver.decide(bad)
+
+    def moved(t):
+        vals = dict(ob.beta.values)
+        vals[t] = ((vals.get(t, (0,))[0] + 1) % 2,)
+        return make_cochain(quotient.monoid, (2,), 2, vals)
+
+    kept = next(t for t in solver.pair_order if t[0] != t[1])
+    with pytest.raises(InternalCheckError, match="not symmetric"):
+        solver.decide(moved(kept))
+    mon, rel = quotient.monoid, ob.relative_orbits
+    inside = next(t for t in mon.composable_pairs()
+                  if t[0] != t[1] and {*t, mon.add(*t)} <= rel)
+    with pytest.raises(InternalCheckError, match="not relative"):
+        solver.decide(moved(inside))
 
 
 def test_group_route_rejects_input_it_cannot_use(mermin):
