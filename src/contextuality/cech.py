@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
 from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem, separates
-from .mcohom import GroupObstructionAnalyzer
 from .pmonoid import StructuredModel, validate_splitting
 from .scenario import (
     EmpiricalModel,
@@ -205,14 +204,15 @@ class CechAnalyzer:
 
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
-    builds its GF(2) system once per context, on that context's first
-    query, and answers every section of the context from it.  Route 1
-    works in kernel coordinates of the unpinned compatibility system,
-    which is echeloned over GF(2) once; route 2's system is A in
-    kernel-presheaf coordinates.  A query the parity stage does not
-    refute tries the global-section shortcut (the model's cached
-    ``extension_table``), then an exact integer system, built on first
-    use per context and cached.
+    builds its GF(2) system on a context's first query and answers every
+    section of the context from it.  Route 1 works in kernel coordinates
+    of the unpinned compatibility system, which is echeloned over GF(2)
+    once; route 2's system is A in kernel-presheaf coordinates.  A query
+    the parity stage does not refute tries the global-section shortcut
+    (the model's cached ``extension_table``), then an exact integer
+    system, built on first use.  Only one context's systems are held: a
+    query in another context drops them, and a context asked about again
+    is rebuilt, alike, since its systems depend on the model alone.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -262,10 +262,14 @@ class CechAnalyzer:
         self._gf2 = Gf2Echelon(self._parity_rows(), self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
         self.connected = _cover_connected(contexts)
-        self._route1_gf2: dict[int, Gf2AffineSystem] = {}
-        self._route1_int: dict[int, IntegerSystem] = {}
-        self._route2_data: dict[int, tuple] = {}
-        self._route2_int: dict[int, IntegerSystem] = {}
+        self._slot: tuple[int | None, dict] = (None, {})
+
+    def _held(self, context_index: int) -> dict:
+        """The systems held for ``context_index``, by name.  Those of any
+        other context are dropped here, before the caller builds anew."""
+        if self._slot[0] != context_index:
+            self._slot = (context_index, {})
+        return self._slot[1]
 
     def _position(self, context_index: int, section: Section) -> int:
         """The pinned section's position.  On a disconnected cover nothing
@@ -296,13 +300,13 @@ class CechAnalyzer:
     def _route1_parity(self, context_index: int) -> Gf2AffineSystem:
         """The pinning rows of one context over GF(2), in kernel
         coordinates of the compatibility system."""
-        if context_index not in self._route1_gf2:
+        held = self._held(context_index)
+        if "route1 parity" not in held:
             off, secs = self.blocks[context_index]
             masks = [sum(1 << k for k, vec in enumerate(self._kernel)
                          if vec >> (off + u) & 1) for u in range(len(secs))]
-            self._route1_gf2[context_index] = Gf2AffineSystem(
-                masks, len(self._kernel))
-        return self._route1_gf2[context_index]
+            held["route1 parity"] = Gf2AffineSystem(masks, len(self._kernel))
+        return held["route1 parity"]
 
     def _parity_certificate(self, context_index, section, ref, off,
                             secs) -> CechCertificate:
@@ -427,13 +431,14 @@ class CechAnalyzer:
                       for ci, ((_o, ss), u) in enumerate(zip(self.blocks, g))}
             self._audit_family(context_index, section, family)
             return family
-        if context_index not in self._route1_int:
+        held = self._held(context_index)
+        if "route1 integer" not in held:
             pins = [{off + u: 1} for u in range(len(secs))]
-            self._route1_int[context_index] = IntegerSystem(
-                self._columns() + pins, self.nunknowns)
+            held["route1 integer"] = IntegerSystem(self._columns() + pins,
+                                                   self.nunknowns)
         rhs = [0] * len(self.rows) + [
             1 if u == s_pos else 0 for u in range(len(secs))]
-        res = self._route1_int[context_index].solve(rhs)
+        res = held["route1 integer"].solve(rhs)
         if res.feasible:
             family = {(ci, s): res.witness[o + u]
                       for ci, (o, ss) in enumerate(self.blocks)
@@ -508,7 +513,8 @@ class CechAnalyzer:
         A e_rep - A e_s = delta(s - rep).  ``classes[j]`` is (the class of
         each section of C_c, class -> rep in C_j).
         """
-        if c not in self._route2_data:
+        held = self._held(c)
+        if "route2 parity" not in held:
             basis = []
             classes = []
             none_c = [0] * len(self.blocks[c][1])
@@ -520,9 +526,9 @@ class CechAnalyzer:
                     if rep != u:
                         basis.append((j, rep, u))
                 classes.append((self._side.get((c, j), none_c), reps))
-            self._route2_data[c] = (basis, classes, Gf2AffineSystem(
+            held["route2 parity"] = (basis, classes, Gf2AffineSystem(
                 self._parity_rows(basis), len(basis)))
-        return self._route2_data[c]
+        return held["route2 parity"]
 
     def _route2_potential(self, context_index, s_pos, lift, cocycle, rhs):
         """Integer potential via the global-section shortcut, else the
@@ -536,10 +542,11 @@ class CechAnalyzer:
             self._audit_potential(context_index, cocycle, potential)
             return potential
         basis, _classes, _parity = self._route2_rows(context_index)
-        if context_index not in self._route2_int:
-            self._route2_int[context_index] = IntegerSystem(
-                self._columns(basis), len(basis))
-        res = self._route2_int[context_index].solve(rhs)
+        held = self._held(context_index)
+        if "route2 integer" not in held:
+            held["route2 integer"] = IntegerSystem(self._columns(basis),
+                                                   len(basis))
+        res = held["route2 integer"].solve(rhs)
         if not res.feasible:
             return _tagged_certificate(res.certificate.kind,
                                        res.certificate.vector,
@@ -684,7 +691,7 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
     """
     model = structured.model
     cech = model.cech_analyzer
-    group = GroupObstructionAnalyzer(structured)
+    group = structured.group_analyzer
     rows = []
     for ci, ctx in enumerate(model.scenario.contexts):
         for s in model.sections[ci]:

@@ -25,7 +25,7 @@ from .avn import is_avn
 from .cech import collapse_family, cross_check_obstructions
 from .errors import InternalCheckError, PreconditionError
 from .fixtures import get_fixture, list_fixtures
-from .mcohom import GroupObstructionAnalyzer, validate_structured_model
+from .mcohom import validate_structured_model
 from .modelio import load_model
 from .pmonoid import StructuredModel
 from .scenario import check_no_signalling, classify, validate_scenario
@@ -60,11 +60,8 @@ def _select_queries(model, args, witnesses):
         contexts = [args.context]
     sel = args.section
     if sel == "auto":
-        pairs = [(ci, s) for ci, s in witnesses
-                 if args.context is None or ci == args.context]
-        if not pairs:
-            return []
-        return pairs
+        return [(ci, s) for ci, s in witnesses
+                if args.context is None or ci == args.context]
     out = []
     for ci in contexts:
         secs = model.sections[ci]
@@ -168,7 +165,7 @@ def _cmd_analyze(args) -> int:
                 "group analysis needs partial-monoid structure "
                 "(a Pauli or structured document)")
         t0 = time.perf_counter()
-        gan = GroupObstructionAnalyzer(structured)
+        gan = structured.group_analyzer
         rows = []
         for ci, s in _select_queries(model, args, witnesses):
             rep = gan.analyze(ci, s)

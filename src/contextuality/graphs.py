@@ -8,8 +8,10 @@ def maximal_cliques(n: int, adjacent) -> list[tuple[int, ...]]:
 
     ``adjacent(i, j)`` must be symmetric and irreflexive; it is read once
     per pair into int bitmask rows.  Bron-Kerbosch with pivoting on those
-    bitmasks; the output is independent of search order because each
-    clique is sorted and the list of cliques is sorted lexicographically.
+    bitmasks, its calls ``(r, p, x)`` kept on an explicit stack, so a
+    clique of any size needs no recursion; the output is independent of
+    search order because each clique is sorted and the list of cliques is
+    sorted lexicographically.
     """
     neighbours = [0] * n
     for i in range(n):
@@ -18,22 +20,21 @@ def maximal_cliques(n: int, adjacent) -> list[tuple[int, ...]]:
                 neighbours[i] |= 1 << j
                 neighbours[j] |= 1 << i
     out: list[tuple[int, ...]] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(tuple(_members(r)))
-            return
+            continue
         most = -1
         for v in _members(p | x):
             degree = (neighbours[v] & p).bit_count()
             if degree > most:
                 most, pivot = degree, v
         for v in _members(p & ~neighbours[pivot]):
-            expand(r | 1 << v, p & neighbours[v], x & neighbours[v])
+            stack.append((r | 1 << v, p & neighbours[v], x & neighbours[v]))
             p &= ~(1 << v)
             x |= 1 << v
-
-    expand(0, (1 << n) - 1, 0)
     out.sort()
     return out
 

@@ -71,7 +71,9 @@ def _dense(rows: list[SparseRow], n: int) -> Matrix:
 
 
 def _check_columns(rows: list[SparseRow], ncols: int) -> None:
-    """The precondition of every sparse system: columns in ``range(ncols)``."""
+    """The precondition of every sparse system: dict rows over range(ncols)."""
+    if not all(isinstance(row, dict) for row in rows):
+        raise PreconditionError("rows must be sparse {column: entry} dicts")
     if any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
         raise PreconditionError("row entry outside the column range")
 

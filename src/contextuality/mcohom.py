@@ -272,25 +272,22 @@ class CoboundaryDecision:
     """Outcome of deciding beta = d(gamma) with gamma relative to C.
 
     ``gamma_ids`` holds gamma's group id on each quotient id; ``gamma``
-    reads it as a label dict."""
+    reads it as a label dict.  It keeps the quotient, not the solver, so
+    a kept decision keeps no linear system alive."""
 
     vanishes: bool
     gamma_ids: list[int] | None
     certificates: tuple[tuple[int, ModSolveResult], ...] | None
-    solver: "CoboundarySolver"
+    quotient: Quotient
 
     @property
     def gamma(self) -> dict | None:
         if self.gamma_ids is None:
             return None
-        q = self.solver.quotient
+        q = self.quotient
         group = q.action.elements()
         return {name: group[a]
                 for name, a in zip(q.monoid.elements, self.gamma_ids)}
-
-    @property
-    def pair_order(self) -> tuple:
-        return self.solver.pair_order
 
 
 class CoboundarySolver:
@@ -374,13 +371,14 @@ class CoboundarySolver:
             else:
                 certificates.append((k, res))
         if certificates:
-            return CoboundaryDecision(False, None, tuple(certificates), self)
+            return CoboundaryDecision(False, None, tuple(certificates),
+                                      self.quotient)
         one = Cochain.of_columns(self.quotient.monoid, action.moduli, 1,
                                  gamma_cols)
         if not coboundary(one).same_as(beta):
             raise InternalCheckError("gamma does not bound beta")
         gamma_ids = [action.id_of(v) for v in zip(*gamma_cols)]
-        return CoboundaryDecision(True, gamma_ids, None, self)
+        return CoboundaryDecision(True, gamma_ids, None, self.quotient)
 
 
 def is_coboundary(obstruction: SectionObstruction) -> CoboundaryDecision:
@@ -463,8 +461,9 @@ class GroupObstructionReport:
 
 
 class GroupObstructionAnalyzer:
-    """Shared gluing, quotient, and per-context obstruction frames and
-    coboundary solvers for one model.
+    """Shared gluing and quotient for one model, and the obstruction frame
+    and coboundary solver of the one context it is answering, which a
+    query in another context replaces.
 
     Set-up validates every section's splitting, so queries do not."""
 
@@ -476,16 +475,17 @@ class GroupObstructionAnalyzer:
         self.structured = structured
         self.quotient = quotient
         self.monoid = quotient.parent
-        self._contexts: dict[int, tuple] = {}
+        self._slot: tuple = (None, None)
 
     def _context(self, context_index: int):
-        if context_index not in self._contexts:
+        if self._slot[0] != context_index:
+            self._slot = (None, None)  # dropped before the new ones are built
             ctx = self.structured.model.scenario.contexts[context_index]
             inside = frozenset(self.quotient.orbit_of(x) for x in ctx)
-            self._contexts[context_index] = (
+            self._slot = (context_index, (
                 _frame(self.quotient, ctx),
-                CoboundarySolver(self.quotient, inside))
-        return self._contexts[context_index]
+                CoboundarySolver(self.quotient, inside)))
+        return self._slot[1]
 
     def analyze(self, context_index: int, section: Section,
                 eta_override=None) -> GroupObstructionReport:
@@ -535,6 +535,7 @@ class GroupObstructionAnalyzer:
 def group_obstruction(structured: StructuredModel, context_index: int,
                       section: Section,
                       eta_override=None) -> GroupObstructionReport:
-    """One-shot wrapper around the analyzer for a single section."""
-    return GroupObstructionAnalyzer(structured).analyze(
+    """The group obstruction of one section, from the analyzer the model
+    holds (``StructuredModel.group_analyzer``)."""
+    return structured.group_analyzer.analyze(
         context_index, section, eta_override=eta_override)

@@ -30,7 +30,9 @@ both call it.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -240,31 +242,6 @@ class PartialMonoid:
                 d3 += [p] * len(tail)
         return d0, d1, d2, d3
 
-    def restriction(self, labels) -> "PartialMonoid":
-        """The induced partial monoid on a subset of elements.
-
-        pre: the subset is closed under defined sums and contains the
-        identity.
-        """
-        keep = set(labels)
-        unknown = keep - set(self.elements)
-        if unknown:
-            raise PreconditionError(
-                f"restriction to unknown labels {sorted(unknown)}")
-        if self.identity not in keep:
-            raise PreconditionError("restriction must contain the identity")
-        els = self.elements
-        sub = {}
-        for x, y, z in zip(*self.pairs()):
-            if els[x] in keep and els[y] in keep:
-                if els[z] not in keep:
-                    raise PreconditionError(
-                        f"subset not closed: {els[x]!r} + {els[y]!r} = "
-                        f"{els[z]!r} escapes")
-                sub[(els[x], els[y])] = els[z]
-        order = [x for x in els if x in keep]
-        return PartialMonoid(order, self.identity, sub)
-
     def maximal_total_submonoids(self) -> list[tuple[str, ...]]:
         """Maximal subsets on which the operation is total.
 
@@ -423,6 +400,13 @@ class StructuredModel:
     model: EmpiricalModel
     context_ops: tuple[dict[tuple[str, str], str], ...]
     action: CoefficientAction
+
+    @cached_property
+    def group_analyzer(self):
+        """The model's ``mcohom.GroupObstructionAnalyzer``, shared by every
+        group query; read through a weak proxy, as ``cech_analyzer`` is."""
+        from .mcohom import GroupObstructionAnalyzer
+        return GroupObstructionAnalyzer(weakref.proxy(self))
 
 
 def glue_contexts(structured: StructuredModel) -> PartialMonoid:

@@ -440,7 +440,8 @@ class _Search:
 
         Arc consistency makes those rows agree, so every measurement in a
         context has one value left; measurements in no context range over
-        Z_d.
+        Z_d.  One solution takes each domain's least value, its lowest set
+        bit, without listing the domain.
         """
         g = tuple(p[0] for p in self.perm)
         for c, r in enumerate(g):
@@ -448,11 +449,11 @@ class _Search:
                 self.seen[c][r] = g
                 self.unseen[c] -= 1
         self.fresh = [c for c in self.fresh if self.unseen[c]]
-        values = [[v for v in range(self.d) if mask >> v & 1]
-                  for mask in self.dom]
         if not find_all:
-            return [tuple(vs[0] for vs in values)]
-        return list(product(*values))
+            return [tuple((mask & -mask).bit_length() - 1
+                          for mask in self.dom)]
+        return list(product(*([v for v in range(self.d) if mask >> v & 1]
+                              for mask in self.dom)))
 
     def search(self, pin: tuple[int, int] | None = None,
                find_all: bool = False) -> list[tuple[int, ...]]:

@@ -181,7 +181,11 @@ from contextuality.pauli import (  # noqa: E402
     multiply,
     negate,
 )
-from contextuality.pmonoid import CoefficientAction, StructuredModel  # noqa: E402
+from contextuality.pmonoid import (  # noqa: E402
+    CoefficientAction,
+    PartialMonoid,
+    StructuredModel,
+)
 from contextuality.scenario import (  # noqa: E402
     EmpiricalModel,
     MeasurementScenario,
@@ -530,3 +534,36 @@ def signed_pass_coboundary(c):
                 acc = [a + f[j] for a, j in zip(acc, cols[i])]
         sums.append([a % d for a in acc])
     return tuple(sums)
+
+
+# --- Induced partial monoids, read through the label methods -------------
+#
+# ``restriction`` keeps the sums of a partial monoid among a subset of its
+# elements.  Nothing in the library needs it: its analyses read the glued
+# monoid's int tables whole.
+
+
+def restriction(monoid, labels):
+    """The induced partial monoid on a subset of elements.
+
+    pre: the subset is closed under defined sums and contains the
+    identity.
+    """
+    keep = set(labels)
+    unknown = keep - set(monoid.elements)
+    if unknown:
+        raise PreconditionError(
+            f"restriction to unknown labels {sorted(unknown)}")
+    if monoid.identity not in keep:
+        raise PreconditionError("restriction must contain the identity")
+    els = monoid.elements
+    sub = {}
+    for x, y, z in zip(*monoid.pairs()):
+        if els[x] in keep and els[y] in keep:
+            if els[z] not in keep:
+                raise PreconditionError(
+                    f"subset not closed: {els[x]!r} + {els[y]!r} = "
+                    f"{els[z]!r} escapes")
+            sub[(els[x], els[y])] = els[z]
+    order = [x for x in els if x in keep]
+    return PartialMonoid(order, monoid.identity, sub)

@@ -5,6 +5,7 @@ model alone (no analyzer internals), so a wrong verdict cannot hide
 behind its own bookkeeping.
 """
 
+import gc
 import itertools
 import json
 import random
@@ -30,6 +31,8 @@ from contextuality.cech import (
     make_cech_cochain,
 )
 from contextuality.errors import InternalCheckError, PreconditionError
+from contextuality.linalg import Gf2AffineSystem, IntegerSystem
+from contextuality.mcohom import CoboundarySolver, GroupObstructionAnalyzer
 from contextuality.modelio import document_to_model, model_to_document
 from contextuality.pauli import build_state_independent_model, parse_pauli
 from contextuality.pmonoid import StructuredModel
@@ -436,6 +439,93 @@ def test_shared_analyzer_answers_like_fresh_ones(hardy, mermin):
                 for field in ("family", "cocycle", "potential"):
                     assert (getattr(got, field, None)
                             == getattr(want, field, None))
+
+
+def _visits(count):
+    """Contexts 0, 1, 0, 2, 1, 3, 2, ...: each is left and entered again."""
+    order = [0]
+    for k in range(1, count):
+        order += [k, k - 1]
+    return order
+
+
+def _group_key(report):
+    ob, dec = report.obstruction, report.decision
+    return (ob.eta_ids, ob.beta.columns, ob.inside, dec.vanishes,
+            dec.gamma_ids, dec.certificates, report.global_splitting)
+
+
+def _fresh_copy(structured):
+    model = structured.model
+    return StructuredModel(EmpiricalModel.make(model.scenario, model.sections),
+                           structured.context_ops, structured.action)
+
+
+def test_reentered_contexts_answer_like_fresh_analyzers(hardy, mermin, ghz):
+    """The model's analyzers hold one context's systems, so a context
+    entered again is rebuilt.  Contexts visited as (0, 1, 0, 2, 1, ...)
+    through both Cech routes and the group route answer as a fresh
+    analyzer of each kind, asked about contexts in turn, does: every
+    verdict, family, cocycle, potential, certificate and group report.
+    On mermin and ghz parity decides; Hardy's witness reaches both
+    routes' lattice stage, and the split Pauli model's sections reach the
+    shortcut and the group route's reconstruction."""
+    split = build_state_independent_model(
+        [parse_pauli(s) for s in ("+XI", "+IX", "+ZI", "-II")])
+    plain = EmpiricalModel.make(hardy.model.scenario, hardy.model.sections)
+    cases = [(plain, None)] + [
+        (st.model, st) for st in map(_fresh_copy, (
+            mermin.structured, ghz.structured, split))]
+    for model, st in cases:
+        want = {}
+        cech = CechAnalyzer(model)
+        group = st and GroupObstructionAnalyzer(st)
+        for ci, secs in enumerate(model.sections):
+            for s in secs:
+                want[ci, s] = (cech.family_obstruction(ci, s),
+                               cech.connecting_cocycle(ci, s),
+                               group and _group_key(group.analyze(ci, s)))
+        for ci in _visits(len(model.sections)):
+            for s in model.sections[ci]:
+                r1, r2, g = want[ci, s]
+                got1 = model.cech_analyzer.family_obstruction(ci, s)
+                got2 = model.cech_analyzer.connecting_cocycle(ci, s)
+                for got, ref in ((got1, r1), (got2, r2)):
+                    assert got.vanishes == ref.vanishes
+                    assert (_certificate_key(got.certificate)
+                            == _certificate_key(ref.certificate))
+                    for field in ("family", "cocycle", "potential"):
+                        assert (getattr(got, field, None)
+                                == getattr(ref, field, None))
+                if st is not None:
+                    assert _group_key(st.group_analyzer.analyze(ci, s)) == g
+
+
+def test_cross_check_leaves_one_context_of_systems(ghz, monkeypatch):
+    """Each analyzer drops a context's systems when a query enters the
+    next, so after the cross-check of a fresh ghz copy the GF(2), integer
+    and coboundary systems still alive were all built in one context."""
+    built = []  # (weak reference to a system, the context being queried)
+    at = [None]
+    for cls in (Gf2AffineSystem, IntegerSystem, CoboundarySolver):
+        def counted(self, *args, _real=cls.__init__):
+            built.append((weakref.ref(self), at[0]))
+            _real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for cls, name in ((CechAnalyzer, "family_obstruction"),
+                      (CechAnalyzer, "connecting_cocycle"),
+                      (GroupObstructionAnalyzer, "analyze")):
+        def entered(self, ci, *args, _real=getattr(cls, name)):
+            at[0] = ci
+            return _real(self, ci, *args)
+
+        monkeypatch.setattr(cls, name, entered)
+    st = _fresh_copy(ghz.structured)
+    assert cross_check_obstructions(st).consistent
+    gc.collect()
+    assert {ci for _ref, ci in built} == set(range(len(st.model.sections)))
+    assert len({ci for ref, ci in built if ref() is not None}) <= 1
 
 
 def test_both_routes_share_one_pinned_search(hardy, mermin, ghz,

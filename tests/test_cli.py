@@ -8,6 +8,7 @@ import pytest
 from contextuality import cli
 from contextuality.cech import CechAnalyzer
 from contextuality.errors import InternalCheckError
+from contextuality.mcohom import GroupObstructionAnalyzer
 from contextuality.modelio import dumps_model
 
 
@@ -105,6 +106,38 @@ def test_analyze_all_sets_up_one_cech_analyzer(tmp_path, capsys, mermin,
     code, out, _ = run(capsys, "analyze", str(path), "--all")
     assert code == 0 and "cross-check: 24 sections" in out
     assert len(made) == 1
+
+
+def test_analyze_all_sets_up_one_analyzer_of_each_kind(tmp_path, capsys,
+                                                      monkeypatch):
+    """``--all`` on a structured document answers its Cech and group
+    queries and the cross-check from the two analyzers the model holds."""
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"pauli": {
+        "generators": ["+XI", "+IX", "+ZI", "-II"]}}))
+    made = []
+    for cls in (CechAnalyzer, GroupObstructionAnalyzer):
+        def counted(self, model, _real=cls.__init__):
+            made.append(type(self))
+            _real(self, model)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, out, _ = run(capsys, "analyze", str(path), "--all")
+    assert code == 0 and "consistent: True" in out
+    assert sorted(made, key=str) == [CechAnalyzer, GroupObstructionAnalyzer]
+
+
+def test_nine_qubit_clique_loads(tmp_path, capsys):
+    """Nine commuting Z's and -I close to one 1,024-member context, which
+    the clique search finds without recursion."""
+    gens = ["+" + "I" * k + "Z" + "I" * (8 - k) for k in range(9)]
+    path = tmp_path / "z9.json"
+    path.write_text(json.dumps({"pauli": {
+        "generators": gens + ["-" + "I" * 9]}}))
+    code, out, err = run(capsys, "analyze", str(path), "--classify")
+    assert code == 0, err
+    assert "1024 measurements, 1 contexts" in out
+    assert "classification: noncontextual" in out
 
 
 def test_analyze_all_on_plain_model_skips_group(capsys):

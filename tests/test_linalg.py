@@ -654,3 +654,13 @@ def test_mod_system_reuse():
     r2 = sysm.solve([1, 1])
     assert r1.feasible and verify_mod_result([[1, 1], [0, 2]], [2, 0], 4, r1)
     assert verify_mod_result([[1, 1], [0, 2]], [1, 1], 4, r2)
+
+
+def test_sparse_systems_refuse_dense_rows():
+    """A dense list row is refused by the shared column precondition, as
+    bad input, at both moduli and over the integers."""
+    for build in (lambda: ModSystem([[0, 1]], 2, 2),
+                  lambda: ModSystem([[0, 1]], 3, 2),
+                  lambda: linalg.IntegerSystem([[0, 1]], 2).solve([1])):
+        with pytest.raises(PreconditionError, match="dict"):
+            build()

@@ -32,7 +32,7 @@ from contextuality.pmonoid import (
     validate_splitting,
 )
 
-from _oracles import SplittingOracle
+from _oracles import SplittingOracle, restriction
 
 
 def _sym(table):
@@ -76,16 +76,16 @@ def test_partial_monoid_total_group():
 
 def test_partial_monoid_restriction():
     m = _z2xz2()
-    r = m.restriction(["00", "01"])
+    r = restriction(m, ["00", "01"])
     assert set(r.elements) == {"00", "01"}
     assert r.add("01", "01") == "00"
     assert not r.defined("01", "10")
     with pytest.raises(PreconditionError):
-        m.restriction(["00", "xx"])
+        restriction(m, ["00", "xx"])
     with pytest.raises(PreconditionError):
-        m.restriction(["01"])  # identity missing
+        restriction(m, ["01"])  # identity missing
     with pytest.raises(PreconditionError):
-        m.restriction(["00", "01", "10"])  # not sum-closed
+        restriction(m, ["00", "01", "10"])  # not sum-closed
 
 
 def test_validate_partial_monoid_violations():

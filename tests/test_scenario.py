@@ -4,6 +4,7 @@ import inspect
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -393,3 +394,21 @@ def test_classify_long_chain_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert verdict == ContextualityClass("logically_contextual", expected)
+
+
+def test_one_solution_reads_each_domain_once():
+    """An uncovered measurement ranges over all of Z_d.  A search for one
+    global section takes its least value without listing the domain, so a
+    model at d = 10^6 classifies as quickly, and alike, as at d = 8."""
+    sup = {("a", "b"): [(0, 0), (1, 1)], ("b", "c"): [(0, 5), (2, 7)]}
+    verdicts = []
+    for d in (8, 10**6):
+        model = _model(("a", "b", "c", "u"), d, [("a", "b"), ("b", "c")],
+                       sup)
+        start = time.perf_counter()
+        verdicts.append(classify(model))
+        assert time.perf_counter() - start < 2.0
+        assert extension(model, 0, model.sections[0][0])["u"] == 0
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].kind == "logically_contextual"
+    assert len(verdicts[0].witnesses) == 2
