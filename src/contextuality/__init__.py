@@ -51,7 +51,6 @@ from .mcohom import (
     SectionObstruction,
     coboundary,
     group_obstruction,
-    is_coboundary,
     make_cochain,
     obstruction_cocycle,
     splitting_of_section,
@@ -75,7 +74,6 @@ from .pauli import (
     close_under_commuting_products,
     commutes,
     context_splittings,
-    determined_outcomes,
     ghz_state,
     identity,
     maximal_contexts,
@@ -94,7 +92,6 @@ from .pmonoid import (
     splitting_from_trivialisation,
     trivialisation_from_right_splitting,
     trivialisation_from_splitting,
-    validate_partial_monoid,
     validate_right_splitting,
     validate_splitting,
 )
@@ -108,7 +105,6 @@ from .scenario import (
     classify,
     extension,
     global_sections,
-    restrict_section,
     section_extends,
     sections_below,
     validate_scenario,

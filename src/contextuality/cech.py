@@ -35,7 +35,6 @@ from .scenario import (
     Section,
     _cover_connected,
     check_no_signalling,
-    restrict_section,
 )
 
 FormalSum = dict  # Section -> int coefficient
@@ -54,7 +53,7 @@ def fs_restrict(fs: FormalSum, labels) -> FormalSum:
     """Push a formal sum along the restriction of its sections."""
     out: FormalSum = {}
     for s, c in fs.items():
-        fs_combine(out, {restrict_section(s, labels): c})
+        fs_combine(out, {s.restrict(labels): c})
     return out
 
 
@@ -689,10 +688,16 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
     family collapse) a global splitting extending the section, or if
     it coexists with a non-vanishing group obstruction.
     """
+    return CrossCheckReport(tuple(
+        row for row, _r1, _g in _cross_check_steps(structured)))
+
+
+def _cross_check_steps(structured: StructuredModel):
+    """The cross-check one section at a time: its row, route-1 decision and
+    group report, for a caller that answers its queries from the pass."""
     model = structured.model
     cech = model.cech_analyzer
     group = structured.group_analyzer
-    rows = []
     for ci, ctx in enumerate(model.scenario.contexts):
         for s in model.sections[ci]:
             r1 = cech.family_obstruction(ci, s)
@@ -712,8 +717,7 @@ def cross_check_obstructions(structured: StructuredModel) -> CrossCheckReport:
                         raise InternalCheckError(
                             "collapse does not extend the pinned section")
                 _check_splitting(group.quotient, collapsed)
-            rows.append(CrossCheckRow(ci, s, r1.vanishes, g.vanishes))
-    return CrossCheckReport(tuple(rows))
+            yield CrossCheckRow(ci, s, r1.vanishes, g.vanishes), r1, g
 
 
 def _check_splitting(quotient, values) -> None:

@@ -22,7 +22,7 @@ import sys
 import time
 
 from .avn import is_avn
-from .cech import collapse_family, cross_check_obstructions
+from .cech import CrossCheckReport, _cross_check_steps, collapse_family
 from .errors import InternalCheckError, PreconditionError
 from .fixtures import get_fixture, list_fixtures
 from .mcohom import validate_structured_model
@@ -45,10 +45,6 @@ def _load_source(source: str):
     raise PreconditionError(
         f"{source!r} is neither a fixture ({', '.join(sorted(names))}) "
         f"nor an existing file")
-
-
-def _section_json(section) -> dict:
-    return {x: v for x, v in section.items}
 
 
 def _select_queries(model, args, witnesses):
@@ -80,8 +76,36 @@ def _select_queries(model, args, witnesses):
     return out
 
 
-def _certificate_json(cert) -> dict:
-    return {"kind": cert.kind, "rows": len(cert.rows)}
+def _cech_row(model, dec, witnesses) -> dict:
+    """The --cech row of a route-1 decision."""
+    row = {"context": dec.context_index, "section": dec.section.as_dict(),
+           "vanishes": dec.vanishes}
+    if dec.vanishes:
+        row["family"] = [
+            {"context": fci, "section": fs.as_dict(), "coefficient": c}
+            for (fci, fs), c in sorted(
+                dec.family.items(),
+                key=lambda kv: (kv[0][0], str(kv[0][1])))]
+        row["collapse"] = collapse_family(model, dec.family)
+        if (dec.context_index, dec.section) in witnesses:
+            row["false_positive"] = True
+    else:
+        cert = dec.certificate
+        row["certificate"] = {"kind": cert.kind, "rows": len(cert.rows)}
+    return row
+
+
+def _group_row(rep) -> dict:
+    """The --group row of a group obstruction report."""
+    row = {"context": rep.context_index, "section": rep.section.as_dict(),
+           "vanishes": rep.vanishes}
+    if rep.vanishes:
+        row["global_splitting"] = dict(sorted(rep.global_splitting.items()))
+    else:
+        row["certificates"] = [
+            {"factor": k, "rows": len(res.certificate)}
+            for k, res in rep.decision.certificates]
+    return row
 
 
 def _cmd_analyze(args) -> int:
@@ -125,64 +149,54 @@ def _cmd_analyze(args) -> int:
             payload["classification"] = {
                 "kind": cls.kind,
                 "witnesses": [
-                    {"context": ci, "section": _section_json(s)}
+                    {"context": ci, "section": s.as_dict()}
                     for ci, s in cls.witnesses],
             }
 
+    if want["cech"] and not ns.ok:
+        raise PreconditionError("Cech analysis needs a no-signalling model")
+    if (want["group"] or want["crosscheck"]) and structured is None:
+        raise PreconditionError(
+            "group analysis and cross-checking need partial-monoid "
+            "structure (a Pauli or structured document)")
+    queries = (_select_queries(model, args, witnesses)
+               if want["cech"] or want["group"] else [])
+    cech_rows, group_rows = {}, {}
+
+    if want["crosscheck"]:
+        # one pass over the sections answers the --cech and --group rows too
+        t0 = time.perf_counter()
+        wanted = set(queries)
+        rows = []
+        for row, r1, g in _cross_check_steps(structured):
+            rows.append(row)
+            key = (row.context_index, row.section)
+            if key in wanted:
+                cech_rows[key] = _cech_row(model, r1, witnesses)
+                group_rows[key] = _group_row(g)
+        rep = CrossCheckReport(tuple(rows))
+        payload["crosscheck"] = {
+            "sections": len(rep.rows),
+            "consistent": rep.consistent,
+            "cech_vanishing": sum(1 for r in rep.rows if r.cech_vanishes),
+            "group_vanishing": sum(1 for r in rep.rows if r.group_vanishes),
+        }
+        timings["crosscheck"] = time.perf_counter() - t0
+
     if want["cech"]:
-        if not ns.ok:
-            raise PreconditionError(
-                "Cech analysis needs a no-signalling model")
         t0 = time.perf_counter()
         analyzer = model.cech_analyzer
-        rows = []
-        for ci, s in _select_queries(model, args, witnesses):
-            dec = analyzer.family_obstruction(ci, s)
-            row = {
-                "context": ci,
-                "section": _section_json(s),
-                "vanishes": dec.vanishes,
-            }
-            if dec.vanishes:
-                row["family"] = [
-                    {"context": fci, "section": _section_json(fs),
-                     "coefficient": c}
-                    for (fci, fs), c in sorted(
-                        dec.family.items(),
-                        key=lambda kv: (kv[0][0], str(kv[0][1])))]
-                row["collapse"] = collapse_family(model, dec.family)
-                if (ci, s) in witnesses:
-                    row["false_positive"] = True
-            else:
-                row["certificate"] = _certificate_json(dec.certificate)
-            rows.append(row)
-        payload["cech"] = rows
+        payload["cech"] = [
+            cech_rows.get(q)
+            or _cech_row(model, analyzer.family_obstruction(*q), witnesses)
+            for q in queries]
         timings["cech"] = time.perf_counter() - t0
 
     if want["group"]:
-        if structured is None:
-            raise PreconditionError(
-                "group analysis needs partial-monoid structure "
-                "(a Pauli or structured document)")
         t0 = time.perf_counter()
         gan = structured.group_analyzer
-        rows = []
-        for ci, s in _select_queries(model, args, witnesses):
-            rep = gan.analyze(ci, s)
-            row = {
-                "context": ci,
-                "section": _section_json(s),
-                "vanishes": rep.vanishes,
-            }
-            if rep.vanishes:
-                row["global_splitting"] = dict(
-                    sorted(rep.global_splitting.items()))
-            else:
-                row["certificates"] = [
-                    {"factor": k, "rows": len(res.certificate)}
-                    for k, res in rep.decision.certificates]
-            rows.append(row)
-        payload["group"] = rows
+        payload["group"] = [group_rows.get(q) or _group_row(gan.analyze(*q))
+                            for q in queries]
         timings["group"] = time.perf_counter() - t0
 
     if want["avn"]:
@@ -198,20 +212,6 @@ def _cmd_analyze(args) -> int:
         else:
             payload["avn"]["witness"] = dict(sorted(rep.witness.items()))
         timings["avn"] = time.perf_counter() - t0
-
-    if want["crosscheck"]:
-        if structured is None:
-            raise PreconditionError(
-                "cross-checking needs partial-monoid structure")
-        t0 = time.perf_counter()
-        rep = cross_check_obstructions(structured)
-        payload["crosscheck"] = {
-            "sections": len(rep.rows),
-            "consistent": rep.consistent,
-            "cech_vanishing": sum(1 for r in rep.rows if r.cech_vanishes),
-            "group_vanishing": sum(1 for r in rep.rows if r.group_vanishes),
-        }
-        timings["crosscheck"] = time.perf_counter() - t0
 
     if args.format == "structured":
         print(json.dumps({"payload": payload, "timings": timings},

@@ -182,7 +182,7 @@ def _frame(quotient: Quotient, context_labels) -> tuple:
     """What every section's obstruction on one context shares: its labels,
     their parent ids, the inside-orbit flags and the inside orbits, the
     positions of the context block's pairs, and the least members."""
-    ids = [quotient.parent.index(x) for x in context_labels]
+    ids = [quotient.parent.id_of(x) for x in context_labels]
     m, index = quotient.monoid.size, quotient.monoid.pair_index
     inside = bytearray(m)
     for i in ids:
@@ -262,9 +262,33 @@ def _obstruction(quotient: Quotient, frame: tuple, splitting,
     beta = Cochain.of_columns(monoid, quotient.action.moduli, 2,
                               quotient.action.columns(beta_ids))
     if not coboundary(beta).is_zero():
-        raise InternalCheckError("beta is not a 2-cocycle")
+        bad = _associativity_violation(quotient)
+        raise (PreconditionError(bad) if bad else
+               InternalCheckError("beta is not a 2-cocycle"))
     return SectionObstruction(quotient, labels, inside, dict(splitting), eta,
                               beta)
+
+
+def _associativity_violation(quotient: Quotient) -> str | None:
+    """Where the glued monoid fails associativity, or None: the input fault
+    that breaks a d(beta)=0 audit.  Each context is associative and holds
+    i(A), so i(a) moves out of any sum, and a triple is associative when
+    its orbits' least members are: the quotient is associative and their
+    beta is a 2-cocycle."""
+    parent, monoid = quotient.parent, quotient.monoid
+    n, sums, els = parent.size, parent.sums, parent.elements
+    eta = [members[0] for members in quotient.member_ids]
+    qx, qy, _qz = monoid.pairs()
+    d0, _d1, _d2, d3 = monoid.faces(2)
+    for p, q in zip(d3, d0):
+        x, y, z = eta[qx[p]], eta[qy[p]], eta[qy[q]]
+        left = sums[sums[x * n + y] * n + z]
+        right = sums[x * n + sums[y * n + z]]
+        if left != right:
+            return (f"glued monoid not associative at "
+                    f"{(els[x], els[y], els[z])}: (x + y) + z = "
+                    f"{els[left]!r}, x + (y + z) = {els[right]!r}")
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,13 +362,6 @@ class CoboundarySolver:
             self._rows.append({j: a for j, a in row.items() if a})
         self._systems: dict[int, ModSystem] = {}
 
-    @property
-    def pair_order(self) -> tuple:
-        """The kept pairs as label tuples."""
-        names = self.quotient.monoid.elements
-        qx, qy, _qz = self.quotient.monoid.pairs()
-        return tuple((names[qx[p]], names[qy[p]]) for p in self._kept)
-
     def _solve_factor(self, d: int, rhs: list[int]) -> ModSolveResult:
         if d not in self._systems:
             self._systems[d] = ModSystem(self._rows, d, len(self._unknowns))
@@ -381,12 +398,6 @@ class CoboundarySolver:
         return CoboundaryDecision(True, gamma_ids, None, self.quotient)
 
 
-def is_coboundary(obstruction: SectionObstruction) -> CoboundaryDecision:
-    solver = CoboundarySolver(
-        obstruction.quotient, obstruction.relative_orbits)
-    return solver.decide(obstruction.beta)
-
-
 # --- Structured-model validation and the full per-section report -------
 
 
@@ -395,10 +406,13 @@ def validate_structured_model(structured: StructuredModel) -> ValidationReport:
 
     Checks that the context tables glue, that the coefficient group is
     the outcome group embedded in the intersection of all contexts,
-    that its translation action is free, and that every listed section
-    is a left splitting of its context.
+    that its translation action is free, that every listed section
+    is a left splitting of its context, and that the glued monoid is
+    associative across contexts.
     """
-    return _validate(structured)[0]
+    report, quotient = _validate(structured)
+    bad = quotient is not None and _associativity_violation(quotient)
+    return ValidationReport(report.violations + ((bad,) if bad else ()))
 
 
 def _validate(structured: StructuredModel):

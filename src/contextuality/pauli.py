@@ -291,24 +291,6 @@ def born_consistent(assignment, state: GaussianStateVector) -> bool:
     return True
 
 
-def determined_outcomes(ops, state: GaussianStateVector):
-    """Operators whose outcome the state fixes exactly: M|v> = +/-|v>.
-
-    Returns a dict from each such operator to its forced outcome.
-    """
-    forced = {}
-    for p in ops:
-        if not p.is_sign_operator:
-            raise PreconditionError(f"{p} is not a sign operator")
-        moved = apply_pauli(p, state)
-        if moved == state:
-            forced[p] = 0
-        elif moved.entries == tuple(
-                (-a, -b) for a, b in state.entries):
-            forced[p] = 1
-    return forced
-
-
 # --- Contexts as elementary abelian 2-groups --------------------------
 
 

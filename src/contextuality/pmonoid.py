@@ -37,7 +37,6 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalCheckError, PreconditionError, StructureError
-from .graphs import maximal_cliques
 from .scenario import EmpiricalModel, ValidationReport
 
 
@@ -101,9 +100,6 @@ class PartialMonoid:
         self._labels: dict[int, list[tuple]] = {}
         self._triple_index: dict[tuple, int] | None = None
 
-    def index(self, x: str) -> int:
-        return self._index[x]
-
     def id_of(self, x) -> int:
         """The id of a label, -1 for an unknown one."""
         return self._index.get(x, -1)
@@ -141,10 +137,6 @@ class PartialMonoid:
         """``pair_index[x * n + y]``: the position of (x, y), or -1."""
         self.pairs()
         return self._pair_index
-
-    def composable_pairs(self) -> list[tuple[str, str]]:
-        """All ordered pairs (x, y) with x + y defined, in element order."""
-        return self.composable(2)
 
     def composable_triples(self) -> list[tuple[str, str, str]]:
         """Ordered triples where both groupings of the sum are defined."""
@@ -242,52 +234,6 @@ class PartialMonoid:
                 d3 += [p] * len(tail)
         return d0, d1, d2, d3
 
-    def maximal_total_submonoids(self) -> list[tuple[str, ...]]:
-        """Maximal subsets on which the operation is total.
-
-        Any two elements of such a subset are composable, so the
-        subsets are the maximal cliques of the definedness graph that
-        are closed under the operation.  For monoids glued from
-        contexts the cliques are automatically closed.
-        """
-        els = self.elements
-        cliques = maximal_cliques(
-            len(els), lambda i, j: self.defined(els[i], els[j]))
-        out = []
-        for cl in cliques:
-            members = {els[i] for i in cl}
-            if all(self.add(x, y) in members
-                   for x in members for y in members):
-                out.append(tuple(els[i] for i in cl))
-        return out
-
-
-def validate_partial_monoid(monoid: PartialMonoid) -> ValidationReport:
-    """Check the partial-monoid axioms exhaustively.
-
-    Identity must be total and neutral; the operation must be
-    commutative; associativity must hold on every triple for which
-    both groupings are defined.  Violations are reported, not raised.
-    """
-    bad = []
-    e = monoid.identity
-    for x in monoid.elements:
-        if not monoid.defined(e, x):
-            bad.append(f"identity sum undefined at {x!r}")
-        elif monoid.add(e, x) != x:
-            bad.append(f"identity not neutral at {x!r}")
-    for x, y in monoid.composable_pairs():
-        if not monoid.defined(y, x):
-            bad.append(f"commutativity definedness fails at ({x!r}, {y!r})")
-        elif monoid.add(x, y) != monoid.add(y, x):
-            bad.append(f"commutativity fails at ({x!r}, {y!r})")
-    for x, y, z in monoid.composable_triples():
-        left = monoid.add(monoid.add(x, y), z)
-        right = monoid.add(x, monoid.add(y, z))
-        if left != right:
-            bad.append(f"associativity fails at ({x!r}, {y!r}, {z!r})")
-    return ValidationReport(tuple(bad))
-
 
 @dataclass(frozen=True)
 class CoefficientAction:
@@ -334,9 +280,6 @@ class CoefficientAction:
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((u + v) % d for u, v, d in zip(a, b, self.moduli))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-u) % d for u, d in zip(a, self.moduli))
 
     def sum_table(self) -> list[int]:
         """``table[a * |A| + b]``: the id of a + b."""
@@ -583,29 +526,34 @@ class Quotient:
         self._subsets: dict[tuple, _Subset] = {}
 
     def orbit_of(self, x: str) -> str:
-        return self.monoid.elements[self.orbit_ids[self.parent.index(x)]]
+        return self.monoid.elements[self.orbit_ids[_known(self.parent, x)]]
 
     def members(self, orbit: str) -> tuple[str, ...]:
-        els = self.parent.elements
-        return tuple(els[x] for x in self.member_ids[self.monoid.index(orbit)])
+        ids = self.member_ids[_known(self.monoid, orbit)]
+        return tuple(self.parent.elements[x] for x in ids)
 
     def act(self, a, x: str) -> str:
         g = self.action.id_of(a)
         if g < 0:
             raise PreconditionError(f"{a} is not an element of the group")
         return self.parent.elements[
-            self.act_table[g * self.parent.size + self.parent.index(x)]]
-
-    def default_representative(self, orbit: str) -> str:
-        return self.members(orbit)[0]
+            self.act_table[g * self.parent.size + _known(self.parent, x)]]
 
     def value_at(self, x: str, base: str) -> tuple[int, ...]:
         """The unique a with x = a . base, for base in the orbit of x."""
-        i, j = self.parent.id_of(x), self.parent.id_of(base)
-        a = self.value_table[i * self.parent.size + j] if min(i, j) >= 0 else -1
+        i, j = _known(self.parent, x), _known(self.parent, base)
+        a = self.value_table[i * self.parent.size + j]
         if a < 0:
-            raise InternalCheckError(f"{x!r} not in the orbit of {base!r}")
+            raise PreconditionError(f"{x!r} not in the orbit of {base!r}")
         return self.action.elements()[a]
+
+
+def _known(monoid: PartialMonoid, x) -> int:
+    """The id of a label given to a label method; unknown is bad input."""
+    i = monoid.id_of(x)
+    if i < 0:
+        raise PreconditionError(f"unknown label {x!r}")
+    return i
 
 
 def quotient_by_action(parent: PartialMonoid,

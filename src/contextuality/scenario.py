@@ -88,17 +88,8 @@ class Section:
             )
         return Section(tuple((m, v) for m, v in self.items if m in want))
 
-    def values_on(self, labels) -> tuple[int, ...]:
-        d = self.as_dict()
-        return tuple(d[m] for m in labels)
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{m}:{v}" for m, v in self.items) + "}"
-
-
-def restrict_section(section: Section, labels) -> Section:
-    """Restriction of a section to a subset of its domain."""
-    return Section.of(section).restrict(labels)
 
 
 @dataclass(frozen=True)

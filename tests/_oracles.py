@@ -567,3 +567,61 @@ def restriction(monoid, labels):
             sub[(els[x], els[y])] = els[z]
     order = [x for x in els if x in keep]
     return PartialMonoid(order, monoid.identity, sub)
+
+
+# --- The partial-monoid axioms and the maximal total submonoids ----------
+#
+# References for ``glue_contexts``: the axioms checked exhaustively on the
+# glued monoid, and its contexts recovered from the definedness graph.
+# The library checks the laws per context as it glues, and associativity
+# across contexts in ``validate_structured_model``.
+
+from contextuality.graphs import maximal_cliques  # noqa: E402
+from contextuality.scenario import ValidationReport  # noqa: E402
+
+
+def validate_partial_monoid(monoid) -> ValidationReport:
+    """Check the partial-monoid axioms exhaustively.
+
+    Identity must be total and neutral; the operation must be
+    commutative; associativity must hold on every triple for which
+    both groupings are defined.  Violations are reported, not raised.
+    """
+    bad = []
+    e = monoid.identity
+    for x in monoid.elements:
+        if not monoid.defined(e, x):
+            bad.append(f"identity sum undefined at {x!r}")
+        elif monoid.add(e, x) != x:
+            bad.append(f"identity not neutral at {x!r}")
+    for x, y in monoid.composable(2):
+        if not monoid.defined(y, x):
+            bad.append(f"commutativity definedness fails at ({x!r}, {y!r})")
+        elif monoid.add(x, y) != monoid.add(y, x):
+            bad.append(f"commutativity fails at ({x!r}, {y!r})")
+    for x, y, z in monoid.composable_triples():
+        left = monoid.add(monoid.add(x, y), z)
+        right = monoid.add(x, monoid.add(y, z))
+        if left != right:
+            bad.append(f"associativity fails at ({x!r}, {y!r}, {z!r})")
+    return ValidationReport(tuple(bad))
+
+
+def maximal_total_submonoids(monoid) -> list[tuple[str, ...]]:
+    """Maximal subsets on which the operation is total.
+
+    Any two elements of such a subset are composable, so the
+    subsets are the maximal cliques of the definedness graph that
+    are closed under the operation.  For monoids glued from
+    contexts the cliques are automatically closed.
+    """
+    els = monoid.elements
+    cliques = maximal_cliques(
+        len(els), lambda i, j: monoid.defined(els[i], els[j]))
+    out = []
+    for cl in cliques:
+        members = {els[i] for i in cl}
+        if all(monoid.add(x, y) in members
+               for x in members for y in members):
+            out.append(tuple(els[i] for i in cl))
+    return out

@@ -43,7 +43,6 @@ from contextuality.scenario import (
     check_no_signalling,
     classify,
     global_sections,
-    restrict_section,
     section_extends,
     sections_below,
 )
@@ -65,7 +64,7 @@ def _pair_row(model, tag):
         off += len(secs)
     for jj, sign in ((i, 1), (j, -1)):
         for u, s in enumerate(model.sections[jj]):
-            if restrict_section(s, labels) == t:
+            if s.restrict(labels) == t:
                 k = offs[jj] + u
                 row[k] = row.get(k, 0) + sign
     return {k: v for k, v in row.items() if v}, off, offs
@@ -153,7 +152,7 @@ def _kernel_rows(model, context_index, tags):
         reps = {}
         for s in model.sections[j]:
             rep = reps.setdefault(
-                restrict_section(s, [x for x in ctx if x in c0]), s)
+                s.restrict([x for x in ctx if x in c0]), s)
             if rep != s:
                 basis.append((j, s, rep))
     rows = {}
@@ -163,8 +162,8 @@ def _kernel_rows(model, context_index, tags):
         for k, (jj, s, rep) in enumerate(basis):
             if jj in (i, j):
                 sign = 1 if jj == j else -1
-                c = sign * ((restrict_section(s, t.domain) == t)
-                            - (restrict_section(rep, t.domain) == t))
+                c = sign * ((s.restrict(t.domain) == t)
+                            - (rep.restrict(t.domain) == t))
                 if c:
                     row[k] = c
         rows[tag] = row
@@ -325,9 +324,9 @@ def test_connecting_cocycle_is_delta_of_the_lift(hardy, mermin, ghz):
                 lift = {}
                 for j, ctx in enumerate(contexts):
                     inner = [x for x in ctx if x in contexts[c0]]
-                    want = restrict_section(s0, inner)
+                    want = s0.restrict(inner)
                     first = next(s for s in model.sections[j]
-                                 if restrict_section(s, inner) == want)
+                                 if s.restrict(inner) == want)
                     lift[(j,)] = {first: 1}
                 z = cech_coboundary(nerve, make_cech_cochain(nerve, 0, lift))
                 assert ana.connecting_cocycle(c0, s0).cocycle == {
@@ -939,7 +938,7 @@ def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
                     ana._audit_potential(ci, r2.cocycle, wide)
                 widened += 1
         for (i, j), labels in ana.pair_overlaps.items():
-            t = restrict_section(model.sections[i][0], labels)
+            t = model.sections[i][0].restrict(labels)
             for c in (i, j):
                 assert ana._leaves_kernel(
                     c, cech_module.CechCochain(1, {(i, j): {t: 1}}))
@@ -960,7 +959,7 @@ def test_kernel_check_on_supports_disjoint_from_the_pin(hardy):
     cochain = cech_module.CechCochain
     assert ana._leaves_kernel(0, cochain(0, {(3,): {s: 1}}))
     assert not ana._leaves_kernel(0, cochain(0, {(3,): {s: 2, t: -2}}))
-    u = restrict_section(s, ana.pair_overlaps[(2, 3)])
+    u = s.restrict(ana.pair_overlaps[(2, 3)])
     assert ana._leaves_kernel(0, cochain(1, {(2, 3): {u: -1}}))
     r2 = ana.connecting_cocycle(0, model.sections[0][1])
     assert r2.vanishes
@@ -984,7 +983,7 @@ def test_loaded_models_are_read_from_int_rows(hardy, mermin, ghz,
     models = [EmpiricalModel.make(b.model.scenario, b.model.sections)
               for b in (hardy, mermin, ghz)]
     calls = []
-    for name in ("values_on", "restrict"):
+    for name in ("restrict",):
         def counted(self, labels, _real=getattr(Section, name), _name=name):
             calls.append(_name)
             return _real(self, labels)

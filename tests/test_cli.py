@@ -8,8 +8,10 @@ import pytest
 from contextuality import cli
 from contextuality.cech import CechAnalyzer
 from contextuality.errors import InternalCheckError
-from contextuality.mcohom import GroupObstructionAnalyzer
+from contextuality.mcohom import CoboundarySolver, GroupObstructionAnalyzer
 from contextuality.modelio import dumps_model
+
+from test_mcohom import twisted_document
 
 
 def run(capsys, *argv):
@@ -125,6 +127,53 @@ def test_analyze_all_sets_up_one_analyzer_of_each_kind(tmp_path, capsys,
     code, out, _ = run(capsys, "analyze", str(path), "--all")
     assert code == 0 and "consistent: True" in out
     assert sorted(made, key=str) == [CechAnalyzer, GroupObstructionAnalyzer]
+
+
+def test_analyze_all_walks_the_sections_once(tmp_path, capsys, ghz,
+                                            monkeypatch):
+    """``--all`` answers its --cech and --group rows from the cross-check's
+    one pass: each section is decided once in each theory and each
+    context's coboundary solver is built once, and the payload is the one
+    the separate loops give."""
+    path = tmp_path / "ghz.json"
+    path.write_text(dumps_model(ghz.structured))
+    counts = dict.fromkeys(("family_obstruction", "analyze", "__init__"), 0)
+    for cls, attr in ((CechAnalyzer, "family_obstruction"),
+                      (GroupObstructionAnalyzer, "analyze"),
+                      (CoboundarySolver, "__init__")):
+        def counted(self, *args, _real=getattr(cls, attr), _attr=attr):
+            counts[_attr] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, attr, counted)
+    code, out, err = run(capsys, "analyze", str(path), "--all",
+                         "--format", "structured")
+    assert code == 0, err
+    assert counts == {"family_obstruction": 135, "analyze": 135,
+                      "__init__": 30}
+    payload = json.loads(out)["payload"]
+    monkeypatch.undo()
+    apart = {}
+    for flags in (["--classify", "--cech", "--group", "--avn"],
+                  ["--crosscheck"]):
+        code, out, err = run(capsys, "analyze", str(path), *flags,
+                             "--format", "structured")
+        assert code == 0, err
+        apart.update(json.loads(out)["payload"])
+    assert payload == apart
+
+
+def test_non_associative_glued_monoid_is_bad_input(tmp_path, capsys):
+    """Contexts that are each associative glue into a monoid where
+    (x + y) + z = q but x + (y + z) = mq: validation and both group
+    commands name the triple and exit 2."""
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(twisted_document()))
+    for argv in (["validate"], ["analyze", "--group"], ["analyze", "--all"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2, err
+        assert ("not associative at ('x', 'y', 'z'): (x + y) + z = 'q', "
+                "x + (y + z) = 'mq'") in out + err
 
 
 def test_nine_qubit_clique_loads(tmp_path, capsys):

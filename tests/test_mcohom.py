@@ -7,12 +7,14 @@ enumeration of candidate potentials on the small fixture quotient.
 """
 
 import itertools
+import json
 import random
 
 import pytest
 
 import contextuality.mcohom as mcohom_module
 import contextuality.pmonoid as pmonoid_module
+from contextuality.cech import cross_check_obstructions
 from contextuality.errors import PreconditionError, InternalCheckError
 from contextuality.linalg import ModSolveResult
 from contextuality.mcohom import (
@@ -21,12 +23,12 @@ from contextuality.mcohom import (
     GroupObstructionAnalyzer,
     coboundary,
     group_obstruction,
-    is_coboundary,
     make_cochain,
     obstruction_cocycle,
     splitting_of_section,
     validate_structured_model,
 )
+from contextuality.modelio import loads_model
 from contextuality.pauli import build_state_independent_model, parse_pauli
 from contextuality.pmonoid import (
     CoefficientAction,
@@ -42,7 +44,7 @@ from contextuality.scenario import (
     section_extends,
 )
 
-from _oracles import signed_pass_coboundary
+from _oracles import signed_pass_coboundary, validate_partial_monoid
 from test_pauli import _random_generators
 
 
@@ -87,7 +89,8 @@ def test_composable_tuples_degrees(mermin):
     mon = q.monoid
     assert mon.composable(0) == [()]
     assert mon.composable(1) == [(x,) for x in mon.elements]
-    assert mon.composable(2) == mon.composable_pairs()
+    assert mon.composable(2) == [
+        (mon.elements[x], mon.elements[y]) for x, y, _ in zip(*mon.pairs())]
     assert mon.composable(3) == mon.composable_triples()
     with pytest.raises(PreconditionError):
         mon.composable(4)
@@ -114,7 +117,7 @@ def test_coboundary_formula_by_hand():
     f = make_cochain(mon, (3,), 1, {(x,): (i,) for i, x in
                                     enumerate(mon.elements)})
     df = coboundary(f)
-    for a, b in mon.composable_pairs():
+    for a, b in mon.composable(2):
         want = (f.value((b,))[0] - f.value((mon.add(a, b),))[0]
                 + f.value((a,))[0]) % 3
         assert df.value((a, b)) == (want,)
@@ -221,7 +224,7 @@ def test_z9_carry_cocycle_not_a_coboundary():
     assert ob.beta.value(("[g1]", "[g2]")) == (1,)
     assert ob.beta.value(("[g1]", "[g1]")) == (0,)
     assert ob.beta.value(("[g2]", "[g2]")) == (1,)
-    dec = is_coboundary(ob)
+    dec = CoboundarySolver(q, ob.relative_orbits).decide(ob.beta)
     assert not dec.vanishes and dec.gamma is None
     assert dec.certificates
     # brute force: no relative 1-cochain bounds the carry
@@ -232,7 +235,7 @@ def test_z9_carry_cocycle_not_a_coboundary():
         ok = all(
             (g[b] - g[q.monoid.add(a, b)] + g[a]) % 3
             == ob.beta.value((a, b))[0]
-            for a, b in q.monoid.composable_pairs())
+            for a, b in q.monoid.composable(2))
         assert not ok
 
 
@@ -241,12 +244,12 @@ def test_z3xz3_splits():
     ctx = ("00", "10", "20")
     s = {"00": (0,), "10": (1,), "20": (2,)}
     ob = obstruction_cocycle(q, ctx, s)
-    dec = is_coboundary(ob)
+    dec = CoboundarySolver(q, ob.relative_orbits).decide(ob.beta)
     assert dec.vanishes and dec.gamma is not None
     # gamma really bounds beta and is relative
     for x in ob.relative_orbits:
         assert dec.gamma[x] == (0,)
-    for a, b in q.monoid.composable_pairs():
+    for a, b in q.monoid.composable(2):
         want = ob.beta.value((a, b))[0]
         got = (dec.gamma[b][0] - dec.gamma[q.monoid.add(a, b)][0]
                + dec.gamma[a][0]) % 3
@@ -332,10 +335,10 @@ def test_mermin_verdicts_match_brute_force(mermin, mermin_group):
             g.update({x: 0 for x in ob.relative_orbits})
             if all((g[b] - g[mon.add(a, b)] + g[a]) % 2
                    == ob.beta.value((a, b))[0]
-                   for a, b in mon.composable_pairs()):
+                   for a, b in mon.composable(2)):
                 brute = True
                 break
-        dec = is_coboundary(ob)
+        dec = CoboundarySolver(quotient, ob.relative_orbits).decide(ob.beta)
         assert dec.vanishes == brute == False  # noqa: E712
 
 
@@ -347,22 +350,23 @@ def test_eta_override_invariance(mermin):
     sec = st.model.sections[0][0]
     s = splitting_of_section(sec, ctx, st.action)
     base = obstruction_cocycle(quotient, ctx, s)
-    verdict = is_coboundary(base).vanishes
+    solver = CoboundarySolver(quotient, base.relative_orbits)
+    verdict = solver.decide(base.beta).vanishes
     free = [x for x in quotient.monoid.elements
             if x not in base.relative_orbits]
     for _ in range(10):
         override = {x: rng.choice(quotient.members(x)) for x in free}
         ob = obstruction_cocycle(quotient, ctx, s, eta_override=override)
-        assert is_coboundary(ob).vanishes == verdict
+        assert solver.decide(ob.beta).vanishes == verdict
         # the two cocycles differ by a coboundary: their difference is
         # bounded by the relative 1-cochain measuring the eta shift
         diff = {
             t: ((ob.beta.value(t)[0] - base.beta.value(t)[0]) % 2,)
-            for t in quotient.monoid.composable_pairs()}
+            for t in quotient.monoid.composable(2)}
         shift = {}
         for x in quotient.monoid.elements:
             shift[x] = quotient.value_at(ob.eta[x], base.eta[x])
-        for a, b in quotient.monoid.composable_pairs():
+        for a, b in quotient.monoid.composable(2):
             want = (shift[b][0] - shift[quotient.monoid.add(a, b)][0]
                     + shift[a][0]) % 2
             assert diff[(a, b)][0] == want
@@ -391,6 +395,63 @@ def test_validate_structured_model_violations(mermin):
     rep2 = validate_structured_model(
         StructuredModel(bad_model, st.context_ops, st.action))
     assert not rep2.ok
+
+
+def twisted_document(twists=(0, 0, 0, 1), rng=None):
+    """Four Z_2^3 contexts glued along {e, m}: <m, x, y> with x + y = p,
+    <m, p, z> with p + z = q, <m, y, z> with y + z = r and <m, x, r> with
+    x + r = q, where ``twists[k]`` multiplies the k-th product by m.  Each
+    context is a group; (x + y) + z = x + (y + z) only for even twists.
+    Z_2 acts through m and every splitting is a section.  ``rng``
+    shuffles the measurements, which moves each orbit's least member."""
+    gens = [("x", "y", "p"), ("p", "z", "q"), ("y", "z", "r"),
+            ("x", "r", "q")]
+    meas = ["e", "m"] + [pre + g for g in "xypzqr" for pre in ("", "m")]
+    if rng is not None:
+        rng.shuffle(meas)
+    els = list(itertools.product((0, 1), repeat=3))
+    contexts, tables, sections = [], [], {}
+    for ci, ((g1, g2, g3), t) in enumerate(zip(gens, twists)):
+        def label(a, b, c):
+            base = g3 if b and c else g1 if b else g2 if c else ""
+            a ^= t if b and c else 0
+            return ("m" if a else "") + base or "e"
+        contexts.append([label(*u) for u in els])
+        tables.append([[label(*u), label(*v),
+                        label(*(i ^ j for i, j in zip(u, v)))]
+                       for u in els for v in els])
+        sections[str(ci)] = [[(a + s * b + w * c) % 2 for a, b, c in els]
+                             for s in (0, 1) for w in (0, 1)]
+    return {"measurements": meas, "outcome_modulus": 2,
+            "contexts": contexts, "sections": sections,
+            "partial_monoid": {"contexts": tables,
+                               "action": {"moduli": [2], "images": ["m"]}}}
+
+
+def test_cross_context_associativity_agrees_with_the_oracle():
+    """Glued monoids associative in each context, twisted or not across
+    contexts: validation reports a triple exactly when the exhaustive
+    axiom check finds one, and the group route refuses a twisted monoid
+    as bad input, not as a broken invariant."""
+    rng = random.Random(1607)
+    verdicts = set()
+    for _ in range(12):
+        twists = [rng.randrange(2) for _ in range(4)]
+        st = loads_model(json.dumps(twisted_document(twists, rng)))
+        want = [v for v in validate_partial_monoid(
+            glue_contexts(st)).violations if "associativity" in v]
+        report = validate_structured_model(st)
+        verdicts.add(report.ok)
+        assert report.ok == (not want) == (sum(twists) % 2 == 0)
+        if report.ok:
+            assert cross_check_obstructions(st).consistent
+            continue
+        (bad,) = report.violations
+        triple = bad.split(" at ")[1].split(":")[0]
+        assert f"associativity fails at {triple}" in want
+        with pytest.raises(PreconditionError, match="not associative"):
+            GroupObstructionAnalyzer(st).analyze(0, st.model.sections[0][0])
+    assert verdicts == {True, False}
 
 
 def test_noncontextual_reconstruction():
@@ -494,11 +555,12 @@ def test_coboundary_solver_rejects_non_symmetric(mermin):
         vals[t] = ((vals.get(t, (0,))[0] + 1) % 2,)
         return make_cochain(quotient.monoid, (2,), 2, vals)
 
-    kept = next(t for t in solver.pair_order if t[0] != t[1])
+    mon, rel = quotient.monoid, ob.relative_orbits
+    kept = next(t for t in mon.composable(2)
+                if t[0] != t[1] and not {*t, mon.add(*t)} <= rel)
     with pytest.raises(InternalCheckError, match="not symmetric"):
         solver.decide(moved(kept))
-    mon, rel = quotient.monoid, ob.relative_orbits
-    inside = next(t for t in mon.composable_pairs()
+    inside = next(t for t in mon.composable(2)
                   if t[0] != t[1] and {*t, mon.add(*t)} <= rel)
     with pytest.raises(InternalCheckError, match="not relative"):
         solver.decide(moved(inside))

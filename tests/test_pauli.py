@@ -22,7 +22,6 @@ from contextuality.pauli import (
     close_under_commuting_products,
     commutes,
     context_splittings,
-    determined_outcomes,
     ghz_state,
     identity,
     maximal_contexts,
@@ -143,22 +142,6 @@ def test_born_consistent_preconditions():
     ybad = PauliOperator(2, 2, 2, 1)  # phase i: not a sign operator
     with pytest.raises(PreconditionError):
         born_consistent({ybad: 0}, state)
-
-
-def test_determined_outcomes_ghz():
-    state = ghz_state(3)
-    ops = [parse_pauli(s) for s in
-           ("+XXX", "+XYY", "+YXY", "+YYX", "+ZZI", "+ZIZ", "+IZZ")]
-    out = determined_outcomes(ops, state)
-    want = {"+XXX": 0, "+XYY": 1, "+YXY": 1, "+YYX": 1,
-            "+ZZI": 0, "+ZIZ": 0, "+IZZ": 0}
-    assert {p.label(): v for p, v in out.items()} == want
-    neg = determined_outcomes([negate(p) for p in ops], state)
-    assert {p.label(): v for p, v in neg.items()} == {
-        "-" + k[1:]: 1 - v for k, v in want.items()}
-    # XX.. alone is undetermined on the 2-qubit GHZ pair
-    free = determined_outcomes([parse_pauli("+XI")], ghz_state(2))
-    assert free == {}
 
 
 def test_closure_sizes_frozen():

@@ -27,12 +27,16 @@ from contextuality.pmonoid import (
     splitting_from_trivialisation,
     trivialisation_from_right_splitting,
     trivialisation_from_splitting,
-    validate_partial_monoid,
     validate_right_splitting,
     validate_splitting,
 )
 
-from _oracles import SplittingOracle, restriction
+from _oracles import (
+    SplittingOracle,
+    maximal_total_submonoids,
+    restriction,
+    validate_partial_monoid,
+)
 
 
 def _sym(table):
@@ -68,10 +72,10 @@ def test_partial_monoid_total_group():
     assert m.identity == "00"
     assert m.add("01", "11") == "10"
     assert m.defined("01", "10")
-    assert len(m.composable_pairs()) == 16
+    assert len(m.composable(2)) == 16
     assert len(m.composable_triples()) == 64
     assert validate_partial_monoid(m).ok
-    assert m.maximal_total_submonoids() == [tuple(m.elements)]
+    assert maximal_total_submonoids(m) == [tuple(m.elements)]
 
 
 def test_partial_monoid_restriction():
@@ -121,11 +125,11 @@ def test_glue_mermin_and_ghz(mermin, ghz):
     assert mon.identity == "+II"
     assert validate_partial_monoid(mon).ok
     covers = {frozenset(c) for c in mermin.model.scenario.contexts}
-    assert {frozenset(s) for s in mon.maximal_total_submonoids()} == covers
+    assert {frozenset(s) for s in maximal_total_submonoids(mon)} == covers
     gmon = glue_contexts(ghz.structured)
     assert len(gmon.elements) == 72
     gcovers = {frozenset(c) for c in ghz.model.scenario.contexts}
-    assert {frozenset(s) for s in gmon.maximal_total_submonoids()} == gcovers
+    assert {frozenset(s) for s in maximal_total_submonoids(gmon)} == gcovers
 
 
 def test_glue_rejects_overlap_disagreement(mermin):
@@ -172,7 +176,6 @@ def test_coefficient_action_arithmetic():
     assert act.zero == (0, 0)
     assert len(act.elements()) == 6
     assert act.add((1, 2), (1, 2)) == (0, 1)
-    assert act.neg((1, 2)) == (1, 1)
 
 
 def test_embedding_into_glued_monoid(mermin):
@@ -198,10 +201,23 @@ def test_quotient_of_glued_mermin(mermin):
     assert q.monoid.identity == "[+II]"
     assert q.orbit_of("+XX") == q.orbit_of("-XX") == "[+XX]"
     assert q.members("[+XX]") == ("+XX", "-XX")
-    assert q.default_representative("[+XX]") == "+XX"
     assert q.act((1,), "+XX") == "-XX"
     assert q.value_at("-XX", "+XX") == (1,)
     assert q.value_at("+XX", "+XX") == (0,)
+
+
+def test_quotient_label_methods_name_unknown_labels(mermin):
+    """A label that names no element, or an element outside the base's
+    orbit, is bad input to a label method."""
+    q = quotient_by_action(glue_contexts(mermin.structured),
+                           mermin.structured.action)
+    for call in (lambda: q.orbit_of("+QQ"), lambda: q.members("+XX"),
+                 lambda: q.act((1,), "+QQ"), lambda: q.value_at("+QQ", "+XX"),
+                 lambda: q.value_at("-XX", "+QQ")):
+        with pytest.raises(PreconditionError, match="unknown label"):
+            call()
+    with pytest.raises(PreconditionError, match="not in the orbit"):
+        q.value_at("+ZZ", "+XX")
 
 
 def test_quotient_z9_by_z3():

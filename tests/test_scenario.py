@@ -18,7 +18,6 @@ from contextuality.scenario import (
     classify,
     extension,
     global_sections,
-    restrict_section,
     section_extends,
     sections_below,
     validate_scenario,
@@ -62,9 +61,8 @@ def test_section_basics():
     s = Section.of({"b": 1, "a": 0})
     assert s.domain == ("a", "b")
     assert s["a"] == 0 and s["b"] == 1
-    assert s.values_on(("b", "a")) == (1, 0)
     assert s.restrict(("a",)) == Section.of({"a": 0})
-    assert restrict_section(s, ["b"]) == Section.of({"b": 1})
+    assert s.restrict(["b"]) == Section.of({"b": 1})
     assert s == Section.of({"a": 0, "b": 1})
     assert len({s, Section.of({"a": 0, "b": 1})}) == 1
     assert s.as_dict() == {"a": 0, "b": 1}
@@ -165,8 +163,7 @@ def test_global_sections_product_model():
     for g in gs:
         assert set(g.domain) == {"x", "y", "z"}
         for ci in range(2):
-            assert section_extends(m, ci, restrict_section(
-                g, m.scenario.contexts[ci]))
+            assert section_extends(m, ci, g.restrict(m.scenario.contexts[ci]))
 
 
 def test_classify_three_kinds(mermin, hardy):
