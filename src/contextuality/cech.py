@@ -18,14 +18,20 @@ Both run a GF(2) refutation first, then an exact integer decision, and
 every verdict carries a re-verified witness or separating certificate.
 Each audit calls the one checker of its law: ``linalg.separates`` for a
 separating functional, ``cech_coboundary`` on the analyzer's nerve for a
-family's compatibility and a potential's coboundary, and
-``pmonoid.validate_splitting`` for the cross-check's collapsed family.
+family's compatibility, and ``pmonoid.validate_splitting`` for the
+cross-check's collapsed family.  Route 2 works on row indexes of the
+compatibility matrix, so its audits (the kernel-presheaf check, a
+potential's coboundary and a parity refutation) read the same incidence
+that builds its cocycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError
 from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem, separates
@@ -173,14 +179,28 @@ class FamilyDecision:
 
 @dataclass(eq=False)
 class CocycleDecision:
-    """Route 2 verdict: the connecting cocycle and what it bounds."""
+    """Route 2 verdict: the connecting cocycle and what it bounds.
+
+    ``z`` holds the cocycle on row indexes of the analyzer's compatibility
+    matrix, ``{row: nonzero value}``, and ``tags`` is the analyzer's row
+    tag list; ``cocycle`` reads them as ``{(i, j): {section: value}}`` in
+    row order, on first use."""
 
     context_index: int
     section: Section
     vanishes: bool
-    cocycle: dict
+    z: dict = field(repr=False)
+    tags: list = field(repr=False)
     potential: dict | None
     certificate: CechCertificate | None
+
+    @cached_property
+    def cocycle(self) -> dict:
+        cocycle = {}
+        for r, v in self.z.items():  # z is built in row order
+            _k, i, j, t = self.tags[r]
+            cocycle.setdefault((i, j), {})[t] = v
+        return cocycle
 
 
 class CechAnalyzer:
@@ -190,16 +210,19 @@ class CechAnalyzer:
     per pair i < j of overlapping contexts and section t of the overlap:
     +1 on C_i's and -1 on C_j's sections restricting to t, so A x is
     -delta(x) read on the pairs i < j.  A is kept once, as its incidence:
-    ``rows[r]`` tags row r ("pair", i, j, t), and per pair an int list per
-    side maps section positions to rows, read from ``pair_restrictions``
-    (a signalling model, whose two sides restrict to different sets, is
-    rejected).  ``_parity_rows`` reads A mod 2 on any column basis as
-    bitmasks, for the set-up GF(2) echelon and route 2's parity system;
-    ``_columns`` reads it as sparse rows ``{k: entry}``, which both routes'
-    integer systems take as they are, so no system here is dense.
-    ``_row_of`` maps a row's pair and overlap section to its index,
-    ``_pair_row`` reads the rows that certificates name, and only the
-    audits restrict sections again.
+    ``rows[r]`` tags row r ("pair", i, j, t), each pair's rows are
+    consecutive, ``_pair_start[r]`` is the first row of r's pair, and per
+    pair an int list per side maps section positions to rows, read from
+    ``pair_restrictions`` (a signalling model, whose two sides restrict
+    to different sets, is rejected).  ``_parity_rows`` reads A mod 2 on
+    any column basis as bitmasks, for the set-up GF(2) echelon and route
+    2's parity system; ``_columns`` reads it as sparse rows ``{k:
+    entry}``, which both routes' integer systems take as they are, so no
+    system here is dense.
+    ``_row_of`` maps a row's pair and overlap section to its index, for
+    the audits of label input; ``_row_at`` reads the rows that route-1
+    certificates name.  No query restricts a section: route 2 and its
+    audits work on row indexes and section positions.
 
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
@@ -209,9 +232,11 @@ class CechAnalyzer:
     once; route 2's system is A in kernel-presheaf coordinates.  A query
     the parity stage does not refute tries the global-section shortcut
     (the model's cached ``extension_table``), then an exact integer
-    system, built on first use.  Only one context's systems are held: a
-    query in another context drops them, and a context asked about again
-    is rebuilt, alike, since its systems depend on the model alone.
+    system, built on first use.  Certificate rows are read once from the
+    set bits of a refuter or its track.  Only one context's systems are
+    held: a query in another context drops them, and a context asked
+    about again is rebuilt, alike, since its systems depend on the model
+    alone.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -230,6 +255,7 @@ class CechAnalyzer:
                       for j, secs in enumerate(model.sections)}
         self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
         self.rows = []   # ("pair", i, j, section over the overlap)
+        self._pair_start = []  # per row, the first row of its pair
         # (i, j, section items) -> row: hashes the section's items tuple,
         # not the Section through its dataclass __hash__
         self._row_of = {}
@@ -243,6 +269,7 @@ class CechAnalyzer:
             below = sorted(below)
             row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
             self.pair_overlaps[(i, j)] = labels
+            self._pair_start += [len(self.rows)] * len(below)
             for key in below:
                 t = Section.from_values(labels, key)
                 self._row_of[i, j, t.items] = len(self.rows)
@@ -287,7 +314,7 @@ class CechAnalyzer:
         if ref is not None:
             return FamilyDecision(
                 context_index, section, False, None,
-                self._parity_certificate(context_index, section, ref, off,
+                self._parity_certificate(context_index, s_pos, ref, off,
                                          secs))
         witness = self._integral_family(context_index, section, off, secs,
                                         s_pos)
@@ -307,7 +334,7 @@ class CechAnalyzer:
             held["route1 parity"] = Gf2AffineSystem(masks, len(self._kernel))
         return held["route1 parity"]
 
-    def _parity_certificate(self, context_index, section, ref, off,
+    def _parity_certificate(self, context_index, s_pos, ref, off,
                             secs) -> CechCertificate:
         """Half-integer separating functional from a parity refutation.
 
@@ -321,32 +348,45 @@ class CechAnalyzer:
         if track is None:
             raise InternalCheckError(
                 "parity refuter escaped the compatibility row space")
-        rows = [tag for r, tag in enumerate(self.rows) if track >> r & 1]
-        rows += [("pin", context_index, s) for u, s in enumerate(secs)
-                 if ref >> u & 1]
-        cert = CechCertificate("parity", tuple(rows),
-                               (Fraction(1, 2),) * len(rows))
-        self._audit_certificate(context_index, section, cert)
-        return cert
+        rows, pins = _set_bits(track), _set_bits(ref)
+        half = Fraction(1, 2)
+        self._check_separation(context_index, s_pos,
+                               [(half, r) for r in rows],
+                               [(half, context_index, u) for u in pins])
+        tags = [self.rows[r] for r in rows]
+        tags += [("pin", context_index, secs[u]) for u in pins]
+        return CechCertificate("parity", tuple(tags), (half,) * len(tags))
 
-    def _audit_certificate(self, context_index, section, cert) -> None:
-        """Re-verify y^T A integral and y^T b non-integral with ``separates``.
+    def _check_separation(self, context_index, s_pos, pair_terms,
+                          pin_terms) -> None:
+        """Re-verify y^T A integral and y^T b non-integral with ``separates``,
+        for y given on rows of A, ``(coeff, row)``, and on pinning rows,
+        ``(coeff, context, section position)``.
 
         The right-hand side is zero on compatibility rows and the
-        indicator of the pinned section on pinning rows.
+        indicator of the pinned section, at position ``s_pos`` of
+        ``context_index``, on pinning rows.
         """
-        terms = []
-        for tag, coeff in zip(cert.rows, cert.coefficients):
-            if tag[0] == "pair":
-                terms.append((coeff, self._pair_row(tag), 0))
-            else:
-                _kind, ci, t = tag
-                u = self._pin_position(ci, t)  # checks ci before it is read
-                terms.append((coeff, {self.blocks[ci][0] + u: 1},
-                              int(ci == context_index and t == section)))
+        terms = [(coeff, self._row_at(r), 0) for coeff, r in pair_terms]
+        terms += [(coeff, {self.blocks[ci][0] + u: 1},
+                   int(ci == context_index and u == s_pos))
+                  for coeff, ci, u in pin_terms]
         if not separates(terms, 1):
             raise InternalCheckError(
                 "certificate does not separate the pinned section")
+
+    def _audit_certificate(self, context_index, section, cert) -> None:
+        """``_check_separation`` on a certificate over tagged rows."""
+        pair_terms, pin_terms = [], []
+        for tag, coeff in zip(cert.rows, cert.coefficients):
+            if tag[0] == "pair":
+                pair_terms.append((coeff, self._row_indexes([tag])[0]))
+            else:
+                _kind, ci, t = tag
+                pin_terms.append((coeff, ci, self._pin_position(ci, t)))
+        self._check_separation(context_index,
+                               self._pin_position(context_index, section),
+                               pair_terms, pin_terms)
 
     def _pin_position(self, ci, t) -> int:
         """The position of section t in context ci, for a pinning row."""
@@ -366,16 +406,14 @@ class CechAnalyzer:
                 f"certificate names no row of A: {tags[rows.index(None)]}")
         return rows
 
-    def _pair_row(self, tag) -> dict:
-        """The row of A that a pair tag names, ``{column: entry}``, read
-        from the incidence and kept in ``_rows_read`` by row index for the
-        next audit that names it.  A parity certificate names only rows
-        that made a pivot of the set-up echelon, so at most rank(A) rows
-        are kept."""
-        _kind, i, j, t = tag
-        row = self._rows_read.get(self._row_of.get((i, j, t.items)))
+    def _row_at(self, r: int) -> dict:
+        """Row r of A, ``{column: entry}``, read from the incidence and kept
+        in ``_rows_read`` for the next audit that names it.  A parity
+        certificate names only rows that made a pivot of the set-up
+        echelon, so at most rank(A) rows are kept."""
+        row = self._rows_read.get(r)
         if row is None:
-            (r,) = self._row_indexes([tag])
+            _kind, i, j, _t = self.rows[r]
             row = self._rows_read[r] = {}
             for k, other, sign in ((i, j, 1), (j, i, -1)):
                 off = self.blocks[k][0]
@@ -470,47 +508,52 @@ class CechAnalyzer:
     def connecting_cocycle(self, context_index: int,
                            section: Section) -> CocycleDecision:
         s_pos = self._position(context_index, section)
-        basis, classes, parity = self._route2_rows(context_index)
+        _basis, classes, parity = self._route2_rows(context_index)
         # the lift takes, in each context, the representative of s0's class
         lift = [reps[key_c[s_pos]] for key_c, reps in classes]
-        rhs = [0] * len(self.rows)  # z = delta(x_lift) = -A x_lift
-        for j, u in enumerate(lift):
-            for side, sign in self._incident[j]:
-                rhs[side[u]] -= sign
-        cocycle = {}
-        for r, z in enumerate(rhs):
-            if z:
-                _k, i, j, t = self.rows[r]
-                cocycle.setdefault((i, j), {})[t] = z
-        if self._leaves_kernel(context_index, CechCochain(1, cocycle)):
+        z = self._delta((j, u, 1) for j, u in enumerate(lift))
+        if _nonzero_sums(self._kernel_keys(context_index), z.items()):
             raise InternalCheckError(
                 "connecting cochain leaves the kernel presheaf")
-        _sol, ref = parity.solve(
-            sum(1 << r for r, b in enumerate(rhs) if b & 1))
+        odd = _odd_mask(z, len(self.rows))
+        _sol, ref = parity.solve(odd)
         if ref is not None:
-            rows = tuple(t for r, t in enumerate(self.rows) if ref >> r & 1)
-            cert = CechCertificate("parity", rows, (1,) * len(rows))
-            self._audit_route2_refutation(context_index, cocycle, cert)
-            return CocycleDecision(context_index, section, False, cocycle,
-                                   None, cert)
-        potential = self._route2_potential(context_index, s_pos, lift,
-                                           cocycle, rhs)
+            rows = _set_bits(ref)
+            self._check_refuter(context_index, rows, odd)
+            cert = CechCertificate("parity", tuple(self.rows[r] for r in rows),
+                                   (1,) * len(rows))
+            return CocycleDecision(context_index, section, False, z,
+                                   self.rows, None, cert)
+        potential = self._route2_potential(context_index, s_pos, lift, z)
         if isinstance(potential, CechCertificate):
-            return CocycleDecision(context_index, section, False, cocycle,
-                                   None, potential)
-        return CocycleDecision(context_index, section, True, cocycle,
+            return CocycleDecision(context_index, section, False, z,
+                                   self.rows, None, potential)
+        return CocycleDecision(context_index, section, True, z, self.rows,
                                potential, None)
+
+    def _delta(self, terms) -> dict:
+        """delta(x) = -A x on the rows of A, ``{row: nonzero value}``, for
+        x the sum of c e_u over ``terms`` (j, u, c), section u of C_j.
+        Summed in a list over the rows, which is quicker than a dict even
+        where most rows stay 0."""
+        acc = [0] * len(self.rows)
+        incident = self._incident
+        for j, u, c in terms:
+            for side, sign in incident[j]:
+                acc[side[u]] -= sign * c
+        return {r: v for r, v in enumerate(acc) if v}
 
     def _route2_rows(self, c: int):
         """The kernel-presheaf basis of pin c, its classes and the GF(2)
         system of A in its coordinates.
 
         Sections of C_j are in one class when they restrict alike into
-        C_c (all of C_j when the two are disjoint).  The first section
-        rep of a class represents it, and each other one s gives the
-        basis vector (j, rep, s), the 0-cochain s - rep, whose column is
-        A e_rep - A e_s = delta(s - rep).  ``classes[j]`` is (the class of
-        each section of C_c, class -> rep in C_j).
+        C_c, read off the (j, c) side list; a context disjoint from C_c
+        is one class.  The first section rep of a class represents it,
+        and each other one s gives the basis vector (j, rep, s), the
+        0-cochain s - rep, whose column is A e_rep - A e_s =
+        delta(s - rep).  ``classes[j]`` is (the class of each section of
+        C_c, class -> rep in C_j).
         """
         held = self._held(c)
         if "route2 parity" not in held:
@@ -518,89 +561,194 @@ class CechAnalyzer:
             classes = []
             none_c = [0] * len(self.blocks[c][1])
             for j, (_off, secs) in enumerate(self.blocks):
+                side = self._side.get((j, c))
+                if side is None:
+                    basis.extend((j, 0, u) for u in range(1, len(secs)))
+                    classes.append((none_c, {0: 0}))
+                    continue
                 reps: dict[int, int] = {}
-                side = self._side.get((j, c), [0] * len(secs))
                 for u, key in enumerate(side):
                     rep = reps.setdefault(key, u)
                     if rep != u:
                         basis.append((j, rep, u))
-                classes.append((self._side.get((c, j), none_c), reps))
+                classes.append((self._side[(c, j)], reps))
             held["route2 parity"] = (basis, classes, Gf2AffineSystem(
                 self._parity_rows(basis), len(basis)))
         return held["route2 parity"]
 
-    def _route2_potential(self, context_index, s_pos, lift, cocycle, rhs):
+    def _kernel_keys(self, c: int) -> list[int]:
+        """Pin c's kernel-presheaf key of each row of A: rows of one pair
+        whose overlap sections restrict alike into C_c share a key, the
+        first such row.  A pair whose overlap misses C_c restricts wholly
+        to the empty section, so its key is its first row; one inside C_c
+        restricts to itself, so each row is its own key."""
+        held = self._held(c)
+        if "route2 keys" not in held:
+            inner = set(self.model.scenario.contexts[c])
+            keys = list(self._pair_start)
+            # an overlap that meets C_c lies in two contexts that meet it
+            near = [j for j in range(len(self.blocks)) if (j, c) in self._side]
+            for a, i in enumerate(near):
+                for j in near[a + 1:]:
+                    labels = self.pair_overlaps.get((i, j))
+                    if labels is None:
+                        continue
+                    # a row's tag lists its overlap in sorted label order
+                    at = [k for k, x in enumerate(sorted(labels))
+                          if x in inner]
+                    if not at:
+                        continue
+                    side = self._side[(i, j)]  # reaches every row of the pair
+                    start, end = min(side), max(side) + 1
+                    if len(at) == len(labels):
+                        keys[start:end] = range(start, end)
+                        continue
+                    read, first = itemgetter(*at), {}
+                    for r in range(start, end):
+                        keys[r] = first.setdefault(
+                            read(self.rows[r][3].items), r)
+            held["route2 keys"] = keys
+        return held["route2 keys"]
+
+    def _route2_potential(self, context_index, s_pos, lift, z):
         """Integer potential via the global-section shortcut, else the
-        exact solver on the kernel-coordinate system."""
+        exact solver on the kernel-coordinate system; audited on section
+        positions, returned on sections."""
         g = self.model.extension_table[context_index][s_pos]
         if g is not None:
+            potential = {j: {u: 1, v: -1}
+                         for j, (u, v) in enumerate(zip(lift, g)) if u != v}
+        else:
+            basis, _classes, _parity = self._route2_rows(context_index)
+            held = self._held(context_index)
+            if "route2 integer" not in held:
+                held["route2 integer"] = IntegerSystem(self._columns(basis),
+                                                       len(basis))
+            rhs = [0] * len(self.rows)
+            for r, v in z.items():
+                rhs[r] = v
+            res = held["route2 integer"].solve(rhs)
+            if not res.feasible:
+                return _tagged_certificate(res.certificate.kind,
+                                           res.certificate.vector,
+                                           self.rows.__getitem__)
             potential = {}
-            for j, ((_o, secs), u, v) in enumerate(zip(self.blocks, lift, g)):
-                if u != v:
-                    potential[j] = {secs[u]: 1, secs[v]: -1}
-            self._audit_potential(context_index, cocycle, potential)
-            return potential
-        basis, _classes, _parity = self._route2_rows(context_index)
-        held = self._held(context_index)
-        if "route2 integer" not in held:
-            held["route2 integer"] = IntegerSystem(self._columns(basis),
-                                                   len(basis))
-        res = held["route2 integer"].solve(rhs)
-        if not res.feasible:
-            return _tagged_certificate(res.certificate.kind,
-                                       res.certificate.vector,
-                                       self.rows.__getitem__)
-        potential = {}
-        for k, (j, rep, s) in enumerate(basis):
-            c = res.witness[k]
-            if c:
-                secs = self.blocks[j][1]
-                fs = potential.setdefault(j, {})
-                fs_combine(fs, {secs[s]: 1, secs[rep]: -1}, c)
-        potential = {j: fs for j, fs in potential.items() if fs}
-        self._audit_potential(context_index, cocycle, potential)
-        return potential
+            for k, (j, rep, u) in enumerate(basis):
+                c = res.witness[k]
+                if c:
+                    fs_combine(potential.setdefault(j, {}), {u: 1, rep: -1}, c)
+            potential = {j: fs for j, fs in potential.items() if fs}
+        self._check_potential(context_index, potential, z)
+        return {j: {self.blocks[j][1][u]: c for u, c in fs.items()}
+                for j, fs in potential.items()}
 
-    def _leaves_kernel(self, context_index, cochain) -> bool:
-        """Does some value of a cochain on the nerve restrict to a nonzero
-        sum into the pinned context, i.e. leave the kernel presheaf?  On a
-        support disjoint from that context, restriction to the empty
-        section is the sum of the coefficients."""
-        c0 = set(self.model.scenario.contexts[context_index])
-        supports = self.nerve.supports
-        for simplex, fs in cochain.values.items():
-            labels = [x for x in supports[simplex] if x in c0]
-            if fs_restrict(fs, labels) if labels else sum(fs.values()):
+    # -- route 2's audits: on rows and section positions, and on labels ---
+
+    def _potential_leaves(self, c, potential) -> bool:
+        """Does a 0-cochain on section positions, ``{j: {u: coeff}}``,
+        leave pin c's kernel presheaf?  Section u of C_j restricts into
+        C_c as it does onto the pair {j, c}: its key is its row there
+        (its own position when j = c), and one key for all of C_j when
+        C_j misses C_c."""
+        for j, fs in potential.items():
+            keys = self._side.get((j, c)) or [0] * len(self.blocks[j][1])
+            if _nonzero_sums(keys, fs.items()):
                 return True
         return False
 
-    def _audit_potential(self, context_index, cocycle, potential) -> None:
-        """potential must live in the kernel presheaf and bound z."""
-        pot = CechCochain(0, {(j,): fs for j, fs in potential.items()})
-        if self._leaves_kernel(context_index, pot):
+    def _check_potential(self, context_index, potential, z) -> None:
+        """A potential on section positions must live in the kernel
+        presheaf and bound z, both on rows of A."""
+        if self._potential_leaves(context_index, potential):
             raise InternalCheckError("potential leaves the kernel presheaf")
-        if cech_coboundary(self.nerve, pot).values != cocycle:
+        if self._delta((j, u, c) for j, fs in potential.items()
+                       for u, c in fs.items()) != z:
             raise InternalCheckError("potential does not bound the cocycle")
 
+    def _check_refuter(self, context_index, rows, odd) -> None:
+        """The parity refuter, its distinct rows ``rows`` of A, must
+        annihilate the rows of route 2's system and pair oddly with z,
+        read as ``odd``, the bitmask of the rows where z is odd."""
+        parity_rows = self._route2_rows(context_index)[2].rows
+        acc = 0
+        for r in rows:
+            acc ^= parity_rows[r]
+        if acc != 0 or sum(odd >> r & 1 for r in rows) & 1 != 1:
+            raise InternalCheckError("route-2 parity certificate failed audit")
+
+    def _on_rows(self, cocycle) -> dict:
+        """A label 1-cochain ``{(i, j): {section: value}}`` on row indexes."""
+        tags = [("pair", i, j, t) for (i, j), fs in cocycle.items()
+                for t in fs]
+        return dict(zip(self._row_indexes(tags),
+                        [v for fs in cocycle.values() for v in fs.values()]))
+
+    def _on_positions(self, potential) -> dict:
+        """A label 0-cochain ``{j: {section: coeff}}`` on section positions."""
+        out = {}
+        for j, fs in potential.items():
+            secs = self.blocks[j][1]
+            if any(s not in secs for s in fs):
+                raise InternalCheckError(
+                    f"cochain names an unknown section of context {j}")
+            out[j] = {secs.index(s): c for s, c in fs.items()}
+        return out
+
+    def _leaves_kernel(self, context_index, cochain) -> bool:
+        """Does some value of a label cochain on the nerve (degree 0 or 1)
+        restrict to a nonzero sum into the pinned context, i.e. leave the
+        kernel presheaf?  Read onto positions or rows, then keyed."""
+        if cochain.degree == 0:
+            return self._potential_leaves(context_index, self._on_positions(
+                {j: fs for (j,), fs in cochain.values.items()}))
+        return _nonzero_sums(self._kernel_keys(context_index),
+                             self._on_rows(cochain.values).items())
+
+    def _audit_potential(self, context_index, cocycle, potential) -> None:
+        """``_check_potential`` on a label potential and cocycle."""
+        self._check_potential(context_index, self._on_positions(potential),
+                              self._on_rows(cocycle))
+
     def _audit_route2_refutation(self, context_index, cocycle, cert) -> None:
-        """The parity refuter, its coefficients read mod 2, must annihilate
-        the rows of route 2's system and pair oddly with z.  Both are read
-        as bitmasks over the rows of A: the refuter's rows with odd
-        coefficients, and the rows where z is odd."""
-        parity = self._route2_rows(context_index)[2]
-        acc = odd = z = 0
+        """``_check_refuter`` on a label cocycle and certificate: the rows
+        its odd coefficients name an odd number of times."""
+        odd_rows: set[int] = set()
         for coeff, r in zip(cert.coefficients,
                             self._row_indexes(cert.rows)):
             if coeff % 2 == 1:
-                acc ^= parity.rows[r]
-                odd ^= 1 << r
-        for (i, j), fs in cocycle.items():
-            for t, c in fs.items():
-                r = self._row_of.get((i, j, t.items))
-                if c & 1 and r is not None:
-                    z |= 1 << r
-        if acc != 0 or (odd & z).bit_count() & 1 != 1:
-            raise InternalCheckError("route-2 parity certificate failed audit")
+                odd_rows ^= {r}
+        self._check_refuter(context_index, sorted(odd_rows),
+                            _odd_mask(self._on_rows(cocycle), len(self.rows)))
+
+
+def _nonzero_sums(keys, entries) -> bool:
+    """The kernel-presheaf check on int keys: do the values of ``entries``,
+    ``(index, value)`` pairs, sum to nonzero on some key ``keys[index]``?"""
+    acc: dict = {}
+    for i, v in entries:
+        k = keys[i]
+        acc[k] = acc.get(k, 0) + v
+    return any(acc.values())
+
+
+def _odd_mask(values: dict, n: int) -> int:
+    """The bitmask of the odd values of ``{index: value}`` over range(n),
+    written as binary digits, so each index costs one byte, not a shift."""
+    digits = bytearray(b"0" * (n + 1))  # a leading 0 keeps n = 0 readable
+    for i, v in values.items():
+        if v & 1:
+            digits[n - i] = 49  # ord("1")
+    return int(digits, 2)
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indexes of the set bits of ``mask``, ascending, selected from
+    its binary digits, bit 0 first."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return list(compress(range(len(digits)), digits))
 
 
 def _tagged_certificate(kind, coefficients, tag_of) -> CechCertificate:

@@ -26,14 +26,16 @@ calls it too.
 
 Each solver factors its matrix once, in its constructor or on its first
 solve, and then answers any number of right-hand sides.
-``Gf2AffineSystem`` is the GF(2) solver: a bitmask echelon
-(``Gf2Echelon``) that keeps its rows as they came, no left kernel, and
-pivot rows that are not back-reduced as rows arrive: solutions
-back-substitute, the kernel basis reduces the form when asked, and the
-refuter is found on demand from the first dependent row that the pivot
-solution breaks.  Integer feasibility is decided through a row-style
-Hermite normal form of the transposed system (a basis of the column
-lattice); callers run their own GF(2) refutation first.  Modular systems
+``Gf2Echelon`` is a bitmask echelon with no left kernel and pivot
+rows that are not back-reduced as rows arrive: solutions
+back-substitute and the kernel basis reduces the form when asked.  It
+keeps only its pivot rows and their tracks.  ``Gf2AffineSystem``, the
+GF(2) solver, is the echelon that also keeps its rows as they came and
+the indexes of the dependent ones, from which the refuter is found on
+demand: the first dependent row that the pivot solution breaks.
+Integer feasibility is decided through a row-style Hermite normal form
+of the transposed system (a basis of the column lattice); callers run
+their own GF(2) refutation first.  Modular systems
 are solved locally at each prime power, then recombined by the Chinese
 remainder theorem: modulo 2 by ``Gf2AffineSystem``, modulo any other
 prime power by elimination with valuation-minimal pivoting.
@@ -165,13 +167,14 @@ def _hermite(h: list[SparseRow], n: int) -> tuple[list, list]:
 class Gf2Echelon:
     """Row echelon of a GF(2) matrix, rows as bitmasks over columns.
 
-    ``rows`` keeps the rows as they came.  ``pivots`` maps a column index
-    to ``(rowmask, trackmask)``: a row whose highest set bit is that
-    column, and the independent rows that sum to it.  ``dependent`` lists
-    the rows that reduce to zero.  A new pivot is not cleared from the
-    earlier pivot rows: the pivot columns are the leading bits of the row
-    space either way, ``solution`` back-substitutes in ascending pivot
-    order and ``kernel_basis`` reduces the form when it is called.
+    ``pivots`` maps a column index to ``(rowmask, trackmask)``: a row
+    whose highest set bit is that column, and the independent rows that
+    sum to it; ``nrows`` counts the rows added.  The rows themselves are
+    not kept: ``Gf2AffineSystem``, the one echelon that refutes, keeps
+    them.  A new pivot is not cleared from the earlier pivot rows: the
+    pivot columns are the leading bits of the row space either way,
+    ``solution`` back-substitutes in ascending pivot order and
+    ``kernel_basis`` reduces the form when it is called.
     """
 
     def __init__(self, row_masks, ncols: int):
@@ -179,22 +182,21 @@ class Gf2Echelon:
         self.pivots: dict[int, tuple[int, int]] = {}
         self._order: list[int] = []  # the pivot columns, ascending
         self._pivot_mask = 0
-        self.rows: list[int] = []
-        self.dependent: list[int] = []
+        self.nrows = 0
         for mask in row_masks:
             self.add_row(mask)
 
-    def add_row(self, mask: int) -> None:
-        r = len(self.rows)
-        self.rows.append(mask)
-        reduced, track = self._reduce(mask, 1 << r)
+    def add_row(self, mask: int) -> bool:
+        """Echelon one more row: is it independent of the rows before it?"""
+        reduced, track = self._reduce(mask, 1 << self.nrows)
+        self.nrows += 1
         if reduced == 0:
-            self.dependent.append(r)
-            return
+            return False
         col = reduced.bit_length() - 1
         self.pivots[col] = (reduced, track)
         insort(self._order, col)
         self._pivot_mask |= 1 << col
+        return True
 
     def _reduce(self, mask: int, track: int) -> tuple[int, int]:
         # clear pivot columns from the top: a pivot row's other bits lie
@@ -228,7 +230,10 @@ class Gf2Echelon:
     def refute(self, rhs_mask: int, solution: int | None = None) -> int | None:
         """Row combination ``y`` with ``y^T A = 0`` and ``y . b`` odd, or
         None: ``e_r + express(row_r)`` for the first dependent row r that
-        the pivot ``solution`` x breaks, ``row_r . x != b_r``."""
+        the pivot ``solution`` x breaks, ``row_r . x != b_r``.  It reads
+        the rows and dependent indexes that a ``Gf2AffineSystem`` keeps;
+        it is defined on the echelon, where the benchmark's layer tracer
+        (perfbench/spans.py) times it with the other echelon steps."""
         x = self.solution(rhs_mask) if solution is None else solution
         for r in self.dependent:
             if ((self.rows[r] & x).bit_count() ^ (rhs_mask >> r)) & 1:
@@ -276,7 +281,21 @@ def _bits(mask: int, n: int) -> tuple[int, ...]:
 class Gf2AffineSystem(Gf2Echelon):
     """Reusable solver for ``A x = b`` over GF(2), the one GF(2) entry point:
     the rows are echeloned once, then ``solve`` answers each right-hand
-    side, a bitmask over rows, without touching the echelon."""
+    side, a bitmask over rows, without touching the echelon.  It keeps
+    the rows as they came (``rows``) and the indexes of those that
+    reduce to zero (``dependent``), which ``refute`` reads."""
+
+    def __init__(self, row_masks, ncols: int):
+        self.rows: list[int] = []
+        self.dependent: list[int] = []
+        super().__init__(row_masks, ncols)
+
+    def add_row(self, mask: int) -> bool:
+        self.rows.append(mask)
+        if super().add_row(mask):
+            return True
+        self.dependent.append(len(self.rows) - 1)
+        return False
 
     def solve(self, rhs_mask: int) -> tuple[int | None, int | None]:
         """``(solution_mask, None)`` if feasible, else ``(None, refuter)``:

@@ -479,7 +479,10 @@ class GroupObstructionAnalyzer:
     and coboundary solver of the one context it is answering, which a
     query in another context replaces.
 
-    Set-up validates every section's splitting, so queries do not."""
+    Set-up validates every section's splitting, so queries do not.  The
+    first query also checks that the quotient is associative, on the
+    degree-2 face columns that its d(beta)=0 audit builds anyway: a
+    non-associative quotient can pass that audit, and is bad input."""
 
     def __init__(self, structured: StructuredModel):
         report, quotient = _validate(structured)
@@ -493,6 +496,8 @@ class GroupObstructionAnalyzer:
 
     def _context(self, context_index: int):
         if self._slot[0] != context_index:
+            if self._slot[0] is None:  # the first query
+                self._check_quotient_associative()
             self._slot = (None, None)  # dropped before the new ones are built
             ctx = self.structured.model.scenario.contexts[context_index]
             inside = frozenset(self.quotient.orbit_of(x) for x in ctx)
@@ -500,6 +505,17 @@ class GroupObstructionAnalyzer:
                 _frame(self.quotient, ctx),
                 CoboundarySolver(self.quotient, inside)))
         return self._slot[1]
+
+    def _check_quotient_associative(self) -> None:
+        """(a + b) + c and a + (b + c) agree on every composable triple of
+        the quotient: its faces d_1 and d_2 name pairs with one sum."""
+        monoid = self.quotient.monoid
+        _qx, _qy, qz = monoid.pairs()
+        _d0, d1, d2, _d3 = monoid.faces(2)
+        if [qz[p] for p in d1] != [qz[p] for p in d2]:
+            raise PreconditionError(
+                _associativity_violation(self.quotient)
+                or "quotient monoid is not associative")
 
     def analyze(self, context_index: int, section: Section,
                 eta_override=None) -> GroupObstructionReport:

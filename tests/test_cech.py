@@ -292,12 +292,12 @@ def test_compatibility_rows_are_minus_the_cech_differential(
         hardy, mermin, ghz):
     """Column k of the analyzer's compatibility matrix, as ``_columns``
     reads it, is -delta of the 0-cochain 1*s on s's context, read on the
-    pairs i < j; the audits' ``_pair_row`` reads the same rows."""
+    pairs i < j; the audits' ``_row_at`` reads the same rows."""
     for model in _differential_models(hardy, mermin, ghz):
         ana = CechAnalyzer(model)
         nerve = build_nerve(model.scenario, max_degree=1)
         columns = ana._columns()
-        assert [ana._pair_row(tag) for tag in ana.rows] == columns
+        assert [ana._row_at(r) for r in range(len(ana.rows))] == columns
         k = 0
         for ci, secs in enumerate(model.sections):
             for s in secs:
@@ -967,6 +967,214 @@ def test_kernel_check_on_supports_disjoint_from_the_pin(hardy):
     wide[3][s] = wide[3].get(s, 0) + 1
     with pytest.raises(InternalCheckError, match="kernel"):
         ana._audit_potential(0, r2.cocycle, wide)
+
+
+# --- Route 2 on row indexes: brute force and mutants -------------------------
+
+
+def _random_no_signalling_models(seed, count):
+    """Binary models on 3-6 contexts of two or three of 3-6 measurements,
+    over a connected anti-chain cover.  Each context keeps a random set of
+    rows (all those of one parity, for two in five contexts), pruned to a
+    fixpoint where every pair of contexts restricts to the same set on
+    its overlap, so every model is no-signalling; models of every kind
+    come out, contextual or not."""
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        labels = [f"x{i}" for i in range(rng.randint(3, 6))]
+        contexts = {tuple(sorted(rng.sample(labels, rng.randint(2, 3))))
+                    for _ in range(rng.randint(3, 6))}
+        sets = [set(c) for c in contexts]
+        if (len(contexts) < 3 or set().union(*sets) != set(labels)
+                or any(a < b for a in sets for b in sets)
+                or not scenario_module._cover_connected(list(contexts))):
+            continue
+        scenario = MeasurementScenario.make(labels, 2, contexts)
+        support = []
+        for ctx in scenario.contexts:
+            rows = list(itertools.product((0, 1), repeat=len(ctx)))
+            if rng.random() < 0.4:  # a parity constraint
+                b = rng.randrange(2)
+                rows = [bits for bits in rows if sum(bits) % 2 == b]
+            else:
+                rows = [bits for bits in rows if rng.random() < 0.6]
+            support.append({Section.of(dict(zip(ctx, bits)))
+                            for bits in rows})
+        changed = True
+        while changed:
+            changed = False
+            for i, j in itertools.combinations(range(len(support)), 2):
+                overlap = [x for x in scenario.contexts[i]
+                           if x in scenario.contexts[j]]
+                if not overlap:
+                    continue
+                common = ({s.restrict(overlap) for s in support[i]}
+                          & {s.restrict(overlap) for s in support[j]})
+                for k in (i, j):
+                    kept = {s for s in support[k]
+                            if s.restrict(overlap) in common}
+                    changed |= kept != support[k]
+                    support[k] = kept
+        if all(support):
+            models.append(EmpiricalModel.make(scenario, support))
+    return models
+
+
+def _leaves_kernel_by_labels(model, context_index, simplices):
+    """The kernel-presheaf check on labelled sums, the reference for the
+    int-key check: each value, restricted into the pinned context (to its
+    total coefficient where the support misses it), must vanish.
+    ``simplices`` lists each simplex's support labels and formal sum."""
+    c0 = set(model.scenario.contexts[context_index])
+    for labels, fs in simplices:
+        inner = [x for x in labels if x in c0]
+        if fs_restrict(fs, inner) if inner else sum(fs.values()):
+            return True
+    return False
+
+
+def _eager_cocycle(ana, model, c0, s0):
+    """The connecting cocycle built eagerly, the reference for the lazy
+    one: the lift (each context's first section agreeing with s0 where it
+    meets C0), a dense z = -A x_lift over every row of A, then the row
+    tags of its nonzero rows, in row order."""
+    contexts = model.scenario.contexts
+    rhs = [0] * len(ana.rows)
+    for j, ctx in enumerate(contexts):
+        inner = [x for x in ctx if x in contexts[c0]]
+        u = next(u for u, s in enumerate(model.sections[j])
+                 if s.restrict(inner) == s0.restrict(inner))
+        for side, sign in ana._incident[j]:
+            rhs[side[u]] -= sign
+    cocycle = {}
+    for r, z in enumerate(rhs):
+        if z:
+            _k, i, j, t = ana.rows[r]
+            cocycle.setdefault((i, j), {})[t] = z
+    return cocycle
+
+
+def test_row_keyed_kernel_check_and_lazy_cocycle_by_brute_force():
+    """On 120 seeded random no-signalling models: the int-key kernel check
+    agrees with the check on labelled sums for random 1-cochains supported
+    on rows of A and random 0-cochains on section positions, and every
+    section's lazily built cocycle equals the eager dense construction,
+    insertion order included."""
+    rng = random.Random(1703)
+    models = _random_no_signalling_models(170, 120)
+    assert {classify(m).kind for m in models} == {
+        "noncontextual", "logically_contextual", "strongly_contextual"}
+    leaves = stays = 0
+    for model in models:
+        ana = CechAnalyzer(model)
+        nrows = len(ana.rows)
+        for c0, secs0 in enumerate(model.sections):
+            keys = ana._kernel_keys(c0)
+            for _ in range(6):
+                z = {r: rng.choice((-2, -1, 1, 2))
+                     for r in rng.sample(range(nrows),
+                                         rng.randint(0, min(nrows, 4)))}
+                if z and rng.random() < 0.5:  # a balanced pair of rows
+                    r = rng.choice(list(z))
+                    same = [q for q in range(nrows)
+                            if q != r and keys[q] == keys[r]]
+                    if same:
+                        z[rng.choice(same)] = -z[r]
+                labelled = {}
+                for r, v in z.items():
+                    _k, i, j, t = ana.rows[r]
+                    labelled.setdefault((i, j), {})[t] = v
+                want = _leaves_kernel_by_labels(model, c0, [
+                    (ana.pair_overlaps[pair], fs)
+                    for pair, fs in labelled.items()])
+                assert cech_module._nonzero_sums(keys, z.items()) == want
+                leaves += want
+                stays += not want
+                potential = {}
+                for j in rng.sample(range(len(model.sections)), 2):
+                    n = len(model.sections[j])
+                    potential[j] = {u: rng.choice((-1, 1))
+                                    for u in rng.sample(range(n),
+                                                        min(n, 2))}
+                want = _leaves_kernel_by_labels(model, c0, [
+                    (model.scenario.contexts[j],
+                     {model.sections[j][u]: c for u, c in fs.items()})
+                    for j, fs in potential.items()])
+                assert ana._potential_leaves(c0, potential) == want
+                leaves += want
+                stays += not want
+            for s0 in secs0:
+                dec = ana.connecting_cocycle(c0, s0)
+                assert repr(dec.cocycle) == repr(
+                    _eager_cocycle(ana, model, c0, s0))
+    assert leaves > 500 and stays > 500
+
+
+def test_row_cores_reject_mutants(mermin, ghz):
+    """The int-key kernel check fails on z built from a lift with the
+    representative of one context other than the pinned one replaced by a
+    section of another class (z is then nonzero on two rows of the pair
+    it forms with the pinned context, whose overlap restricts to itself),
+    and on z with one sign flipped.  The odd-row refutation audit fails on an
+    odd-row mask with one refuter row flipped, and on a refuter with one
+    row dropped or one row added, exactly when the mutant is no refuter:
+    the rows it names must sum to zero in route 2's system and pair oddly
+    with z."""
+    models = [mermin.model, ghz.model] + _random_no_signalling_models(171, 40)
+    wrong_lift = flipped_sign = flipped_odd = dropped = added = 0
+    for model in models:
+        ana = CechAnalyzer(model)
+        for c0, secs0 in enumerate(model.sections):
+            for s_pos, s0 in enumerate(secs0):
+                dec = ana.connecting_cocycle(c0, s0)
+                keys = ana._kernel_keys(c0)
+                _basis, classes, parity = ana._route2_rows(c0)
+                lift = [reps[key_c[s_pos]] for key_c, reps in classes]
+                assert ana._delta((j, u, 1) for j, u in enumerate(lift)) \
+                    == dec.z
+                assert not cech_module._nonzero_sums(keys, dec.z.items())
+                for j, (_key_c, reps) in enumerate(classes):
+                    other = next((u for u in reps.values()
+                                  if u != lift[j]), None)
+                    if other is not None and j != c0:
+                        bad = lift[:j] + [other] + lift[j + 1:]
+                        z = ana._delta((k, u, 1) for k, u in enumerate(bad))
+                        assert cech_module._nonzero_sums(keys, z.items())
+                        wrong_lift += 1
+                for r in list(dec.z)[:3]:
+                    z = {**dec.z, r: -dec.z[r]}
+                    assert cech_module._nonzero_sums(keys, z.items())
+                    flipped_sign += 1
+                cert = dec.certificate
+                if cert is None or cert.kind != "parity":
+                    continue
+                rows = ana._row_indexes(cert.rows)
+                odd = cech_module._odd_mask(dec.z, len(ana.rows))
+                ana._check_refuter(c0, rows, odd)
+
+                def holds(rs, mask):
+                    acc = 0
+                    for r in rs:
+                        acc ^= parity.rows[r]
+                    return acc == 0 and sum(mask >> r & 1 for r in rs) % 2
+
+                for r in rows:
+                    with pytest.raises(InternalCheckError):
+                        ana._check_refuter(c0, rows, odd ^ 1 << r)
+                    flipped_odd += 1
+                    rest = [q for q in rows if q != r]
+                    if not holds(rest, odd):
+                        with pytest.raises(InternalCheckError):
+                            ana._check_refuter(c0, rest, odd)
+                        dropped += 1
+                for r in range(len(ana.rows)):
+                    more = sorted(rows + [r])
+                    if r not in rows and not holds(more, odd):
+                        with pytest.raises(InternalCheckError):
+                            ana._check_refuter(c0, more, odd)
+                        added += 1
+    assert min(wrong_lift, flipped_sign, flipped_odd, dropped, added) > 100
 
 
 # --- Sections on int rows -------------------------------------------------------

@@ -176,6 +176,20 @@ def test_non_associative_glued_monoid_is_bad_input(tmp_path, capsys):
                 "x + (y + z) = 'mq'") in out + err
 
 
+def test_non_associative_quotient_is_bad_input(tmp_path, capsys):
+    """With x + r = s, a new label, the quotient itself is not associative,
+    which a section's d(beta)=0 audit can miss: validation, the group
+    query in one context and ``--all`` name the triple and exit 2."""
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(twisted_document((0, 0, 0, 0), last="s")))
+    for argv in (["validate"], ["analyze", "--group", "--context", "2"],
+                 ["analyze", "--all"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2, (argv, out, err)
+        assert ("not associative at ('x', 'y', 'z'): (x + y) + z = 'q', "
+                "x + (y + z) = 's'") in out + err
+
+
 def test_nine_qubit_clique_loads(tmp_path, capsys):
     """Nine commuting Z's and -I close to one 1,024-member context, which
     the clique search finds without recursion."""

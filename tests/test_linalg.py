@@ -192,9 +192,12 @@ def test_gf2_echelon_fuzz():
         nrows = rng.randint(0, 10)
         masks = [rng.getrandbits(ncols) for _ in range(nrows)]
         ech = Gf2Echelon([], ncols)
-        for m in masks:
-            ech.add_row(m)
+        independent = [ech.add_row(m) for m in masks]
         space = _gf2_rowspace(masks, ncols)
+        # the bare echelon counts its rows and keeps only its pivots
+        assert ech.nrows == nrows and not hasattr(ech, "rows")
+        rank = len(space).bit_length() - 1
+        assert sum(independent) == len(ech.pivots) == rank
         target = rng.getrandbits(ncols)
         combo = ech.express(target)
         if target in space:
@@ -312,10 +315,11 @@ def test_gf2_refuter_is_pinned_by_brute_force():
 
 
 def test_gf2_echelon_matches_eager_reference():
-    """The echelon reduced on demand has the eager reference's pivot
-    columns and dependent rows, and the same solution, refuter,
-    expression and kernel basis, also when rows arrive after a kernel
-    basis was read; zero and duplicate rows included."""
+    """The echelon reduced on demand, as the solver that keeps its rows
+    (``Gf2AffineSystem``), has the eager reference's pivot columns and
+    dependent rows, and the same solution, refuter, expression and kernel
+    basis, also when rows arrive after a kernel basis was read; zero and
+    duplicate rows included."""
     rng = random.Random(71)
     for _ in range(300):
         ncols = rng.randint(1, 10)
@@ -325,7 +329,7 @@ def test_gf2_echelon_matches_eager_reference():
             masks.append(rng.choice(masks))
             rng.shuffle(masks)
         split = rng.randint(0, len(masks))
-        ech = Gf2Echelon(masks[:split], ncols)
+        ech = Gf2AffineSystem(masks[:split], ncols)
         ref = EagerGf2Echelon(masks[:split], ncols)
         assert ech.kernel_basis() == ref.kernel_basis()
         for mask in masks[split:]:

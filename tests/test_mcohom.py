@@ -397,16 +397,19 @@ def test_validate_structured_model_violations(mermin):
     assert not rep2.ok
 
 
-def twisted_document(twists=(0, 0, 0, 1), rng=None):
+def twisted_document(twists=(0, 0, 0, 1), rng=None, last="q"):
     """Four Z_2^3 contexts glued along {e, m}: <m, x, y> with x + y = p,
     <m, p, z> with p + z = q, <m, y, z> with y + z = r and <m, x, r> with
-    x + r = q, where ``twists[k]`` multiplies the k-th product by m.  Each
-    context is a group; (x + y) + z = x + (y + z) only for even twists.
-    Z_2 acts through m and every splitting is a section.  ``rng``
-    shuffles the measurements, which moves each orbit's least member."""
+    x + r = ``last``, where ``twists[k]`` multiplies the k-th product by m.
+    Each context is a group; with ``last`` = q, (x + y) + z = x + (y + z)
+    only for even twists, and with a new label the quotient is not
+    associative either.  Z_2 acts through m and every splitting is a
+    section.  ``rng`` shuffles the measurements, which moves each orbit's
+    least member."""
     gens = [("x", "y", "p"), ("p", "z", "q"), ("y", "z", "r"),
-            ("x", "r", "q")]
-    meas = ["e", "m"] + [pre + g for g in "xypzqr" for pre in ("", "m")]
+            ("x", "r", last)]
+    meas = ["e", "m"] + [pre + g for g in dict.fromkeys("xypzqr" + last)
+                         for pre in ("", "m")]
     if rng is not None:
         rng.shuffle(meas)
     els = list(itertools.product((0, 1), repeat=3))
@@ -452,6 +455,37 @@ def test_cross_context_associativity_agrees_with_the_oracle():
         with pytest.raises(PreconditionError, match="not associative"):
             GroupObstructionAnalyzer(st).analyze(0, st.model.sections[0][0])
     assert verdicts == {True, False}
+
+
+def test_non_associative_quotient_is_refused_at_the_first_query():
+    """With x + r = s, a new label, the quotient is not associative:
+    (x + y) + z = q but x + (y + z) = s.  A section's d(beta)=0 audit
+    can still pass, so the analyzer's first query compares the quotient's
+    two bracketings and refuses the model as bad input, as validation
+    does, in any context."""
+    st = loads_model(json.dumps(twisted_document((0, 0, 0, 0), last="s")))
+    message = ("not associative at ('x', 'y', 'z'): (x + y) + z = 'q', "
+               "x + (y + z) = 's'")
+    (bad,) = validate_structured_model(st).violations
+    assert message in bad
+    q = GroupObstructionAnalyzer(st).quotient
+    ctx = st.model.scenario.contexts[2]
+    passed = 0
+    for s in st.model.sections[2]:
+        sp = splitting_of_section(s, ctx, st.action)
+        try:
+            mcohom_module._obstruction(q, mcohom_module._frame(q, ctx), sp,
+                                       None)
+            passed += 1
+        except PreconditionError:
+            pass
+    assert passed > 0  # the per-section audit alone lets these through
+    for ci in range(4):
+        analyzer = GroupObstructionAnalyzer(st)
+        for _ in range(2):  # and again, after the refusal
+            with pytest.raises(PreconditionError) as exc:
+                analyzer.analyze(ci, st.model.sections[ci][0])
+            assert message in str(exc.value)
 
 
 def test_noncontextual_reconstruction():
