@@ -41,13 +41,19 @@ class Theory:
 
 
 def theory_of(model: EmpiricalModel) -> Theory:
-    """Generators of every context's affine relations on its rows, stacked."""
+    """Generators of every context's affine relations on its rows, stacked
+    in context order.  Contexts with the same rows share one call to
+    ``affine_annihilator``, whose relations each context reads on its own
+    labels."""
     scenario = model.scenario
     d = scenario.outcome_modulus
+    relations = {}
     equations = []
     owners = []
-    for ci, ctx in enumerate(scenario.contexts):
-        for r, a in affine_annihilator(model.rows[ci], d):
+    for ci, (ctx, rows) in enumerate(zip(scenario.contexts, model.rows)):
+        if rows not in relations:
+            relations[rows] = affine_annihilator(rows, d)
+        for r, a in relations[rows]:
             coeffs = tuple((x, c) for x, c in zip(ctx, r) if c % d)
             if not coeffs and a % d == 0:
                 continue

@@ -14,9 +14,11 @@ recursion, so its depth is not bounded by the interpreter's stack.  It
 keeps generalized arc consistency between contexts that share
 measurements: a context keeps only the rows that agree with its
 measurements' remaining values, and a value stays only while every
-context containing the measurement has a row that uses it.  It branches
-fail first, on the context with the fewest remaining rows, and undoes
-each branch from one trail of changes instead of copying state.
+context containing the measurement has a row that uses it.  Each
+context's alive rows are one bitmask, filtered and read for support
+through per-value row masks (compact tables).  It branches fail first,
+on the context with the fewest remaining rows, and undoes each branch
+from one trail of changes instead of copying state.
 ``extension_table`` is the one classification pass, cached on the model:
 each global section found marks every row it restricts to, so a pinned
 search runs only for unmarked rows; ``classify`` and Cech read the marks.
@@ -322,34 +324,44 @@ def check_no_signalling(model: EmpiricalModel) -> ValidationReport:
 
 
 class _Search:
-    """Iterative search for global sections of one model.
+    """Iterative search for global sections of one model, on compact
+    tables.
 
     Measurements are variables whose domains are bitmasks over Z_d, and
-    contexts are table constraints whose alive rows are the prefix
-    ``perm[c][:size[c]]`` of a sparse set.  Every change to a domain or a
-    row count is pushed on one undo trail, so backtracking restores a
-    node's state without copying it.  The root state is made arc
-    consistent once, and every search starts from it and returns to it.
-    ``seen[c][r]`` is the first global section found through row r of c,
-    as one row position per context, or None; ``unseen[c]`` counts the rows
-    of ``c`` alive at the root and not seen yet, and ``fresh`` lists the
-    contexts with such rows.
+    contexts are table constraints whose alive rows are one bitmask over
+    their row positions, ``alive[c]``, with ``size[c]`` set bits.
+    ``table[c][k]`` lists, for position k of context c, each value that
+    occurs there with the mask of the rows that take it.  Every change to
+    a domain or to a context's alive mask is pushed on one undo trail, as
+    the measurement's complement or the context with the value it
+    replaced, so backtracking restores a node's state without copying it.
+    The root state is made arc consistent once, and every search starts
+    from it and returns to it.  ``seen[c][r]`` is the first global section
+    found through row r of c, as one row position per context, or None;
+    ``unseen[c]`` counts the rows of ``c`` alive at the root and not seen
+    yet, and ``fresh`` lists the contexts with such rows.
     """
 
     def __init__(self, model: EmpiricalModel):
         scenario = model.scenario
         pos = {m: i for i, m in enumerate(scenario.measurements)}
-        self.d = scenario.outcome_modulus
         self.scope = [tuple(pos[m] for m in c) for c in scenario.contexts]
         self.rows = model.rows
         self.watch: list[list[int]] = [[] for _ in pos]
         for c, scope in enumerate(self.scope):
             for m in scope:
                 self.watch[m].append(c)
-        self.dom = [(1 << self.d) - 1] * len(pos)
-        self.perm = [list(range(len(rows))) for rows in self.rows]
-        self.size = [len(rows) for rows in self.rows]
-        self.seen = [[None] * len(rows) for rows in self.rows]
+        self.table = []
+        for rows in model.rows:
+            columns = [{} for _ in rows[0]]
+            for r, row in enumerate(rows):
+                for column, v in zip(columns, row):
+                    column[v] = column.get(v, 0) | 1 << r
+            self.table.append([tuple(column.items()) for column in columns])
+        self.dom = [(1 << scenario.outcome_modulus) - 1] * len(pos)
+        self.alive = [(1 << len(rows)) - 1 for rows in model.rows]
+        self.size = [len(rows) for rows in model.rows]
+        self.seen = [[None] * len(rows) for rows in model.rows]
         self.trail: list[tuple[int, int]] = []
         self.consistent = self._propagate(range(len(self.scope)))
         self.unseen = list(self.size)
@@ -358,35 +370,39 @@ class _Search:
     def _propagate(self, pending) -> bool:
         """Generalized arc consistency: drop every row that disagrees with
         a domain and every value that a containing context no longer
-        supports, until nothing changes.  False on a wipe-out."""
-        dom, size, perm, trail = self.dom, self.size, self.perm, self.trail
+        supports, until nothing changes.  A context's alive rows are the
+        AND, over its positions, of the OR of the row masks of the values
+        still in the domain.  False on a wipe-out."""
+        dom, alive, size, trail = self.dom, self.alive, self.size, self.trail
         queue = deque(dict.fromkeys(pending))
         queued = set(queue)
         while queue:
             c = queue.popleft()
             queued.discard(c)
-            scope, rows, p = self.scope[c], self.rows[c], self.perm[c]
-            masks = [dom[m] for m in scope]
-            support = [0] * len(scope)
-            n, i = size[c], 0
-            while i < n:
-                row = rows[p[i]]
-                if all(mask >> v & 1 for mask, v in zip(masks, row)):
-                    for k, v in enumerate(row):
-                        support[k] |= 1 << v
-                    i += 1
-                else:
-                    n -= 1
-                    p[i], p[n] = p[n], p[i]
-            if not n:
+            scope, table = self.scope[c], self.table[c]
+            old = rows = alive[c]
+            for m, column in zip(scope, table):
+                mask = dom[m]
+                keep = 0
+                for v, bits in column:
+                    if mask >> v & 1:
+                        keep |= bits
+                rows &= keep
+            if not rows:
                 return False
-            if n != size[c]:
-                trail.append((c, size[c]))
-                size[c] = n
-            for m, mask, sup in zip(scope, masks, support):
-                if mask & sup != mask:
+            if rows != old:
+                trail.append((c, old))
+                alive[c] = rows
+                size[c] = rows.bit_count()
+            for m, column in zip(scope, table):
+                mask = dom[m]
+                support = 0
+                for v, bits in column:
+                    if bits & rows:
+                        support |= 1 << v
+                if support != mask:
                     trail.append((~m, mask))
-                    dom[m] = mask & sup
+                    dom[m] = support
                     for other in self.watch[m]:
                         if other != c and other not in queued:
                             queued.add(other)
@@ -408,13 +424,14 @@ class _Search:
         return self._propagate(pending)
 
     def _undo(self, mark: int) -> None:
-        dom, size, trail = self.dom, self.size, self.trail
+        dom, alive, size, trail = self.dom, self.alive, self.size, self.trail
         while len(trail) > mark:
             k, old = trail.pop()
             if k < 0:
                 dom[~k] = old
             else:
-                size[k] = old
+                alive[k] = old
+                size[k] = old.bit_count()
 
     def _branch_context(self) -> int | None:
         """Fail first: the context with the fewest alive rows above one,
@@ -429,12 +446,13 @@ class _Search:
     def _solutions(self, find_all: bool) -> list[tuple[int, ...]]:
         """The assignments of a node whose contexts all have one alive row.
 
-        Arc consistency makes those rows agree, so every measurement in a
+        Each alive mask then has one set bit, the context's row.  Arc
+        consistency makes those rows agree, so every measurement in a
         context has one value left; measurements in no context range over
         Z_d.  One solution takes each domain's least value, its lowest set
-        bit, without listing the domain.
+        bit; all of them list each domain from its set bits.
         """
-        g = tuple(p[0] for p in self.perm)
+        g = tuple(mask.bit_length() - 1 for mask in self.alive)
         for c, r in enumerate(g):
             if self.seen[c][r] is None:
                 self.seen[c][r] = g
@@ -443,8 +461,7 @@ class _Search:
         if not find_all:
             return [tuple((mask & -mask).bit_length() - 1
                           for mask in self.dom)]
-        return list(product(*([v for v in range(self.d) if mask >> v & 1]
-                              for mask in self.dom)))
+        return list(product(*map(_set_bits, self.dom)))
 
     def search(self, pin: tuple[int, int] | None = None,
                find_all: bool = False) -> list[tuple[int, ...]]:
@@ -466,8 +483,8 @@ class _Search:
                     break
             else:
                 seen = self.seen[c]
-                rows = sorted(self.perm[c][:self.size[c]],
-                              key=lambda r: (seen[r] is not None, r))
+                rows = sorted(_set_bits(self.alive[c]),
+                              key=lambda r: seen[r] is not None)
                 stack.append((c, iter(rows), len(self.trail)))
             ok = False
             while stack and not ok:
@@ -480,6 +497,18 @@ class _Search:
                     ok = self._assign(c, r)
         self._undo(base)
         return found
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in ascending order, read
+    off its binary digits: one pass over the digits and one step per set
+    bit, at any width."""
+    digits = bin(mask)[:1:-1]
+    bits, i = [], digits.find("1")
+    while i >= 0:
+        bits.append(i)
+        i = digits.find("1", i + 1)
+    return bits
 
 
 def global_sections(model: EmpiricalModel) -> tuple[Section, ...]:

@@ -1,7 +1,10 @@
 """Affine theories: extraction, entailment, the all-vs-nothing verdict."""
 
+import random
+
 import pytest
 
+from contextuality import avn
 from contextuality.avn import (
     LinearEquation,
     avn_cech_consistency,
@@ -10,6 +13,8 @@ from contextuality.avn import (
     theory_of,
 )
 from contextuality.errors import PreconditionError
+from contextuality.linalg import affine_annihilator
+from contextuality.scenario import EmpiricalModel, MeasurementScenario, Section
 
 MERMIN_SQUARE_EQUATIONS = [
     # rows multiply to +1, columns to +1, +1, -1
@@ -114,3 +119,56 @@ def test_linear_equation_evaluate():
     eq = LinearEquation((("a", 1), ("b", 3)), 2)
     assert eq.evaluate({"a": 1, "b": 1}, 4) == 2
     assert eq.evaluate({"a": 1, "b": 3}, 4) == 0
+
+
+def _binary_cycle(rng, n):
+    """A binary n-cycle on pairs (x_i, x_{i+1}), each pair's support a
+    random nonempty set of outcome pairs, so supports repeat."""
+    labels = [f"x{i}" for i in range(n)]
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    scenario = MeasurementScenario.make(
+        labels, 2, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+    return EmpiricalModel.make(scenario, [
+        [Section.of(dict(zip(ctx, p)))
+         for p in rng.sample(pairs, rng.randint(1, 4))]
+        for ctx in scenario.contexts])
+
+
+def _reference_theory(model):
+    """Each context's own ``affine_annihilator`` on its labels, stacked
+    in context order, without the trivial relation 0 = 0."""
+    d = model.scenario.outcome_modulus
+    equations, owners = [], []
+    for ci, ctx in enumerate(model.scenario.contexts):
+        for r, a in affine_annihilator(model.rows[ci], d):
+            coeffs = tuple((x, c) for x, c in zip(ctx, r) if c % d)
+            if coeffs or a % d:
+                equations.append(LinearEquation(coeffs, a % d))
+                owners.append(ci)
+    return tuple(equations), tuple(owners)
+
+
+def test_theory_has_one_annihilator_per_distinct_support(
+        mermin, ghz, hardy, monkeypatch):
+    """The theory equals the per-context reference, equation for
+    equation, while ``affine_annihilator`` runs once per distinct row
+    set."""
+    rng = random.Random(1502)
+    models = [mermin.model, ghz.model, hardy.model,
+              *(_binary_cycle(rng, rng.randint(8, 30)) for _ in range(12))]
+    calls = []
+
+    def counted(points, modulus):
+        calls.append(points)
+        return affine_annihilator(points, modulus)
+
+    monkeypatch.setattr(avn, "affine_annihilator", counted)
+    shared = 0
+    for model in models:
+        calls.clear()
+        theory = theory_of(model)
+        assert (theory.equations, theory.context_of) == \
+            _reference_theory(model)
+        assert sorted(calls) == sorted(set(model.rows))
+        shared += len(set(model.rows)) < len(model.rows)
+    assert shared >= 12

@@ -236,35 +236,95 @@ def _brute_force_globals(model):
     return found
 
 
+def _wide_model(rng):
+    """Contexts of 4 labels at d = 3 that keep more than 64 of their 81
+    rows, so a row mask passes a machine word, beside smaller ones; half
+    the draws keep a planted global assignment."""
+    labels = [f"m{i}" for i in range(rng.randint(4, 6))]
+    contexts = [rng.sample(labels, 4) for _ in range(rng.randint(1, 3))]
+    contexts += [rng.sample(labels, rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 3))]
+    scenario = MeasurementScenario.make(labels, 3, contexts)
+    planted = ({m: rng.randrange(3) for m in labels}
+               if rng.random() < 0.5 else None)
+    secs = []
+    for ctx in scenario.contexts:
+        density = 0.85 if len(ctx) == 4 else rng.choice((0.3, 0.6))
+        rows = [r for r in itertools.product(range(3), repeat=len(ctx))
+                if rng.random() < density]
+        if planted:
+            rows.append(tuple(planted[m] for m in ctx))
+        if not rows:
+            rows.append(tuple(rng.randrange(3) for _ in ctx))
+        secs.append([Section.of(dict(zip(ctx, r))) for r in rows])
+    return EmpiricalModel.make(scenario, secs)
+
+
+def _sparse_value_model(rng):
+    """d = 5 supports that use only some of the values: each measurement
+    draws its outcomes from a random subset of Z_5."""
+    labels = [f"m{i}" for i in range(rng.randint(2, 5))]
+    contexts = [rng.sample(labels, rng.randint(1, min(3, len(labels))))
+                for _ in range(rng.randint(1, 5))]
+    scenario = MeasurementScenario.make(labels, 5, contexts)
+    values = {m: rng.sample(range(5), rng.randint(1, 3)) for m in labels}
+    secs = []
+    for ctx in scenario.contexts:
+        rows = [r for r in itertools.product(*(values[m] for m in ctx))
+                if rng.random() < 0.6]
+        if not rows:
+            rows.append(tuple(rng.choice(values[m]) for m in ctx))
+        secs.append([Section.of(dict(zip(ctx, r))) for r in rows])
+    return EmpiricalModel.make(scenario, secs)
+
+
+def _check_against_brute_force(model):
+    """classify, global_sections, section_extends and extension agree
+    with enumeration; returns the verdict's kind."""
+    sc = model.scenario
+    brute = _brute_force_globals(model)
+    extends = {(ci, g.restrict(ctx)) for g in brute
+               for ci, ctx in enumerate(sc.contexts)}
+    blocked = tuple((ci, s) for ci, secs in enumerate(model.sections)
+                    for s in secs if (ci, s) not in extends)
+    verdict = classify(model)
+    if not brute:
+        assert verdict == ContextualityClass("strongly_contextual")
+    elif blocked:
+        assert verdict == ContextualityClass("logically_contextual", blocked)
+    else:
+        assert verdict == ContextualityClass("noncontextual")
+    assert global_sections(model) == tuple(brute)
+    for ci, secs in enumerate(model.sections):
+        for s in secs:
+            assert section_extends(model, ci, s) == ((ci, s) in extends)
+            g = extension(model, ci, s)
+            assert (g is not None) == ((ci, s) in extends)
+            if g is not None:
+                assert g in brute and g.restrict(sc.contexts[ci]) == s
+    return verdict.kind
+
+
 def test_search_matches_brute_force_on_random_models():
+    """150 small random models, 25 with contexts of more than 64 rows, so
+    a row mask passes a machine word, and 80 at d = 5 whose supports use
+    only some of the values."""
     rng = random.Random(20261018)
     kinds = set()
     for _ in range(150):
-        model = _random_model(rng)
-        sc = model.scenario
-        brute = _brute_force_globals(model)
-        extends = {(ci, g.restrict(ctx)) for g in brute
-                   for ci, ctx in enumerate(sc.contexts)}
-        expected_witnesses = tuple(
-            (ci, s) for ci, secs in enumerate(model.sections) for s in secs
-            if (ci, s) not in extends)
-        if not brute:
-            expected = ContextualityClass("strongly_contextual")
-        elif expected_witnesses:
-            expected = ContextualityClass("logically_contextual",
-                                          expected_witnesses)
-        else:
-            expected = ContextualityClass("noncontextual")
-        assert classify(model) == expected
-        assert global_sections(model) == tuple(brute)  # both sorted
-        for ci, secs in enumerate(model.sections):
-            for s in secs:
-                assert section_extends(model, ci, s) == ((ci, s) in extends)
-                g = extension(model, ci, s)
-                assert (g is not None) == ((ci, s) in extends)
-                if g is not None:
-                    assert g in brute and g.restrict(sc.contexts[ci]) == s
-        kinds.add(expected.kind)
+        kinds.add(_check_against_brute_force(_random_model(rng)))
+    assert kinds == {"noncontextual", "logically_contextual",
+                     "strongly_contextual"}
+    rng, kinds, wide = random.Random(18), set(), 0
+    for _ in range(25):
+        model = _wide_model(rng)
+        wide += max(map(len, model.rows)) > 64
+        kinds.add(_check_against_brute_force(model))
+    assert wide >= 20
+    assert {"noncontextual", "logically_contextual"} <= kinds
+    rng, kinds = random.Random(1805), set()
+    for _ in range(80):
+        kinds.add(_check_against_brute_force(_sparse_value_model(rng)))
     assert kinds == {"noncontextual", "logically_contextual",
                      "strongly_contextual"}
 
@@ -409,3 +469,20 @@ def test_one_solution_reads_each_domain_once():
     assert verdicts[0] == verdicts[1]
     assert verdicts[0].kind == "logically_contextual"
     assert len(verdicts[0].witnesses) == 2
+
+
+def test_all_solutions_list_each_domain_from_its_set_bits():
+    """Listing every global section reads each domain's values off its
+    set bits, so a model with 20 global sections on covered measurements
+    gives the same sections, as quickly, at d = 10^6 as at d = 32."""
+    sup = {("a", "b"): [(i, i) for i in range(20)],
+           ("b", "c"): [(i, 31 - i) for i in range(20)]}
+    found = []
+    for d in (32, 10**6):
+        model = _model(("a", "b", "c"), d, [("a", "b"), ("b", "c")], sup)
+        start = time.perf_counter()
+        found.append(global_sections(model))
+        assert time.perf_counter() - start < 2.0
+    assert found[0] == found[1]
+    assert found[0] == tuple(Section.of({"a": i, "b": i, "c": 31 - i})
+                             for i in range(20))
