@@ -17,12 +17,16 @@ the pairs i < j of the nerve:
 Both run a GF(2) refutation first, then an exact integer decision, and
 every verdict carries a re-verified witness or separating certificate.
 Each audit calls the one checker of its law: ``linalg.separates`` for a
-separating functional, ``cech_coboundary`` on the analyzer's nerve for a
-family's compatibility, and ``pmonoid.validate_splitting`` for the
-cross-check's collapsed family.  Route 2 works on row indexes of the
-compatibility matrix, so its audits (the kernel-presheaf check, a
-potential's coboundary and a parity refutation) read the same incidence
-that builds its cocycle.
+separating functional, the analyzer's differential on rows of A for a
+family's compatibility and a potential's coboundary, and
+``pmonoid.validate_splitting`` for the cross-check's collapsed family.
+Both routes work on section positions and row indexes of the
+compatibility matrix, so their audits read the same incidence that
+builds route 2's cocycle.
+
+``cech_coboundary`` on the nerve of ``build_nerve``, over ``Section``-keyed
+formal sums, is the label reference for that differential: no query
+calls it, and the tests tie the analyzer's incidence to it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError
@@ -40,6 +43,7 @@ from .scenario import (
     EmpiricalModel,
     Section,
     _cover_connected,
+    _set_bits,
     check_no_signalling,
 )
 
@@ -219,10 +223,10 @@ class CechAnalyzer:
     2's parity system; ``_columns`` reads it as sparse rows ``{k:
     entry}``, which both routes' integer systems take as they are, so no
     system here is dense.
-    ``_row_of`` maps a row's pair and overlap section to its index, for
-    the audits of label input; ``_row_at`` reads the rows that route-1
-    certificates name.  No query restricts a section: route 2 and its
-    audits work on row indexes and section positions.
+    ``_delta`` reads A's incidence as the Cech differential on section
+    positions, and ``_row_at`` reads the rows that route-1 certificates
+    name.  No query restricts a section: both routes and their audits
+    work on row indexes and section positions.
 
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
@@ -256,9 +260,6 @@ class CechAnalyzer:
         self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
         self.rows = []   # ("pair", i, j, section over the overlap)
         self._pair_start = []  # per row, the first row of its pair
-        # (i, j, section items) -> row: hashes the section's items tuple,
-        # not the Section through its dataclass __hash__
-        self._row_of = {}
         for i, j, labels, left, right in model.pair_restrictions():
             below = set(left)
             if set(right) != below:
@@ -270,21 +271,13 @@ class CechAnalyzer:
             row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
             self.pair_overlaps[(i, j)] = labels
             self._pair_start += [len(self.rows)] * len(below)
-            for key in below:
-                t = Section.from_values(labels, key)
-                self._row_of[i, j, t.items] = len(self.rows)
-                self.rows.append(("pair", i, j, t))
+            self.rows += [("pair", i, j, Section.from_values(labels, key))
+                          for key in below]
             for k, other, sign, keys in ((i, j, 1, left), (j, i, -1, right)):
                 side = [row_of[key] for key in keys]
                 self._side[(k, other)] = side
                 self._incident[k].append((side, sign))
         self._rows_read: dict[int, dict] = {}
-        # the audits' nerve: contexts in degree 0, pairs i < j in degree 1
-        self.nerve = Nerve(
-            (tuple((c,) for c in range(len(contexts))),
-             tuple(self.pair_overlaps)),
-            {**{(c,): ctx for c, ctx in enumerate(contexts)},
-             **self.pair_overlaps})
         self._gf2 = Gf2Echelon(self._parity_rows(), self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
         self.connected = _cover_connected(contexts)
@@ -316,8 +309,7 @@ class CechAnalyzer:
                 context_index, section, False, None,
                 self._parity_certificate(context_index, s_pos, ref, off,
                                          secs))
-        witness = self._integral_family(context_index, section, off, secs,
-                                        s_pos)
+        witness = self._integral_family(context_index, off, secs, s_pos)
         if isinstance(witness, CechCertificate):
             return FamilyDecision(context_index, section, False, None,
                                   witness)
@@ -375,37 +367,6 @@ class CechAnalyzer:
             raise InternalCheckError(
                 "certificate does not separate the pinned section")
 
-    def _audit_certificate(self, context_index, section, cert) -> None:
-        """``_check_separation`` on a certificate over tagged rows."""
-        pair_terms, pin_terms = [], []
-        for tag, coeff in zip(cert.rows, cert.coefficients):
-            if tag[0] == "pair":
-                pair_terms.append((coeff, self._row_indexes([tag])[0]))
-            else:
-                _kind, ci, t = tag
-                pin_terms.append((coeff, ci, self._pin_position(ci, t)))
-        self._check_separation(context_index,
-                               self._pin_position(context_index, section),
-                               pair_terms, pin_terms)
-
-    def _pin_position(self, ci, t) -> int:
-        """The position of section t in context ci, for a pinning row."""
-        secs = self.blocks[ci][1] if 0 <= ci < len(self.blocks) else []
-        try:
-            return secs.index(t)
-        except ValueError:
-            raise InternalCheckError(
-                f"certificate pins an unknown section {t} of context {ci}"
-            ) from None
-
-    def _row_indexes(self, tags) -> list[int]:
-        """The rows of A that a certificate's pair tags name."""
-        rows = [self._row_of.get((i, j, t.items)) for _k, i, j, t in tags]
-        if None in rows:
-            raise InternalCheckError(
-                f"certificate names no row of A: {tags[rows.index(None)]}")
-        return rows
-
     def _row_at(self, r: int) -> dict:
         """Row r of A, ``{column: entry}``, read from the incidence and kept
         in ``_rows_read`` for the next audit that names it.  A parity
@@ -459,14 +420,14 @@ class CechAnalyzer:
                     masks[side[v]] |= bit
         return masks
 
-    def _integral_family(self, context_index, section, off, secs, s_pos):
+    def _integral_family(self, context_index, off, secs, s_pos):
         # shortcut: a global section through s0 is itself a compatible
         # family with coefficient 1 everywhere.
         g = self.model.extension_table[context_index][s_pos]
         if g is not None:
             family = {(ci, ss[u]): 1
                       for ci, ((_o, ss), u) in enumerate(zip(self.blocks, g))}
-            self._audit_family(context_index, section, family)
+            self._audit_family(context_index, s_pos, family)
             return family
         held = self._held(context_index)
         if "route1 integer" not in held:
@@ -480,7 +441,7 @@ class CechAnalyzer:
             family = {(ci, s): res.witness[o + u]
                       for ci, (o, ss) in enumerate(self.blocks)
                       for u, s in enumerate(ss) if res.witness[o + u]}
-            self._audit_family(context_index, section, family)
+            self._audit_family(context_index, s_pos, family)
             return family
         npair = len(self.rows)
         return _tagged_certificate(
@@ -488,19 +449,22 @@ class CechAnalyzer:
             lambda r: self.rows[r] if r < npair
             else ("pin", context_index, secs[r - npair]))
 
-    def _audit_family(self, context_index, section, family) -> None:
-        """A claimed family must be pinned, mass-1 and pair-compatible."""
-        per_ctx: dict = {}
+    def _audit_family(self, context_index, s_pos, family) -> None:
+        """A claimed family must be pinned to section ``s_pos`` of
+        ``context_index``, mass-1 and pair-compatible: read onto section
+        positions, its delta vanishes on every row of A."""
+        terms, mass = [], [0] * len(self.blocks)
         for (ci, s), c in family.items():
-            if s not in self.model.sections[ci]:
+            secs = self.blocks[ci][1]
+            if s not in secs:
                 raise InternalCheckError("family uses an unknown section")
-            per_ctx.setdefault((ci,), {})[s] = c
-        for ci in range(len(self.blocks)):
-            if sum(per_ctx.get((ci,), {}).values()) != 1:
-                raise InternalCheckError("family mass differs from 1")
-        if per_ctx[(context_index,)] != {section: 1}:
+            terms.append((ci, secs.index(s), c))
+            mass[ci] += c
+        if any(m != 1 for m in mass):
+            raise InternalCheckError("family mass differs from 1")
+        if {u: c for ci, u, c in terms if ci == context_index} != {s_pos: 1}:
             raise InternalCheckError("family is not pinned to the section")
-        if cech_coboundary(self.nerve, CechCochain(0, per_ctx)).values:
+        if self._delta(terms):
             raise InternalCheckError("family fails pair compatibility")
 
     # -- route 2: connecting cocycle --------------------------------------
@@ -533,8 +497,8 @@ class CechAnalyzer:
 
     def _delta(self, terms) -> dict:
         """delta(x) = -A x on the rows of A, ``{row: nonzero value}``, for
-        x the sum of c e_u over ``terms`` (j, u, c), section u of C_j.
-        Summed in a list over the rows, which is quicker than a dict even
+        x the sum of c e_u over ``terms`` (j, u, c), section u of C_j: route
+        2's cocycle, and both routes' audits of delta.  Summed in a list over the rows, which is quicker than a dict even
         where most rows stay 0."""
         acc = [0] * len(self.rows)
         incident = self._incident
@@ -635,14 +599,18 @@ class CechAnalyzer:
             potential = {}
             for k, (j, rep, u) in enumerate(basis):
                 c = res.witness[k]
-                if c:
-                    fs_combine(potential.setdefault(j, {}), {u: 1, rep: -1}, c)
+                if c:  # add c (e_u - e_rep), dropping entries summed to 0
+                    fs = potential.setdefault(j, {})
+                    for v, dv in ((u, c), (rep, -c)):
+                        fs[v] = fs.get(v, 0) + dv
+                        if not fs[v]:
+                            del fs[v]
             potential = {j: fs for j, fs in potential.items() if fs}
         self._check_potential(context_index, potential, z)
         return {j: {self.blocks[j][1][u]: c for u, c in fs.items()}
                 for j, fs in potential.items()}
 
-    # -- route 2's audits: on rows and section positions, and on labels ---
+    # -- route 2's audits: on rows and section positions ------------------
 
     def _potential_leaves(self, c, potential) -> bool:
         """Does a 0-cochain on section positions, ``{j: {u: coeff}}``,
@@ -676,50 +644,6 @@ class CechAnalyzer:
         if acc != 0 or sum(odd >> r & 1 for r in rows) & 1 != 1:
             raise InternalCheckError("route-2 parity certificate failed audit")
 
-    def _on_rows(self, cocycle) -> dict:
-        """A label 1-cochain ``{(i, j): {section: value}}`` on row indexes."""
-        tags = [("pair", i, j, t) for (i, j), fs in cocycle.items()
-                for t in fs]
-        return dict(zip(self._row_indexes(tags),
-                        [v for fs in cocycle.values() for v in fs.values()]))
-
-    def _on_positions(self, potential) -> dict:
-        """A label 0-cochain ``{j: {section: coeff}}`` on section positions."""
-        out = {}
-        for j, fs in potential.items():
-            secs = self.blocks[j][1]
-            if any(s not in secs for s in fs):
-                raise InternalCheckError(
-                    f"cochain names an unknown section of context {j}")
-            out[j] = {secs.index(s): c for s, c in fs.items()}
-        return out
-
-    def _leaves_kernel(self, context_index, cochain) -> bool:
-        """Does some value of a label cochain on the nerve (degree 0 or 1)
-        restrict to a nonzero sum into the pinned context, i.e. leave the
-        kernel presheaf?  Read onto positions or rows, then keyed."""
-        if cochain.degree == 0:
-            return self._potential_leaves(context_index, self._on_positions(
-                {j: fs for (j,), fs in cochain.values.items()}))
-        return _nonzero_sums(self._kernel_keys(context_index),
-                             self._on_rows(cochain.values).items())
-
-    def _audit_potential(self, context_index, cocycle, potential) -> None:
-        """``_check_potential`` on a label potential and cocycle."""
-        self._check_potential(context_index, self._on_positions(potential),
-                              self._on_rows(cocycle))
-
-    def _audit_route2_refutation(self, context_index, cocycle, cert) -> None:
-        """``_check_refuter`` on a label cocycle and certificate: the rows
-        its odd coefficients name an odd number of times."""
-        odd_rows: set[int] = set()
-        for coeff, r in zip(cert.coefficients,
-                            self._row_indexes(cert.rows)):
-            if coeff % 2 == 1:
-                odd_rows ^= {r}
-        self._check_refuter(context_index, sorted(odd_rows),
-                            _odd_mask(self._on_rows(cocycle), len(self.rows)))
-
 
 def _nonzero_sums(keys, entries) -> bool:
     """The kernel-presheaf check on int keys: do the values of ``entries``,
@@ -739,16 +663,6 @@ def _odd_mask(values: dict, n: int) -> int:
         if v & 1:
             digits[n - i] = 49  # ord("1")
     return int(digits, 2)
-
-
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The indexes of the set bits of ``mask``, ascending, selected from
-    its binary digits, bit 0 first."""
-    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
-    return list(compress(range(len(digits)), digits))
 
 
 def _tagged_certificate(kind, coefficients, tag_of) -> CechCertificate:

@@ -41,7 +41,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from operator import itemgetter
 
 from .errors import PreconditionError
@@ -499,16 +499,14 @@ class _Search:
         return found
 
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _set_bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, in ascending order, read
-    off its binary digits: one pass over the digits and one step per set
-    bit, at any width."""
-    digits = bin(mask)[:1:-1]
-    bits, i = [], digits.find("1")
-    while i >= 0:
-        bits.append(i)
-        i = digits.find("1", i + 1)
-    return bits
+    """The positions of the set bits of ``mask``, in ascending order,
+    selected from its binary digits, bit 0 first, at any width."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return list(compress(range(len(digits)), digits))
 
 
 def global_sections(model: EmpiricalModel) -> tuple[Section, ...]:
