@@ -697,10 +697,7 @@ def collapse_family(model: EmpiricalModel, family) -> dict:
     d = scenario.outcome_modulus
     per_ctx = [[] for _ in scenario.contexts]  # (section as dict, coeff)
     for (ci, s), c in family.items():
-        if not 0 <= ci < len(per_ctx):
-            raise PreconditionError("family context index out of range")
-        if s not in model.sections[ci]:
-            raise PreconditionError(f"{s} is not a section of context {ci}")
+        model.section_index(ci, s)  # an unknown one is bad input
         if c:
             per_ctx[ci].append((dict(s.items), c))
     for ci, terms in enumerate(per_ctx):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .scenario import _set_bits
+
 
 def maximal_cliques(n: int, adjacent) -> list[tuple[int, ...]]:
     """All maximal cliques of the graph on ``range(n)``, canonically sorted.
@@ -24,24 +26,17 @@ def maximal_cliques(n: int, adjacent) -> list[tuple[int, ...]]:
     while stack:
         r, p, x = stack.pop()
         if not p and not x:
-            out.append(tuple(_members(r)))
+            out.append(tuple(_set_bits(r)))
             continue
         most = -1
-        for v in _members(p | x):
+        for v in _set_bits(p | x):
             degree = (neighbours[v] & p).bit_count()
             if degree > most:
                 most, pivot = degree, v
-        for v in _members(p & ~neighbours[pivot]):
+        for v in _set_bits(p & ~neighbours[pivot]):
             stack.append((r | 1 << v, p & neighbours[v], x & neighbours[v]))
             p &= ~(1 << v)
             x |= 1 << v
     out.sort()
     return out
 
-
-def _members(mask: int):
-    """The set bits of ``mask``, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

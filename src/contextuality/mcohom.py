@@ -262,33 +262,9 @@ def _obstruction(quotient: Quotient, frame: tuple, splitting,
     beta = Cochain.of_columns(monoid, quotient.action.moduli, 2,
                               quotient.action.columns(beta_ids))
     if not coboundary(beta).is_zero():
-        bad = _associativity_violation(quotient)
-        raise (PreconditionError(bad) if bad else
-               InternalCheckError("beta is not a 2-cocycle"))
+        raise InternalCheckError("beta is not a 2-cocycle")
     return SectionObstruction(quotient, labels, inside, dict(splitting), eta,
                               beta)
-
-
-def _associativity_violation(quotient: Quotient) -> str | None:
-    """Where the glued monoid fails associativity, or None: the input fault
-    that breaks a d(beta)=0 audit.  Each context is associative and holds
-    i(A), so i(a) moves out of any sum, and a triple is associative when
-    its orbits' least members are: the quotient is associative and their
-    beta is a 2-cocycle."""
-    parent, monoid = quotient.parent, quotient.monoid
-    n, sums, els = parent.size, parent.sums, parent.elements
-    eta = [members[0] for members in quotient.member_ids]
-    qx, qy, _qz = monoid.pairs()
-    d0, _d1, _d2, d3 = monoid.faces(2)
-    for p, q in zip(d3, d0):
-        x, y, z = eta[qx[p]], eta[qy[p]], eta[qy[q]]
-        left = sums[sums[x * n + y] * n + z]
-        right = sums[x * n + sums[y * n + z]]
-        if left != right:
-            return (f"glued monoid not associative at "
-                    f"{(els[x], els[y], els[z])}: (x + y) + z = "
-                    f"{els[left]!r}, x + (y + z) = {els[right]!r}")
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,11 +384,9 @@ def validate_structured_model(structured: StructuredModel) -> ValidationReport:
     the outcome group embedded in the intersection of all contexts,
     that its translation action is free, that every listed section
     is a left splitting of its context, and that the glued monoid is
-    associative across contexts.
+    associative across contexts, which building the quotient checks.
     """
-    report, quotient = _validate(structured)
-    bad = quotient is not None and _associativity_violation(quotient)
-    return ValidationReport(report.violations + ((bad,) if bad else ()))
+    return _validate(structured)[0]
 
 
 def _validate(structured: StructuredModel):
@@ -446,7 +420,7 @@ def _validate(structured: StructuredModel):
     try:
         quotient = quotient_by_action(monoid, structured.action)
     except StructureError as exc:
-        bad.append(f"group action fails: {exc}")
+        bad.append(f"quotient by the action fails: {exc}")
         return ValidationReport(tuple(bad)), None
     for ci, ctx in enumerate(scenario.contexts):
         for s in model.sections[ci]:
@@ -479,10 +453,9 @@ class GroupObstructionAnalyzer:
     and coboundary solver of the one context it is answering, which a
     query in another context replaces.
 
-    Set-up validates every section's splitting, so queries do not.  The
-    first query also checks that the quotient is associative, on the
-    degree-2 face columns that its d(beta)=0 audit builds anyway: a
-    non-associative quotient can pass that audit, and is bad input."""
+    Set-up validates every section's splitting, so queries do not, and
+    builds the quotient, which refuses a glued monoid that is not
+    associative; a failed d(beta)=0 audit is then a broken invariant."""
 
     def __init__(self, structured: StructuredModel):
         report, quotient = _validate(structured)
@@ -496,8 +469,6 @@ class GroupObstructionAnalyzer:
 
     def _context(self, context_index: int):
         if self._slot[0] != context_index:
-            if self._slot[0] is None:  # the first query
-                self._check_quotient_associative()
             self._slot = (None, None)  # dropped before the new ones are built
             ctx = self.structured.model.scenario.contexts[context_index]
             inside = frozenset(self.quotient.orbit_of(x) for x in ctx)
@@ -506,27 +477,12 @@ class GroupObstructionAnalyzer:
                 CoboundarySolver(self.quotient, inside)))
         return self._slot[1]
 
-    def _check_quotient_associative(self) -> None:
-        """(a + b) + c and a + (b + c) agree on every composable triple of
-        the quotient: its faces d_1 and d_2 name pairs with one sum."""
-        monoid = self.quotient.monoid
-        _qx, _qy, qz = monoid.pairs()
-        _d0, d1, d2, _d3 = monoid.faces(2)
-        if [qz[p] for p in d1] != [qz[p] for p in d2]:
-            raise PreconditionError(
-                _associativity_violation(self.quotient)
-                or "quotient monoid is not associative")
-
     def analyze(self, context_index: int, section: Section,
                 eta_override=None) -> GroupObstructionReport:
         model = self.structured.model
-        scenario = model.scenario
-        if not 0 <= context_index < len(scenario.contexts):
-            raise PreconditionError("context index out of range")
-        if section not in model.sections[context_index]:
-            raise PreconditionError(
-                f"{section} is not a section of context {context_index}")
-        ctx = scenario.contexts[context_index]
+        # an unknown context or section is bad input
+        model.section_index(context_index, section)
+        ctx = model.scenario.contexts[context_index]
         frame, solver = self._context(context_index)
         sp = splitting_of_section(section, ctx, self.structured.action)
         obstruction = _obstruction(self.quotient, frame, sp, eta_override)

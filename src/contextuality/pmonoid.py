@@ -444,7 +444,11 @@ class Quotient:
     Orbits {a . x : a in A} become the elements of the quotient; the
     induced operation must be independent of the chosen
     representatives, otherwise construction fails with a structure
-    error naming the offending pair.
+    error naming the offending pair.  The glued monoid must also be
+    associative across contexts, which the bar complex of the quotient
+    needs for d(d(f)) = 0: construction checks every composable triple of
+    the quotient on its orbits' least members and fails naming the
+    first triple whose two bracketings differ.
 
     The tables, all over ids (n parent elements, |A| group elements):
     ``embedding[a]`` is i(a); ``act_table[a * n + x]`` is a . x =
@@ -522,7 +526,23 @@ class Quotient:
                             f"quotient definedness ill-defined at "
                             f"({names[qx]}, {names[qy]}): {els[x]!r} + "
                             f"{els[y]!r} undefined")
-        self.monoid = PartialMonoid._of_ids(names, orbit[parent.unit], table)
+        monoid = PartialMonoid._of_ids(names, orbit[parent.unit], table)
+        # A glued monoid is associative on each context, and every context
+        # holds i(A), so i(a) moves out of any sum: a triple is associative
+        # when its orbits' least members are, and then so is the quotient.
+        least = [ids[0] for ids in self.member_ids]
+        qx, qy, _qz = monoid.pairs()
+        d0, _d1, _d2, d3 = monoid.faces(2)
+        for p, q in zip(d3, d0):
+            x, y, z = least[qx[p]], least[qy[p]], least[qy[q]]
+            left = sums[sums[x * n + y] * n + z]
+            right = sums[x * n + sums[y * n + z]]
+            if left != right:
+                raise StructureError(
+                    f"glued monoid not associative at "
+                    f"{(els[x], els[y], els[z])}: (x + y) + z = "
+                    f"{els[left]!r}, x + (y + z) = {els[right]!r}")
+        self.monoid = monoid
         self._subsets: dict[tuple, _Subset] = {}
 
     def orbit_of(self, x: str) -> str:

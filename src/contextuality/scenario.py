@@ -26,8 +26,9 @@ search runs only for unmarked rows; ``classify`` and Cech read the marks.
 Sections run on int rows: ``EmpiricalModel.make`` reads each section's
 outcomes once, in its context's label order, and ``pair_restrictions``
 reads every pair overlap off those rows at the overlap's positions.
-Everything after loading works from rows and positions, except the
-label-level audits; ``Section`` objects stay at the edge.
+Classification and the Cech analyzer work from rows and positions after
+loading; ``Section`` objects stay at the edge, and only the label
+reference of the Cech differential, ``cech.fs_restrict``, restricts one.
 
 Scenario-law violations (cover not covering, nested contexts, signalling)
 are reported as data by the validators rather than raised, so that broken
@@ -327,7 +328,8 @@ class _Search:
     """Iterative search for global sections of one model, on compact
     tables.
 
-    Measurements are variables whose domains are bitmasks over Z_d, and
+    Measurements are variables whose domains are bitmasks over Z_d,
+    starting from the values that their contexts' rows use, and
     contexts are table constraints whose alive rows are one bitmask over
     their row positions, ``alive[c]``, with ``size[c]`` set bits.
     ``table[c][k]`` lists, for position k of context c, each value that
@@ -352,13 +354,19 @@ class _Search:
             for m in scope:
                 self.watch[m].append(c)
         self.table = []
-        for rows in model.rows:
+        dom = [0] * len(pos)
+        for rows, scope in zip(model.rows, self.scope):
             columns = [{} for _ in rows[0]]
             for r, row in enumerate(rows):
                 for column, v in zip(columns, row):
                     column[v] = column.get(v, 0) | 1 << r
             self.table.append([tuple(column.items()) for column in columns])
-        self.dom = [(1 << scenario.outcome_modulus) - 1] * len(pos)
+            for m, column in zip(scope, columns):
+                for v in column:
+                    dom[m] |= 1 << v
+        # a measurement in no context stands at 0 for all of Z_d
+        self.dom = [mask or 1 for mask in dom]
+        self.modulus = scenario.outcome_modulus
         self.alive = [(1 << len(rows)) - 1 for rows in model.rows]
         self.size = [len(rows) for rows in model.rows]
         self.seen = [[None] * len(rows) for rows in model.rows]
@@ -450,7 +458,8 @@ class _Search:
         consistency makes those rows agree, so every measurement in a
         context has one value left; measurements in no context range over
         Z_d.  One solution takes each domain's least value, its lowest set
-        bit; all of them list each domain from its set bits.
+        bit, which is 0 for a measurement in no context; all of them list
+        each covered domain from its set bits and the others as Z_d.
         """
         g = tuple(mask.bit_length() - 1 for mask in self.alive)
         for c, r in enumerate(g):
@@ -461,7 +470,9 @@ class _Search:
         if not find_all:
             return [tuple((mask & -mask).bit_length() - 1
                           for mask in self.dom)]
-        return list(product(*map(_set_bits, self.dom)))
+        return list(product(*(_set_bits(mask) if watch else
+                              range(self.modulus)
+                              for mask, watch in zip(self.dom, self.watch))))
 
     def search(self, pin: tuple[int, int] | None = None,
                find_all: bool = False) -> list[tuple[int, ...]]:
@@ -503,10 +514,19 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _set_bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, in ascending order,
-    selected from its binary digits, bit 0 first, at any width."""
-    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
-    return list(compress(range(len(digits)), digits))
+    """The positions of the set bits of ``mask``, in ascending order.  Up
+    to eight are peeled off one lowest bit at a time, which is cheapest
+    for the small masks of the clique search; more are selected from the
+    binary digits, bit 0 first, which costs one pass at any width."""
+    if mask.bit_count() > 8:
+        digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+        return list(compress(range(len(digits)), digits))
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def global_sections(model: EmpiricalModel) -> tuple[Section, ...]:

@@ -15,7 +15,11 @@ import pytest
 import contextuality.mcohom as mcohom_module
 import contextuality.pmonoid as pmonoid_module
 from contextuality.cech import cross_check_obstructions
-from contextuality.errors import PreconditionError, InternalCheckError
+from contextuality.errors import (
+    InternalCheckError,
+    PreconditionError,
+    StructureError,
+)
 from contextuality.linalg import ModSolveResult
 from contextuality.mcohom import (
     Cochain,
@@ -457,35 +461,45 @@ def test_cross_context_associativity_agrees_with_the_oracle():
     assert verdicts == {True, False}
 
 
-def test_non_associative_quotient_is_refused_at_the_first_query():
+def test_non_associative_quotient_is_refused_at_construction():
     """With x + r = s, a new label, the quotient is not associative:
-    (x + y) + z = q but x + (y + z) = s.  A section's d(beta)=0 audit
-    can still pass, so the analyzer's first query compares the quotient's
-    two bracketings and refuses the model as bad input, as validation
-    does, in any context."""
+    (x + y) + z = q but x + (y + z) = s.  Validation reports the triple
+    once, and the analyzer refuses the model as bad input when it builds
+    the quotient, before any query, and again on every later attempt."""
     st = loads_model(json.dumps(twisted_document((0, 0, 0, 0), last="s")))
     message = ("not associative at ('x', 'y', 'z'): (x + y) + z = 'q', "
                "x + (y + z) = 's'")
     (bad,) = validate_structured_model(st).violations
     assert message in bad
-    q = GroupObstructionAnalyzer(st).quotient
-    ctx = st.model.scenario.contexts[2]
-    passed = 0
-    for s in st.model.sections[2]:
-        sp = splitting_of_section(s, ctx, st.action)
-        try:
-            mcohom_module._obstruction(q, mcohom_module._frame(q, ctx), sp,
-                                       None)
-            passed += 1
-        except PreconditionError:
-            pass
-    assert passed > 0  # the per-section audit alone lets these through
-    for ci in range(4):
-        analyzer = GroupObstructionAnalyzer(st)
-        for _ in range(2):  # and again, after the refusal
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as exc:
+            GroupObstructionAnalyzer(st)
+        assert message in str(exc.value)
+        with pytest.raises(PreconditionError) as exc:
+            st.group_analyzer
+        assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("twists, last, right", [((0, 0, 0, 1), "q", "mq"),
+                                                 ((0, 0, 0, 0), "s", "s")])
+def test_no_quotient_of_a_non_associative_glued_monoid(twists, last, right):
+    """Whether the quotient's own bracketings agree (x + r = q twisted by
+    m) or not (x + r = s), a glued monoid that is not associative across
+    contexts has no quotient, so no group door returns a verdict on it."""
+    st = loads_model(json.dumps(twisted_document(twists, last=last)))
+    message = ("glued monoid not associative at ('x', 'y', 'z'): "
+               f"(x + y) + z = 'q', x + (y + z) = '{right}'")
+    with pytest.raises(StructureError) as exc:
+        quotient_by_action(glue_contexts(st), st.action)
+    assert str(exc.value) == message
+    for ci, sections in enumerate(st.model.sections):
+        for s in sections:
             with pytest.raises(PreconditionError) as exc:
-                analyzer.analyze(ci, st.model.sections[ci][0])
+                group_obstruction(st, ci, s)
             assert message in str(exc.value)
+    with pytest.raises(PreconditionError) as exc:
+        cross_check_obstructions(st)
+    assert message in str(exc.value)
 
 
 def test_noncontextual_reconstruction():

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -455,18 +456,24 @@ def test_classify_long_chain_needs_no_recursion():
 
 def test_one_solution_reads_each_domain_once():
     """An uncovered measurement ranges over all of Z_d.  A search for one
-    global section takes its least value without listing the domain, so a
-    model at d = 10^6 classifies as quickly, and alike, as at d = 8."""
+    global section takes its least value without listing the domain, and
+    each covered domain starts from the values its rows use, so a model
+    at d = 10^6 or 10^9 classifies as quickly, and alike, as at d = 8,
+    in a few MB."""
     sup = {("a", "b"): [(0, 0), (1, 1)], ("b", "c"): [(0, 5), (2, 7)]}
     verdicts = []
-    for d in (8, 10**6):
+    for d in (8, 10**6, 10**9):
         model = _model(("a", "b", "c", "u"), d, [("a", "b"), ("b", "c")],
                        sup)
+        tracemalloc.start()
         start = time.perf_counter()
         verdicts.append(classify(model))
         assert time.perf_counter() - start < 2.0
         assert extension(model, 0, model.sections[0][0])["u"] == 0
-    assert verdicts[0] == verdicts[1]
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 5 * 2**20
+    assert verdicts[0] == verdicts[1] == verdicts[2]
     assert verdicts[0].kind == "logically_contextual"
     assert len(verdicts[0].witnesses) == 2
 
@@ -474,15 +481,20 @@ def test_one_solution_reads_each_domain_once():
 def test_all_solutions_list_each_domain_from_its_set_bits():
     """Listing every global section reads each domain's values off its
     set bits, so a model with 20 global sections on covered measurements
-    gives the same sections, as quickly, at d = 10^6 as at d = 32."""
+    gives the same sections, as quickly, at d = 10^6 or 10^9 as at
+    d = 32, in a few MB."""
     sup = {("a", "b"): [(i, i) for i in range(20)],
            ("b", "c"): [(i, 31 - i) for i in range(20)]}
     found = []
-    for d in (32, 10**6):
+    for d in (32, 10**6, 10**9):
         model = _model(("a", "b", "c"), d, [("a", "b"), ("b", "c")], sup)
+        tracemalloc.start()
         start = time.perf_counter()
         found.append(global_sections(model))
         assert time.perf_counter() - start < 2.0
-    assert found[0] == found[1]
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 5 * 2**20
+    assert found[0] == found[1] == found[2]
     assert found[0] == tuple(Section.of({"a": i, "b": i, "c": 31 - i})
                              for i in range(20))
