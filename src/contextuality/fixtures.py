@@ -14,7 +14,7 @@ from .pauli import (
     parse_pauli,
 )
 from .pmonoid import StructuredModel
-from .scenario import EmpiricalModel, MeasurementScenario, Section
+from .scenario import EmpiricalModel, MeasurementScenario
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +75,8 @@ def hardy_model() -> EmpiricalModel:
         ("a2", "b1"): ((0, 1), (1, 0), (1, 1)),
         ("a2", "b2"): ((0, 0), (0, 1), (1, 0)),
     }
-    sections = tuple(
-        tuple(Section.of(dict(zip(ctx, vals))) for vals in rows[ctx])
-        for ctx in scenario.contexts)
-    return EmpiricalModel.make(scenario, sections)
+    return EmpiricalModel.from_rows(
+        scenario, [rows[ctx] for ctx in scenario.contexts])
 
 
 _REGISTRY = {

@@ -21,7 +21,7 @@ from .pauli import (
     parse_pauli,
 )
 from .pmonoid import CoefficientAction, StructuredModel
-from .scenario import EmpiricalModel, MeasurementScenario, Section
+from .scenario import EmpiricalModel, MeasurementScenario, _read
 
 _EXPLICIT_KEYS = {"measurements", "outcome_modulus", "contexts", "sections",
                   "partial_monoid"}
@@ -180,7 +180,7 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
     if not isinstance(secs, dict):
         raise ModelFormatError(
             "'sections' must map context indices to outcome rows")
-    by_index: list[tuple[Section, ...] | None] = [None] * len(
+    by_index: list[list[tuple[int, ...]] | None] = [None] * len(
         scenario.contexts)
     for key, rows in secs.items():
         try:
@@ -197,20 +197,20 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
         ctx = ctxs[ci]
         if not isinstance(rows, list):
             raise ModelFormatError(f"sections[{key}] must list outcome rows")
-        parsed = []
         for row in rows:
             if (not isinstance(row, list) or len(row) != len(ctx)
-                    or not all(_is_int(v) for v in row)):
+                    or not all(map(_is_int, row))):
                 raise ModelFormatError(
                     f"sections[{key}] rows must list one outcome per "
                     f"measurement of context {list(ctx)}")
-            parsed.append(Section.of(dict(zip(ctx, row))))
-        by_index[slot[ci]] = tuple(parsed)
+        # each row read once, in the scenario's label order for its context
+        by_index[slot[ci]] = _read(
+            rows, [ctx.index(m) for m in scenario.contexts[slot[ci]]])
     holes = [ci for ci, k in enumerate(slot) if by_index[k] is None]
     if holes:
         raise ModelFormatError(f"missing sections for contexts {holes}")
     try:
-        model = EmpiricalModel.make(scenario, tuple(by_index))
+        model = EmpiricalModel.from_rows(scenario, by_index)
     except Exception as exc:
         raise ModelFormatError(f"bad sections: {exc}") from exc
     if "partial_monoid" not in doc:
@@ -242,8 +242,8 @@ def model_to_document(model) -> dict:
         "outcome_modulus": scenario.outcome_modulus,
         "contexts": [list(c) for c in scenario.contexts],
         "sections": {
-            str(ci): [[s[x] for x in ctx] for s in model.sections[ci]]
-            for ci, ctx in enumerate(scenario.contexts)
+            str(ci): [list(row) for row in rows]
+            for ci, rows in enumerate(model.rows)
         },
     }
     if structured is not None:

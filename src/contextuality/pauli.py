@@ -15,7 +15,7 @@ each context consists of the group homomorphisms to Z_2 sending -I to
 support test exact.
 
 Models are built on (x, z, phase) int triples between parsing and
-``EmpiricalModel.make``, in the style of Aaronson and Gottesman
+``EmpiricalModel.from_rows``, in the style of Aaronson and Gottesman
 (quant-ph/0406196): commutation is the parity of (x1 & z2) ^ (z1 & x2),
 and products follow the phase rule of ``multiply``.  Each closure
 member's label is made once.  A context of k = 2^r members is an
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .graphs import maximal_cliques
 from .pmonoid import CoefficientAction, StructuredModel
-from .scenario import EmpiricalModel, MeasurementScenario, Section
+from .scenario import EmpiricalModel, MeasurementScenario
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS = {v: k for k, v in _LETTERS.items()}
@@ -387,7 +387,7 @@ def _build(closure, state) -> StructuredModel:
                 for ctx in maximal_contexts(closure)]
     scenario = MeasurementScenario.make(
         labels, 2, [[labels[i] for i in ids] for ids in contexts])
-    tables, sections = [], []
+    tables, rows_by_context = [], []
     for ids in contexts:
         basis, span = _coordinates([triples[i] for i in ids], n)
         mask = [0] * len(ids)
@@ -406,10 +406,9 @@ def _build(closure, state) -> StructuredModel:
             if state is not None and not born_consistent(
                     {g: (hom >> k) & 1 for k, g in enumerate(gens)}, state):
                 continue
-            rows.append(Section.from_values(
-                lab, [(hom & m).bit_count() & 1 for m in mask]))
-        sections.append(rows)
-    model = EmpiricalModel.make(scenario, sections)
+            rows.append(tuple((hom & m).bit_count() & 1 for m in mask))
+        rows_by_context.append(rows)
+    model = EmpiricalModel.from_rows(scenario, rows_by_context)
     action = CoefficientAction((2,), (labels[at[_MINUS]],))
     return StructuredModel(model, tuple(tables), action)
 

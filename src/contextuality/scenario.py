@@ -23,12 +23,13 @@ from one trail of changes instead of copying state.
 each global section found marks every row it restricts to, so a pinned
 search runs only for unmarked rows; ``classify`` and Cech read the marks.
 
-Sections run on int rows: ``EmpiricalModel.make`` reads each section's
-outcomes once, in its context's label order, and ``pair_restrictions``
-reads every pair overlap off those rows at the overlap's positions.
-Classification and the Cech analyzer work from rows and positions after
-loading; ``Section`` objects stay at the edge, and only the label
-reference of the Cech differential, ``cech.fs_restrict``, restricts one.
+A model is its int rows: ``EmpiricalModel.from_rows`` checks and files
+each context's outcome rows, in the context's label order, and the loader
+and the Pauli builder call it directly; ``make`` reads each section once
+into a row for it.  ``pair_restrictions`` reads every pair overlap off the
+rows at the overlap's positions.  Classification and the Cech analyzer
+work from rows and positions, and ``sections``, the ``Section`` objects
+of the edge, are built from the rows only when first read.
 
 Scenario-law violations (cover not covering, nested contexts, signalling)
 are reported as data by the validators rather than raised, so that broken
@@ -196,39 +197,58 @@ def validate_scenario(scenario: MeasurementScenario) -> ValidationReport:
 class EmpiricalModel:
     """Per-context sets of possible sections over a scenario.
 
-    ``rows[c][u]`` holds the outcomes of ``sections[c][u]`` in context c's
-    label order, and each context lists its sections in row order.  Only
-    ``make`` builds it; equality and hashing ignore it.
+    ``rows[c]`` lists the allowed outcome rows of context c, each in c's
+    label order, sorted and without repeats; equality and hashing read
+    the scenario and the rows.  ``from_rows`` builds and checks them, and
+    ``make`` reads sections into rows for it.  ``sections[c][u]``, the
+    ``Section`` of row u, is built from the rows on first read.
     """
 
     scenario: MeasurementScenario
-    sections: tuple[tuple[Section, ...], ...]
-    rows: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
 
     @classmethod
     def make(cls, scenario: MeasurementScenario, sections_by_context) -> "EmpiricalModel":
+        """The model allowing the sections ``sections_by_context[c]`` at
+        context c: each is read once into a row for ``from_rows``."""
         if len(sections_by_context) != len(scenario.contexts):
             raise PreconditionError("need a section set for every context")
-        d = scenario.outcome_modulus
-        sections, rows = [], []
+        rows = []
         for ctx, raw in zip(scenario.contexts, sections_by_context):
-            ctx_set = set(ctx)
-            cleaned = {}
-            for s in raw:
-                s = Section.of(s)
+            rows.append([])
+            for s in map(Section.of, raw):
                 values = s.as_dict()
-                if values.keys() != ctx_set:
-                    raise PreconditionError(
-                        f"section {s} does not have domain exactly {ctx}"
-                    )
-                if any(not 0 <= v < d for v in values.values()):
-                    raise PreconditionError(f"section {s} has outcomes outside Z_{d}")
-                cleaned[tuple(values[m] for m in ctx)] = s
-            if not cleaned:
+                if values.keys() != set(ctx):
+                    raise PreconditionError(f"section {s} does not have domain exactly {ctx}")
+                rows[-1].append(tuple(values[m] for m in ctx))
+        return cls.from_rows(scenario, rows)
+
+    @classmethod
+    def from_rows(cls, scenario: MeasurementScenario, rows_by_context) -> "EmpiricalModel":
+        """The model allowing the outcome rows in the sequence
+        ``rows_by_context[c]`` at context c, each listing one outcome per
+        label in c's order.  Every outcome must lie in Z_d; repeated rows
+        are merged."""
+        if len(rows_by_context) != len(scenario.contexts):
+            raise PreconditionError("need a section set for every context")
+        d = scenario.outcome_modulus
+        rows = []
+        for ctx, raw in zip(scenario.contexts, rows_by_context):
+            kept = sorted(set(map(tuple, raw)))
+            if not kept:
                 raise PreconditionError(f"context {ctx} has an empty section set")
-            rows.append(tuple(sorted(cleaned)))
-            sections.append(tuple(cleaned[k] for k in rows[-1]))
-        return cls(scenario, tuple(sections), tuple(rows))
+            if min(map(min, kept)) < 0 or max(map(max, kept)) >= d:
+                bad = next(row for row in raw if not 0 <= min(row) <= max(row) < d)
+                raise PreconditionError(
+                    f"section {Section.from_values(ctx, bad)} has outcomes outside Z_{d}")
+            rows.append(tuple(kept))
+        return cls(scenario, tuple(rows))
+
+    @cached_property
+    def sections(self) -> tuple[tuple[Section, ...], ...]:
+        """``sections[c][u]``: row u of context c as a ``Section``."""
+        return tuple(tuple(Section.from_values(ctx, row) for row in rows)
+                     for ctx, rows in zip(self.scenario.contexts, self.rows))
 
     def section_index(self, context_index: int, section: Section) -> int:
         if not 0 <= context_index < len(self.sections):
@@ -328,15 +348,20 @@ class _Search:
     """Iterative search for global sections of one model, on compact
     tables.
 
-    Measurements are variables whose domains are bitmasks over Z_d,
-    starting from the values that their contexts' rows use, and
-    contexts are table constraints whose alive rows are one bitmask over
+    Measurements are variables whose domains are bitmasks over the values
+    that their contexts' rows use, and bit b of ``dom[m]`` stands for the
+    value ``values[m][b]``: a value below 64 is its own bit, and a
+    measurement that uses a larger one numbers its values 0, 1, ... in
+    ascending order, so no mask grows with the size of an outcome.
+    Contexts are table constraints whose alive rows are one bitmask over
     their row positions, ``alive[c]``, with ``size[c]`` set bits.
-    ``table[c][k]`` lists, for position k of context c, each value that
-    occurs there with the mask of the rows that take it.  Every change to
-    a domain or to a context's alive mask is pushed on one undo trail, as
-    the measurement's complement or the context with the value it
-    replaced, so backtracking restores a node's state without copying it.
+    ``table[c][k]`` lists, for position k of context c, the bit of each
+    value that occurs there with the mask of the rows that take it, and
+    ``row_bits[c][r]`` is row r of c with each value replaced by its bit.
+    Every change to a domain or to a context's alive mask is pushed on one
+    undo trail, as the measurement's complement or the context with the
+    value it replaced, so backtracking restores a node's state without
+    copying it.
     The root state is made arc consistent once, and every search starts
     from it and returns to it.  ``seen[c][r]`` is the first global section
     found through row r of c, as one row position per context, or None;
@@ -348,24 +373,41 @@ class _Search:
         scenario = model.scenario
         pos = {m: i for i, m in enumerate(scenario.measurements)}
         self.scope = [tuple(pos[m] for m in c) for c in scenario.contexts]
-        self.rows = model.rows
         self.watch: list[list[int]] = [[] for _ in pos]
         for c, scope in enumerate(self.scope):
             for m in scope:
                 self.watch[m].append(c)
-        self.table = []
-        dom = [0] * len(pos)
+        columns, dom, wide = [], [0] * len(pos), set()
         for rows, scope in zip(model.rows, self.scope):
-            columns = [{} for _ in rows[0]]
+            columns.append([{} for _ in rows[0]])
             for r, row in enumerate(rows):
-                for column, v in zip(columns, row):
+                for column, v in zip(columns[-1], row):
                     column[v] = column.get(v, 0) | 1 << r
-            self.table.append([tuple(column.items()) for column in columns])
-            for m, column in zip(scope, columns):
-                for v in column:
-                    dom[m] |= 1 << v
-        # a measurement in no context stands at 0 for all of Z_d
+            for m, column in zip(scope, columns[-1]):
+                if max(column) < 64:
+                    for v in column:
+                        dom[m] |= 1 << v
+                else:
+                    wide.add(m)
+        # a value below 64 is its own bit; a measurement that uses a larger
+        # one numbers its values densely, and one in no context stands at 0
+        self.values, bit = [_OWN_BITS] * len(pos), {}
+        for m in wide:
+            vs = sorted({v for c in self.watch[m]
+                         for v in columns[c][self.scope[c].index(m)]})
+            self.values[m], bit[m] = vs, {v: b for b, v in enumerate(vs)}
+            dom[m] = (1 << len(vs)) - 1
         self.dom = [mask or 1 for mask in dom]
+        self.table = [[tuple(col.items()) for col in cols] for cols in columns]
+        self.row_bits = list(model.rows)
+        for c in {c for m in wide for c in self.watch[m]}:
+            nums = [bit.get(m) for m in self.scope[c]]
+            self.table[c] = [tuple((num[v], mask) for v, mask in col)
+                             if num else col
+                             for num, col in zip(nums, self.table[c])]
+            self.row_bits[c] = [tuple(num[v] if num else v
+                                      for num, v in zip(nums, row))
+                                for row in model.rows[c]]
         self.modulus = scenario.outcome_modulus
         self.alive = [(1 << len(rows)) - 1 for rows in model.rows]
         self.size = [len(rows) for rows in model.rows]
@@ -392,8 +434,8 @@ class _Search:
             for m, column in zip(scope, table):
                 mask = dom[m]
                 keep = 0
-                for v, bits in column:
-                    if mask >> v & 1:
+                for b, bits in column:
+                    if mask >> b & 1:
                         keep |= bits
                 rows &= keep
             if not rows:
@@ -405,9 +447,9 @@ class _Search:
             for m, column in zip(scope, table):
                 mask = dom[m]
                 support = 0
-                for v, bits in column:
+                for b, bits in column:
                     if bits & rows:
-                        support |= 1 << v
+                        support |= 1 << b
                 if support != mask:
                     trail.append((~m, mask))
                     dom[m] = support
@@ -421,13 +463,13 @@ class _Search:
         """Fix context ``c`` to row ``r`` and propagate."""
         dom, trail = self.dom, self.trail
         pending = [c]
-        for m, v in zip(self.scope[c], self.rows[c][r]):
+        for m, b in zip(self.scope[c], self.row_bits[c][r]):
             mask = dom[m]
-            if not mask >> v & 1:
+            if not mask >> b & 1:
                 return False
-            if mask != 1 << v:
+            if mask != 1 << b:
                 trail.append((~m, mask))
-                dom[m] = 1 << v
+                dom[m] = 1 << b
                 pending.extend(self.watch[m])
         return self._propagate(pending)
 
@@ -457,9 +499,10 @@ class _Search:
         Each alive mask then has one set bit, the context's row.  Arc
         consistency makes those rows agree, so every measurement in a
         context has one value left; measurements in no context range over
-        Z_d.  One solution takes each domain's least value, its lowest set
-        bit, which is 0 for a measurement in no context; all of them list
-        each covered domain from its set bits and the others as Z_d.
+        Z_d.  One solution takes each domain's least value, numbered by its
+        lowest set bit, which is 0 for a measurement in no context; all of
+        them list each covered domain from its set bits and the others as
+        Z_d.
         """
         g = tuple(mask.bit_length() - 1 for mask in self.alive)
         for c, r in enumerate(g):
@@ -468,11 +511,11 @@ class _Search:
                 self.unseen[c] -= 1
         self.fresh = [c for c in self.fresh if self.unseen[c]]
         if not find_all:
-            return [tuple((mask & -mask).bit_length() - 1
-                          for mask in self.dom)]
-        return list(product(*(_set_bits(mask) if watch else
-                              range(self.modulus)
-                              for mask, watch in zip(self.dom, self.watch))))
+            return [tuple(vs[(mask & -mask).bit_length() - 1]
+                          for mask, vs in zip(self.dom, self.values))]
+        return list(product(*([vs[b] for b in _set_bits(mask)] if watch else
+                              range(self.modulus) for mask, vs, watch
+                              in zip(self.dom, self.values, self.watch))))
 
     def search(self, pin: tuple[int, int] | None = None,
                find_all: bool = False) -> list[tuple[int, ...]]:
@@ -511,6 +554,7 @@ class _Search:
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_OWN_BITS = range(64)
 
 
 def _set_bits(mask: int) -> list[int]:

@@ -1,6 +1,7 @@
 """JSON document round trips and strict rejection of malformed input."""
 
 import json
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from contextuality.modelio import (
     parse_state_text,
 )
 from contextuality.pmonoid import StructuredModel
-from contextuality.scenario import EmpiricalModel
+from contextuality.scenario import EmpiricalModel, Section, classify
 
 
 def test_round_trip_fixtures_byte_stable(mermin, ghz, hardy):
@@ -91,44 +92,59 @@ def _hardy_doc(hardy):
     return model_to_document(hardy.model)
 
 
+def _rejects(doc, message):
+    """``document_to_model`` refuses ``doc`` with exactly ``message``."""
+    with pytest.raises(ModelFormatError) as info:
+        document_to_model(doc)
+    assert str(info.value) == message
+
+
 def test_malformed_documents_rejected(hardy):
+    """Each malformed document is refused with one exact message; an
+    out-of-range outcome is reported on the first offending row, in
+    document order, as a section."""
     base = _hardy_doc(hardy)
 
     doc = dict(base)
     doc["surprise"] = 1
-    with pytest.raises(ModelFormatError, match="surprise"):
-        document_to_model(doc)
+    _rejects(doc, "unknown document keys: ['surprise']")
 
     doc = dict(base)
     del doc["contexts"]
-    with pytest.raises(ModelFormatError):
-        document_to_model(doc)
+    _rejects(doc, "missing document keys: ['contexts']")
 
     doc = json.loads(json.dumps(base))
     del doc["sections"]["2"]
-    with pytest.raises(ModelFormatError):
-        document_to_model(doc)
+    _rejects(doc, "missing sections for contexts [2]")
 
+    short = ("sections[0] rows must list one outcome per measurement of "
+             "context ['a1', 'b1']")
     doc = json.loads(json.dumps(base))
     doc["sections"]["0"][0] = [0]
-    with pytest.raises(ModelFormatError):
-        document_to_model(doc)
+    _rejects(doc, short)
 
     doc = json.loads(json.dumps(base))
     doc["sections"]["0"][0] = [0, "x"]
-    with pytest.raises(ModelFormatError):
-        document_to_model(doc)
+    _rejects(doc, short)
+
+    doc = json.loads(json.dumps(base))
+    doc["sections"]["1"][2] = [1, 2]
+    doc["sections"]["1"][0] = [-1, 0]
+    _rejects(doc, "bad sections: section {a1:-1, b2:0} has outcomes "
+                  "outside Z_2")
+
+    doc = json.loads(json.dumps(base))
+    doc["sections"]["3"] = []
+    _rejects(doc, "bad sections: context ('a2', 'b2') has an empty "
+                  "section set")
 
     doc = {"pauli": {"generators": ["+XX"]}, "extra": True}
-    with pytest.raises(ModelFormatError):
-        document_to_model(doc)
+    _rejects(doc, "'pauli' documents must not carry other keys")
 
     doc = {"pauli": {"generators": ["+XX"], "junk": 0}}
-    with pytest.raises(ModelFormatError, match="junk"):
-        document_to_model(doc)
+    _rejects(doc, "unknown keys in 'pauli': ['junk']")
 
-    with pytest.raises(ModelFormatError):
-        document_to_model([1, 2, 3])
+    _rejects([1, 2, 3], "document must be a JSON object")
 
 
 def test_malformed_structured_tables(mermin):
@@ -236,10 +252,17 @@ def test_booleans_are_not_integers(hardy, mermin, tmp_path):
                            "state": [[1, 0], [0, 0], [0, 0], [True, 0]]}}
     bad_moduli = model_to_document(mermin.structured)
     bad_moduli["partial_monoid"]["action"]["moduli"] = [True]
+    messages = (
+        "sections[0] rows must list one outcome per measurement of "
+        "context ['a1', 'b1']",
+        "'outcome_modulus' must be an integer",
+        "state amplitudes must be [re, im] integer pairs",
+        "'action.moduli' must list integers")
     for k, doc in enumerate((bad_row, bad_modulus, bad_state, bad_moduli)):
         text = json.dumps(doc)
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError) as info:
             loads_model(text)
+        assert str(info.value) == messages[k]
         path = tmp_path / f"boolean{k}.json"
         path.write_text(text)
         assert cli.main(["validate", str(path)]) == 2
@@ -260,3 +283,72 @@ def test_section_keys_are_canonical_indices(hardy, tmp_path):
         path = tmp_path / f"key{k}.json"
         path.write_text(text)
         assert cli.main(["validate", str(path)]) == 2
+
+
+def _random_document(rng):
+    """An explicit document at d = 2, 3 or 5 whose contexts, and the
+    labels inside each, come in shuffled order, with repeated rows."""
+    d = rng.choice((2, 3, 5))
+    labels = [f"m{k}" for k in range(rng.randint(3, 7))]
+    contexts = sorted({tuple(sorted(rng.sample(labels, rng.randint(1, 3))))
+                       for _ in range(rng.randint(2, 6))})
+    rng.shuffle(contexts)
+    contexts = [rng.sample(c, len(c)) for c in contexts]
+    sections = {}
+    for ci, c in enumerate(contexts):
+        rows = [[rng.randrange(d) for _ in c]
+                for _ in range(rng.randint(1, 6))]
+        rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows)
+        sections[str(ci)] = rows
+    rng.shuffle(labels)
+    return {"measurements": labels, "outcome_modulus": d,
+            "contexts": contexts, "sections": sections}
+
+
+def test_loaded_rows_match_the_label_reference(mermin, ghz, hardy):
+    """A document loads to the rows, sections, equality and hash of its
+    sections read one label dict at a time (``_oracles.read_by_label``),
+    on the fixtures and on 200 seeded random documents."""
+    from _oracles import read_by_label
+
+    docs = [model_to_document(b.model) for b in (mermin, ghz, hardy)]
+    rng = random.Random(2101)
+    docs += [_random_document(rng) for _ in range(200)]
+    assert {doc["outcome_modulus"] for doc in docs} == {2, 3, 5}
+    repeats = 0
+    for doc in docs:
+        model = loads_model(json.dumps(doc))
+        want, rows, sections = read_by_label(doc)
+        assert model.rows == want.rows == rows
+        for got, ref in zip(model.sections, sections, strict=True):
+            assert len(got) == len(ref)
+            assert all(a == b for a, b in zip(got, ref))
+        assert want.sections == sections
+        assert model == want and hash(model) == hash(want)
+        repeats += sum(map(len, doc["sections"].values())) > sum(
+            map(len, rows))
+    assert repeats >= 100
+    for bundle in (mermin, ghz, hardy):
+        want, rows, sections = read_by_label(model_to_document(bundle.model))
+        assert bundle.model == want and bundle.model.sections == sections
+
+
+def test_loading_builds_no_section(monkeypatch):
+    """Loading and classifying a noncontextual cycle, and dumping it,
+    construct no ``Section``: ``sections`` is built on first read."""
+    labels = [f"x{k}" for k in range(12)]
+    doc = {"measurements": labels, "outcome_modulus": 2,
+           "contexts": [[labels[k], labels[k - 1]] for k in range(12)],
+           "sections": {str(k): [[0, 0], [1, 1], [0, 0]]
+                        for k in range(12)}}
+    made = []
+    init = Section.__init__
+    monkeypatch.setattr(Section, "__init__",
+                        lambda self, *a: made.append(a) or init(self, *a))
+    model = loads_model(json.dumps(doc))
+    assert classify(model).kind == "noncontextual"
+    assert json.loads(dumps_model(model))["sections"]["0"] == [[0, 0],
+                                                               [1, 1]]
+    assert made == [] and "sections" not in model.__dict__
+    assert len(model.sections[0]) == 2 and made
