@@ -21,13 +21,18 @@ from .avn import (
 from .cech import (
     CechAnalyzer,
     CechCertificate,
+    CechCochain,
     CocycleDecision,
     CrossCheckReport,
     FamilyDecision,
+    Nerve,
+    build_nerve,
+    cech_coboundary,
     cech_obstruction_vanishes,
     collapse_family,
     connecting_cocycle,
     cross_check_obstructions,
+    make_cech_cochain,
 )
 from .errors import (
     ContextualityError,

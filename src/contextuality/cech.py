@@ -23,6 +23,10 @@ family's compatibility and a potential's coboundary, and
 Both routes work on section positions and row indexes of the
 compatibility matrix, so their audits read the same incidence that
 builds route 2's cocycle.
+
+``cech_coboundary`` on the nerve of ``build_nerve``, over ``Section``-keyed
+formal sums, is the label reference for that differential: no query
+calls it, and the tests tie the analyzer's incidence to it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,112 @@ from .scenario import (
     _set_bits,
     check_no_signalling,
 )
+
+FormalSum = dict  # Section -> int coefficient
+
+
+def fs_combine(target: FormalSum, other: FormalSum, scale: int = 1) -> None:
+    for s, c in other.items():
+        new = target.get(s, 0) + scale * c
+        if new:
+            target[s] = new
+        else:
+            target.pop(s, None)
+
+
+def fs_restrict(fs: FormalSum, labels) -> FormalSum:
+    """Push a formal sum along the restriction of its sections."""
+    out: FormalSum = {}
+    for s, c in fs.items():
+        fs_combine(out, {s.restrict(labels): c})
+    return out
+
+
+@dataclass(frozen=True)
+class Nerve:
+    """Tuples of cover indices with jointly measurable support.
+
+    ``build_nerve`` retains degenerate tuples (repeated indices); each
+    degree lists its simplices in lexicographic order.
+    """
+
+    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    supports: dict
+
+    def degree(self, q: int) -> tuple[tuple[int, ...], ...]:
+        if not 0 <= q < len(self.simplices):
+            raise PreconditionError(f"nerve holds degrees 0..{len(self.simplices)-1}")
+        return self.simplices[q]
+
+
+def build_nerve(scenario, max_degree: int = 2) -> Nerve:
+    contexts = [set(c) for c in scenario.contexts]
+    m = len(contexts)
+    levels = []
+    supports: dict[tuple[int, ...], tuple[str, ...]] = {}
+    prev = [()]
+    for q in range(max_degree + 1):
+        cur = []
+        for stem in prev:
+            base = (set.intersection(*(contexts[i] for i in stem))
+                    if stem else None)
+            for i in range(m):
+                supp = contexts[i] if base is None else base & contexts[i]
+                if supp:
+                    simplex = stem + (i,)
+                    cur.append(simplex)
+                    supports[simplex] = scenario.sort_labels(supp)
+        levels.append(tuple(cur))
+        prev = cur
+    return Nerve(tuple(levels), supports)
+
+
+@dataclass(eq=False)
+class CechCochain:
+    """Presheaf-valued cochain: a formal sum of sections per simplex."""
+
+    degree: int
+    values: dict
+
+    def value(self, simplex) -> FormalSum:
+        return self.values.get(tuple(simplex), {})
+
+
+def make_cech_cochain(nerve: Nerve, degree: int, values) -> CechCochain:
+    known = set(nerve.degree(degree))
+    out = {}
+    for simplex, fs in values.items():
+        simplex = tuple(simplex)
+        if simplex not in known:
+            raise PreconditionError(f"{simplex} is not a {degree}-simplex")
+        supp = nerve.supports[simplex]
+        fs = {s: int(c) for s, c in fs.items() if c}
+        for s in fs:
+            if set(s.domain) != set(supp):
+                raise PreconditionError(
+                    f"section {s} does not live on the support of {simplex}")
+        if fs:
+            out[simplex] = fs
+    return CechCochain(degree, out)
+
+
+def cech_coboundary(nerve: Nerve, cochain: CechCochain) -> CechCochain:
+    """Alternating sum of face restrictions, one degree up."""
+    q = cochain.degree
+    out = {}
+    for simplex in nerve.degree(q + 1):
+        supp = nerve.supports[simplex]
+        total: FormalSum = {}
+        for i in range(q + 2):
+            face = simplex[:i] + simplex[i + 1:]
+            fs = cochain.value(face)
+            if fs:
+                fs_combine(total, fs_restrict(fs, supp),
+                           1 if i % 2 == 0 else -1)
+        if total:
+            out[simplex] = total
+    return CechCochain(q + 1, out)
+
 
 # --- Decisions ----------------------------------------------------------
 

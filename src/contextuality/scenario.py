@@ -43,7 +43,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress, product
+from itertools import chain, combinations, compress, product
 from operator import itemgetter
 
 from .errors import PreconditionError
@@ -227,22 +227,30 @@ class EmpiricalModel:
     def from_rows(cls, scenario: MeasurementScenario, rows_by_context) -> "EmpiricalModel":
         """The model allowing the outcome rows in the sequence
         ``rows_by_context[c]`` at context c, each listing one outcome per
-        label in c's order.  Every outcome must lie in Z_d; repeated rows
-        are merged."""
-        if len(rows_by_context) != len(scenario.contexts):
+        label in c's order.  Every outcome must be an int in Z_d; repeated
+        rows are merged."""
+        contexts, d = scenario.contexts, scenario.outcome_modulus
+        if len(rows_by_context) != len(contexts):
             raise PreconditionError("need a section set for every context")
-        d = scenario.outcome_modulus
-        rows = []
-        for ctx, raw in zip(scenario.contexts, rows_by_context):
-            kept = sorted(set(map(tuple, raw)))
-            if not kept:
+        raw = [list(map(tuple, given)) for given in rows_by_context]
+        cells = [*chain.from_iterable(chain.from_iterable(raw))]
+        if ({*map(type, cells)} <= {int} and 0 <= min(cells, default=0)
+                and max(cells, default=0) < d):
+            rows = tuple(tuple(sorted(set(given))) for given in raw)
+            if all(rows) and all({*map(len, kept)} == {len(ctx)}
+                                 for ctx, kept in zip(contexts, rows)):
+                return cls(scenario, rows)
+        for ctx, given in zip(contexts, raw):  # name the first fault
+            if not given:
                 raise PreconditionError(f"context {ctx} has an empty section set")
-            if min(map(min, kept)) < 0 or max(map(max, kept)) >= d:
-                bad = next(row for row in raw if not 0 <= min(row) <= max(row) < d)
-                raise PreconditionError(
-                    f"section {Section.from_values(ctx, bad)} has outcomes outside Z_{d}")
-            rows.append(tuple(kept))
-        return cls(scenario, tuple(rows))
+            for row in given:
+                if len(row) != len(ctx) or not all(type(v) is int for v in row):
+                    raise PreconditionError(
+                        f"row {row} does not list one int outcome per label of {ctx}")
+            for row in given:
+                if not 0 <= min(row) <= max(row) < d:
+                    raise PreconditionError(f"section {Section.from_values(ctx, row)} "
+                                            f"has outcomes outside Z_{d}")
 
     @cached_property
     def sections(self) -> tuple[tuple[Section, ...], ...]:
@@ -349,15 +357,14 @@ class _Search:
     tables.
 
     Measurements are variables whose domains are bitmasks over the values
-    that their contexts' rows use, and bit b of ``dom[m]`` stands for the
-    value ``values[m][b]``: a value below 64 is its own bit, and a
-    measurement that uses a larger one numbers its values 0, 1, ... in
-    ascending order, so no mask grows with the size of an outcome.
+    that their contexts' rows use: each measurement numbers those values
+    0, 1, ... in ascending order, bit b of ``dom[m]`` stands for the value
+    ``values[m][b]``, and ``bit[m]`` maps a value back to its bit, so no
+    mask grows with the size of an outcome.
     Contexts are table constraints whose alive rows are one bitmask over
     their row positions, ``alive[c]``, with ``size[c]`` set bits.
     ``table[c][k]`` lists, for position k of context c, the bit of each
-    value that occurs there with the mask of the rows that take it, and
-    ``row_bits[c][r]`` is row r of c with each value replaced by its bit.
+    value that occurs there with the mask of the rows that take it.
     Every change to a domain or to a context's alive mask is pushed on one
     undo trail, as the measurement's complement or the context with the
     value it replaced, so backtracking restores a node's state without
@@ -377,37 +384,24 @@ class _Search:
         for c, scope in enumerate(self.scope):
             for m in scope:
                 self.watch[m].append(c)
-        columns, dom, wide = [], [0] * len(pos), set()
+        # each measurement numbers the values its rows use densely, in
+        # ascending order; one in no context stands at 0
+        used = [set() for _ in pos]
         for rows, scope in zip(model.rows, self.scope):
-            columns.append([{} for _ in rows[0]])
+            for m, column in zip(scope, zip(*rows)):
+                used[m].update(column)
+        self.values = [sorted(vs) or [0] for vs in used]
+        self.bit = [dict(zip(vs, range(len(vs)))) for vs in self.values]
+        self.dom = [(1 << len(vs)) - 1 for vs in self.values]
+        self.table = []
+        for rows, scope in zip(model.rows, self.scope):
+            columns = [({}, self.bit[m]) for m in scope]
             for r, row in enumerate(rows):
-                for column, v in zip(columns[-1], row):
-                    column[v] = column.get(v, 0) | 1 << r
-            for m, column in zip(scope, columns[-1]):
-                if max(column) < 64:
-                    for v in column:
-                        dom[m] |= 1 << v
-                else:
-                    wide.add(m)
-        # a value below 64 is its own bit; a measurement that uses a larger
-        # one numbers its values densely, and one in no context stands at 0
-        self.values, bit = [_OWN_BITS] * len(pos), {}
-        for m in wide:
-            vs = sorted({v for c in self.watch[m]
-                         for v in columns[c][self.scope[c].index(m)]})
-            self.values[m], bit[m] = vs, {v: b for b, v in enumerate(vs)}
-            dom[m] = (1 << len(vs)) - 1
-        self.dom = [mask or 1 for mask in dom]
-        self.table = [[tuple(col.items()) for col in cols] for cols in columns]
-        self.row_bits = list(model.rows)
-        for c in {c for m in wide for c in self.watch[m]}:
-            nums = [bit.get(m) for m in self.scope[c]]
-            self.table[c] = [tuple((num[v], mask) for v, mask in col)
-                             if num else col
-                             for num, col in zip(nums, self.table[c])]
-            self.row_bits[c] = [tuple(num[v] if num else v
-                                      for num, v in zip(nums, row))
-                                for row in model.rows[c]]
+                for (column, bit), v in zip(columns, row):
+                    b = bit[v]
+                    column[b] = column.get(b, 0) | 1 << r
+            self.table.append([tuple(column.items()) for column, _ in columns])
+        self.rows = model.rows
         self.modulus = scenario.outcome_modulus
         self.alive = [(1 << len(rows)) - 1 for rows in model.rows]
         self.size = [len(rows) for rows in model.rows]
@@ -461,9 +455,10 @@ class _Search:
 
     def _assign(self, c: int, r: int) -> bool:
         """Fix context ``c`` to row ``r`` and propagate."""
-        dom, trail = self.dom, self.trail
+        dom, bit, trail = self.dom, self.bit, self.trail
         pending = [c]
-        for m, b in zip(self.scope[c], self.row_bits[c][r]):
+        for m, v in zip(self.scope[c], self.rows[c][r]):
+            b = bit[m][v]
             mask = dom[m]
             if not mask >> b & 1:
                 return False
@@ -554,7 +549,6 @@ class _Search:
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_OWN_BITS = range(64)
 
 
 def _set_bits(mask: int) -> list[int]:

@@ -13,7 +13,13 @@ import numpy as np
 
 from contextuality import fixtures
 from contextuality.avn import LinearEquation, entails, is_avn, theory_of
-from contextuality.cech import cross_check_obstructions
+from contextuality.cech import (
+    build_nerve,
+    cech_coboundary,
+    cross_check_obstructions,
+    fs_restrict,
+    make_cech_cochain,
+)
 from contextuality.fixtures import get_fixture
 from contextuality.linalg import (
     solve_integer,
@@ -45,14 +51,7 @@ from contextuality.pmonoid import (
 )
 from contextuality.scenario import classify, section_extends, sections_below
 
-from _oracles import (
-    all_ops,
-    build_nerve,
-    cech_coboundary,
-    fs_restrict,
-    make_cech_cochain,
-    op_matrix,
-)
+from _oracles import all_ops, op_matrix
 from test_mcohom import _z3xz3_quotient, _z9_quotient
 
 GHZ_SIGN_EQUATIONS = (

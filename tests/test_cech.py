@@ -21,10 +21,14 @@ from contextuality.avn import avn_cech_consistency, theory_of
 from contextuality.cech import (
     CechAnalyzer,
     CechCertificate,
+    build_nerve,
+    cech_coboundary,
     cech_obstruction_vanishes,
     collapse_family,
     connecting_cocycle,
     cross_check_obstructions,
+    fs_restrict,
+    make_cech_cochain,
 )
 from contextuality.errors import InternalCheckError, PreconditionError
 from contextuality.linalg import Gf2AffineSystem, IntegerSystem
@@ -42,8 +46,6 @@ from contextuality.scenario import (
     section_extends,
     sections_below,
 )
-
-from _oracles import build_nerve, cech_coboundary, fs_restrict, make_cech_cochain
 
 
 # --- Independent audits -------------------------------------------------------

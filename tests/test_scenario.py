@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -135,6 +136,22 @@ def test_model_make_checks_sections():
             m.section_index(bad, Section.of({"a": 0, "b": 0}))
         with pytest.raises(PreconditionError):
             section_extends(m, bad, Section.of({"a": 0, "b": 0}))
+
+
+def test_from_rows_refuses_malformed_rows():
+    """A row must list one int outcome per label of its context: a short,
+    a long, a float, a bool or a str row is refused, also when the rows
+    come as an iterator, and the message names the row."""
+    sc = MeasurementScenario.make(("a", "b"), 3, [("a", "b")])
+    for bad in ((0,), (0, 1, 2), (0, 1.0), (True, 0), (0, "1")):
+        for rows in ([(0, 0), bad], iter([(0, 0), bad])):
+            with pytest.raises(PreconditionError,
+                               match=re.escape(f"row {bad} does not list")):
+                EmpiricalModel.from_rows(sc, [rows])
+    with pytest.raises(PreconditionError, match="outside Z_3"):
+        EmpiricalModel.from_rows(sc, [iter([(0, 0), (0, 3)])])
+    model = EmpiricalModel.from_rows(sc, [iter([(2, 1), [0, 0], (2, 1)])])
+    assert model.rows == (((0, 0), (2, 1)),)
 
 
 def test_no_signalling_detects_violation(hardy):
@@ -538,9 +555,9 @@ def test_wide_values_answer_as_their_small_images():
     values from 60 to beyond 10^12 leaves every answer the image of the
     small model's: the class and witnesses, each row's extension, and,
     where every measurement is covered, the global sections; a
-    measurement in no context stands at 0 in both.  The mapped
-    measurements' values are numbered densely, and the rest are their own
-    bits, on 60 random models."""
+    measurement in no context stands at 0 in both.  Every measurement
+    numbers its values densely, so the wide values take the bits of the
+    small ones, on 60 random models."""
     rng = random.Random(2121)
     wide_models = 0
     for k in range(60):
