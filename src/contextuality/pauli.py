@@ -18,16 +18,18 @@ Models are built on (x, z, phase) int triples between parsing and
 ``EmpiricalModel.from_rows``, in the style of Aaronson and Gottesman
 (quant-ph/0406196): commutation is the parity of (x1 & z2) ^ (z1 & x2),
 and products follow the phase rule of ``multiply``.  Each closure
-member's label is made once.  A context of k = 2^r members is an
-elementary abelian 2-group; ``_coordinates`` picks a greedy basis of r
-generators and gives every member a coordinate mask over it, so the
-product of two members is the member whose mask is the xor of theirs,
-and a homomorphism ``hom`` to Z_2 takes the parity of ``hom & mask``.
-Born supports are tested on the basis alone.  That is exact: for a
-homomorphism chi, each member p is a product of basis generators, and
-the product of the factors (I + chi(p) p) over the whole context equals
-2^(k - r) times the product over the basis, so one annihilates the
-state exactly when the other does.
+member's label is made once, and contexts are the cliques of the
+unsigned words (+P and -P always share them).  A context of k = 2^r
+members is an elementary abelian 2-group; ``_coordinates`` picks a
+greedy basis of r generators and gives every member a coordinate mask
+over it, so the product of two members is the member whose mask is the
+xor of theirs, and a homomorphism ``hom`` to Z_2 takes the parity of
+``hom & mask``.  Born supports are tested on the basis alone, each
+projector step on raw amplitude lists through the one W(x, z) kernel
+``_apply``.  That is exact: for a homomorphism chi, each member p is a
+product of basis generators, and the product of the factors
+(I + chi(p) p) over the context is 2^(k - r) times the product over the
+basis, so one annihilates the state exactly when the other does.
 """
 
 from __future__ import annotations
@@ -185,14 +187,21 @@ def close_under_commuting_products(ops) -> tuple[PauliOperator, ...]:
 
 
 def maximal_contexts(ops) -> list[tuple[PauliOperator, ...]]:
-    """Maximal pairwise-commuting subsets of a product-closed set."""
+    """Maximal pairwise-commuting subsets of a product-closed set, found
+    on the unsigned words (x, z), numbered by first appearance: operators
+    with one word commute and share their neighbours, so each clique holds
+    all or none of them, and the expanded cliques stay in sorted order."""
     ops = tuple(ops)
     if len({p.n for p in ops}) > 1:
         raise PreconditionError("qubit counts differ")
-    xz = [(p.x, p.z) for p in ops]
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(ops):
+        members.setdefault((p.x, p.z), []).append(i)
+    words = list(members)
     cliques = maximal_cliques(
-        len(ops), lambda i, j: not _anticommute(xz[i], xz[j]))
-    return [tuple(ops[i] for i in cl) for cl in cliques]
+        len(words), lambda i, j: not _anticommute(words[i], words[j]))
+    return [tuple(ops[i] for i in sorted(
+        j for w in cl for j in members[words[w]])) for cl in cliques]
 
 
 # --- Exact state vectors ----------------------------------------------
@@ -228,35 +237,28 @@ def ghz_state(n: int) -> GaussianStateVector:
     return GaussianStateVector(n, tuple(entries))
 
 
-def _times_i_power(pair: tuple[int, int], k: int) -> tuple[int, int]:
-    a, b = pair
-    k %= 4
-    if k == 0:
-        return (a, b)
-    if k == 1:
-        return (-b, a)
-    if k == 2:
-        return (-a, -b)
-    return (b, -a)
+def _apply(x, z, k, re, im, keep=0):
+    """keep * v + i^k W(x, z) v on the amplitudes (re, im) of v, exactly:
+    W(x, z)|b> = i^(z.x) (-1)^(z.b) |b xor x>, and i(a + bi) = -b + ai."""
+    k += (z & x).bit_count()
+    flip = k >> 1 & 1
+    p, q, u = (im, re, -1) if k & 1 else (re, im, 1)
+    out_re, out_im = [], []
+    for c in range(len(re)):
+        b = c ^ x
+        s = -1 if ((z & b).bit_count() ^ flip) & 1 else 1
+        out_re.append(keep * re[c] + u * s * p[b])
+        out_im.append(keep * im[c] + s * q[b])
+    return out_re, out_im
 
 
 def apply_pauli(p: PauliOperator,
                 v: GaussianStateVector) -> GaussianStateVector:
-    """The vector p|v>, computed exactly.
-
-    W(x, z)|b> = i^(z.x) (-1)^(z.b) |b xor x| up to the stored phase.
-    """
+    """The vector p|v>, computed exactly."""
     if p.n != v.n:
         raise PreconditionError("qubit counts differ")
-    k = p.phase + (p.z & p.x).bit_count()
-    out = []
-    for c in range(1 << v.n):
-        b = c ^ p.x
-        amp = _times_i_power(v.entries[b], k)
-        if (p.z & b).bit_count() % 2:
-            amp = (-amp[0], -amp[1])
-        out.append(amp)
-    return GaussianStateVector(v.n, tuple(out))
+    re, im = _apply(p.x, p.z, p.phase, *zip(*v.entries))
+    return GaussianStateVector(v.n, tuple(zip(re, im)))
 
 
 def born_consistent(assignment, state: GaussianStateVector) -> bool:
@@ -279,14 +281,12 @@ def born_consistent(assignment, state: GaussianStateVector) -> bool:
             if not commutes(p, q):
                 raise PreconditionError(
                     f"{p} and {q} do not commute")
-    vec = state
+    if items and items[0][0].n != state.n:
+        raise PreconditionError("qubit counts differ")
+    re, im = zip(*state.entries)
     for p, a in items:
-        moved = apply_pauli(p, vec)
-        sign = -1 if a else 1
-        vec = GaussianStateVector(vec.n, tuple(
-            (u[0] + sign * w[0], u[1] + sign * w[1])
-            for u, w in zip(vec.entries, moved.entries)))
-        if vec.is_zero:
+        re, im = _apply(p.x, p.z, p.phase + 2 * a, re, im, 1)
+        if not any(re) and not any(im):
             return False
     return True
 

@@ -34,6 +34,16 @@ def state_vector(v: GaussianStateVector) -> np.ndarray:
     return np.array([re + 1j * im for re, im in v.entries], dtype=complex)
 
 
+def projector_support(assignment, state: GaussianStateVector) -> bool:
+    """Whether the product of the dense projectors (I + (-1)^a p)/2 over
+    ``assignment``'s (p, a) pairs leaves ``state`` nonzero."""
+    dim = 1 << state.n
+    proj = np.eye(dim, dtype=complex)
+    for p, a in dict(assignment).items():
+        proj = proj @ (np.eye(dim) + (-1) ** a * op_matrix(p)) / 2
+    return bool(np.linalg.norm(proj @ state_vector(state)) > 1e-9)
+
+
 # --- Label-dict reference for the splitting lemma ------------------------
 #
 # These follow the definitions directly on label dicts, using only the
@@ -171,11 +181,10 @@ class SplittingOracle:
 # The build on PauliOperator objects, one operator at a time: closure by
 # pairwise ``commutes`` and ``multiply``, contexts by set-based
 # Bron-Kerbosch over ``commutes``, greedy coordinates by ``multiply``,
-# every table entry as ``multiply(a, b).label()`` and Born supports over
-# every member of a context.
+# every table entry as ``multiply(a, b).label()`` and Born supports from
+# the dense projectors of every member of a context.
 
 from contextuality.pauli import (  # noqa: E402
-    born_consistent,
     commutes,
     identity,
     multiply,
@@ -263,7 +272,7 @@ def reference_pauli_model(generators, state=None) -> StructuredModel:
                        for a in ops for b in ops})
         sections.append([Section.of({p.label(): v for p, v in s.items()})
                          for s in _reference_splittings(ops)
-                         if state is None or born_consistent(s, state)])
+                         if state is None or projector_support(s, state)])
     return StructuredModel(EmpiricalModel.make(scenario, sections),
                            tuple(tables),
                            CoefficientAction((2,), (negate(ident).label(),)))

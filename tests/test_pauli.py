@@ -31,7 +31,14 @@ from contextuality.pauli import (
 )
 from contextuality.fixtures import MERMIN_GENERATORS
 
-from _oracles import all_ops, op_matrix, reference_pauli_model, state_vector
+from _oracles import (
+    _reference_cliques,
+    all_ops,
+    op_matrix,
+    projector_support,
+    reference_pauli_model,
+    state_vector,
+)
 
 _I = np.eye(2, dtype=complex)
 
@@ -109,39 +116,67 @@ def test_ghz_state_vector():
     assert GaussianStateVector(1, ((0, 0), (0, 0))).is_zero
 
 
+def _random_commuting(rng, n, size):
+    """Up to ``size`` pairwise-commuting sign operators on n qubits."""
+    pool = [p for p in all_ops(n) if p.is_sign_operator]
+    rng.shuffle(pool)
+    ops = []
+    for p in pool:
+        if len(ops) < size and all(commutes(p, q) for q in ops):
+            ops.append(p)
+    return ops
+
+
 def test_born_consistent_matches_projectors():
+    """GHZ states, random Gaussian-integer states, plain or projected so
+    that many outcomes vanish, and states that the first projector of the
+    assignment already annihilates: an eigenvector of its operator for
+    the other outcome."""
     rng = random.Random(9)
-    checked = 0
-    for _ in range(250):
-        n = rng.randint(1, 3)
-        # random commuting set of sign operators
-        ops = []
-        pool = [p for p in all_ops(n) if p.is_sign_operator]
-        rng.shuffle(pool)
-        for p in pool:
-            if all(multiply(p, q) == multiply(q, p) for q in ops):
-                ops.append(p)
-            if len(ops) == rng.randint(1, 4):
-                break
-        state = ghz_state(n)
-        assign = {p: rng.randrange(2) for p in ops}
+    kinds = {"ghz": 0, "plain": 0, "projected": 0, "first_annihilates": 0}
+    for k in range(400):
+        n = rng.randint(1, 4)
+        ops = _random_commuting(rng, n, rng.randint(1, 5))
+        kind = tuple(kinds)[k % 4]
+        state = (ghz_state(n) if kind == "ghz" else _random_state(
+            rng, n, ops if kind == "projected" else []))
+        assign = [(p, rng.randrange(2)) for p in ops]
+        if kind == "first_annihilates":
+            p, a = assign[0]
+            sign = (-1) ** a
+            moved = apply_pauli(p, state).entries
+            state = GaussianStateVector(n, tuple(
+                (u - sign * c, v - sign * d)
+                for (u, v), (c, d) in zip(state.entries, moved)))
+            if state.is_zero:
+                continue
         got = born_consistent(assign, state)
-        proj = np.eye(1 << n, dtype=complex)
-        for p, a in assign.items():
-            proj = proj @ (np.eye(1 << n) + ((-1) ** a) * op_matrix(p)) / 2
-        want = bool(np.linalg.norm(proj @ state_vector(state)) > 1e-9)
-        assert got == want
-        checked += 1
-    assert checked == 250
+        assert got == projector_support(assign, state), (kind, assign)
+        if kind == "first_annihilates":
+            assert not got
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 80, kinds
 
 
 def test_born_consistent_preconditions():
     state = ghz_state(2)
-    with pytest.raises(PreconditionError):
-        born_consistent({parse_pauli("XI"): 0, parse_pauli("ZI"): 0}, state)
+    xi, zi = parse_pauli("XI"), parse_pauli("ZI")
     ybad = PauliOperator(2, 2, 2, 1)  # phase i: not a sign operator
-    with pytest.raises(PreconditionError):
-        born_consistent({ybad: 0}, state)
+    cases = [
+        ({xi: 0, zi: 0}, state, "XI and ZI do not commute"),
+        ({xi: 0, ybad: 0}, state, "i*YI is not a sign operator"),
+        ({xi: 2}, state, "outcomes must be 0 or 1"),
+        ({xi: -1}, state, "outcomes must be 0 or 1"),
+        ({xi: 0, parse_pauli("X"): 0}, state, "qubit counts differ"),
+        ({xi: 0}, ghz_state(3), "qubit counts differ"),
+    ]
+    for assign, vec, message in cases:
+        with pytest.raises(PreconditionError) as err:
+            born_consistent(assign, vec)
+        assert str(err.value) == message, assign
+    with pytest.raises(PreconditionError) as err:
+        apply_pauli(xi, ghz_state(3))
+    assert str(err.value) == "qubit counts differ"
 
 
 def test_closure_sizes_frozen():
@@ -175,6 +210,41 @@ def test_maximal_contexts_mermin():
         for p in outside:
             assert not all(
                 multiply(p, q) == multiply(q, p) for q in ctx)
+
+
+def test_maximal_contexts_match_signed_graph_cliques():
+    """Contexts found on the unsigned words are the cliques of the full
+    signed commutation graph for any operator list: closures and random
+    lists, with and without -I, one word at several phases, and exact
+    duplicates."""
+    rng = random.Random(23)
+    seen = {"without_minus": 0, "phases": 0, "duplicates": 0}
+    for k in range(200):
+        n = rng.randint(1, 4)
+        if k % 4 == 0:
+            ops = list(close_under_commuting_products(
+                _random_generators(rng)[1]))
+            n = ops[0].n
+        else:
+            ops = [PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n),
+                                 rng.choice((0, 2)))
+                   for _ in range(rng.randint(1, 10))]
+        if k % 3 == 1:
+            p = rng.choice(ops)
+            ops += [PauliOperator(n, p.x, p.z, ph) for ph in range(4)]
+        if k % 5 == 2:
+            ops += rng.sample(ops, min(3, len(ops)))
+        rng.shuffle(ops)
+        got = maximal_contexts(ops)
+        assert got == [tuple(ops[i] for i in cl)
+                       for cl in _reference_cliques(ops)], ops
+        seen["without_minus"] += negate(identity(n)) not in ops
+        seen["phases"] += len({p.phase for p in ops
+                               if (p.x, p.z) == (ops[0].x, ops[0].z)}) > 1
+        seen["duplicates"] += len(set(ops)) < len(ops)
+    assert min(seen.values()) >= 30, seen
+    with pytest.raises(PreconditionError, match="qubit counts differ"):
+        maximal_contexts([parse_pauli("X"), parse_pauli("XI")])
 
 
 def _brute_splittings(ctx):
@@ -305,14 +375,10 @@ def test_born_support_on_the_basis_matches_projectors():
         state = _random_state(rng, n, gens)
         model = build_state_dependent_model(gens, state).model
         closure = {p.label(): p for p in close_under_commuting_products(gens)}
-        vec = state_vector(state)
         for ctx, kept in zip(model.scenario.contexts, model.sections):
             ops = [closure[lab] for lab in ctx]
             for s in context_splittings(ops):
-                proj = np.eye(1 << n, dtype=complex)
-                for p, a in s.items():
-                    proj = proj @ (np.eye(1 << n) + (-1) ** a * op_matrix(p))
-                want = bool(np.linalg.norm(proj @ vec) > 1e-9)
+                want = projector_support(s, state)
                 section = {p.label(): a for p, a in s.items()}
                 got = any(t.as_dict() == section for t in kept)
                 assert got == want, (ctx, section)
