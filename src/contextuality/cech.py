@@ -18,8 +18,10 @@ Both run a GF(2) refutation first, then an exact integer decision, and
 every verdict carries a re-verified witness or separating certificate.
 Each audit calls the one checker of its law: ``linalg.separates`` for a
 separating functional, the analyzer's differential on rows of A for a
-family's compatibility and a potential's coboundary, and
-``pmonoid.validate_splitting`` for the cross-check's collapsed family.
+family's compatibility and a potential's coboundary, and the group
+analyzer's once-per-assignment whole-monoid splitting check for the
+cross-check's collapsed family, so a collapse equal to the global
+section that the group route already checked is not checked again.
 Both routes work on section positions and row indexes of the
 compatibility matrix, so their audits read the same incidence that
 builds route 2's cocycle.
@@ -38,7 +40,7 @@ from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError
 from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem, separates
-from .pmonoid import StructuredModel, validate_splitting
+from .pmonoid import StructuredModel
 from .scenario import (
     EmpiricalModel,
     Section,
@@ -775,15 +777,6 @@ def _cross_check_steps(structured: StructuredModel):
                     if collapsed[x] != s[x]:
                         raise InternalCheckError(
                             "collapse does not extend the pinned section")
-                _check_splitting(group.quotient, collapsed)
+                group.check_global_splitting(
+                    [collapsed[x] for x in group.monoid.elements], "collapse")
             yield CrossCheckRow(ci, s, r1.vanishes, g.vanishes), r1, g
-
-
-def _check_splitting(quotient, values) -> None:
-    """The collapsed assignment must be a splitting on the whole monoid."""
-    els = quotient.parent.elements
-    report = validate_splitting(quotient, els, {x: (values[x],) for x in els})
-    if not report.ok:
-        raise InternalCheckError(
-            "collapse is not a global splitting: "
-            + "; ".join(report.violations[:3]))

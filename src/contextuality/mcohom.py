@@ -10,13 +10,19 @@ section by
 
 beta is a 2-cocycle of the bar complex of X/A, relative to pi(C); its
 class is independent of the representative choice.  The class vanishes
-iff s extends to a global splitting, which this module reconstructs
-explicitly whenever the deciding linear system is feasible.
+iff s extends to a global splitting.  Each query is a ladder, and every
+rung is audited: beta is a 2-cocycle and vanishes on the context block;
+a global section of the model through s (its cached ``extension_table``)
+is checked once as a splitting of the whole monoid and read off as the
+gamma with d(gamma) = beta; only a section that extends to no global
+section reaches the relative-coboundary solve, and a feasible solve is
+turned into a global splitting by the reconstruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalCheckError, PreconditionError, StructureError
 from .linalg import ModSolveResult, ModSystem
@@ -299,11 +305,10 @@ class CoboundarySolver:
     is no orbit is refused.  Since the monoid is commutative and beta is
     built symmetrically, only ordered pairs are kept: their positions
     among the composable pairs, each with the position of its mirror
-    (y, x); the audits compare columns read there as lists.  Each kept
-    pair's row is built once, sparse, and every cyclic factor's modulus
-    gets one ``ModSystem`` on those rows, built on first use and reused
-    for every later beta; its modulus-2 local is the bitmask GF(2)
-    solver.
+    (y, x); the audits compare columns read there as lists.  The kept
+    pairs' sparse rows, and one ``ModSystem`` per cyclic factor's modulus
+    on them, are built on the first solve and reused for every later
+    beta; the modulus-2 local is the bitmask GF(2) solver.
     """
 
     def __init__(self, quotient: Quotient, relative_orbits):
@@ -317,10 +322,8 @@ class CoboundarySolver:
             if q < 0:
                 raise PreconditionError(f"{name!r} is not an orbit")
             rel[q] = 1
+        self._rel = rel
         self._unknowns = [q for q in range(m) if not rel[q]]
-        column = [-1] * m
-        for j, q in enumerate(self._unknowns):
-            column[q] = j
         qx, qy, qz = monoid.pairs()
         index = monoid.pair_index
         self._kept = [p for p, (a, b, c) in enumerate(zip(qx, qy, qz))
@@ -329,21 +332,36 @@ class CoboundarySolver:
         # neither the pair nor its mirror is kept
         self._outside = [p for p, (a, b, c) in enumerate(zip(qx, qy, qz))
                          if rel[a] and rel[b] and rel[c]]
-        self._rows = []
+        self._systems: dict[int, ModSystem] = {}
+
+    @cached_property
+    def _rows(self) -> list[dict]:
+        """Each kept pair's row over the unknowns: d(gamma) at (a, b) is
+        gamma(a) + gamma(b) - gamma(a + b)."""
+        column = [-1] * self.quotient.monoid.size
+        for j, q in enumerate(self._unknowns):
+            column[q] = j
+        qx, qy, qz = self.quotient.monoid.pairs()
+        rows = []
         for p in self._kept:
             row = {}
             for q, coeff in ((qx[p], 1), (qy[p], 1), (qz[p], -1)):
                 if column[q] >= 0:
                     row[column[q]] = row.get(column[q], 0) + coeff
-            self._rows.append({j: a for j, a in row.items() if a})
-        self._systems: dict[int, ModSystem] = {}
+            rows.append({j: a for j, a in row.items() if a})
+        return rows
 
     def _solve_factor(self, d: int, rhs: list[int]) -> ModSolveResult:
         if d not in self._systems:
             self._systems[d] = ModSystem(self._rows, d, len(self._unknowns))
         return self._systems[d].solve(rhs)
 
-    def decide(self, beta: Cochain) -> CoboundaryDecision:
+    def decide(self, beta: Cochain, gamma_ids=None) -> CoboundaryDecision:
+        """Is beta = d(gamma) for a gamma vanishing on the relative orbits?
+
+        ``gamma_ids``, a group id per orbit, is a candidate known to the
+        caller (a global section's): it replaces the solve, and is audited
+        like a solved one, relative and bounding beta."""
         action = self.quotient.action
         for col in beta.columns:
             if any([col[p] for p in self._outside]):
@@ -352,25 +370,30 @@ class CoboundarySolver:
         for col in beta.columns:
             if [col[p] for p in self._kept] != [col[r] for r in self._mirror]:
                 raise InternalCheckError("cochain is not symmetric")
-        gamma_cols = []
-        certificates = []
-        for k, (col, d) in enumerate(zip(beta.columns, action.moduli)):
-            res = self._solve_factor(d, [col[p] % d for p in self._kept])
-            if res.feasible:
-                gamma = [0] * self.quotient.monoid.size
-                for q, v in zip(self._unknowns, res.witness):
-                    gamma[q] = v % d
-                gamma_cols.append(gamma)
-            else:
-                certificates.append((k, res))
-        if certificates:
-            return CoboundaryDecision(False, None, tuple(certificates),
-                                      self.quotient)
+        if gamma_ids is None:
+            gamma_cols = []
+            certificates = []
+            for k, (col, d) in enumerate(zip(beta.columns, action.moduli)):
+                res = self._solve_factor(d, [col[p] % d for p in self._kept])
+                if res.feasible:
+                    gamma = [0] * self.quotient.monoid.size
+                    for q, v in zip(self._unknowns, res.witness):
+                        gamma[q] = v % d
+                    gamma_cols.append(gamma)
+                else:
+                    certificates.append((k, res))
+            if certificates:
+                return CoboundaryDecision(False, None, tuple(certificates),
+                                          self.quotient)
+            gamma_ids = [action.id_of(v) for v in zip(*gamma_cols)]
+        elif any([a for a, r in zip(gamma_ids, self._rel) if r]):
+            raise InternalCheckError("gamma not relative to the context block")
+        else:
+            gamma_cols = action.columns(gamma_ids)
         one = Cochain.of_columns(self.quotient.monoid, action.moduli, 1,
                                  gamma_cols)
         if not coboundary(one).same_as(beta):
             raise InternalCheckError("gamma does not bound beta")
-        gamma_ids = [action.id_of(v) for v in zip(*gamma_cols)]
         return CoboundaryDecision(True, gamma_ids, None, self.quotient)
 
 
@@ -455,7 +478,12 @@ class GroupObstructionAnalyzer:
 
     Set-up validates every section's splitting, so queries do not, and
     builds the quotient, which refuses a glued monoid that is not
-    associative; a failed d(beta)=0 audit is then a broken invariant."""
+    associative; a failed d(beta)=0 audit is then a broken invariant.
+    Every global assignment that a query returns, and every collapse that
+    the cross-check hands to ``check_global_splitting``, is checked once
+    as a splitting of the whole monoid: ``_splittings`` maps each checked
+    assignment, one value per measurement, to the member of each orbit
+    where it vanishes."""
 
     def __init__(self, structured: StructuredModel):
         report, quotient = _validate(structured)
@@ -466,6 +494,16 @@ class GroupObstructionAnalyzer:
         self.quotient = quotient
         self.monoid = quotient.parent
         self._slot: tuple = (None, None)
+        self._splittings: dict[tuple[int, ...], list[int]] = {}
+        # where a global section's rows put each measurement: the labels a
+        # context is the first to hold, as positions in it and parent ids
+        seen = set()
+        self._first = []
+        for ctx in structured.model.scenario.contexts:
+            new = [p for p, x in enumerate(ctx) if x not in seen]
+            seen.update(ctx)
+            self._first.append(
+                (new, [self.monoid.id_of(ctx[p]) for p in new]))
 
     def _context(self, context_index: int):
         if self._slot[0] != context_index:
@@ -481,31 +519,92 @@ class GroupObstructionAnalyzer:
                 eta_override=None) -> GroupObstructionReport:
         model = self.structured.model
         # an unknown context or section is bad input
-        model.section_index(context_index, section)
+        s_pos = model.section_index(context_index, section)
         ctx = model.scenario.contexts[context_index]
         frame, solver = self._context(context_index)
         sp = splitting_of_section(section, ctx, self.structured.action)
         obstruction = _obstruction(self.quotient, frame, sp, eta_override)
-        decision = solver.decide(obstruction.beta)
-        glob = None
-        if decision.vanishes:
-            glob = self._reconstruct(obstruction, decision, ctx, section)
+        g = model.extension_table[context_index][s_pos]
+        if g is None:
+            decision = solver.decide(obstruction.beta)
+            glob = None
+            if decision.vanishes:
+                glob = self._reconstruct(obstruction, decision, ctx, section)
+        else:
+            values = [0] * self.monoid.size
+            for (new, ids), rows, u in zip(self._first, model.rows, g):
+                row = rows[u]
+                for p, x in zip(new, ids):
+                    values[x] = row[p]
+            decision = solver.decide(obstruction.beta, self._gamma(
+                obstruction, self.check_global_splitting(
+                    values, "global section")))
+            glob = dict(zip(self.monoid.elements, values))
         return GroupObstructionReport(
             context_index, section, obstruction, decision, glob)
 
-    def _reconstruct(self, obstruction, decision, ctx, section):
-        """Turn eta + gamma into a verified global splitting.
+    def check_global_splitting(self, values, what: str) -> list[int]:
+        """Check ``values``, an outcome per measurement in measurement
+        order, as a splitting of the whole monoid (the splitting law and
+        the retraction of i), once per distinct assignment; return the
+        member of each orbit where it vanishes.  A failure names ``what``
+        was checked."""
+        key = tuple(values)
+        zeros = self._splittings.get(key)
+        if zeros is None:
+            q = self.quotient
+            els = self.monoid.elements
+            report = validate_splitting(
+                q, els, {x: (v,) for x, v in zip(els, key)})
+            if not report.ok:
+                raise InternalCheckError(
+                    f"{what} is not a global splitting: "
+                    + "; ".join(report.violations[:3]))
+            # a splitting takes each value once on every orbit, 0 included
+            zeros = [0] * q.monoid.size
+            for x, (v, orbit) in enumerate(zip(key, q.orbit_ids)):
+                if not v:
+                    zeros[orbit] = x
+            self._splittings[key] = zeros
+        return zeros
 
-        h = eta + i(gamma) is a homomorphic section of the quotient
-        map.  The splitting-lemma correspondence turns it into a
-        trivialisation, validated by ``trivialisation_from_right_splitting``,
-        whose first component is a left splitting on all measurements
-        that must agree with the section on its own context.
+    def _gamma(self, obstruction, zeros) -> list[int]:
+        """gamma(q), the group id with eta(q) = i(gamma(q)) + h(q), where
+        h(q) = ``zeros[q]`` is a homomorphic section of the quotient map:
+        then d(gamma) = beta, and gamma is 0 on the context, where eta is
+        the member at which the section, and so the splitting, vanishes."""
+        q = self.quotient
+        n, table = q.parent.size, q.value_table
+        gamma = [table[x * n + h] for x, h in zip(obstruction.eta_ids, zeros)]
+        if -1 in gamma:
+            k = gamma.index(-1)
+            raise InternalCheckError(
+                f"{q.parent.elements[obstruction.eta_ids[k]]!r} not in the "
+                f"orbit of {q.parent.elements[zeros[k]]!r}")
+        return gamma
+
+    def _reconstruct(self, obstruction, decision, ctx, section):
+        """Turn eta and gamma into a verified global splitting.
+
+        Subtracting beta = d(gamma), that is
+        beta(q1, q2) = gamma(q1) + gamma(q2) - gamma(q1 + q2), from the
+        defining relation of beta gives h(q1) + h(q2) = h(q1 + q2) for
+        h = eta - i(gamma), which is thus a homomorphic section of the
+        quotient map: each h(q) is -gamma(q) acting on eta(q).  The
+        splitting-lemma correspondence turns it into a trivialisation,
+        validated by ``trivialisation_from_right_splitting``, whose first
+        component is a left splitting on all measurements that must agree
+        with the section on its own context.  It is then a checked global
+        assignment, with h where it vanishes.
         """
         q = self.quotient
         els, n = q.parent.elements, q.parent.size
-        h = {orbit: els[q.act_table[a * n + x]] for orbit, a, x in
-             zip(q.monoid.elements, decision.gamma_ids, obstruction.eta_ids)}
+        order = len(q.embedding)
+        minus = [q.group_sums[a * order:(a + 1) * order].index(0)
+                 for a in range(order)]
+        image = [q.act_table[minus[a] * n + x] for a, x in
+                 zip(decision.gamma_ids, obstruction.eta_ids)]
+        h = {orbit: els[x] for orbit, x in zip(q.monoid.elements, image)}
         phi = trivialisation_from_right_splitting(q, els, h)
         d = self.structured.action.moduli[0]
         outcome = {x: a[0] % d for x, (a, _orbit) in phi.items()}
@@ -515,6 +614,7 @@ class GroupObstructionAnalyzer:
                 raise InternalCheckError(
                     f"reconstructed splitting disagrees with the section "
                     f"at {x!r}")
+        self._splittings.setdefault(tuple(outcome[x] for x in els), image)
         return outcome
 
 

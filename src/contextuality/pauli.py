@@ -35,6 +35,7 @@ basis, so one annihilates the state exactly when the other does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import PreconditionError
 from .graphs import maximal_cliques
@@ -171,17 +172,21 @@ def close_under_commuting_products(ops) -> tuple[PauliOperator, ...]:
         if not p.is_sign_operator:
             raise PreconditionError(f"{p} is not a sign operator")
     members = {(p.x, p.z, p.phase) for p in pool}
-    frontier = set(members)
+    # commuting operators have one product, so each unordered pair is
+    # multiplied once: a frontier member by every older member, and by
+    # itself and the frontier members after it
+    older, frontier = [], list(members)
     while frontier:
         fresh = set()
-        for p in frontier:
-            for q in members:
+        for k, p in enumerate(frontier):
+            for q in chain(older, frontier[k:]):
                 if not _anticommute(p, q):
                     r = _mul(p, q)
                     if r not in members:
                         fresh.add(r)
+        older += frontier
         members |= fresh
-        frontier = fresh
+        frontier = list(fresh)
     n = sizes.pop()
     return tuple(sorted((PauliOperator(n, *t) for t in members), key=_order))
 

@@ -615,6 +615,10 @@ def _subset(q: Quotient, labels) -> _Subset:
 
 def _check_invariant_subset(q: Quotient, labs: tuple) -> _Subset:
     parent = q.parent
+    if labs == parent.elements:
+        # the whole monoid, in id order: invariant and sum-closed, with
+        # the parent's composable pairs
+        return _Subset(labs, list(range(parent.size)), (), parent.pairs())
     ids = [parent.id_of(x) for x in labs]
     if len(set(labs)) != len(labs):
         return _Subset(labs, ids, ("duplicate labels in subset",),

@@ -258,16 +258,30 @@ class EmpiricalModel:
         return tuple(tuple(Section.from_values(ctx, row) for row in rows)
                      for ctx, rows in zip(self.scenario.contexts, self.rows))
 
+    @cached_property
+    def _row_positions(self) -> list[dict[tuple, int]]:
+        """Per context, each row's position, keyed by the items its
+        ``Section`` would have: the labels in sorted order, each with its
+        outcome."""
+        out = []
+        for ctx, rows in zip(self.scenario.contexts, self.rows):
+            order = sorted(range(len(ctx)), key=ctx.__getitem__)
+            labels = [ctx[p] for p in order]
+            out.append({tuple(zip(labels, values)): u
+                        for u, values in enumerate(_read(rows, order))})
+        return out
+
     def section_index(self, context_index: int, section: Section) -> int:
-        if not 0 <= context_index < len(self.sections):
+        """The position of ``section`` among the rows of its context, read
+        through ``_row_positions`` without building the ``Section``s."""
+        if not 0 <= context_index < len(self.rows):
             raise PreconditionError(f"context index {context_index} out of range")
-        try:
-            return self.sections[context_index].index(section)
-        except ValueError:
+        u = self._row_positions[context_index].get(section.items)
+        if u is None:
             raise PreconditionError(
                 f"section {section} is not allowed at context "
-                f"{self.scenario.contexts[context_index]}"
-            ) from None
+                f"{self.scenario.contexts[context_index]}")
+        return u
 
     @cached_property
     def extension_table(self) -> list[list[tuple[int, ...] | None]]:

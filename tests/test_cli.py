@@ -11,7 +11,7 @@ from contextuality.errors import InternalCheckError
 from contextuality.mcohom import CoboundarySolver, GroupObstructionAnalyzer
 from contextuality.modelio import dumps_model
 
-from test_mcohom import twisted_document
+from test_mcohom import DATA, twisted_document
 
 
 def run(capsys, *argv):
@@ -210,6 +210,25 @@ def test_analyze_all_on_plain_model_skips_group(capsys):
     payload = json.loads(out)["payload"]
     assert "group" not in payload and "crosscheck" not in payload
     assert payload["avn"]["avn"] is False
+
+
+@pytest.mark.parametrize("name, sections, cech_vanishing", [
+    ("bell_z3_pr_box.json", 12, 0), ("bell_z3_local.json", 36, 36)])
+def test_analyze_all_on_z3_bell_documents(capsys, name, sections,
+                                          cech_vanishing):
+    """Off Z_2 the group route reconstructs with the right sign: the Z_3
+    PR box, whose sections extend nowhere, vanishes in the group theory
+    on every section, and on the full local support every section
+    vanishes in both theories; ``analyze --all`` exits 0 on both, with
+    the cross-check consistent."""
+    code, out, err = run(capsys, "analyze", str(DATA / name), "--all",
+                         "--format", "structured")
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["crosscheck"] == {
+        "sections": sections, "consistent": True,
+        "cech_vanishing": cech_vanishing, "group_vanishing": sections}
+    assert all(r["vanishes"] for r in payload["group"])
 
 
 def test_analyze_group_requires_structure(capsys):

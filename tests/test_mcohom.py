@@ -9,12 +9,19 @@ enumeration of candidate potentials on the small fixture quotient.
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import contextuality.cech as cech_module
 import contextuality.mcohom as mcohom_module
 import contextuality.pmonoid as pmonoid_module
-from contextuality.cech import cross_check_obstructions
+from contextuality.cech import (
+    cech_obstruction_vanishes,
+    collapse_family,
+    connecting_cocycle,
+    cross_check_obstructions,
+)
 from contextuality.errors import (
     InternalCheckError,
     PreconditionError,
@@ -44,11 +51,13 @@ from contextuality.pmonoid import (
 from contextuality.scenario import (
     EmpiricalModel,
     Section,
+    classify,
     global_sections,
     section_extends,
 )
 
 from _oracles import signed_pass_coboundary, validate_partial_monoid
+from test_cech import _audit_family, _audit_route1_certificate, _audit_route2
 from test_pauli import _random_generators
 
 
@@ -435,6 +444,58 @@ def twisted_document(twists=(0, 0, 0, 1), rng=None, last="q"):
                                "action": {"moduli": [2], "images": ["m"]}}}
 
 
+def bell_document(d, support):
+    """The structured Bell document at outcome modulus d: contexts (i, j)
+    for i, j in {0, 1}, each the group Z_d^3 of the measurements
+    m^u a_i^p b_j^q (the identity is e), glued along the shared
+    measurements m^u a_i^p and m^u b_j^q.  A section with outcomes
+    (x, y) for (a_i, b_j) reads u + p x + q y; ``support(i, j)`` lists the
+    allowed (x, y).  Z_d acts through m."""
+    def part(name, k):
+        return "" if not k else name if k == 1 else f"{name}^{k}"
+
+    def label(i, j, u, p, q):
+        return (part("m", u) + part(f"a{i}", p) + part(f"b{j}", q)) or "e"
+
+    els = list(itertools.product(range(d), repeat=3))
+    meas, contexts, tables, sections = {}, [], [], {}
+    for ci, (i, j) in enumerate(itertools.product((0, 1), repeat=2)):
+        contexts.append([label(i, j, *e) for e in els])
+        meas.update(dict.fromkeys(contexts[-1]))
+        tables.append([[label(i, j, *e), label(i, j, *f),
+                        label(i, j, *((a + b) % d for a, b in zip(e, f)))]
+                       for e in els for f in els])
+        sections[str(ci)] = [[(u + p * x + q * y) % d for u, p, q in els]
+                             for x, y in support(i, j)]
+    return {"measurements": list(meas), "outcome_modulus": d,
+            "contexts": contexts, "sections": sections,
+            "partial_monoid": {"contexts": tables,
+                               "action": {"moduli": [d], "images": ["m"]}}}
+
+
+def pr_box(d):
+    """The Z_d PR box: y = x + ij."""
+    return lambda i, j: [(x, (x + i * j) % d) for x in range(d)]
+
+
+def local_support(d):
+    """Every outcome pair at every context."""
+    return lambda i, j: list(itertools.product(range(d), repeat=2))
+
+
+def hardy_support(i, j):
+    """Hardy's support at d = 2: (0, 0) is impossible at (0, 1) and
+    (1, 0), (1, 1) at (1, 1), so (0, 0) at (0, 0) does not extend."""
+    ruled_out = {(0, 0): None, (0, 1): (0, 0), (1, 0): (0, 0),
+                 (1, 1): (1, 1)}[i, j]
+    return [xy for xy in itertools.product((0, 1), repeat=2)
+            if xy != ruled_out]
+
+
+def bell_model(d, support):
+    return loads_model(json.dumps(bell_document(d, support)))
+
+
 def test_cross_context_associativity_agrees_with_the_oracle():
     """Glued monoids associative in each context, twisted or not across
     contexts: validation reports a triple exactly when the exhaustive
@@ -568,8 +629,11 @@ def test_splittings_are_validated_once_at_set_up(mermin, monkeypatch):
 
 
 def test_reconstruction_validates_the_trivialisation_once(monkeypatch):
-    st = build_state_independent_model(
-        [parse_pauli(s) for s in ("+X", "+Z", "-I")])
+    """A PR-box section extends to no global section, so its query solves
+    and reconstructs, and validates the trivialisation once; a section
+    through a global section takes the shortcut and reconstructs
+    nothing."""
+    st = bell_model(2, pr_box(2))
     ana = GroupObstructionAnalyzer(st)
     checked = _counted(monkeypatch, pmonoid_module, "_require_trivialisation")
     for ci, secs in enumerate(st.model.sections):
@@ -577,6 +641,14 @@ def test_reconstruction_validates_the_trivialisation_once(monkeypatch):
             checked.clear()
             assert ana.analyze(ci, s).global_splitting is not None
             assert len(checked) == 1
+    st = build_state_independent_model(
+        [parse_pauli(s) for s in ("+X", "+Z", "-I")])
+    ana = GroupObstructionAnalyzer(st)
+    checked.clear()
+    for ci, secs in enumerate(st.model.sections):
+        for s in secs:
+            assert ana.analyze(ci, s).global_splitting is not None
+    assert checked == []
 
 
 def test_analyzer_rejects_foreign_section(mermin, mermin_group):
@@ -663,18 +735,14 @@ def test_obstruction_audits_catch_a_tampered_value_table(mermin):
     assert fired == set(_AUDITED.split("|"))
 
 
-def _split_model():
-    """A noncontextual two-context model: every section vanishes, and each
-    orbit outside a context composes with an orbit other than itself and
-    the identity's, so no single orbit's indicator is a 1-cocycle."""
-    return build_state_independent_model(
-        [parse_pauli(s) for s in ("+XI", "+IX", "+ZI", "-II")])
-
-
 def test_decide_catches_a_tampered_gamma(monkeypatch):
     """A coboundary witness with one coordinate moved by 1 no longer bounds
-    beta, and ``decide`` says so, on every coordinate of every section."""
-    st = _split_model()
+    beta, and ``decide`` says so, on every coordinate of every section of
+    the binary PR box, whose sections all vanish and none extends, so
+    each is solved: every orbit outside a context composes with an orbit
+    other than itself and the identity's, so no single orbit's indicator
+    is a 1-cocycle."""
+    st = bell_model(2, pr_box(2))
     real = mcohom_module.ModSystem
     moved = []
 
@@ -702,24 +770,26 @@ def test_decide_catches_a_tampered_gamma(monkeypatch):
                                match="gamma does not bound beta"):
                 ana.analyze(ci, s)
             tampered += 1
-    assert tampered == 16
+    assert tampered == 8 * 5
 
 
 def test_reconstruction_catches_a_tampered_action_table():
-    """Each action-table entry that the reconstruction reads, moved to a
-    member of another orbit, makes h fail to be a section of the quotient
-    map, and the query is refused."""
-    st = _split_model()
+    """Each action-table entry that the reconstruction reads, -gamma(q)
+    acting on eta(q), moved to a member of another orbit, makes h fail to
+    be a section of the quotient map, and the query is refused; the
+    binary PR box's sections are all reconstructed."""
+    st = bell_model(2, pr_box(2))
     tampered = 0
     for ci, secs in enumerate(st.model.sections):
         for s in secs:
             ana = GroupObstructionAnalyzer(st)
             report = ana.analyze(ci, s)
             q = ana.quotient
-            n = q.parent.size
+            n, order = q.parent.size, len(q.embedding)
             for a, x in zip(report.decision.gamma_ids,
                             report.obstruction.eta_ids):
-                k = a * n + x
+                minus = q.group_sums[a * order:(a + 1) * order].index(0)
+                k = minus * n + x
                 real = q.act_table[k]
                 q.act_table[k] = next(y for y in range(n)
                                       if q.orbit_ids[y] != q.orbit_ids[real])
@@ -729,4 +799,236 @@ def test_reconstruction_catches_a_tampered_action_table():
                     ana.analyze(ci, s)
                 q.act_table[k] = real
                 tampered += 1
-    assert tampered == 8 * 6
+    assert tampered == 8 * 9
+
+
+# --- Structured Bell documents and the global-section shortcut ----------------
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name, support", [
+    ("bell_z3_pr_box.json", pr_box(3)), ("bell_z3_local.json", local_support(3))])
+def test_committed_bell_documents_are_the_helpers(name, support):
+    assert json.loads((DATA / name).read_text()) == bell_document(3, support)
+
+
+def _audit_global_splitting(st, ci, section, g):
+    """``g`` extends ``section`` and is a global splitting, read straight
+    off the document's tables: every product sums, and m^u reads u."""
+    d = st.action.moduli[0]
+    assert all(g[x] == section[x] for x in st.model.scenario.contexts[ci])
+    for table in st.context_ops:
+        for (x, y), z in table.items():
+            assert (g[x] + g[y] - g[z]) % d == 0
+    m = "e"
+    for u in range(d):
+        assert g[m] == u
+        m = st.context_ops[0][(m, "m")]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pr_box_separates_the_theories(d):
+    """Every PR-box section is Cech-obstructed, by both routes with
+    audited certificates, and group-vanishing with an audited global
+    splitting: the strict side of 'Cech is at least as strong'."""
+    st = bell_model(d, pr_box(d))
+    model = st.model
+    assert classify(model).kind == "strongly_contextual"
+    count = 0
+    for ci, secs in enumerate(model.sections):
+        for s in secs:
+            r1 = cech_obstruction_vanishes(model, ci, s)
+            r2 = connecting_cocycle(model, ci, s)
+            assert not r1.vanishes and not r2.vanishes
+            _audit_route1_certificate(model, ci, s, r1.certificate)
+            _audit_route2(model, ci, r2)
+            report = group_obstruction(st, ci, s)
+            assert report.vanishes
+            _audit_global_splitting(st, ci, s, report.global_splitting)
+            count += 1
+    assert count == 4 * d
+    report = cross_check_obstructions(st)
+    assert report.consistent
+    assert [(r.cech_vanishes, r.group_vanishes) for r in report.rows] == [
+        (False, True)] * count
+
+
+def test_hardy_section_extends_nowhere_yet_both_theories_vanish():
+    """On the structured Hardy support the section (0, 0) at context
+    (0, 0) extends to no global section, yet both Cech routes and the
+    group route vanish on it; the other 12 sections extend."""
+    st = bell_model(2, hardy_support)
+    model = st.model
+    (hardy,) = [s for s in model.sections[0] if s["a0"] == s["b0"] == 0]
+    verdict = classify(model)
+    assert verdict.kind == "logically_contextual"
+    assert verdict.witnesses == ((0, hardy),)
+    rows = cross_check_obstructions(st).rows
+    assert len(rows) == 13
+    for row in rows:
+        assert row.cech_vanishes and row.group_vanishes
+        ci, s = row.context_index, row.section
+        assert section_extends(model, ci, s) == (s != hardy)
+        r1 = cech_obstruction_vanishes(model, ci, s)
+        _audit_family(model, ci, s, r1.family)
+        _audit_route2(model, ci, connecting_cocycle(model, ci, s))
+        _audit_global_splitting(
+            st, ci, s, group_obstruction(st, ci, s).global_splitting)
+
+
+def _random_bell_support(rng, d):
+    """A union of no-signalling supports, so no-signalling: one or two
+    shifted PR boxes, y = x + t(i, j), and one or two local deterministic
+    boxes, (f(i), g(j))."""
+    boxes = []
+    for _ in range(rng.randint(1, 2)):
+        t = {ij: rng.randrange(d) for ij in itertools.product((0, 1), repeat=2)}
+        boxes.append(lambda i, j, t=t: [(x, (x + t[i, j]) % d)
+                                        for x in range(d)])
+    for _ in range(rng.randint(1, 2)):
+        f, g = rng.choices(range(d), k=2), rng.choices(range(d), k=2)
+        boxes.append(lambda i, j, f=f, g=g: [(f[i], g[j])])
+    return lambda i, j: sorted({xy for box in boxes for xy in box(i, j)})
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_group_route_off_z2_against_brute_force(d):
+    """On seeded no-signalling Bell supports at d = 3, 4 and 5, every
+    section's group class vanishes, as brute force says: any outcomes
+    (x_0, x_1, y_0, y_1) give a global splitting, so every section extends
+    to one.  Each splitting returned, reconstructed where the section
+    extends to no global section, is a homomorphism on every composable
+    pair and agrees with its section."""
+    rng = random.Random(2303 + d)
+    reconstructed = 0
+    for _ in range(2):
+        st = bell_model(d, _random_bell_support(rng, d))
+        model = st.model
+        assert cross_check_obstructions(st).consistent
+        for ci, secs in enumerate(model.sections):
+            for u, s in enumerate(secs):
+                report = group_obstruction(st, ci, s)
+                assert report.vanishes
+                _audit_global_splitting(st, ci, s, report.global_splitting)
+                reconstructed += model.extension_table[ci][u] is None
+    assert reconstructed > 0
+
+
+def _shortcut_models(mermin, ghz):
+    rng = random.Random(2301)
+    models = [mermin.structured, ghz.structured]
+    while len(models) < 32:
+        _n, gens = _random_generators(rng, cap=24)
+        try:
+            models.append(build_state_independent_model(gens))
+        except PreconditionError:
+            continue
+    return models
+
+
+def test_shortcut_answers_like_the_solver(mermin, ghz):
+    """On mermin, ghz and 30 seeded Pauli models, each section's verdict
+    is that of a fresh solver with no gamma given; a section through a
+    global section is answered by it, gamma and all: its splitting is the
+    global section's assignment, and gamma bounds beta."""
+    shortcut = 0
+    for st in _shortcut_models(mermin, ghz):
+        model = st.model
+        ana = GroupObstructionAnalyzer(st)
+        q = ana.quotient
+        for ci, secs in enumerate(model.sections):
+            for u, s in enumerate(secs):
+                report = ana.analyze(ci, s)
+                ob = report.obstruction
+                fresh = CoboundarySolver(q, ob.relative_orbits).decide(ob.beta)
+                assert report.vanishes == fresh.vanishes
+                g = model.extension_table[ci][u]
+                if g is None:
+                    continue
+                want = {}
+                for ctx, rows, r in zip(model.scenario.contexts, model.rows, g):
+                    want.update(zip(ctx, rows[r]))
+                assert report.global_splitting == want
+                one = make_cochain(q.monoid, q.action.moduli, 1, {
+                    (o,): v for o, v in report.decision.gamma.items()})
+                assert coboundary(one).same_as(ob.beta)
+                shortcut += 1
+    assert shortcut >= 100
+
+
+def _zeros(q, g):
+    """Per orbit id, the member where the assignment ``g`` vanishes."""
+    return [next(x for x in members if not g[q.parent.elements[x]])
+            for members in q.member_ids]
+
+
+def test_shortcut_catches_a_tampered_value_table():
+    """Each value-table entry that the shortcut reads off eta and the
+    global section, where they differ, moved to another group element,
+    makes the gamma it reads fail to bound beta.  The Z_3 local support
+    extends every section."""
+    st = loads_model((DATA / "bell_z3_local.json").read_text())
+    tampered = 0
+    for ci, secs in enumerate(st.model.sections):
+        for s in secs:
+            ana = GroupObstructionAnalyzer(st)
+            q = ana.quotient
+            n = q.parent.size
+            report = ana.analyze(ci, s)
+            zeros = _zeros(q, report.global_splitting)
+            for x, h in zip(report.obstruction.eta_ids, zeros):
+                if x == h:
+                    continue
+                k = x * n + h
+                real = q.value_table[k]
+                q.value_table[k] = (real + 1) % 3
+                with pytest.raises(InternalCheckError,
+                                   match="gamma does not bound beta"):
+                    ana.analyze(ci, s)
+                q.value_table[k] = real
+                tampered += 1
+    assert tampered > 0
+
+
+def test_shortcut_catches_a_tampered_global_row():
+    """A global section whose row at the first context is swapped for any
+    other row is a new assignment: it is checked, and it is no splitting
+    of the whole monoid."""
+    st = bell_model(3, local_support(3))
+    model = st.model
+    table = model.extension_table
+    tampered = 0
+    for u, s in enumerate(model.sections[0]):
+        g = table[0][u]
+        for r in range(len(model.rows[0])):
+            if r == g[0]:
+                continue
+            table[0][u] = (r,) + g[1:]
+            with pytest.raises(InternalCheckError,
+                               match="global section is not a global "
+                                     "splitting"):
+                GroupObstructionAnalyzer(st).analyze(0, s)
+            tampered += 1
+        table[0][u] = g
+    assert tampered == 9 * 8
+
+
+def test_one_whole_monoid_check_per_global_assignment(monkeypatch):
+    """The cross-check of the Z_3 local support checks each distinct
+    global assignment once as a splitting of the whole monoid: the group
+    route's global section and the Cech collapse, equal on every section,
+    share the check."""
+    st = loads_model((DATA / "bell_z3_local.json").read_text())
+    whole = len(st.model.scenario.measurements)
+    checked = _counted(monkeypatch, mcohom_module, "validate_splitting")
+    steps = list(cech_module._cross_check_steps(st))
+    assert len(steps) == 36
+    seen = set()
+    for row, r1, report in steps:
+        assert row.cech_vanishes and row.group_vanishes
+        assert collapse_family(st.model, r1.family) == \
+            report.global_splitting
+        seen.add(tuple(sorted(report.global_splitting.items())))
+    assert len([c for c in checked if len(c[1]) == whole]) == len(seen)

@@ -138,6 +138,40 @@ def test_model_make_checks_sections():
             section_extends(m, bad, Section.of({"a": 0, "b": 0}))
 
 
+def test_section_index_reads_rows_and_keeps_its_messages(hardy, mermin,
+                                                        ghz):
+    """``section_index`` finds every section at the position of its row,
+    without building the model's ``Section``s, and refuses a section of
+    another domain or with other values, and a context out of range, with
+    the messages it always gave."""
+    for model in (hardy.model, mermin.model, ghz.model):
+        rebuilt = EmpiricalModel.from_rows(model.scenario, model.rows)
+        for c, (ctx, rows) in enumerate(zip(model.scenario.contexts,
+                                            model.rows)):
+            for u, row in enumerate(rows):
+                s = Section.from_values(ctx, row)
+                assert rebuilt.section_index(c, s) == u
+        assert "sections" not in rebuilt.__dict__
+        for c, secs in enumerate(model.sections):
+            for u, s in enumerate(secs):
+                assert model.section_index(c, s) == u
+    m = hardy.model
+    ctx = m.scenario.contexts[1]
+    missing = Section.from_values(ctx, (0, 0))
+    assert missing not in m.sections[1]
+    wider = Section.of({**m.sections[1][0].as_dict(), "a2": 0})
+    for bad in (missing, m.sections[1][0].restrict(ctx[:1]), wider,
+                m.sections[0][0]):
+        with pytest.raises(PreconditionError) as err:
+            m.section_index(1, bad)
+        assert str(err.value) == (
+            f"section {bad} is not allowed at context {ctx}")
+    for c in (-1, len(m.rows)):
+        with pytest.raises(PreconditionError) as err:
+            m.section_index(c, missing)
+        assert str(err.value) == f"context index {c} out of range"
+
+
 def test_from_rows_refuses_malformed_rows():
     """A row must list one int outcome per label of its context: a short,
     a long, a float, a bool or a str row is refused, also when the rows

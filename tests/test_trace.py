@@ -3,8 +3,10 @@
 ``perfbench/spans.py`` patches public functions and methods by name from
 outside the library.  This runs it, unchanged, in a child process (its
 patches are global) over the mermin cross-check, a noncontextual
-Pauli model, whose vanishing sections reach the reconstruction and the
-Cech global-section shortcut, the mermin All-vs-Nothing decision, whose
+Pauli model, whose vanishing sections reach both theories' global-section
+shortcut, the binary PR-box cross-check, whose sections vanish in the
+group theory but extend to no global section, so each is solved mod 2
+and reconstructed, the mermin All-vs-Nothing decision, whose
 theory has equations, the Hardy classification and its witness section
 through both Cech routes, which neither parity nor the shortcut decides,
 so each makes one lattice solve, and one state-dependent Pauli document
@@ -21,6 +23,8 @@ import os
 import subprocess
 import sys
 
+from test_mcohom import bell_document, pr_box
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
@@ -35,6 +39,7 @@ for st in (ctx.get_fixture("mermin").structured,
            build_state_independent_model(
                [parse_pauli(s) for s in ("+X", "+Z", "-I")])):
     assert ctx.cross_check_obstructions(st).consistent
+assert ctx.cross_check_obstructions(ctx.loads_model(sys.argv[1])).consistent
 assert ctx.is_avn(ctx.get_fixture("mermin").model).avn
 hardy = ctx.get_fixture("hardy").model
 (ci, s), = ctx.classify(hardy).witnesses
@@ -49,15 +54,18 @@ print(json.dumps({"self_ns": tracer.self_ns, "counts": tracer.counts}))
 
 def test_tracer_sees_the_group_route():
     env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    pr = json.dumps(bell_document(2, pr_box(2)))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, pr], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     for span in ("pmonoid.glue", "pmonoid.quotient", "pmonoid.reconstruct",
                  "mcohom.audit", "mcohom.decide", "cech.setup",
                  "cech.route1", "cech.route2", "cech.crosscheck",
                  "pauli.build", "pauli.closure", "pauli.contexts",
-                 "pauli.born", "linalg.gf2", "linalg.integer",
+                 "pauli.born", "linalg.gf2", "linalg.integer", "linalg.mod",
+                 "mcohom.query",
                  "scenario.classify", "avn.is_avn"):
         assert seen["self_ns"].get(span, 0) > 0, span
     for counter in ("mcohom.triples_audited", "mcohom.quotient_elements",
@@ -65,6 +73,7 @@ def test_tracer_sees_the_group_route():
                     "cech.route1.shortcut", "cech.route2.shortcut",
                     "pauli.operators", "pauli.contexts",
                     "linalg.gf2_solves", "linalg.integer_solves",
+                    "linalg.mod_solves", "mcohom.vanishing",
                     "cech.route1.lattice", "cech.route2.lattice",
                     "avn.equations"):
         assert seen["counts"].get(counter, 0) > 0, counter
