@@ -16,9 +16,11 @@ the pairs i < j of the nerve:
 
 Both run a GF(2) refutation first, then an exact integer decision, and
 every verdict carries a re-verified witness or separating certificate.
-Each audit calls the one checker of its law: ``linalg.separates`` for a
-separating functional, the analyzer's differential on rows of A for a
-family's compatibility and a potential's coboundary, and the group
+Each audit calls the one checker of its law: ``_check_parity`` for a
+parity refutation of either route, GF(2) rows that sum to zero against
+an odd right-hand side; ``linalg.separates``, inside the integer solver,
+for a lattice certificate; the analyzer's differential on rows of A for
+a family's compatibility and a potential's coboundary; and the group
 analyzer's once-per-assignment whole-monoid splitting check for the
 cross-check's collapsed family, so a collapse equal to the global
 section that the group route already checked is not checked again.
@@ -39,7 +41,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem, separates
+from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem, _parity_mask
 from .pmonoid import StructuredModel
 from .scenario import (
     EmpiricalModel,
@@ -50,6 +52,7 @@ from .scenario import (
 )
 
 FormalSum = dict  # Section -> int coefficient
+_HALF = Fraction(1, 2)  # every coefficient of a route-1 parity certificate
 
 
 def fs_combine(target: FormalSum, other: FormalSum, scale: int = 1) -> None:
@@ -280,6 +283,7 @@ class CechAnalyzer:
                 self._side[(k, other)] = side
                 self._incident[k].append((side, sign))
         self._rows_read: dict[int, dict] = {}
+        self._parities_read: dict[int, int] = {}
         self._gf2 = Gf2Echelon(self._parity_rows(), self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
         self.connected = _cover_connected(contexts)
@@ -343,31 +347,40 @@ class CechAnalyzer:
             raise InternalCheckError(
                 "parity refuter escaped the compatibility row space")
         rows, pins = _set_bits(track), _set_bits(ref)
-        half = Fraction(1, 2)
         self._check_separation(context_index, s_pos,
-                               [(half, r) for r in rows],
-                               [(half, context_index, u) for u in pins])
+                               [(_HALF, r) for r in rows],
+                               [(_HALF, context_index, u) for u in pins])
         tags = [self.rows[r] for r in rows]
         tags += [("pin", context_index, secs[u]) for u in pins]
-        return CechCertificate("parity", tuple(tags), (half,) * len(tags))
+        return CechCertificate("parity", tuple(tags), (_HALF,) * len(tags))
 
     def _check_separation(self, context_index, s_pos, pair_terms,
                           pin_terms) -> None:
-        """Re-verify y^T A integral and y^T b non-integral with ``separates``,
-        for y given on rows of A, ``(coeff, row)``, and on pinning rows,
-        ``(coeff, context, section position)``.
+        """Check y, on rows of A ``(coeff, row)`` and on pinning rows
+        ``(coeff, context, section position)``, by ``_check_parity``:
+        every coefficient is 1/2, the rows of A mod 2 and the pins sum to
+        0, and the pins name section ``s_pos`` of ``context_index`` an odd
+        number of times: for such a y, what ``separates(terms, 1)`` says."""
+        message = "certificate does not separate the pinned section"
+        # list.count tries identity first: the shared _HALF is cheap
+        coeffs = [t[0] for t in pair_terms] + [t[0] for t in pin_terms]
+        if coeffs.count(_HALF) != len(coeffs):
+            raise InternalCheckError(message)
+        masks = self._parities_at([r for _coeff, r in pair_terms])
+        pinned = 0
+        for _coeff, ci, u in pin_terms:
+            masks.append(1 << (self.blocks[ci][0] + u))
+            pinned += ci == context_index and u == s_pos
+        _check_parity(masks, pinned, message)
 
-        The right-hand side is zero on compatibility rows and the
-        indicator of the pinned section, at position ``s_pos`` of
-        ``context_index``, on pinning rows.
-        """
-        terms = [(coeff, self._row_at(r), 0) for coeff, r in pair_terms]
-        terms += [(coeff, {self.blocks[ci][0] + u: 1},
-                   int(ci == context_index and u == s_pos))
-                  for coeff, ci, u in pin_terms]
-        if not separates(terms, 1):
-            raise InternalCheckError(
-                "certificate does not separate the pinned section")
+    def _parities_at(self, rows) -> list[int]:
+        """Rows of A mod 2 as column bitmasks, each read from ``_row_at``
+        once and kept beside it, in ``_parities_read``."""
+        read = self._parities_read
+        for r in rows:
+            if r not in read:
+                read[r] = _parity_mask(self._row_at(r).items())
+        return [read[r] for r in rows]
 
     def _row_at(self, r: int) -> dict:
         """Row r of A, ``{column: entry}``, read from the incidence and kept
@@ -500,8 +513,9 @@ class CechAnalyzer:
     def _delta(self, terms) -> dict:
         """delta(x) = -A x on the rows of A, ``{row: nonzero value}``, for
         x the sum of c e_u over ``terms`` (j, u, c), section u of C_j: route
-        2's cocycle, and both routes' audits of delta.  Summed in a list over the rows, which is quicker than a dict even
-        where most rows stay 0."""
+        2's cocycle, and both routes' audits of delta.  Summed in a list
+        over the rows, which is quicker than a dict even where most rows
+        stay 0."""
         acc = [0] * len(self.rows)
         incident = self._incident
         for j, u, c in terms:
@@ -525,12 +539,13 @@ class CechAnalyzer:
         if "route2 parity" not in held:
             basis = []
             classes = []
-            none_c = [0] * len(self.blocks[c][1])
+            # a context disjoint from C_c: one class, shared, read only
+            none_c = ([0] * len(self.blocks[c][1]), {0: 0})
             for j, (_off, secs) in enumerate(self.blocks):
                 side = self._side.get((j, c))
                 if side is None:
-                    basis.extend((j, 0, u) for u in range(1, len(secs)))
-                    classes.append((none_c, {0: 0}))
+                    basis += [(j, 0, u) for u in range(1, len(secs))]
+                    classes.append(none_c)
                     continue
                 reps: dict[int, int] = {}
                 for u, key in enumerate(side):
@@ -640,11 +655,19 @@ class CechAnalyzer:
         annihilate the rows of route 2's system and pair oddly with z,
         read as ``odd``, the bitmask of the rows where z is odd."""
         parity_rows = self._route2_rows(context_index)[2].rows
-        acc = 0
-        for r in rows:
-            acc ^= parity_rows[r]
-        if acc != 0 or sum(odd >> r & 1 for r in rows) & 1 != 1:
-            raise InternalCheckError("route-2 parity certificate failed audit")
+        _check_parity([parity_rows[r] for r in rows],
+                      sum(odd >> r & 1 for r in rows),
+                      "route-2 parity certificate failed audit")
+
+
+def _check_parity(masks, pairing: int, message: str) -> None:
+    """The one check of a parity refutation, on both routes: its rows, GF(2)
+    bitmasks, sum to 0 and ``pairing``, their right-hand sides' sum, is odd."""
+    acc = 0
+    for mask in masks:
+        acc ^= mask
+    if acc or not pairing & 1:
+        raise InternalCheckError(message)
 
 
 def _nonzero_sums(keys, entries) -> bool:

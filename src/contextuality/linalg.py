@@ -19,16 +19,18 @@ solvers share one reporting convention:
   modular systems ``y^T A = 0 (mod d)`` while ``y^T b != 0 (mod d)``.
 
 Every witness and certificate is re-verified before it is returned; a
-failed re-verification raises ``InternalCheckError``.  Certificates of
-every kind have one checker, ``separates``, which works on integer
-numerators over the common denominator of ``y``; the Cech route-1 audit
-calls it too.
+failed re-verification raises ``InternalCheckError``.  Lattice and
+modular certificates, ``ModSystem``'s mod-2 ones included, have one
+checker, ``separates``, which works on integer numerators over the
+common denominator of ``y``.  The parity refutations of both Cech
+routes have one GF(2) checker in ``cech``.
 
 Each solver factors its matrix once, in its constructor or on its first
 solve, and then answers any number of right-hand sides.
 ``Gf2Echelon`` is a bitmask echelon with no left kernel and pivot
 rows that are not back-reduced as rows arrive: solutions
-back-substitute and the kernel basis reduces the form when asked.  It
+back-substitute and the kernel basis reduces the form when asked.  The
+constructor and ``add_row`` echelon their rows in one private loop.  It
 keeps only its pivot rows and their tracks.  ``Gf2AffineSystem``, the
 GF(2) solver, is the echelon that also keeps its rows as they came and
 the indexes of the dependent ones, from which the refuter is found on
@@ -43,7 +45,6 @@ prime power by elimination with valuation-minimal pivoting.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -169,12 +170,12 @@ class Gf2Echelon:
 
     ``pivots`` maps a column index to ``(rowmask, trackmask)``: a row
     whose highest set bit is that column, and the independent rows that
-    sum to it; ``nrows`` counts the rows added.  The rows themselves are
-    not kept: ``Gf2AffineSystem``, the one echelon that refutes, keeps
-    them.  A new pivot is not cleared from the earlier pivot rows: the
-    pivot columns are the leading bits of the row space either way,
-    ``solution`` back-substitutes in ascending pivot order and
-    ``kernel_basis`` reduces the form when it is called.
+    sum to it; ``nrows`` counts the rows added, all through ``_echelon``.
+    The rows themselves are not kept: ``Gf2AffineSystem``, the one
+    echelon that refutes, keeps them.  A new pivot is not cleared from
+    the earlier pivot rows: the pivot columns are the leading bits of the
+    row space either way, ``solution`` back-substitutes in ascending
+    pivot order and ``kernel_basis`` reduces the form when it is called.
     """
 
     def __init__(self, row_masks, ncols: int):
@@ -183,36 +184,50 @@ class Gf2Echelon:
         self._order: list[int] = []  # the pivot columns, ascending
         self._pivot_mask = 0
         self.nrows = 0
-        for mask in row_masks:
-            self.add_row(mask)
+        self._echelon(row_masks)
 
     def add_row(self, mask: int) -> bool:
         """Echelon one more row: is it independent of the rows before it?"""
-        reduced, track = self._reduce(mask, 1 << self.nrows)
-        self.nrows += 1
-        if reduced == 0:
-            return False
-        col = reduced.bit_length() - 1
-        self.pivots[col] = (reduced, track)
-        insort(self._order, col)
-        self._pivot_mask |= 1 << col
-        return True
+        return not self._echelon((mask,))
 
-    def _reduce(self, mask: int, track: int) -> tuple[int, int]:
-        # clear pivot columns from the top: a pivot row's other bits lie
-        # below its pivot, so each step leaves the higher bits alone
-        hits = mask & self._pivot_mask
+    def _echelon(self, row_masks) -> list[int]:
+        """Echelon rows after the rows before them, in one loop; return the
+        indexes of those that reduce to zero.  Pivot columns are cleared
+        from the top: a pivot row's other bits lie below its pivot."""
+        pivots = self.pivots
+        pivot_mask = self._pivot_mask
+        r = self.nrows
+        dependent = []
+        for mask in row_masks:
+            track = 1 << r
+            hits = mask & pivot_mask
+            while hits:
+                m, tr = pivots[hits.bit_length() - 1]
+                mask ^= m
+                track ^= tr
+                hits = mask & pivot_mask
+            if mask:
+                col = mask.bit_length() - 1
+                pivots[col] = (mask, track)
+                pivot_mask |= 1 << col
+            else:
+                dependent.append(r)
+            r += 1
+        self.nrows = r
+        self._pivot_mask = pivot_mask
+        if len(pivots) != len(self._order):
+            self._order = sorted(pivots)
+        return dependent
+
+    def express(self, mask: int) -> int | None:
+        """Track mask writing ``mask`` as a sum of original rows, or None,
+        reduced as ``_echelon`` reduces a row."""
+        track, hits = 0, mask & self._pivot_mask
         while hits:
-            col = hits.bit_length() - 1
-            m, tr = self.pivots[col]
+            m, tr = self.pivots[hits.bit_length() - 1]
             mask ^= m
             track ^= tr
             hits = mask & self._pivot_mask
-        return mask, track
-
-    def express(self, mask: int) -> int | None:
-        """Track mask writing ``mask`` as a sum of original rows, or None."""
-        mask, track = self._reduce(mask, 0)
         return track if mask == 0 else None
 
     def solution(self, rhs_mask: int) -> int:
@@ -290,12 +305,12 @@ class Gf2AffineSystem(Gf2Echelon):
         self.dependent: list[int] = []
         super().__init__(row_masks, ncols)
 
-    def add_row(self, mask: int) -> bool:
-        self.rows.append(mask)
-        if super().add_row(mask):
-            return True
-        self.dependent.append(len(self.rows) - 1)
-        return False
+    def _echelon(self, row_masks) -> list[int]:
+        row_masks = list(row_masks)
+        self.rows += row_masks
+        dependent = super()._echelon(row_masks)
+        self.dependent += dependent
+        return dependent
 
     def solve(self, rhs_mask: int) -> tuple[int | None, int | None]:
         """``(solution_mask, None)`` if feasible, else ``(None, refuter)``:
@@ -327,7 +342,9 @@ class IntSolveResult:
 
 def separates(terms, modulus: int) -> bool:
     """Does ``y`` separate ``b`` from what ``A`` reaches: the one check of
-    every infeasibility certificate.
+    every lattice and modular infeasibility certificate.  Parity
+    refutations of the Cech routes are checked by their GF(2) law in
+    ``cech``.
 
     ``terms`` lists ``(y_i, row_i, b_i)`` for the rows where ``y`` is
     nonzero, each row sparse as ``{column: coefficient}``; ``y_i`` is an

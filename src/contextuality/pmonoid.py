@@ -796,7 +796,9 @@ def trivialisation_from_right_splitting(q: Quotient, labels, h):
     if not bad:
         image, bad = _right_splitting(q, sub, h)
     if bad:
-        raise PreconditionError("not a right splitting: " + "; ".join(bad))
+        rest = f"; and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise PreconditionError(
+            "not a right splitting: " + "; ".join(bad[:3]) + rest)
     n, value, orbit = q.parent.size, q.value_table, q.orbit_ids
     group, names = q.action.elements(), q.monoid.elements
     phi = {}

@@ -16,7 +16,7 @@ import pytest
 
 import contextuality.cech as cech_module
 import contextuality.scenario as scenario_module
-from contextuality import cli
+from contextuality import cli, linalg
 from contextuality.avn import avn_cech_consistency, theory_of
 from contextuality.cech import (
     CechAnalyzer,
@@ -866,6 +866,83 @@ def test_audits_reject_mutated_refutations(mermin):
     # parity certificates name only pivot rows of the set-up echelon, so
     # the audits keep at most rank(A) rows read from the incidence
     assert 0 < len(ana._rows_read) <= len(ana._gf2.pivots)
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def test_parity_audits_agree_with_separates(hardy, mermin, ghz):
+    """Both routes audit a parity refutation by its GF(2) law, and accept
+    exactly what ``separates`` accepts on rows rebuilt from the model.
+    Route 1, 1/2-coefficient functionals against ``separates(terms, 1)``:
+    every real certificate, sums of one to three real certificates of a
+    model judged against each of their pins, and seeded random multisets
+    of rows and pins.  Route 2, 0/1 refuters on its kernel-coordinate
+    rows against ``separates(terms, 2)`` with the cocycle as right-hand
+    side: every real refuter and seeded random sets of rows."""
+    rng = random.Random(97)
+    half = Fraction(1, 2)
+    counts = {(route, ok): 0 for route in (1, 2) for ok in (False, True)}
+    models = [hardy.model, mermin.model, ghz.model]
+    for model in models + _random_binary_cycles(43, 20):
+        ana = CechAnalyzer(model)
+        offs = _pair_row(model, ana.rows[0])[2]
+        full = {r: _pair_row(model, tag)[0] for r, tag in enumerate(ana.rows)}
+
+        def route1(ci, s_pos, pairs, pins):
+            terms = [(c, full[r], 0) for c, r in pairs]
+            terms += [(c, {offs[cj] + u: 1}, int((cj, u) == (ci, s_pos)))
+                      for c, cj, u in pins]
+            ok = _accepts(ana._check_separation, ci, s_pos, pairs, pins)
+            assert ok == linalg.separates(terms, 1)
+            counts[1, ok] += 1
+            return ok
+
+        certs = []
+        for ci, secs in enumerate(model.sections):
+            for s_pos, s in enumerate(secs):
+                cert = ana.family_obstruction(ci, s).certificate
+                if cert is not None and cert.kind == "parity":
+                    certs.append(_separation_terms(ana, cert))
+                    assert route1(ci, s_pos, *certs[-1])
+                dec = ana.connecting_cocycle(ci, s)
+                basis = ana._route2_rows(ci)[0]
+                columns = ana._columns(basis)
+                odd = cech_module._odd_mask(dec.z, len(ana.rows))
+                drawn = [rng.sample(range(len(ana.rows)),
+                                    rng.randint(1, min(6, len(ana.rows))))
+                         for _ in range(4)]
+                if dec.certificate is not None \
+                        and dec.certificate.kind == "parity":
+                    drawn.append(_odd_rows(ana, dec.certificate))
+                for rows in drawn:
+                    ok = _accepts(ana._check_refuter, ci, rows, odd)
+                    assert ok == linalg.separates(
+                        [(1, columns[r], dec.z.get(r, 0)) for r in rows], 2)
+                    counts[2, ok] += 1
+        if not certs:
+            continue
+        pins_of = [(ci, u) for ci, secs in enumerate(model.sections)
+                   for u in range(len(secs))]
+        for _ in range(40):
+            pairs, pins = [], []
+            for cp, cq in rng.sample(certs, rng.randint(1, min(3, len(certs)))):
+                pairs += cp
+                pins += cq
+            rng.shuffle(pairs)
+            for _kind, ci, u in sorted(set(pins)):
+                route1(ci, u, pairs, pins)
+            pairs = [(half, rng.randrange(len(ana.rows)))
+                     for _ in range(rng.randint(0, 8))]
+            pins = [(half, *rng.choice(pins_of))
+                    for _ in range(rng.randint(1, 3))]
+            route1(*pins[0][1:], pairs, pins)
+    assert min(counts.values()) > 50, counts
 
 
 def _restrict_apart(model, c, s, t):

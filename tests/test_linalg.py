@@ -348,6 +348,61 @@ def test_gf2_echelon_matches_eager_reference():
             assert ech.express(mask) == ref.express(mask)
 
 
+def _gf2_masks(rng, ncols, nrows):
+    """Seeded rows over ``ncols`` columns, dense or sparse, with zero and
+    duplicate rows mixed in."""
+    density = rng.choice((0.05, 0.2, 0.5))
+    masks = [sum(1 << c for c in range(ncols) if rng.random() < density)
+             for _ in range(nrows)]
+    for _ in range(rng.randint(0, 3)):
+        masks.insert(rng.randint(0, len(masks)), 0)
+        if masks:
+            masks.insert(rng.randint(0, len(masks)), rng.choice(masks))
+    return masks
+
+
+def test_one_pass_echelon_equals_row_by_row():
+    """Echeloning rows in the constructor, in one pass, gives what adding
+    them one at a time gives, and what adding the rest one at a time after
+    a constructed prefix gives: the same pivots and tracks, pivot order,
+    rows, dependent rows, solutions, refuters and kernel basis; the bare
+    echelon the same pivots and pivot order.  The pivot columns are the
+    eager reference's."""
+    rng = random.Random(241)
+    for _ in range(120):
+        ncols = rng.choice((1, 2, 3, 8, 31, 64, 65, 130, 200))
+        masks = _gf2_masks(rng, ncols, rng.randint(0, min(2 * ncols, 60)))
+        split = rng.randint(0, len(masks))
+        whole = Gf2AffineSystem(masks, ncols)
+        by_row = Gf2AffineSystem([], ncols)
+        independent = [by_row.add_row(m) for m in masks]
+        tail = Gf2AffineSystem(masks[:split], ncols)
+        for m in masks[split:]:
+            tail.add_row(m)
+        bare = Gf2Echelon(masks, ncols)
+        bare_by_row = Gf2Echelon([], ncols)
+        for m in masks:
+            bare_by_row.add_row(m)
+        for ech in (by_row, tail):
+            assert ech.pivots == whole.pivots
+            assert ech._order == whole._order
+            assert ech.rows == whole.rows == masks
+            assert ech.dependent == whole.dependent
+            assert ech.nrows == whole.nrows == len(masks)
+            assert ech.kernel_basis() == whole.kernel_basis()
+        assert whole._order == sorted(whole.pivots)
+        assert whole.dependent == [r for r, ind in enumerate(independent)
+                                   if not ind]
+        for ech in (bare, bare_by_row):
+            assert ech.pivots == whole.pivots
+            assert ech._order == whole._order
+        assert set(whole.pivots) == set(EagerGf2Echelon(masks,
+                                                        ncols).pivots)
+        for _ in range(3):
+            rhs = rng.getrandbits(len(masks)) if masks else 0
+            assert by_row.solve(rhs) == tail.solve(rhs) == whole.solve(rhs)
+
+
 # --- Integer systems -------------------------------------------------------
 
 

@@ -301,6 +301,28 @@ def test_splitting_round_trips_mermin(mermin):
             assert trivialisation_from_right_splitting(q, ctx, h) == phi
 
 
+def test_right_splitting_error_names_three_violations(mermin):
+    """A right splitting moved by the action at the identity's orbit
+    breaks the homomorphism law on ten pairs; the error names three and
+    counts the rest."""
+    st = mermin.structured
+    q = _quotient_of(st)
+    ctx = st.model.scenario.contexts[0]
+    sec = st.model.sections[0][0]
+    phi = trivialisation_from_splitting(q, ctx, {x: (sec[x],) for x in ctx})
+    h = right_splitting_of(q, ctx, phi)
+    ref = SplittingOracle(q)
+    orbit = min(h)
+    h[orbit] = ref.act((1,), h[orbit])
+    assert len(ref.right_splitting_violations(ctx, h)) == 10
+    with pytest.raises(PreconditionError) as err:
+        trivialisation_from_right_splitting(q, ctx, h)
+    message = str(err.value)
+    assert message.count("not a homomorphism") == 3
+    assert message.startswith("not a right splitting: not a homomorphism")
+    assert message.endswith("; and 7 more")
+
+
 def test_splitting_validators_reject():
     m = _z2xz2()
     act = CoefficientAction((2,), ("10",))

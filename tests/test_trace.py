@@ -16,6 +16,13 @@ those names, a GF(2) or integer solver whose methods moved out from
 under the names the tracer patches, or a shortcut that sent sections to
 the lattice stage, would read 0 there, so each span and counter must
 not.
+
+Echelon construction no longer passes through ``Gf2Echelon.add_row``,
+which the tracer patches: the constructor echelons its rows in one
+private loop, so building a GF(2) system is timed as self time of the
+span that builds it (``cech.setup``, ``cech.route1``, ``cech.route2``
+or ``linalg.mod``), and ``linalg.gf2`` holds the solves, expressions,
+refuters and kernel bases.
 """
 
 import json
