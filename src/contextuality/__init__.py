@@ -53,7 +53,6 @@ from .mcohom import (
     group_obstruction,
     make_cochain,
     obstruction_cocycle,
-    splitting_of_section,
     validate_structured_model,
 )
 from .modelio import (
@@ -90,6 +89,7 @@ from .pmonoid import (
     quotient_by_action,
     right_splitting_of,
     splitting_from_trivialisation,
+    splitting_violations,
     trivialisation_from_right_splitting,
     trivialisation_from_splitting,
     validate_right_splitting,

@@ -26,7 +26,8 @@ cross-check's collapsed family, so a collapse equal to the global
 section that the group route already checked is not checked again.
 Both routes work on section positions and row indexes of the
 compatibility matrix, so their audits read the same incidence that
-builds route 2's cocycle.
+builds route 2's cocycle.  The model's ``Section``s are read only to
+label the families, pins and potentials that a query returns.
 
 ``cech_coboundary`` on the nerve of ``build_nerve``, over ``Section``-keyed
 formal sums, is the label reference for that differential: no query
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError
@@ -215,8 +217,9 @@ class CocycleDecision:
 class CechAnalyzer:
     """Shared matrices for every obstruction query against one model.
 
-    The compatibility matrix A has a column per context section and a row
-    per pair i < j of overlapping contexts and section t of the overlap:
+    The compatibility matrix A has a column per context section, section
+    u of C_j at column ``_offsets[j] + u``, and a row per pair i < j of
+    overlapping contexts and section t of the overlap:
     +1 on C_i's and -1 on C_j's sections restricting to t, so A x is
     -delta(x) read on the pairs i < j.  A is kept once, as its incidence:
     ``rows[r]`` tags row r ("pair", i, j, t), each pair's rows are
@@ -251,17 +254,13 @@ class CechAnalyzer:
     def __init__(self, model: EmpiricalModel):
         self.model = model
         contexts = model.scenario.contexts
-        self.blocks = []
-        offset = 0
-        for secs in model.sections:
-            self.blocks.append((offset, list(secs)))
-            offset += len(secs)
-        self.nunknowns = offset
+        self._offsets = [0, *accumulate(map(len, model.rows))]
+        self.nunknowns = self._offsets.pop()
         self.pair_overlaps = {}
         # (j, k) -> for each section of C_j, the row of pair {j, k} that
         # it restricts to; (j, j) -> section positions (singleton classes)
-        self._side = {(j, j): range(len(secs))
-                      for j, secs in enumerate(model.sections)}
+        self._side = {(j, j): range(len(rows))
+                      for j, rows in enumerate(model.rows)}
         self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
         self.rows = []   # ("pair", i, j, section over the overlap)
         self._pair_start = []  # per row, the first row of its pair
@@ -308,14 +307,12 @@ class CechAnalyzer:
     def family_obstruction(self, context_index: int,
                            section: Section) -> FamilyDecision:
         s_pos = self._position(context_index, section)
-        off, secs = self.blocks[context_index]
         _sol, ref = self._route1_parity(context_index).solve(1 << s_pos)
         if ref is not None:
             return FamilyDecision(
                 context_index, section, False, None,
-                self._parity_certificate(context_index, s_pos, ref, off,
-                                         secs))
-        witness = self._integral_family(context_index, off, secs, s_pos)
+                self._parity_certificate(context_index, s_pos, ref))
+        witness = self._integral_family(context_index, s_pos)
         if isinstance(witness, CechCertificate):
             return FamilyDecision(context_index, section, False, None,
                                   witness)
@@ -326,14 +323,15 @@ class CechAnalyzer:
         coordinates of the compatibility system."""
         held = self._held(context_index)
         if "route1 parity" not in held:
-            off, secs = self.blocks[context_index]
+            off = self._offsets[context_index]
             masks = [sum(1 << k for k, vec in enumerate(self._kernel)
-                         if vec >> (off + u) & 1) for u in range(len(secs))]
+                         if vec >> (off + u) & 1)
+                     for u in range(len(self.model.rows[context_index]))]
             held["route1 parity"] = Gf2AffineSystem(masks, len(self._kernel))
         return held["route1 parity"]
 
-    def _parity_certificate(self, context_index, s_pos, ref, off,
-                            secs) -> CechCertificate:
+    def _parity_certificate(self, context_index, s_pos,
+                            ref) -> CechCertificate:
         """Half-integer separating functional from a parity refutation.
 
         The refuting set phi of pinning rows sums, over GF(2), to a
@@ -342,7 +340,7 @@ class CechAnalyzer:
         half-integer combination with the pinned right-hand side gives
         1/2, which no integer family can produce.
         """
-        track = self._gf2.express(ref << off)
+        track = self._gf2.express(ref << self._offsets[context_index])
         if track is None:
             raise InternalCheckError(
                 "parity refuter escaped the compatibility row space")
@@ -350,6 +348,7 @@ class CechAnalyzer:
         self._check_separation(context_index, s_pos,
                                [(_HALF, r) for r in rows],
                                [(_HALF, context_index, u) for u in pins])
+        secs = self.model.sections[context_index]
         tags = [self.rows[r] for r in rows]
         tags += [("pin", context_index, secs[u]) for u in pins]
         return CechCertificate("parity", tuple(tags), (_HALF,) * len(tags))
@@ -369,7 +368,7 @@ class CechAnalyzer:
         masks = self._parities_at([r for _coeff, r in pair_terms])
         pinned = 0
         for _coeff, ci, u in pin_terms:
-            masks.append(1 << (self.blocks[ci][0] + u))
+            masks.append(1 << (self._offsets[ci] + u))
             pinned += ci == context_index and u == s_pos
         _check_parity(masks, pinned, message)
 
@@ -392,7 +391,7 @@ class CechAnalyzer:
             _kind, i, j, _t = self.rows[r]
             row = self._rows_read[r] = {}
             for k, other, sign in ((i, j, 1), (j, i, -1)):
-                off = self.blocks[k][0]
+                off = self._offsets[k]
                 for u, at in enumerate(self._side[k, other]):
                     if at == r:
                         row[off + u] = sign
@@ -403,8 +402,8 @@ class CechAnalyzer:
         sections u, v of C_j, or A e_u when v is None; by default every
         A e_u in order."""
         if basis is None:
-            basis = [(j, u, None) for j, (_o, secs) in enumerate(self.blocks)
-                     for u in range(len(secs))]
+            basis = [(j, u, None) for j, rows in enumerate(self.model.rows)
+                     for u in range(len(rows))]
         return basis
 
     def _columns(self, basis=None) -> list[dict]:
@@ -435,17 +434,19 @@ class CechAnalyzer:
                     masks[side[v]] |= bit
         return masks
 
-    def _integral_family(self, context_index, off, secs, s_pos):
+    def _integral_family(self, context_index, s_pos):
         # shortcut: a global section through s0 is itself a compatible
         # family with coefficient 1 everywhere.
         g = self.model.extension_table[context_index][s_pos]
+        sections = self.model.sections  # the family is returned on them
         if g is not None:
-            family = {(ci, ss[u]): 1
-                      for ci, ((_o, ss), u) in enumerate(zip(self.blocks, g))}
+            family = {(ci, sections[ci][u]): 1 for ci, u in enumerate(g)}
             self._audit_family(context_index, s_pos, family)
             return family
         held = self._held(context_index)
+        secs = sections[context_index]
         if "route1 integer" not in held:
+            off = self._offsets[context_index]
             pins = [{off + u: 1} for u in range(len(secs))]
             held["route1 integer"] = IntegerSystem(self._columns() + pins,
                                                    self.nunknowns)
@@ -454,7 +455,8 @@ class CechAnalyzer:
         res = held["route1 integer"].solve(rhs)
         if res.feasible:
             family = {(ci, s): res.witness[o + u]
-                      for ci, (o, ss) in enumerate(self.blocks)
+                      for ci, (o, ss) in enumerate(zip(self._offsets,
+                                                        sections))
                       for u, s in enumerate(ss) if res.witness[o + u]}
             self._audit_family(context_index, s_pos, family)
             return family
@@ -468,12 +470,13 @@ class CechAnalyzer:
         """A claimed family must be pinned to section ``s_pos`` of
         ``context_index``, mass-1 and pair-compatible: read onto section
         positions, its delta vanishes on every row of A."""
-        terms, mass = [], [0] * len(self.blocks)
+        terms, mass = [], [0] * len(self._offsets)
         for (ci, s), c in family.items():
-            secs = self.blocks[ci][1]
-            if s not in secs:
-                raise InternalCheckError("family uses an unknown section")
-            terms.append((ci, secs.index(s), c))
+            try:
+                terms.append((ci, self.model.section_index(ci, s), c))
+            except PreconditionError:
+                raise InternalCheckError(
+                    "family uses an unknown section") from None
             mass[ci] += c
         if any(m != 1 for m in mass):
             raise InternalCheckError("family mass differs from 1")
@@ -540,11 +543,11 @@ class CechAnalyzer:
             basis = []
             classes = []
             # a context disjoint from C_c: one class, shared, read only
-            none_c = ([0] * len(self.blocks[c][1]), {0: 0})
-            for j, (_off, secs) in enumerate(self.blocks):
+            none_c = ([0] * len(self.model.rows[c]), {0: 0})
+            for j, rows in enumerate(self.model.rows):
                 side = self._side.get((j, c))
                 if side is None:
-                    basis += [(j, 0, u) for u in range(1, len(secs))]
+                    basis += [(j, 0, u) for u in range(1, len(rows))]
                     classes.append(none_c)
                     continue
                 reps: dict[int, int] = {}
@@ -568,7 +571,8 @@ class CechAnalyzer:
             inner = set(self.model.scenario.contexts[c])
             keys = list(self._pair_start)
             # an overlap that meets C_c lies in two contexts that meet it
-            near = [j for j in range(len(self.blocks)) if (j, c) in self._side]
+            near = [j for j in range(len(self._offsets))
+                    if (j, c) in self._side]
             for a, i in enumerate(near):
                 for j in near[a + 1:]:
                     labels = self.pair_overlaps.get((i, j))
@@ -624,7 +628,8 @@ class CechAnalyzer:
                             del fs[v]
             potential = {j: fs for j, fs in potential.items() if fs}
         self._check_potential(context_index, potential, z)
-        return {j: {self.blocks[j][1][u]: c for u, c in fs.items()}
+        sections = self.model.sections
+        return {j: {sections[j][u]: c for u, c in fs.items()}
                 for j, fs in potential.items()}
 
     # -- route 2's audits: on rows and section positions ------------------
@@ -636,7 +641,7 @@ class CechAnalyzer:
         (its own position when j = c), and one key for all of C_j when
         C_j misses C_c."""
         for j, fs in potential.items():
-            keys = self._side.get((j, c)) or [0] * len(self.blocks[j][1])
+            keys = self._side.get((j, c)) or [0] * len(self.model.rows[j])
             if _nonzero_sums(keys, fs.items()):
                 return True
         return False
@@ -720,19 +725,19 @@ def collapse_family(model: EmpiricalModel, family) -> dict:
     """
     scenario = model.scenario
     d = scenario.outcome_modulus
-    per_ctx = [[] for _ in scenario.contexts]  # (section as dict, coeff)
+    per_ctx = [[] for _ in scenario.contexts]  # (section's row, coeff)
     for (ci, s), c in family.items():
-        model.section_index(ci, s)  # an unknown one is bad input
+        u = model.section_index(ci, s)  # an unknown one is bad input
         if c:
-            per_ctx[ci].append((dict(s.items), c))
+            per_ctx[ci].append((model.rows[ci][u], c))
     for ci, terms in enumerate(per_ctx):
         if sum(c for _v, c in terms) != 1:
             raise PreconditionError(
                 f"family mass at context {ci} differs from 1")
     out: dict[str, int] = {}
     for ci, ctx in enumerate(scenario.contexts):
-        for x in ctx:
-            val = sum(c * v[x] for v, c in per_ctx[ci]) % d
+        for p, x in enumerate(ctx):
+            val = sum(c * v[p] for v, c in per_ctx[ci]) % d
             if x in out and out[x] != val:
                 raise InternalCheckError(
                     f"collapse disagrees across contexts at {x!r}")
@@ -783,7 +788,7 @@ def _cross_check_steps(structured: StructuredModel):
     cech = model.cech_analyzer
     group = structured.group_analyzer
     for ci, ctx in enumerate(model.scenario.contexts):
-        for s in model.sections[ci]:
+        for s, row in zip(model.sections[ci], model.rows[ci]):
             r1 = cech.family_obstruction(ci, s)
             r2 = cech.connecting_cocycle(ci, s)
             if r1.vanishes != r2.vanishes:
@@ -796,10 +801,9 @@ def _cross_check_steps(structured: StructuredModel):
                     f"obstruction at context {ci}, section {s}")
             if r1.vanishes:
                 collapsed = collapse_family(model, r1.family)
-                for x in ctx:
-                    if collapsed[x] != s[x]:
-                        raise InternalCheckError(
-                            "collapse does not extend the pinned section")
+                if any(collapsed[x] != v for x, v in zip(ctx, row)):
+                    raise InternalCheckError(
+                        "collapse does not extend the pinned section")
                 group.check_global_splitting(
                     [collapsed[x] for x in group.monoid.elements], "collapse")
             yield CrossCheckRow(ci, s, r1.vanishes, g.vanishes), r1, g

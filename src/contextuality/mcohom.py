@@ -16,7 +16,10 @@ a global section of the model through s (its cached ``extension_table``)
 is checked once as a splitting of the whole monoid and read off as the
 gamma with d(gamma) = beta; only a section that extends to no global
 section reaches the relative-coboundary solve, and a feasible solve is
-turned into a global splitting by the reconstruction.
+turned into a global splitting by the reconstruction.  Under the one
+cyclic coefficient factor Z_d that set-up requires, an outcome row is its
+own group ids: set-up and queries read the model's int rows, and build no
+``Section``.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ from functools import cached_property
 from .errors import InternalCheckError, PreconditionError, StructureError
 from .linalg import ModSolveResult, ModSystem
 from .pmonoid import (
-    CoefficientAction,
     PartialMonoid,
     Quotient,
     StructuredModel,
     glue_contexts,
+    _splitting_ids,
     quotient_by_action,
+    splitting_violations,
     trivialisation_from_right_splitting,
-    validate_splitting,
 )
 from .scenario import Section, ValidationReport
 
@@ -141,20 +144,6 @@ def coboundary(c: Cochain) -> Cochain:
     return Cochain.of_columns(c.monoid, c.moduli, n + 1, sums)
 
 
-def splitting_of_section(section: Section, context,
-                         action: CoefficientAction):
-    """Read a scenario section as an A-valued map on its context.
-
-    The coefficient group must be a single cyclic factor matching the
-    outcome modulus, which is how structured models are built.
-    """
-    if len(action.moduli) != 1:
-        raise PreconditionError(
-            "sections translate to splittings only for cyclic coefficients")
-    d, values = action.moduli[0], dict(section.items)
-    return {x: (values[x] % d,) for x in context}
-
-
 @dataclass(frozen=True, eq=False)
 class SectionObstruction:
     """beta and the data that produced it.
@@ -167,7 +156,6 @@ class SectionObstruction:
     quotient: Quotient
     context_labels: tuple[str, ...]
     inside: bytes
-    splitting: dict
     eta_ids: list[int]
     beta: Cochain
 
@@ -213,18 +201,19 @@ def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
     that names no orbit, or one inside the context, is refused.
     """
     context_labels = tuple(context_labels)
-    report = validate_splitting(quotient, context_labels, splitting)
-    if not report.ok:
-        raise PreconditionError(
-            "not a left splitting: " + "; ".join(report.violations))
-    return _obstruction(quotient, _frame(quotient, context_labels),
-                        splitting, eta_override)
+    ids, bad = _splitting_ids(quotient, context_labels, splitting)
+    bad = bad or splitting_violations(quotient, context_labels, ids)
+    if bad:
+        raise PreconditionError("not a left splitting: " + "; ".join(bad))
+    return _obstruction(quotient, _frame(quotient, context_labels), ids,
+                        eta_override)
 
 
-def _obstruction(quotient: Quotient, frame: tuple, splitting,
+def _obstruction(quotient: Quotient, frame: tuple, row,
                  eta_override) -> SectionObstruction:
-    """``obstruction_cocycle`` on a splitting already validated, with its
-    context's ``_frame``."""
+    """``obstruction_cocycle`` on a splitting already validated, given as
+    ``row``, its group id at each label of the context, with the context's
+    ``_frame``."""
     labels, ids, inside, orbits, block, defaults = frame
     parent, monoid = quotient.parent, quotient.monoid
     n, names, orbit = parent.size, monoid.elements, quotient.orbit_ids
@@ -239,8 +228,7 @@ def _obstruction(quotient: Quotient, frame: tuple, splitting,
             raise PreconditionError(
                 f"override {cand!r} is not a member of {name}")
         eta[q] = x
-    # validated values are reduced, so 0 is the one with no nonzero entry
-    flat = [i for x, i in zip(labels, ids) if not any(splitting[x])]
+    flat = [i for i, a in zip(ids, row) if not a]  # the group's zero is 0
     hits = [orbit[i] for i in flat]
     if sorted(hits) != orbits:
         q = next(q for q in orbits if hits.count(q) != 1)
@@ -269,8 +257,7 @@ def _obstruction(quotient: Quotient, frame: tuple, splitting,
                               quotient.action.columns(beta_ids))
     if not coboundary(beta).is_zero():
         raise InternalCheckError("beta is not a 2-cocycle")
-    return SectionObstruction(quotient, labels, inside, dict(splitting), eta,
-                              beta)
+    return SectionObstruction(quotient, labels, inside, eta, beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,14 +432,14 @@ def _validate(structured: StructuredModel):
     except StructureError as exc:
         bad.append(f"quotient by the action fails: {exc}")
         return ValidationReport(tuple(bad)), None
-    for ci, ctx in enumerate(scenario.contexts):
-        for s in model.sections[ci]:
-            sp = splitting_of_section(s, ctx, structured.action)
-            rep = validate_splitting(quotient, ctx, sp)
-            if not rep.ok:
+    # under the one cyclic factor Z_d, an outcome row is its own group ids
+    for ci, (ctx, rows) in enumerate(zip(scenario.contexts, model.rows)):
+        for row in rows:
+            violations = splitting_violations(quotient, ctx, row)
+            if violations:
                 bad.append(
-                    f"section {s} of context {ci} is not a splitting: "
-                    + "; ".join(rep.violations))
+                    f"section {Section.from_values(ctx, row)} of context "
+                    f"{ci} is not a splitting: " + "; ".join(violations))
     return ValidationReport(tuple(bad)), quotient
 
 
@@ -522,14 +509,14 @@ class GroupObstructionAnalyzer:
         s_pos = model.section_index(context_index, section)
         ctx = model.scenario.contexts[context_index]
         frame, solver = self._context(context_index)
-        sp = splitting_of_section(section, ctx, self.structured.action)
-        obstruction = _obstruction(self.quotient, frame, sp, eta_override)
+        row = model.rows[context_index][s_pos]
+        obstruction = _obstruction(self.quotient, frame, row, eta_override)
         g = model.extension_table[context_index][s_pos]
         if g is None:
             decision = solver.decide(obstruction.beta)
             glob = None
             if decision.vanishes:
-                glob = self._reconstruct(obstruction, decision, ctx, section)
+                glob = self._reconstruct(obstruction, decision, ctx, row)
         else:
             values = [0] * self.monoid.size
             for (new, ids), rows, u in zip(self._first, model.rows, g):
@@ -553,13 +540,10 @@ class GroupObstructionAnalyzer:
         zeros = self._splittings.get(key)
         if zeros is None:
             q = self.quotient
-            els = self.monoid.elements
-            report = validate_splitting(
-                q, els, {x: (v,) for x, v in zip(els, key)})
-            if not report.ok:
+            bad = splitting_violations(q, self.monoid.elements, key)
+            if bad:
                 raise InternalCheckError(
-                    f"{what} is not a global splitting: "
-                    + "; ".join(report.violations[:3]))
+                    f"{what} is not a global splitting: " + "; ".join(bad[:3]))
             # a splitting takes each value once on every orbit, 0 included
             zeros = [0] * q.monoid.size
             for x, (v, orbit) in enumerate(zip(key, q.orbit_ids)):
@@ -583,7 +567,7 @@ class GroupObstructionAnalyzer:
                 f"orbit of {q.parent.elements[zeros[k]]!r}")
         return gamma
 
-    def _reconstruct(self, obstruction, decision, ctx, section):
+    def _reconstruct(self, obstruction, decision, ctx, row):
         """Turn eta and gamma into a verified global splitting.
 
         Subtracting beta = d(gamma), that is
@@ -594,8 +578,8 @@ class GroupObstructionAnalyzer:
         splitting-lemma correspondence turns it into a trivialisation,
         validated by ``trivialisation_from_right_splitting``, whose first
         component is a left splitting on all measurements that must agree
-        with the section on its own context.  It is then a checked global
-        assignment, with h where it vanishes.
+        with the section's row on its own context.  It is then a checked
+        global assignment, with h where it vanishes.
         """
         q = self.quotient
         els, n = q.parent.elements, q.parent.size
@@ -608,9 +592,8 @@ class GroupObstructionAnalyzer:
         phi = trivialisation_from_right_splitting(q, els, h)
         d = self.structured.action.moduli[0]
         outcome = {x: a[0] % d for x, (a, _orbit) in phi.items()}
-        values = dict(section.items)
-        for x in ctx:
-            if outcome[x] != values[x]:
+        for x, v in zip(ctx, row):
+            if outcome[x] != v:
                 raise InternalCheckError(
                     f"reconstructed splitting disagrees with the section "
                     f"at {x!r}")

@@ -21,10 +21,9 @@ constructors, the label methods (``add``, ``defined``, ``orbit_of``,
 ``members``, ``act``, ``value_at``), the label dicts that the splitting
 lemma functions take and return, and error messages.
 
-The splitting law (values in the group, the homomorphism law on the
-subset's composable pairs, the embedding retracted) has one checker,
-``_splitting_law``: ``validate_splitting`` and the trivialisation checks
-both call it.
+The splitting law (homomorphic on the subset's composable pairs, the
+embedding retracted) has one checker on group ids, ``splitting_violations``;
+``validate_splitting`` and the trivialisation checks are its label edge.
 """
 
 from __future__ import annotations
@@ -594,12 +593,14 @@ def quotient_by_action(parent: PartialMonoid,
 class _Subset(NamedTuple):
     """A subset of the parent, as given and as ids (-1 for an unknown
     label), what keeps it from being invariant and sum-closed, and its
-    composable pairs (x, y, x + y) as id columns, in label order."""
+    composable pairs (x, y, x + y) and embedding images (a, i(a)) as
+    positions in the subset, in label order."""
 
     labels: tuple
     ids: list[int]
     violations: tuple[str, ...]
     pairs: tuple[list[int], list[int], list[int]]
+    images: list[tuple[int, int]]
 
 
 def _subset(q: Quotient, labels) -> _Subset:
@@ -617,74 +618,79 @@ def _check_invariant_subset(q: Quotient, labs: tuple) -> _Subset:
     parent = q.parent
     if labs == parent.elements:
         # the whole monoid, in id order: invariant and sum-closed, with
-        # the parent's composable pairs
-        return _Subset(labs, list(range(parent.size)), (), parent.pairs())
+        # the parent's composable pairs, and ids that are positions
+        return _Subset(labs, list(range(parent.size)), (), parent.pairs(),
+                       list(enumerate(q.embedding)))
     ids = [parent.id_of(x) for x in labs]
     if len(set(labs)) != len(labs):
         return _Subset(labs, ids, ("duplicate labels in subset",),
-                       ([], [], []))
+                       ([], [], []), [])
     n, sums, act = parent.size, parent.sums, q.act_table
-    inside = bytearray(n)
-    for i in ids:
+    at = [-1] * n  # each parent id's position in the subset
+    for k, i in enumerate(ids):
         if i >= 0:
-            inside[i] = 1
+            at[i] = k
     bad = []
     for x, i in zip(labs, ids):
         if i < 0:
             bad.append(f"unknown label {x!r}")
-        elif not all(inside[y] for y in act[i::n]):
+        elif -1 in [at[y] for y in act[i::n]]:
             bad.append(f"subset not action-invariant at {x!r}")
     xs, ys, zs = [], [], []
-    for x, i in zip(labs, ids):
+    for k, (x, i) in enumerate(zip(labs, ids)):
         if i < 0:
             continue
         row = sums[i * n:(i + 1) * n]
-        for y, j in zip(labs, ids):
+        for m, (y, j) in enumerate(zip(labs, ids)):
             z = row[j] if j >= 0 else -1
             if z >= 0:
-                if not inside[z]:
+                if at[z] < 0:
                     bad.append(f"subset not sum-closed at ({x!r}, {y!r})")
-                xs.append(i)
-                ys.append(j)
-                zs.append(z)
-    return _Subset(labs, ids, tuple(bad), (xs, ys, zs))
+                xs.append(k)
+                ys.append(m)
+                zs.append(at[z])
+    images = [(a, at[img]) for a, img in enumerate(q.embedding)
+              if at[img] >= 0]
+    return _Subset(labs, ids, tuple(bad), (xs, ys, zs), images)
 
 
-def _splitting_law(q: Quotient, sub: _Subset, values) -> list[str]:
-    """The one check of the splitting law: what keeps ``values``, the
-    group element at each label of the subset, from a left splitting.
-
-    Values that are not group elements are reported alone; otherwise the
-    composable pairs where the homomorphism law fails, then the embedding
-    images in the subset that the values do not retract.
-    """
-    ids = [-1] * q.parent.size
-    bad = []
-    for x, i, v in zip(sub.labels, sub.ids, values):
-        ids[i] = q.action.id_of(v)
-        if ids[i] < 0:
-            bad.append(f"value {v!r} at {x!r} is not a group element")
-    if bad:
-        return bad
-    els = q.parent.elements
-    table, order = q.group_sums, len(q.embedding)
-    bad = [f"not a homomorphism at ({els[x]!r}, {els[y]!r})"
+def splitting_violations(q: Quotient, labels, ids) -> list[str]:
+    """What keeps the map taking group id ``ids[k]`` at ``labels[k]`` from
+    a left splitting: the subset's violations alone, else the composable
+    pairs where the homomorphism law fails, then the embedding images that
+    it does not retract.  Under one cyclic factor Z_d, an outcome row is
+    its own group ids."""
+    sub = _subset(q, labels)
+    if sub.violations:
+        return list(sub.violations)
+    labs, table, order = sub.labels, q.group_sums, len(q.embedding)
+    bad = [f"not a homomorphism at ({labs[x]!r}, {labs[y]!r})"
            for x, y, z in zip(*sub.pairs)
            if ids[z] != table[ids[x] * order + ids[y]]]
     group = q.action.elements()
     bad += [f"does not retract the embedding at i({group[a]})"
-            for a, img in enumerate(q.embedding) if ids[img] not in (-1, a)]
+            for a, p in sub.images if ids[p] != a]
     return bad
+
+
+def _splitting_ids(q: Quotient, labels, s) -> tuple[list[int], list[str]]:
+    """The label edge of ``splitting_violations``: the group id of ``s[x]``
+    at each label x, and the subset's violations and the labels ``s``
+    misses, else the values that are not group elements."""
+    sub = _subset(q, labels)
+    bad = list(sub.violations)
+    bad += [f"splitting undefined at {x!r}" for x in sub.labels if x not in s]
+    if bad:
+        return [], bad
+    ids = [q.action.id_of(s[x]) for x in sub.labels]
+    return ids, [f"value {s[x]!r} at {x!r} is not a group element"
+                 for x, a in zip(sub.labels, ids) if a < 0]
 
 
 def validate_splitting(q: Quotient, labels, s) -> ValidationReport:
     """Is ``s`` a left splitting on the given subset?"""
-    sub = _subset(q, labels)
-    bad = list(sub.violations)
-    bad += [f"splitting undefined at {x!r}" for x in sub.labels if x not in s]
-    if not bad:
-        bad = _splitting_law(q, sub, [s[x] for x in sub.labels])
-    return ValidationReport(tuple(bad))
+    ids, bad = _splitting_ids(q, labels, s)
+    return ValidationReport(tuple(bad or splitting_violations(q, labels, ids)))
 
 
 def _right_splitting(q: Quotient, sub: _Subset, h):
@@ -760,11 +766,12 @@ def _require_trivialisation(q: Quotient, labels, phi) -> None:
                 f"second component is not the quotient map at {x!r}")
     # with the second components pinned to pi, injectivity and the
     # splitting law are about the first components alone
-    firsts = [phi[x][0] for x in sub.labels]
-    if len({(tuple(a), orbit[i]) for a, i in zip(firsts, sub.ids)}) != len(
-            sub.ids):
+    firsts = {x: phi[x][0] for x in sub.labels}
+    if len({(tuple(firsts[x]), orbit[i])
+            for x, i in zip(sub.labels, sub.ids)}) != len(sub.ids):
         raise StructureError("trivialisation is not injective")
-    bad = _splitting_law(q, sub, firsts)
+    ids, bad = _splitting_ids(q, sub.labels, firsts)
+    bad = bad or splitting_violations(q, sub.labels, ids)
     if bad:
         raise StructureError(f"trivialisation breaks the splitting law: "
                              f"{bad[0]}")

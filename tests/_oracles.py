@@ -55,6 +55,11 @@ def projector_support(assignment, state: GaussianStateVector) -> bool:
 from contextuality.errors import PreconditionError, StructureError  # noqa: E402
 
 
+def splitting_of_section(section, context, action):
+    """A section read as a splitting on its context: Z_d-valued maps."""
+    return {x: (section[x] % action.moduli[0],) for x in context}
+
+
 class SplittingOracle:
     def __init__(self, q):
         parent, action = q.parent, q.action

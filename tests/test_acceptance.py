@@ -31,7 +31,6 @@ from contextuality.mcohom import (
     coboundary,
     make_cochain,
     obstruction_cocycle,
-    splitting_of_section,
 )
 from contextuality.pauli import (
     build_state_dependent_model,
@@ -51,7 +50,7 @@ from contextuality.pmonoid import (
 )
 from contextuality.scenario import classify, section_extends, sections_below
 
-from _oracles import all_ops, op_matrix
+from _oracles import all_ops, op_matrix, splitting_of_section
 from test_mcohom import _z3xz3_quotient, _z9_quotient
 
 GHZ_SIGN_EQUATIONS = (

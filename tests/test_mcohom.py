@@ -36,10 +36,9 @@ from contextuality.mcohom import (
     group_obstruction,
     make_cochain,
     obstruction_cocycle,
-    splitting_of_section,
     validate_structured_model,
 )
-from contextuality.modelio import loads_model
+from contextuality.modelio import dumps_model, loads_model
 from contextuality.pauli import build_state_independent_model, parse_pauli
 from contextuality.pmonoid import (
     CoefficientAction,
@@ -56,7 +55,11 @@ from contextuality.scenario import (
     section_extends,
 )
 
-from _oracles import signed_pass_coboundary, validate_partial_monoid
+from _oracles import (
+    signed_pass_coboundary,
+    splitting_of_section,
+    validate_partial_monoid,
+)
 from test_cech import _audit_family, _audit_route1_certificate, _audit_route2
 from test_pauli import _random_generators
 
@@ -410,6 +413,24 @@ def test_validate_structured_model_violations(mermin):
     assert not rep2.ok
 
 
+def test_validate_structured_model_names_a_section_that_is_no_splitting():
+    """One row of an untwisted document moved off the splittings at m:
+    the report names the section, its context, every pair where the
+    homomorphism law fails and the unretracted embedding, in that order."""
+    doc = twisted_document((0, 0, 0, 0))
+    doc["sections"]["0"][0][4] ^= 1  # the outcome at m
+    rep = validate_structured_model(loads_model(json.dumps(doc)))
+    pairs = [("m", "x"), ("m", "mx"), ("m", "y"), ("m", "my"), ("m", "p"),
+             ("m", "mp"), ("x", "m"), ("x", "mx"), ("mx", "m"), ("mx", "x"),
+             ("y", "m"), ("y", "my"), ("my", "m"), ("my", "y"), ("p", "m"),
+             ("p", "mp"), ("mp", "m"), ("mp", "p")]
+    assert rep.violations == (
+        "section {e:0, m:0, mp:1, mx:1, my:1, p:0, x:0, y:0} of context 0 "
+        "is not a splitting: "
+        + "; ".join(f"not a homomorphism at {pair}" for pair in pairs)
+        + "; does not retract the embedding at i((1,))",)
+
+
 def twisted_document(twists=(0, 0, 0, 1), rng=None, last="q"):
     """Four Z_2^3 contexts glued along {e, m}: <m, x, y> with x + y = p,
     <m, p, z> with p + z = q, <m, y, z> with y + z = r and <m, x, r> with
@@ -612,7 +633,7 @@ def test_analyzer_glues_and_quotients_once(mermin, monkeypatch):
 def test_splittings_are_validated_once_at_set_up(mermin, monkeypatch):
     """Every section's splitting is validated by set-up and not again by
     ``analyze``; the public ``obstruction_cocycle`` still validates."""
-    checked = _counted(monkeypatch, mcohom_module, "validate_splitting")
+    checked = _counted(monkeypatch, mcohom_module, "splitting_violations")
     model = mermin.model
     ana = GroupObstructionAnalyzer(mermin.structured)
     assert len(checked) == sum(len(secs) for secs in model.sections)
@@ -1022,7 +1043,7 @@ def test_one_whole_monoid_check_per_global_assignment(monkeypatch):
     share the check."""
     st = loads_model((DATA / "bell_z3_local.json").read_text())
     whole = len(st.model.scenario.measurements)
-    checked = _counted(monkeypatch, mcohom_module, "validate_splitting")
+    checked = _counted(monkeypatch, mcohom_module, "splitting_violations")
     steps = list(cech_module._cross_check_steps(st))
     assert len(steps) == 36
     seen = set()
@@ -1032,3 +1053,24 @@ def test_one_whole_monoid_check_per_global_assignment(monkeypatch):
             report.global_splitting
         seen.add(tuple(sorted(report.global_splitting.items())))
     assert len([c for c in checked if len(c[1]) == whole]) == len(seen)
+
+
+def test_group_route_builds_no_sections(mermin):
+    """Loaded from their documents, mermin and both Z_3 Bell documents
+    set up both analyzers and answer every group query, through the solve
+    and reconstruction (mermin, the PR box) and through the global-section
+    shortcut (the local support), without building the model's
+    ``Section``s: set-up and queries read the int rows."""
+    docs = [dumps_model(mermin.structured)] + [
+        (DATA / name).read_text()
+        for name in ("bell_z3_pr_box.json", "bell_z3_local.json")]
+    for doc in docs:
+        st = loads_model(doc)
+        model = st.model
+        assert model.cech_analyzer.nunknowns == sum(map(len, model.rows))
+        group = st.group_analyzer
+        for ci, (ctx, rows) in enumerate(zip(model.scenario.contexts,
+                                             model.rows)):
+            for row in rows:
+                group.analyze(ci, Section.from_values(ctx, row))
+        assert "sections" not in model.__dict__

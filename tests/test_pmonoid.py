@@ -9,7 +9,7 @@ from contextuality.errors import (
     PreconditionError,
     StructureError,
 )
-from contextuality.mcohom import GroupObstructionAnalyzer, splitting_of_section
+from contextuality.mcohom import GroupObstructionAnalyzer
 from contextuality.pauli import (
     build_state_dependent_model,
     build_state_independent_model,
@@ -27,14 +27,17 @@ from contextuality.pmonoid import (
     splitting_from_trivialisation,
     trivialisation_from_right_splitting,
     trivialisation_from_splitting,
+    splitting_violations,
     validate_right_splitting,
     validate_splitting,
 )
 
+from test_mcohom import bell_model, local_support, pr_box
 from _oracles import (
     SplittingOracle,
     maximal_total_submonoids,
     restriction,
+    splitting_of_section,
     validate_partial_monoid,
 )
 
@@ -396,11 +399,16 @@ def _pauli_models(seed, count):
     return out
 
 
-def _check_against_oracle(st, rng):
+def _check_against_oracle(st, rng, ladder=None):
     """Every section's splitting, trivialisation and right splitting, and
     one mutation of each, give the reference's verdicts; on the whole
     monoid the same holds for each global splitting the group route
-    reconstructs.  Returns how many mutations were rejected."""
+    reconstructs.  The id law, ``splitting_violations``, reports what the
+    reference does on every context row, which is a splitting, and on a
+    copy of it moved at one label, which is not.  ``ladder`` caps how many
+    sections of each context, and how many global splittings, go through
+    the label-dict validators.  Returns how many mutations were
+    rejected."""
     q = _quotient_of(st)
     ref = SplittingOracle(q)
     d = st.action.moduli[0]
@@ -465,11 +473,22 @@ def _check_against_oracle(st, rng):
             ref.trivialisation_from_right_splitting, labels, shifted)
 
     model = st.model
+    for ctx, rows in zip(model.scenario.contexts, model.rows):
+        for row in rows:
+            moved = list(row)
+            k = rng.randrange(len(row))
+            moved[k] = (row[k] + rng.randrange(1, d)) % d
+            for ids, splits in ((row, True), (moved, False)):
+                want = ref.splitting_violations(
+                    ctx, {x: (v,) for x, v in zip(ctx, ids)})
+                assert splitting_violations(q, ctx, ids) == want
+                assert bool(want) != splits
+            rejected += 1
     for ci, ctx in enumerate(model.scenario.contexts):
-        for sec in model.sections[ci]:
+        for sec in model.sections[ci][:ladder]:
             mutate_all(list(ctx), splitting_of_section(sec, ctx, st.action))
     group = GroupObstructionAnalyzer(st)
-    for ci, secs in enumerate(model.sections):
+    for ci, secs in enumerate(model.sections[:ladder]):
         rep = group.analyze(ci, secs[0])
         if rep.vanishes:
             mutate_all(list(q.parent.elements),
@@ -478,8 +497,17 @@ def _check_against_oracle(st, rng):
 
 
 def test_int_validators_match_the_label_reference(mermin, ghz):
+    """On mermin, ghz, seeded Pauli models and the Bell documents at
+    d = 3, 4 and 5 with PR-box and local supports, where a group element
+    is not its own inverse.  On those the id law sees every row; the
+    label-dict validators, whose reference is quadratic in the context,
+    see one section per context and one global splitting at d = 3 only."""
     rng = random.Random(606)
     rejected = 0
     for st in [mermin.structured, ghz.structured] + _pauli_models(607, 12):
         rejected += _check_against_oracle(st, rng)
+    for d in (3, 4, 5):
+        for support in (pr_box, local_support):
+            rejected += _check_against_oracle(bell_model(d, support(d)),
+                                              rng, ladder=1 if d == 3 else 0)
     assert rejected > 1000
