@@ -24,10 +24,13 @@ a family's compatibility and a potential's coboundary; and the group
 analyzer's once-per-assignment whole-monoid splitting check for the
 cross-check's collapsed family, so a collapse equal to the global
 section that the group route already checked is not checked again.
-Both routes work on section positions and row indexes of the
-compatibility matrix, so their audits read the same incidence that
-builds route 2's cocycle.  The model's ``Section``s are read only to
-label the families, pins and potentials that a query returns.
+Both routes and their audits work on section positions, row indexes of
+the compatibility matrix and the model's int rows, so every audit reads
+the same incidence that builds route 2's cocycle.  ``Section``s label
+only what a query returns: families, pins and potentials come from the
+model's sections, certificates and cocycles from the matrix's row tags, a
+label table built once at set-up, since certificates read each tag many
+times over.
 
 ``cech_coboundary`` on the nerve of ``build_nerve``, over ``Section``-keyed
 formal sums, is the label reference for that differential: no query
@@ -43,7 +46,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem, _parity_mask
+from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem
 from .pmonoid import StructuredModel
 from .scenario import (
     EmpiricalModel,
@@ -222,19 +225,21 @@ class CechAnalyzer:
     overlapping contexts and section t of the overlap:
     +1 on C_i's and -1 on C_j's sections restricting to t, so A x is
     -delta(x) read on the pairs i < j.  A is kept once, as its incidence:
-    ``rows[r]`` tags row r ("pair", i, j, t), each pair's rows are
-    consecutive, ``_pair_start[r]`` is the first row of r's pair, and per
-    pair an int list per side maps section positions to rows, read from
-    ``pair_restrictions`` (a signalling model, whose two sides restrict
-    to different sets, is rejected).  ``_parity_rows`` reads A mod 2 on
+    each pair's rows are consecutive, ``_pair_of[r]`` is r's pair (i, j),
+    and per pair an int list per side maps section positions to rows,
+    read from ``pair_restrictions`` (a signalling model, whose two sides
+    restrict to different sets, is rejected).  ``rows[r]`` tags row r
+    ("pair", i, j, t), a label table read only for the certificates and
+    cocycles that queries return.  ``_parity_rows`` reads A mod 2 on
     any column basis as bitmasks, for the set-up GF(2) echelon and route
     2's parity system; ``_columns`` reads it as sparse rows ``{k:
     entry}``, which both routes' integer systems take as they are, so no
     system here is dense.
     ``_delta`` reads A's incidence as the Cech differential on section
-    positions, and ``_row_at`` reads the rows that route-1 certificates
-    name.  No query restricts a section: both routes and their audits
-    work on row indexes and section positions.
+    positions, and ``_parities_at`` reads, mod 2, the rows that route-1
+    certificates name.  No query restricts a section: both routes and
+    their audits work on row indexes, section positions and the model's
+    int rows.
 
     Pinning a section, or taking its cocycle, changes only the right-hand
     side of a linear system fixed by the pinned context.  So each route
@@ -263,7 +268,7 @@ class CechAnalyzer:
                       for j, rows in enumerate(model.rows)}
         self._incident = [[] for _ in contexts]  # A's columns: (side, sign)
         self.rows = []   # ("pair", i, j, section over the overlap)
-        self._pair_start = []  # per row, the first row of its pair
+        self._pair_of = []  # per row, its pair (i, j)
         for i, j, labels, left, right in model.pair_restrictions():
             below = set(left)
             if set(right) != below:
@@ -274,14 +279,13 @@ class CechAnalyzer:
             below = sorted(below)
             row_of = {key: len(self.rows) + p for p, key in enumerate(below)}
             self.pair_overlaps[(i, j)] = labels
-            self._pair_start += [len(self.rows)] * len(below)
+            self._pair_of += [(i, j)] * len(below)
             self.rows += [("pair", i, j, Section.from_values(labels, key))
                           for key in below]
             for k, other, sign, keys in ((i, j, 1, left), (j, i, -1, right)):
                 side = [row_of[key] for key in keys]
                 self._side[(k, other)] = side
                 self._incident[k].append((side, sign))
-        self._rows_read: dict[int, dict] = {}
         self._parities_read: dict[int, int] = {}
         self._gf2 = Gf2Echelon(self._parity_rows(), self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
@@ -373,29 +377,18 @@ class CechAnalyzer:
         _check_parity(masks, pinned, message)
 
     def _parities_at(self, rows) -> list[int]:
-        """Rows of A mod 2 as column bitmasks, each read from ``_row_at``
-        once and kept beside it, in ``_parities_read``."""
+        """Rows of A mod 2 as column bitmasks, each read from its pair's side
+        lists once and kept in ``_parities_read``: at most rank(A) rows, as
+        certificates name only pivot rows of the set-up echelon."""
         read = self._parities_read
         for r in rows:
             if r not in read:
-                read[r] = _parity_mask(self._row_at(r).items())
+                i, j = self._pair_of[r]
+                read[r] = sum(1 << (self._offsets[k] + u)
+                              for k, other in ((i, j), (j, i))
+                              for u, at in enumerate(self._side[k, other])
+                              if at == r)
         return [read[r] for r in rows]
-
-    def _row_at(self, r: int) -> dict:
-        """Row r of A, ``{column: entry}``, read from the incidence and kept
-        in ``_rows_read`` for the next audit that names it.  A parity
-        certificate names only rows that made a pivot of the set-up
-        echelon, so at most rank(A) rows are kept."""
-        row = self._rows_read.get(r)
-        if row is None:
-            _kind, i, j, _t = self.rows[r]
-            row = self._rows_read[r] = {}
-            for k, other, sign in ((i, j, 1), (j, i, -1)):
-                off = self._offsets[k]
-                for u, at in enumerate(self._side[k, other]):
-                    if at == r:
-                        row[off + u] = sign
-        return row
 
     def _basis(self, basis) -> list:
         """Column basis vector k is ``(j, u, v)``, the column A e_u - A e_v of
@@ -435,52 +428,51 @@ class CechAnalyzer:
         return masks
 
     def _integral_family(self, context_index, s_pos):
-        # shortcut: a global section through s0 is itself a compatible
-        # family with coefficient 1 everywhere.
+        """The pinned family as terms (j, u, c) on section positions, by the
+        global-section shortcut or the exact solver, audited and returned
+        on sections; or the solver's certificate."""
+        # a global section through s0 is a family with coefficients 1
         g = self.model.extension_table[context_index][s_pos]
-        sections = self.model.sections  # the family is returned on them
         if g is not None:
-            family = {(ci, sections[ci][u]): 1 for ci, u in enumerate(g)}
-            self._audit_family(context_index, s_pos, family)
-            return family
-        held = self._held(context_index)
-        secs = sections[context_index]
-        if "route1 integer" not in held:
-            off = self._offsets[context_index]
-            pins = [{off + u: 1} for u in range(len(secs))]
-            held["route1 integer"] = IntegerSystem(self._columns() + pins,
-                                                   self.nunknowns)
-        rhs = [0] * len(self.rows) + [
-            1 if u == s_pos else 0 for u in range(len(secs))]
-        res = held["route1 integer"].solve(rhs)
-        if res.feasible:
-            family = {(ci, s): res.witness[o + u]
-                      for ci, (o, ss) in enumerate(zip(self._offsets,
-                                                        sections))
-                      for u, s in enumerate(ss) if res.witness[o + u]}
-            self._audit_family(context_index, s_pos, family)
-            return family
-        npair = len(self.rows)
-        return _tagged_certificate(
-            res.certificate.kind, res.certificate.vector,
-            lambda r: self.rows[r] if r < npair
-            else ("pin", context_index, secs[r - npair]))
+            terms = [(j, u, 1) for j, u in enumerate(g)]
+        else:
+            held, npair = self._held(context_index), len(self.rows)
+            npins = len(self.model.rows[context_index])
+            if "route1 integer" not in held:
+                off = self._offsets[context_index]
+                held["route1 integer"] = IntegerSystem(
+                    self._columns() + [{off + u: 1} for u in range(npins)],
+                    self.nunknowns)
+            rhs = [0] * (npair + npins)
+            rhs[npair + s_pos] = 1
+            res = held["route1 integer"].solve(rhs)
+            if not res.feasible:
+                secs = self.model.sections[context_index]
+                return _tagged_certificate(
+                    res.certificate.kind, res.certificate.vector,
+                    lambda r: self.rows[r] if r < npair
+                    else ("pin", context_index, secs[r - npair]))
+            w = res.witness
+            terms = [(j, u, w[o + u]) for j, (o, rs)
+                     in enumerate(zip(self._offsets, self.model.rows))
+                     for u in range(len(rs)) if w[o + u]]
+        self._audit_family(context_index, s_pos, terms)
+        sections = self.model.sections
+        return {(j, sections[j][u]): c for j, u, c in terms}
 
-    def _audit_family(self, context_index, s_pos, family) -> None:
-        """A claimed family must be pinned to section ``s_pos`` of
-        ``context_index``, mass-1 and pair-compatible: read onto section
-        positions, its delta vanishes on every row of A."""
-        terms, mass = [], [0] * len(self._offsets)
-        for (ci, s), c in family.items():
-            try:
-                terms.append((ci, self.model.section_index(ci, s), c))
-            except PreconditionError:
-                raise InternalCheckError(
-                    "family uses an unknown section") from None
-            mass[ci] += c
+    def _audit_family(self, context_index, s_pos, terms) -> None:
+        """A claimed family, terms (j, u, c) on section positions, must name
+        sections of its contexts, be pinned to section ``s_pos`` of
+        ``context_index``, mass-1 and pair-compatible: its delta vanishes
+        on every row of A."""
+        mass = [0] * len(self._offsets)
+        for j, u, c in terms:
+            if not 0 <= u < len(self.model.rows[j]):  # -1 would index too
+                raise InternalCheckError("family uses an unknown section")
+            mass[j] += c
         if any(m != 1 for m in mass):
             raise InternalCheckError("family mass differs from 1")
-        if {u: c for ci, u, c in terms if ci == context_index} != {s_pos: 1}:
+        if {u: c for j, u, c in terms if j == context_index} != {s_pos: 1}:
             raise InternalCheckError("family is not pinned to the section")
         if self._delta(terms):
             raise InternalCheckError("family fails pair compatibility")
@@ -560,16 +552,17 @@ class CechAnalyzer:
                 self._parity_rows(basis), len(basis)))
         return held["route2 parity"]
 
-    def _kernel_keys(self, c: int) -> list[int]:
+    def _kernel_keys(self, c: int) -> list:
         """Pin c's kernel-presheaf key of each row of A: rows of one pair
         whose overlap sections restrict alike into C_c share a key, the
         first such row.  A pair whose overlap misses C_c restricts wholly
-        to the empty section, so its key is its first row; one inside C_c
+        to the empty section, so its key is the pair (i, j); one inside C_c
         restricts to itself, so each row is its own key."""
         held = self._held(c)
         if "route2 keys" not in held:
-            inner = set(self.model.scenario.contexts[c])
-            keys = list(self._pair_start)
+            contexts = self.model.scenario.contexts
+            inner = set(contexts[c])
+            keys = list(self._pair_of)
             # an overlap that meets C_c lies in two contexts that meet it
             near = [j for j in range(len(self._offsets))
                     if (j, c) in self._side]
@@ -578,9 +571,9 @@ class CechAnalyzer:
                     labels = self.pair_overlaps.get((i, j))
                     if labels is None:
                         continue
-                    # a row's tag lists its overlap in sorted label order
-                    at = [k for k, x in enumerate(sorted(labels))
-                          if x in inner]
+                    # C_i's positions of the overlap's labels inside C_c
+                    at = [p for p, x in enumerate(contexts[i])
+                          if x in inner and x in labels]
                     if not at:
                         continue
                     side = self._side[(i, j)]  # reaches every row of the pair
@@ -588,10 +581,12 @@ class CechAnalyzer:
                     if len(at) == len(labels):
                         keys[start:end] = range(start, end)
                         continue
-                    read, first = itemgetter(*at), {}
+                    # each row keyed by a section of C_i that restricts to it
+                    key_of = dict(zip(side, map(itemgetter(*at),
+                                                self.model.rows[i])))
+                    first = {}
                     for r in range(start, end):
-                        keys[r] = first.setdefault(
-                            read(self.rows[r][3].items), r)
+                        keys[r] = first.setdefault(key_of[r], r)
             held["route2 keys"] = keys
         return held["route2 keys"]
 
@@ -676,7 +671,7 @@ def _check_parity(masks, pairing: int, message: str) -> None:
 
 
 def _nonzero_sums(keys, entries) -> bool:
-    """The kernel-presheaf check on int keys: do the values of ``entries``,
+    """The kernel-presheaf check on row keys: do the values of ``entries``,
     ``(index, value)`` pairs, sum to nonzero on some key ``keys[index]``?"""
     acc: dict = {}
     for i, v in entries:

@@ -139,8 +139,11 @@ def _cmd_analyze(args) -> int:
         payload["no_signalling_violations"] = list(ns.violations)
     timings["no_signalling"] = time.perf_counter() - t0
 
-    witnesses = []
-    if want["classify"] or args.section == "auto":
+    if want["cech"] and not ns.ok:
+        raise PreconditionError("Cech analysis needs a no-signalling model")
+
+    witnesses = []  # --cech marks those that vanish as false positives
+    if want["classify"] or want["cech"] or args.section == "auto":
         t0 = time.perf_counter()
         cls = classify(model)
         timings["classify"] = time.perf_counter() - t0
@@ -152,9 +155,6 @@ def _cmd_analyze(args) -> int:
                     {"context": ci, "section": s.as_dict()}
                     for ci, s in cls.witnesses],
             }
-
-    if want["cech"] and not ns.ok:
-        raise PreconditionError("Cech analysis needs a no-signalling model")
     if (want["group"] or want["crosscheck"]) and structured is None:
         raise PreconditionError(
             "group analysis and cross-checking need partial-monoid "

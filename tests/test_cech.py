@@ -46,6 +46,7 @@ from contextuality.scenario import (
     section_extends,
     sections_below,
 )
+from test_pauli import _random_generators
 
 
 # --- Independent audits -------------------------------------------------------
@@ -293,12 +294,13 @@ def test_compatibility_rows_are_minus_the_cech_differential(
         hardy, mermin, ghz):
     """Column k of the analyzer's compatibility matrix, as ``_columns``
     reads it, is -delta of the 0-cochain 1*s on s's context, read on the
-    pairs i < j; the audits' ``_row_at`` reads the same rows."""
+    pairs i < j; the audits' ``_parities_at`` reads the same rows mod 2."""
     for model in _differential_models(hardy, mermin, ghz):
         ana = CechAnalyzer(model)
         nerve = build_nerve(model.scenario, max_degree=1)
         columns = ana._columns()
-        assert [ana._row_at(r) for r in range(len(ana.rows))] == columns
+        assert ana._parities_at(range(len(ana.rows))) == [
+            linalg._parity_mask(row.items()) for row in columns]
         k = 0
         for ci, secs in enumerate(model.sections):
             for s in secs:
@@ -805,6 +807,13 @@ def _odd_rows(ana, cert):
     return sorted(odd)
 
 
+def _terms(model, family):
+    """A label family ``{(j, section): coeff}`` as terms (j, u, coeff) on
+    section positions."""
+    return [(j, model.sections[j].index(s), c)
+            for (j, s), c in family.items()]
+
+
 def _on_positions(model, potential):
     """A label 0-cochain ``{j: {section: coeff}}`` on section positions."""
     return {j: {model.sections[j].index(s): c for s, c in fs.items()}
@@ -865,7 +874,7 @@ def test_audits_reject_mutated_refutations(mermin):
     assert mutants == 7 * 24
     # parity certificates name only pivot rows of the set-up echelon, so
     # the audits keep at most rank(A) rows read from the incidence
-    assert 0 < len(ana._rows_read) <= len(ana._gf2.pivots)
+    assert 0 < len(ana._parities_read) <= len(ana._gf2.pivots)
 
 
 def _accepts(check, *args) -> bool:
@@ -960,14 +969,15 @@ def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
     """A vanishing verdict's family with one coefficient moved to another
     section of its context, one that restricts differently onto some
     overlap, fails the route-1 audit (delta on the rows of A), as it
-    fails the independent one on labels; so does the family with a
-    section of the pinned context put in another context, with every
-    coefficient doubled, or with its pin moved to another section, each
-    under its own message.  The models are the differential ones and 40
-    seeded random no-signalling models of every kind.  A potential with
-    its sign flipped, or with one section added where it meets the
-    pinned context, fails the route-2 audit; a lone section on a pair
-    meeting the pinned context leaves the kernel presheaf."""
+    fails the independent one on labels; so does the family, read onto
+    section positions, with a term at a position outside its context
+    (past its end, or -1), with every coefficient doubled, or with its
+    pin moved to another section, each under its own message.  The
+    models are the differential ones and 40 seeded random no-signalling
+    models of every kind.  A potential with its sign flipped, or with one
+    section added where it meets the pinned context, fails the route-2
+    audit; a lone section on a pair meeting the pinned context leaves the
+    kernel presheaf."""
     moved = unknown = heavy = unpinned = negated = widened = 0
     models = (_differential_models(hardy, mermin, ghz)
               + _random_no_signalling_models(172, 40))
@@ -994,16 +1004,18 @@ def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
                         _audit_family(model, ci, s, bad)
                     with pytest.raises(InternalCheckError,
                                        match="pair compatibility"):
-                        ana._audit_family(ci, s_pos, bad)
+                        ana._audit_family(ci, s_pos, _terms(model, bad))
                     moved += 1
-                with pytest.raises(InternalCheckError,
-                                   match="unknown section"):
-                    ana._audit_family(ci, s_pos, {**dec.family, (c, s): 1})
+                terms = _terms(model, dec.family)
+                for u in (len(model.sections[c]), -1):
+                    with pytest.raises(InternalCheckError,
+                                       match="unknown section"):
+                        ana._audit_family(ci, s_pos, terms + [(c, u, 1)])
                 unknown += 1
                 with pytest.raises(InternalCheckError,
                                    match="mass differs from 1"):
-                    ana._audit_family(ci, s_pos, {key: 2 * v for key, v
-                                                  in dec.family.items()})
+                    ana._audit_family(ci, s_pos, [(j, u, 2 * v)
+                                                  for j, u, v in terms])
                 heavy += 1
                 pin = next((u for u in secs if u != s), None)
                 if pin is not None:
@@ -1011,7 +1023,8 @@ def test_audits_reject_mutated_families_and_potentials(hardy, mermin, ghz):
                            if key != (ci, s)}
                     with pytest.raises(InternalCheckError,
                                        match="not pinned"):
-                        ana._audit_family(ci, s_pos, {**bad, (ci, pin): 1})
+                        ana._audit_family(ci, s_pos, _terms(
+                            model, {**bad, (ci, pin): 1}))
                     unpinned += 1
                 r2 = ana.connecting_cocycle(ci, s)
                 potential = _on_positions(model, r2.potential)
@@ -1268,6 +1281,60 @@ def test_row_cores_reject_mutants(mermin, ghz):
                             ana._check_refuter(c0, more, odd)
                         added += 1
     assert min(wrong_lift, flipped_sign, flipped_odd, dropped, added) > 100
+
+
+def _noncontextual_pauli_models(seed, count):
+    """``count`` seeded Pauli closures whose every section extends."""
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        _n, gens = _random_generators(rng, cap=24)
+        try:
+            model = build_state_independent_model(gens).model
+        except PreconditionError:
+            continue
+        if classify(model).kind == "noncontextual":
+            models.append(model)
+    return models
+
+
+def test_queries_index_once_and_vanishing_queries_read_no_tags(
+        monkeypatch):
+    """Both routes on every section of 12 seeded noncontextual Pauli
+    closures and 40 seeded random no-signalling models: each query looks
+    its section up with ``EmpiricalModel.section_index`` once, before
+    anything else, and a query that vanishes reads no row tag of A, so
+    its family, kernel keys and audits run on section positions and int
+    rows alone."""
+    log = []
+    real = EmpiricalModel.section_index
+
+    def section_index(self, context_index, section):
+        log.append("index")
+        return real(self, context_index, section)
+
+    class Tags(list):
+        def __getitem__(self, r):
+            log.append("tag")
+            return super().__getitem__(r)
+
+    monkeypatch.setattr(EmpiricalModel, "section_index", section_index)
+    models = (_noncontextual_pauli_models(2601, 12)
+              + _random_no_signalling_models(2602, 40))
+    vanishing = {True: 0, False: 0}
+    for model in models:
+        ana = CechAnalyzer(model)
+        ana.rows = Tags(ana.rows)
+        for ci, secs in enumerate(model.sections):
+            for s in secs:
+                for query in (ana.family_obstruction, ana.connecting_cocycle):
+                    log.clear()
+                    dec = query(ci, s)
+                    assert log[0] == "index" and log.count("index") == 1
+                    if dec.vanishes:
+                        assert log == ["index"]
+                    vanishing[dec.vanishes] += 1
+    assert vanishing[True] > 500 and vanishing[False] > 50
 
 
 # --- Sections on int rows -------------------------------------------------------

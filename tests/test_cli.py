@@ -57,20 +57,26 @@ def test_analyze_default_classify(capsys):
 
 
 def test_analyze_hardy_auto_structured(capsys):
-    code, out, _ = run(capsys, "analyze", "hardy", "--cech",
-                       "--section", "auto", "--format", "structured")
-    assert code == 0
-    doc = json.loads(out)
-    assert set(doc) == {"payload", "timings"}
-    rows = doc["payload"]["cech"]
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["vanishes"] and row["false_positive"]
-    assert row["section"] == {"a1": 0, "b1": 0}
-    assert row["collapse"] == {"a1": 0, "a2": 0, "b1": 0, "b2": 0}
-    assert sum(f["coefficient"] for f in row["family"]
-               if f["context"] == 0) == 1
-    assert "cech" in doc["timings"]
+    """The Hardy witness vanishes under --cech and is marked a false
+    positive, whether the query picks it by --section auto or by index,
+    without --classify."""
+    for select in (("--section", "auto"),
+                   ("--context", "0", "--section", "0")):
+        code, out, _ = run(capsys, "analyze", "hardy", "--cech", *select,
+                           "--format", "structured")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"payload", "timings"}
+        assert "classification" not in doc["payload"]
+        rows = doc["payload"]["cech"]
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["vanishes"] and row["false_positive"]
+        assert row["section"] == {"a1": 0, "b1": 0}
+        assert row["collapse"] == {"a1": 0, "a2": 0, "b1": 0, "b2": 0}
+        assert sum(f["coefficient"] for f in row["family"]
+                   if f["context"] == 0) == 1
+        assert "cech" in doc["timings"]
 
 
 def test_analyze_mermin_all(capsys):
