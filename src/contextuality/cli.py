@@ -98,7 +98,7 @@ def _cech_row(model, dec, witnesses) -> dict:
 def _group_row(rep) -> dict:
     """The --group row of a group obstruction report."""
     row = {"context": rep.context_index, "section": rep.section.as_dict(),
-           "vanishes": rep.vanishes}
+           "vanishes": rep.vanishes, "path": rep.decision.path}
     if rep.vanishes:
         row["global_splitting"] = dict(sorted(rep.global_splitting.items()))
     else:
@@ -168,8 +168,10 @@ def _cmd_analyze(args) -> int:
         t0 = time.perf_counter()
         wanted = set(queries)
         rows = []
+        paths = dict.fromkeys(("absolute", "relative", "shortcut"), 0)
         for row, r1, g in _cross_check_steps(structured):
             rows.append(row)
+            paths[g.decision.path] += 1
             key = (row.context_index, row.section)
             if key in wanted:
                 cech_rows[key] = _cech_row(model, r1, witnesses)
@@ -180,6 +182,7 @@ def _cmd_analyze(args) -> int:
             "consistent": rep.consistent,
             "cech_vanishing": sum(1 for r in rep.rows if r.cech_vanishes),
             "group_vanishing": sum(1 for r in rep.rows if r.group_vanishes),
+            "group_paths": paths,
         }
         timings["crosscheck"] = time.perf_counter() - t0
 
@@ -335,7 +338,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        where = f"{exc.where}: " if exc.where else ""
+        print(f"internal invariant violated: {where}{exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # any other failure is a library fault
         first = str(exc).partition("\n")[0]

@@ -24,4 +24,10 @@ class StructureError(PreconditionError):
 
 
 class InternalCheckError(ContextualityError):
-    """An internal cross-check failed; indicates a bug, not a user error."""
+    """An internal cross-check failed; indicates a bug, not a user error.
+
+    ``str`` is the failed check's own message; ``where``, when set by the
+    query the check ran under, names that query (its context and section),
+    and the CLI prints it before the message."""
+
+    where = ""

@@ -10,20 +10,31 @@ section by
 
 beta is a 2-cocycle of the bar complex of X/A, relative to pi(C); its
 class is independent of the representative choice.  The class vanishes
-iff s extends to a global splitting.  Each query is a ladder, and every
-rung is audited: beta is a 2-cocycle and vanishes on the context block;
-a global section of the model through s (its cached ``extension_table``)
-is checked once as a splitting of the whole monoid and read off as the
-gamma with d(gamma) = beta; only a section that extends to no global
-section reaches the relative-coboundary solve, and a feasible solve is
-turned into a global splitting by the reconstruction.  Under the one
-cyclic coefficient factor Z_d that set-up requires, an outcome row is its
-own group ids: set-up and queries read the model's int rows, and build no
-``Section``.
+iff s extends to a global splitting.  beta0, the cocycle of the least
+members with no context forced, differs from beta(s) by d(eps), where
+eps(q) moves eta0(q) to eta(q); so if [beta0] is not 0, no section
+extends.  Each query is a ladder, and every rung is audited: beta
+vanishes on the context block and is symmetric; a global section of the
+model through s (its cached ``extension_table``) is checked once as a
+splitting of the whole monoid and read off as the gamma with
+d(gamma) = beta.  The first section that extends to no global section
+has the model's [beta0] decided: beta0 is audited once as a 2-cocycle
+and solved with no relative orbits.  If [beta0] is not 0, that solve's
+certificate y, checked once by ``separates``, refutes every such
+section, each checking y.beta(s) != 0 mod d; otherwise the relative
+solve decides, and a feasible one is turned into a global splitting by
+the reconstruction.  d(beta) = 0 is checked on pairs: d(gamma) = beta
+implies it on a vanishing section, since d(d(gamma)) = 0 on the
+associative quotient, and a refuted one checks
+beta(s) = beta0 + d(eps).  A failed pair check runs the 2-cocycle audit
+to name the failure.  Under the one cyclic coefficient factor Z_d that
+set-up requires, an outcome row is its own group ids: set-up and
+queries read the model's int rows, and build no ``Section``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,15 +216,24 @@ def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
     bad = bad or splitting_violations(quotient, context_labels, ids)
     if bad:
         raise PreconditionError("not a left splitting: " + "; ".join(bad))
-    return _obstruction(quotient, _frame(quotient, context_labels), ids,
-                        eta_override)
+    obstruction = _obstruction(quotient, _frame(quotient, context_labels),
+                               ids, eta_override)
+    _check_cocycle(obstruction.beta)
+    return obstruction
+
+
+def _check_cocycle(beta: Cochain) -> None:
+    """The 2-cocycle audit, d(beta) = 0 over the composable triples."""
+    if not coboundary(beta).is_zero():
+        raise InternalCheckError("beta is not a 2-cocycle")
 
 
 def _obstruction(quotient: Quotient, frame: tuple, row,
                  eta_override) -> SectionObstruction:
     """``obstruction_cocycle`` on a splitting already validated, given as
     ``row``, its group id at each label of the context, with the context's
-    ``_frame``."""
+    ``_frame``, and with no 2-cocycle audit: each caller checks
+    d(beta) = 0 its own way."""
     labels, ids, inside, orbits, block, defaults = frame
     parent, monoid = quotient.parent, quotient.monoid
     n, names, orbit = parent.size, monoid.elements, quotient.orbit_ids
@@ -255,8 +275,6 @@ def _obstruction(quotient: Quotient, frame: tuple, row,
         raise InternalCheckError("beta does not vanish on the context block")
     beta = Cochain.of_columns(monoid, quotient.action.moduli, 2,
                               quotient.action.columns(beta_ids))
-    if not coboundary(beta).is_zero():
-        raise InternalCheckError("beta is not a 2-cocycle")
     return SectionObstruction(quotient, labels, inside, eta, beta)
 
 
@@ -264,14 +282,22 @@ def _obstruction(quotient: Quotient, frame: tuple, row,
 class CoboundaryDecision:
     """Outcome of deciding beta = d(gamma) with gamma relative to C.
 
-    ``gamma_ids`` holds gamma's group id on each quotient id; ``gamma``
-    reads it as a label dict.  It keeps the quotient, not the solver, so
-    a kept decision keeps no linear system alive."""
+    ``path`` names the rung that decided it: ``"shortcut"`` (gamma read
+    off a global section), ``"relative"`` (the relative solve) or
+    ``"absolute"`` (the model's absolute certificate).  ``gamma_ids``
+    holds gamma's group id on each quotient id; ``gamma`` reads it as a
+    label dict.  ``certificates``, per refuted factor, are the relative
+    solve's: ``solved`` when it ran, else solved on first read from
+    ``deferred`` (a weak reference to the analyzer, the context index,
+    its relative orbits and beta), through the analyzer's solver while it
+    holds the context.  A kept decision keeps no linear system alive."""
 
     vanishes: bool
     gamma_ids: list[int] | None
-    certificates: tuple[tuple[int, ModSolveResult], ...] | None
+    solved: tuple[tuple[int, ModSolveResult], ...] | None
     quotient: Quotient
+    path: str = "relative"
+    deferred: tuple | None = None
 
     @property
     def gamma(self) -> dict | None:
@@ -282,6 +308,18 @@ class CoboundaryDecision:
         return {name: group[a]
                 for name, a in zip(q.monoid.elements, self.gamma_ids)}
 
+    @cached_property
+    def certificates(self) -> tuple[tuple[int, ModSolveResult], ...] | None:
+        if self.deferred is None:
+            return self.solved
+        analyzer, context_index, relative, beta = self.deferred
+        held = analyzer()
+        if held is not None and held._slot[0] == context_index:
+            solver = held._slot[1][1]
+        else:
+            solver = CoboundarySolver(self.quotient, relative)
+        return solver.decide(beta).certificates
+
 
 class CoboundarySolver:
     """Decides relative-coboundary questions for one context block.
@@ -289,27 +327,40 @@ class CoboundarySolver:
     The linear system depends only on the quotient and on which orbits
     the cochain must vanish on, so one solver serves every section of a
     context; beta only changes the right-hand side.  A relative name that
-    is no orbit is refused.  Since the monoid is commutative and beta is
-    built symmetrically, only ordered pairs are kept: their positions
-    among the composable pairs, each with the position of its mirror
-    (y, x); the audits compare columns read there as lists.  The kept
-    pairs' sparse rows, and one ``ModSystem`` per cyclic factor's modulus
-    on them, are built on the first solve and reused for every later
-    beta; the modulus-2 local is the bitmask GF(2) solver.
+    is no orbit is refused; ``absolute`` builds the solver with no
+    relative orbits, which decides a class in H^2 of the quotient.  Since
+    the monoid is commutative and beta is built symmetrically, only
+    ordered pairs are kept: their positions among the composable pairs,
+    each with the position of its mirror (y, x); the audits compare
+    columns read there as lists.  The kept pairs' sparse rows, and one
+    ``ModSystem`` per cyclic factor's modulus on them, are built on the
+    first solve and reused for every later beta; the modulus-2 local is
+    the bitmask GF(2) solver.
     """
 
     def __init__(self, quotient: Quotient, relative_orbits):
-        self.quotient = quotient
-        self.relative = frozenset(relative_orbits)
+        relative = frozenset(relative_orbits)
         monoid = quotient.monoid
-        m = monoid.size
-        rel = bytearray(m)
-        for name in self.relative:
+        rel = bytearray(monoid.size)
+        for name in relative:
             q = monoid.id_of(name)
             if q < 0:
                 raise PreconditionError(f"{name!r} is not an orbit")
             rel[q] = 1
+        self._set(quotient, relative, rel)
+
+    @classmethod
+    def absolute(cls, quotient: Quotient) -> "CoboundarySolver":
+        self = cls.__new__(cls)
+        self._set(quotient, frozenset(), bytearray(quotient.monoid.size))
+        return self
+
+    def _set(self, quotient, relative, rel) -> None:
+        self.quotient = quotient
+        self.relative = relative
         self._rel = rel
+        monoid = quotient.monoid
+        m = monoid.size
         self._unknowns = [q for q in range(m) if not rel[q]]
         qx, qy, qz = monoid.pairs()
         index = monoid.pair_index
@@ -343,13 +394,9 @@ class CoboundarySolver:
             self._systems[d] = ModSystem(self._rows, d, len(self._unknowns))
         return self._systems[d].solve(rhs)
 
-    def decide(self, beta: Cochain, gamma_ids=None) -> CoboundaryDecision:
-        """Is beta = d(gamma) for a gamma vanishing on the relative orbits?
-
-        ``gamma_ids``, a group id per orbit, is a candidate known to the
-        caller (a global section's): it replaces the solve, and is audited
-        like a solved one, relative and bounding beta."""
-        action = self.quotient.action
+    def _audit(self, beta: Cochain) -> None:
+        """The audits every decision runs first: beta vanishes on the
+        context block and is symmetric."""
         for col in beta.columns:
             if any([col[p] for p in self._outside]):
                 raise InternalCheckError(
@@ -357,7 +404,20 @@ class CoboundarySolver:
         for col in beta.columns:
             if [col[p] for p in self._kept] != [col[r] for r in self._mirror]:
                 raise InternalCheckError("cochain is not symmetric")
+
+    def decide(self, beta: Cochain, gamma_ids=None) -> CoboundaryDecision:
+        """Is beta = d(gamma) for a gamma vanishing on the relative orbits?
+
+        ``gamma_ids``, a group id per orbit, is a candidate known to the
+        caller (a global section's): it replaces the solve, and is audited
+        like a solved one, relative and bounding beta.  d(gamma) = beta
+        on every pair makes beta a 2-cocycle; when it fails, the 2-cocycle
+        audit names a beta that is none."""
+        action = self.quotient.action
+        self._audit(beta)
+        path = "shortcut"
         if gamma_ids is None:
+            path = "relative"
             gamma_cols = []
             certificates = []
             for k, (col, d) in enumerate(zip(beta.columns, action.moduli)):
@@ -380,8 +440,9 @@ class CoboundarySolver:
         one = Cochain.of_columns(self.quotient.monoid, action.moduli, 1,
                                  gamma_cols)
         if not coboundary(one).same_as(beta):
+            _check_cocycle(beta)
             raise InternalCheckError("gamma does not bound beta")
-        return CoboundaryDecision(True, gamma_ids, None, self.quotient)
+        return CoboundaryDecision(True, gamma_ids, None, self.quotient, path)
 
 
 # --- Structured-model validation and the full per-section report -------
@@ -459,18 +520,21 @@ class GroupObstructionReport:
 
 
 class GroupObstructionAnalyzer:
-    """Shared gluing and quotient for one model, and the obstruction frame
-    and coboundary solver of the one context it is answering, which a
-    query in another context replaces.
+    """Shared gluing and quotient for one model, its absolute class, and
+    the obstruction frame and coboundary solver of the one context it is
+    answering, which a query in another context replaces.
 
     Set-up validates every section's splitting, so queries do not, and
     builds the quotient, which refuses a glued monoid that is not
     associative; a failed d(beta)=0 audit is then a broken invariant.
-    Every global assignment that a query returns, and every collapse that
-    the cross-check hands to ``check_global_splitting``, is checked once
-    as a splitting of the whole monoid: ``_splittings`` maps each checked
-    assignment, one value per measurement, to the member of each orbit
-    where it vanishes."""
+    [beta0] is decided by the first query that needs it
+    (``_absolute_class``).  Every global assignment that a query
+    returns, and every collapse that the cross-check hands to
+    ``check_global_splitting``, is checked once as a splitting of the
+    whole monoid: ``_splittings`` maps each checked assignment, one value
+    per measurement, to the member of each orbit where it vanishes.  An
+    ``InternalCheckError`` that leaves ``analyze`` names the context index
+    and section position in its ``where``."""
 
     def __init__(self, structured: StructuredModel):
         report, quotient = _validate(structured)
@@ -481,6 +545,7 @@ class GroupObstructionAnalyzer:
         self.quotient = quotient
         self.monoid = quotient.parent
         self._slot: tuple = (None, None)
+        self._absolute: tuple | None = None
         self._splittings: dict[tuple[int, ...], list[int]] = {}
         # where a global section's rows put each measurement: the labels a
         # context is the first to hold, as positions in it and parent ids
@@ -507,28 +572,96 @@ class GroupObstructionAnalyzer:
         model = self.structured.model
         # an unknown context or section is bad input
         s_pos = model.section_index(context_index, section)
+        try:
+            obstruction, decision, glob = self._decide(
+                context_index, s_pos, eta_override)
+        except InternalCheckError as exc:
+            exc.where = f"context {context_index}, section {s_pos}"
+            raise
+        return GroupObstructionReport(
+            context_index, section, obstruction, decision, glob)
+
+    def _decide(self, context_index: int, s_pos: int, eta_override):
+        """The obstruction, decision and global splitting of a query."""
+        model = self.structured.model
         ctx = model.scenario.contexts[context_index]
         frame, solver = self._context(context_index)
         row = model.rows[context_index][s_pos]
         obstruction = _obstruction(self.quotient, frame, row, eta_override)
+        beta = obstruction.beta
         g = model.extension_table[context_index][s_pos]
-        if g is None:
-            decision = solver.decide(obstruction.beta)
-            glob = None
-            if decision.vanishes:
-                glob = self._reconstruct(obstruction, decision, ctx, row)
-        else:
+        if g is not None:
             values = [0] * self.monoid.size
             for (new, ids), rows, u in zip(self._first, model.rows, g):
                 row = rows[u]
                 for p, x in zip(new, ids):
                     values[x] = row[p]
-            decision = solver.decide(obstruction.beta, self._gamma(
+            decision = solver.decide(beta, self._gamma(
                 obstruction, self.check_global_splitting(
                     values, "global section")))
-            glob = dict(zip(self.monoid.elements, values))
-        return GroupObstructionReport(
-            context_index, section, obstruction, decision, glob)
+            return obstruction, decision, dict(zip(self.monoid.elements,
+                                                   values))
+        beta0, refuters = self._absolute_class()
+        if refuters:
+            solver._audit(beta)
+            self._tie(obstruction, frame[5], beta0)
+            moduli = self.quotient.action.moduli
+            for k, terms in refuters:
+                col = beta.columns[k]
+                if not sum(y * col[p] for p, y in terms) % moduli[k]:
+                    raise InternalCheckError(
+                        "the absolute certificate does not separate beta")
+            return obstruction, CoboundaryDecision(
+                False, None, None, self.quotient, "absolute",
+                (weakref.ref(self), context_index, solver.relative, beta)
+            ), None
+        decision = solver.decide(beta)
+        if not decision.vanishes:
+            self._tie(obstruction, frame[5], beta0)
+            return obstruction, decision, None
+        return obstruction, decision, self._reconstruct(
+            obstruction, decision, ctx, row)
+
+    def _absolute_class(self) -> tuple:
+        """beta0, the cocycle of the least members with no context forced,
+        as columns, and for each factor where its class is not 0 the
+        certificate y of the solve with no relative orbits, as (pair
+        position, coefficient) terms.  Decided on the first call: beta0
+        is audited as a 2-cocycle, and as a symmetric cochain by the
+        solve, whose ``ModSystem`` checks y by ``separates``."""
+        if self._absolute is None:
+            q = self.quotient
+            beta0 = _obstruction(q, _frame(q, ()), (), None).beta
+            _check_cocycle(beta0)
+            solver = CoboundarySolver.absolute(q)
+            refuters = tuple(
+                (k, [(p, y) for p, y in zip(solver._kept, res.certificate)
+                     if y])
+                for k, res in solver.decide(beta0).certificates or ())
+            self._absolute = (beta0.columns, refuters)
+        return self._absolute
+
+    def _tie(self, obstruction, eta0, beta0) -> None:
+        """Check beta = beta0 + d(eps) on every pair, where eps(q) is the
+        group element that moves eta0(q), beta0's representative, to
+        eta(q).  With d(beta0) = 0 checked once, the tie gives
+        d(beta) = 0, since d(d(eps)) = 0.  A tie that fails runs the
+        2-cocycle audit to name a beta that is no cocycle."""
+        q = self.quotient
+        n, table, moduli = q.parent.size, q.value_table, q.action.moduli
+        eps = [table[x * n + y] for x, y in zip(obstruction.eta_ids, eta0)]
+        beta = obstruction.beta
+        if -1 not in eps:
+            shift = coboundary(Cochain.of_columns(
+                q.monoid, moduli, 1, q.action.columns(eps)))
+            if all(col == [(a + b) % d for a, b in zip(col0, step)]
+                   for col, col0, step, d in zip(
+                       beta.columns, beta0, shift.columns, moduli)):
+                return
+        _check_cocycle(beta)
+        raise InternalCheckError(
+            "beta is not beta0 plus the coboundary of its representative "
+            "shift")
 
     def check_global_splitting(self, values, what: str) -> list[int]:
         """Check ``values``, an outcome per measurement in measurement

@@ -10,6 +10,7 @@ from contextuality.cech import CechAnalyzer
 from contextuality.errors import InternalCheckError
 from contextuality.mcohom import CoboundarySolver, GroupObstructionAnalyzer
 from contextuality.modelio import dumps_model
+from contextuality.pauli import build_state_independent_model, parse_pauli
 
 from test_mcohom import DATA, twisted_document
 
@@ -90,7 +91,8 @@ def test_analyze_mermin_all(capsys):
     assert payload["avn"]["equations"] == 36
     assert payload["crosscheck"] == {
         "sections": 24, "consistent": True,
-        "cech_vanishing": 0, "group_vanishing": 0}
+        "cech_vanishing": 0, "group_vanishing": 0,
+        "group_paths": {"absolute": 24, "relative": 0, "shortcut": 0}}
     assert len(payload["cech"]) == 24
     assert all(not r["vanishes"] for r in payload["cech"])
     assert len(payload["group"]) == 24
@@ -231,10 +233,38 @@ def test_analyze_all_on_z3_bell_documents(capsys, name, sections,
                          "--format", "structured")
     assert code == 0, err
     payload = json.loads(out)["payload"]
+    # the PR box's sections are solved, the local support's read off
+    # their global sections
+    path = "relative" if name == "bell_z3_pr_box.json" else "shortcut"
+    paths = {"absolute": 0, "relative": 0, "shortcut": 0, path: sections}
     assert payload["crosscheck"] == {
         "sections": sections, "consistent": True,
-        "cech_vanishing": cech_vanishing, "group_vanishing": sections}
+        "cech_vanishing": cech_vanishing, "group_vanishing": sections,
+        "group_paths": paths}
     assert all(r["vanishes"] for r in payload["group"])
+    assert {r["path"] for r in payload["group"]} == {path}
+
+
+def test_group_rows_name_their_path(tmp_path, capsys):
+    """Each structured --group row names the rung that decided it, and
+    --crosscheck totals them: mermin's absolute class refutes every
+    section, the Z_3 PR box, whose sections extend nowhere, is solved
+    relative to each context, and a noncontextual Pauli closure reads every
+    section off a global section."""
+    closure = tmp_path / "closure.json"
+    closure.write_text(dumps_model(build_state_independent_model(
+        [parse_pauli(p) for p in ("+X", "+Z", "-I")])))
+    for source, path in (("mermin", "absolute"),
+                         (str(DATA / "bell_z3_pr_box.json"), "relative"),
+                         (str(closure), "shortcut")):
+        code, out, err = run(capsys, "analyze", source, "--group",
+                             "--crosscheck", "--format", "structured")
+        assert code == 0, err
+        payload = json.loads(out)["payload"]
+        rows = payload["group"]
+        assert rows and {r["path"] for r in rows} == {path}
+        totals = payload["crosscheck"]["group_paths"]
+        assert totals[path] == len(rows) == sum(totals.values())
 
 
 def test_analyze_group_requires_structure(capsys):

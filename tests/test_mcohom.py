@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import contextuality.cech as cech_module
+import contextuality.cli as cli_module
 import contextuality.mcohom as mcohom_module
 import contextuality.pmonoid as pmonoid_module
 from contextuality.cech import (
@@ -1074,3 +1075,223 @@ def test_group_route_builds_no_sections(mermin):
             for row in rows:
                 group.analyze(ci, Section.from_values(ctx, row))
         assert "sections" not in model.__dict__
+
+
+# --- The absolute class and the pair checks --------------------------------
+
+
+def _absolute_class_vanishes(q):
+    """[beta0] = 0, decided apart: beta0 is beta of the empty context, at
+    the least members, solved with no relative orbits."""
+    beta0 = obstruction_cocycle(q, (), {}).beta
+    return CoboundarySolver(q, ()).decide(beta0).vanishes
+
+
+def _absolute_models(mermin, ghz):
+    """Bell documents at d = 2..5, mermin, ghz and 30 seeded Pauli models."""
+    rng = random.Random(2701)
+    models = []
+    for d in (2, 3, 4, 5):
+        models += [bell_model(d, pr_box(d)), bell_model(d, local_support(d)),
+                   bell_model(d, _random_bell_support(rng, d))]
+    return models + _shortcut_models(mermin, ghz)
+
+
+def test_absolute_decision_answers_like_a_hint_free_relative_solve(
+        mermin, ghz):
+    """Every section's verdict is that of a fresh relative solve given no
+    global section; a model whose absolute class is not 0 has no vanishing
+    section, and each of its sections that extends nowhere is decided on
+    the absolute path; relative certificates read after the whole model
+    was queried are the fresh solve's."""
+    paths = set()
+    for st in _absolute_models(mermin, ghz):
+        ana = GroupObstructionAnalyzer(st)
+        q = ana.quotient
+        absolute = not _absolute_class_vanishes(q)
+        reports = [ana.analyze(ci, s) for ci, secs in
+                   enumerate(st.model.sections) for s in secs]
+        solvers = {}  # one per context, apart from the analyzer's
+        for report in reports:
+            ob, dec = report.obstruction, report.decision
+            if report.context_index not in solvers:
+                solvers[report.context_index] = CoboundarySolver(
+                    q, ob.relative_orbits)
+            fresh = solvers[report.context_index].decide(ob.beta)
+            assert dec.vanishes == fresh.vanishes
+            assert dec.certificates == fresh.certificates
+            assert not (absolute and dec.vanishes)
+            u = st.model.section_index(report.context_index, report.section)
+            if st.model.extension_table[report.context_index][u] is None:
+                assert (dec.path == "absolute") == absolute
+            paths.add(dec.path)
+    assert paths == {"absolute", "relative", "shortcut"}
+
+
+def _read_entries(ana, ci, s):
+    """The value-table entries that a query of section ``s`` reads: its
+    beta, beta0, the shift between their representatives and, on the
+    shortcut, gamma read off the global section."""
+    q = ana.quotient
+    n, sums = q.parent.size, q.parent.sums
+    report = ana.analyze(ci, s)
+    eta = report.obstruction.eta_ids
+    eta0 = [members[0] for members in q.member_ids]
+    qx, qy, qz = q.monoid.pairs()
+    entries = set()
+    for e in (eta, eta0):
+        entries |= {sums[e[a] * n + e[b]] * n + e[c]
+                    for a, b, c in zip(qx, qy, qz)}
+    entries |= {x * n + y for x, y in zip(eta, eta0)}
+    if report.global_splitting is not None:
+        entries |= {x * n + h for x, h in
+                    zip(eta, _zeros(q, report.global_splitting))}
+    return sorted(entries)
+
+
+@pytest.mark.parametrize("name", ["mermin", "ghz", "pr_box", "shortcut"])
+def test_pair_checks_catch_what_the_triple_audit_caught(name, mermin, ghz):
+    """Each value-table entry that a query reads, moved to another group
+    element before the analyzer's first query or after it, is refused by
+    the query whenever the 2-cocycle audit of ``obstruction_cocycle``
+    refuses the section's beta on the tampered table, with the same
+    message.  The models take the absolute path (mermin, ghz), the
+    relative solve (the binary PR box) and the global-section shortcut
+    (a noncontextual Pauli closure)."""
+    st = {"mermin": mermin.structured, "ghz": ghz.structured,
+          "pr_box": bell_model(2, pr_box(2)),
+          "shortcut": build_state_independent_model(
+              [parse_pauli(p) for p in ("+X", "+Z", "-I")])}[name]
+    model = st.model
+    path = {"mermin": "absolute", "ghz": "absolute", "pr_box": "relative",
+            "shortcut": "shortcut"}[name]
+    audited = {True: 0, False: 0}
+    for ci in (0, len(model.sections) - 1):
+        ctx, s = model.scenario.contexts[ci], model.sections[ci][0]
+        sp = splitting_of_section(s, ctx, st.action)
+        queried = GroupObstructionAnalyzer(st)
+        entries = _read_entries(queried, ci, s)
+        assert queried.analyze(ci, s).decision.path == path
+        for k in entries:
+            for before_first_query in (True, False):
+                ana = (GroupObstructionAnalyzer(st) if before_first_query
+                       else queried)
+                q = ana.quotient
+                real = q.value_table[k]
+                q.value_table[k] = (real + 1) % len(q.embedding)
+                try:
+                    obstruction_cocycle(q, ctx, sp)
+                except InternalCheckError as exc:
+                    with pytest.raises(InternalCheckError) as err:
+                        ana.analyze(ci, s)
+                    assert str(err.value) == str(exc)
+                    audited[before_first_query] += 1
+                q.value_table[k] = real
+    assert audited[True] > 0 and audited[False] > 0
+
+
+def test_group_errors_name_the_context_and_section(mermin, capsys,
+                                                   monkeypatch):
+    """An internal check that fails under ``analyze`` keeps its message and
+    names the query's context index and section position, and the CLI
+    prints them before the message.  The query is a mermin section whose
+    beta reads a tampered value-table entry."""
+    st = loads_model(dumps_model(mermin.structured))
+    ci, u = 2, 1
+    s = st.model.sections[ci][u]
+    ana = st.group_analyzer
+    eta = ana.analyze(ci, s).obstruction.eta_ids
+    q = ana.quotient
+    n, sums = q.parent.size, q.parent.sums
+    a, b, c = (col[-1] for col in q.monoid.pairs())
+    q.value_table[sums[eta[a] * n + eta[b]] * n + eta[c]] ^= 1
+    with pytest.raises(InternalCheckError, match=_AUDITED) as err:
+        ana.analyze(ci, s)
+    assert err.value.where == f"context {ci}, section {u}"
+    message = str(err.value)
+    monkeypatch.setattr(cli_module, "_load_source",
+                        lambda _source: ("mermin", st.model, st))
+    code = cli_module.main(["analyze", "mermin", "--group", "--context",
+                            str(ci), "--section", str(u)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"internal invariant violated: context {ci}, section {u}: "
+        f"{message}\n")
+
+
+def test_absolute_class_is_decided_once_and_only_when_needed(ghz,
+                                                             monkeypatch):
+    """The cross-check of GHZ-3, whose absolute class is not 0, audits one
+    2-cocycle (beta0's) and builds one modular system (its absolute
+    solve); the Z_3 local support, whose sections all extend, and a
+    noncontextual Pauli closure run neither."""
+    audits = []
+    real = mcohom_module.coboundary
+
+    def counted(c):
+        if c.degree == 2:
+            audits.append(c)
+        return real(c)
+
+    monkeypatch.setattr(mcohom_module, "coboundary", counted)
+    systems = _counted(monkeypatch, mcohom_module, "ModSystem")
+    model = ghz.model
+    ghz3 = StructuredModel(EmpiricalModel.make(model.scenario, model.sections),
+                           ghz.structured.context_ops, ghz.structured.action)
+    rows = cross_check_obstructions(ghz3).rows
+    assert len(rows) == 135 and not any(r.group_vanishes for r in rows)
+    assert len(audits) == 1 and len(systems) == 1
+    for st in (loads_model((DATA / "bell_z3_local.json").read_text()),
+               build_state_independent_model(
+                   [parse_pauli(p) for p in ("+X", "+Z", "-I")])):
+        audits.clear()
+        systems.clear()
+        assert cross_check_obstructions(st).consistent
+        assert audits == [] and systems == []
+
+
+def test_decide_catches_a_tampered_gamma_after_the_absolute_class(
+        monkeypatch):
+    """On the binary PR box, once the first query has decided the absolute
+    class (0 there), a relative solve whose witness is moved on one
+    coordinate is refused by the section's own gamma audit, in each later
+    context."""
+    st = bell_model(2, pr_box(2))
+    real = mcohom_module.ModSystem
+
+    class Tampered(real):
+        def solve(self, rhs):
+            res = real.solve(self, rhs)
+            w = list(res.witness)
+            w[0] = (w[0] + 1) % self.modulus
+            return ModSolveResult(True, tuple(w), None)
+
+    for ci in range(1, len(st.model.sections)):
+        ana = GroupObstructionAnalyzer(st)
+        assert ana.analyze(0, st.model.sections[0][0]).vanishes
+        monkeypatch.setattr(mcohom_module, "ModSystem", Tampered)
+        with pytest.raises(InternalCheckError,
+                           match="gamma does not bound beta") as err:
+            ana.analyze(ci, st.model.sections[ci][0])
+        assert err.value.where == f"context {ci}, section 0"
+        monkeypatch.setattr(mcohom_module, "ModSystem", real)
+
+
+def test_each_section_checks_the_absolute_certificate(mermin, monkeypatch):
+    """An absolute certificate that separates nothing (y = 0, past the
+    solver's own check) is refused by the first section it would refute,
+    on its own right-hand side."""
+    real = mcohom_module.ModSystem
+
+    class Blank(real):
+        def solve(self, rhs):
+            res = real.solve(self, rhs)
+            if res.feasible:
+                return res
+            return ModSolveResult(False, None, (0,) * len(res.certificate))
+
+    monkeypatch.setattr(mcohom_module, "ModSystem", Blank)
+    ana = GroupObstructionAnalyzer(mermin.structured)
+    with pytest.raises(InternalCheckError,
+                       match="absolute certificate does not separate"):
+        ana.analyze(0, mermin.model.sections[0][0])
