@@ -289,8 +289,9 @@ class CoboundaryDecision:
     label dict.  ``certificates``, per refuted factor, are the relative
     solve's: ``solved`` when it ran, else solved on first read from
     ``deferred`` (a weak reference to the analyzer, the context index,
-    its relative orbits and beta), through the analyzer's solver while it
-    holds the context.  A kept decision keeps no linear system alive."""
+    its relative orbits and beta) by the analyzer's ``_certificates``,
+    or by a fresh solver once the analyzer is gone.  A kept decision
+    keeps no linear system alive."""
 
     vanishes: bool
     gamma_ids: list[int] | None
@@ -314,11 +315,20 @@ class CoboundaryDecision:
             return self.solved
         analyzer, context_index, relative, beta = self.deferred
         held = analyzer()
-        if held is not None and held._slot[0] == context_index:
-            solver = held._slot[1][1]
-        else:
-            solver = CoboundarySolver(self.quotient, relative)
-        return solver.decide(beta).certificates
+        if held is not None:
+            return held._certificates(context_index, relative, beta)
+        return _refuting_certificates(
+            CoboundarySolver(self.quotient, relative), beta)
+
+
+def _refuting_certificates(solver, beta: Cochain) -> tuple:
+    """The relative solve's certificates for a beta that the absolute
+    class refuted; a solve that finds beta bounding contradicts it."""
+    certificates = solver.decide(beta).certificates
+    if not certificates:
+        raise InternalCheckError(
+            "the relative solve contradicts the absolute class")
+    return certificates
 
 
 class CoboundarySolver:
@@ -327,40 +337,28 @@ class CoboundarySolver:
     The linear system depends only on the quotient and on which orbits
     the cochain must vanish on, so one solver serves every section of a
     context; beta only changes the right-hand side.  A relative name that
-    is no orbit is refused; ``absolute`` builds the solver with no
-    relative orbits, which decides a class in H^2 of the quotient.  Since
-    the monoid is commutative and beta is built symmetrically, only
-    ordered pairs are kept: their positions among the composable pairs,
-    each with the position of its mirror (y, x); the audits compare
-    columns read there as lists.  The kept pairs' sparse rows, and one
-    ``ModSystem`` per cyclic factor's modulus on them, are built on the
-    first solve and reused for every later beta; the modulus-2 local is
-    the bitmask GF(2) solver.
+    is no orbit is refused; with no relative orbits the solver decides a
+    class in H^2 of the quotient.  Since the monoid is commutative and
+    beta is built symmetrically, only ordered pairs are kept: their
+    positions among the composable pairs, each with the position of its
+    mirror (y, x); the audits compare columns read there as lists.  The
+    kept pairs' sparse rows, and one ``ModSystem`` per cyclic factor's
+    modulus on them, are built on the first solve and reused for every
+    later beta; the modulus-2 local is the bitmask GF(2) solver.
     """
 
     def __init__(self, quotient: Quotient, relative_orbits):
-        relative = frozenset(relative_orbits)
+        self.quotient = quotient
+        self.relative = frozenset(relative_orbits)
         monoid = quotient.monoid
-        rel = bytearray(monoid.size)
-        for name in relative:
+        m = monoid.size
+        rel = bytearray(m)
+        for name in self.relative:
             q = monoid.id_of(name)
             if q < 0:
                 raise PreconditionError(f"{name!r} is not an orbit")
             rel[q] = 1
-        self._set(quotient, relative, rel)
-
-    @classmethod
-    def absolute(cls, quotient: Quotient) -> "CoboundarySolver":
-        self = cls.__new__(cls)
-        self._set(quotient, frozenset(), bytearray(quotient.monoid.size))
-        return self
-
-    def _set(self, quotient, relative, rel) -> None:
-        self.quotient = quotient
-        self.relative = relative
         self._rel = rel
-        monoid = quotient.monoid
-        m = monoid.size
         self._unknowns = [q for q in range(m) if not rel[q]]
         qx, qy, qz = monoid.pairs()
         index = monoid.pair_index
@@ -633,13 +631,24 @@ class GroupObstructionAnalyzer:
             q = self.quotient
             beta0 = _obstruction(q, _frame(q, ()), (), None).beta
             _check_cocycle(beta0)
-            solver = CoboundarySolver.absolute(q)
+            solver = CoboundarySolver(q, ())
             refuters = tuple(
                 (k, [(p, y) for p, y in zip(solver._kept, res.certificate)
                      if y])
                 for k, res in solver.decide(beta0).certificates or ())
             self._absolute = (beta0.columns, refuters)
         return self._absolute
+
+    def _certificates(self, context_index: int, relative,
+                      beta: Cochain) -> tuple:
+        """The relative certificates of a query that the absolute class
+        refuted, read through the held solver while the analyzer answers
+        that context, and through a fresh one otherwise."""
+        if self._slot[0] == context_index:
+            solver = self._slot[1][1]
+        else:
+            solver = CoboundarySolver(self.quotient, relative)
+        return _refuting_certificates(solver, beta)
 
     def _tie(self, obstruction, eta0, beta0) -> None:
         """Check beta = beta0 + d(eps) on every pair, where eps(q) is the

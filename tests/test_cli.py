@@ -140,17 +140,20 @@ def test_analyze_all_sets_up_one_analyzer_of_each_kind(tmp_path, capsys,
 def test_analyze_all_walks_the_sections_once(tmp_path, capsys, ghz,
                                             monkeypatch):
     """``--all`` answers its --cech and --group rows from the cross-check's
-    one pass: each section is decided once in each theory and each
-    context's coboundary solver is built once, and the payload is the one
-    the separate loops give."""
+    one pass: each section is decided once in each theory, each context's
+    coboundary solver is built once, the model's absolute solver (no
+    relative orbits) is built once, and the payload is the one the
+    separate loops give."""
     path = tmp_path / "ghz.json"
     path.write_text(dumps_model(ghz.structured))
-    counts = dict.fromkeys(("family_obstruction", "analyze", "__init__"), 0)
+    counts = dict.fromkeys(
+        ("family_obstruction", "analyze", "__init__", "absolute"), 0)
     for cls, attr in ((CechAnalyzer, "family_obstruction"),
                       (GroupObstructionAnalyzer, "analyze"),
                       (CoboundarySolver, "__init__")):
         def counted(self, *args, _real=getattr(cls, attr), _attr=attr):
-            counts[_attr] += 1
+            absolute = _attr == "__init__" and not args[1]
+            counts["absolute" if absolute else _attr] += 1
             return _real(self, *args)
 
         monkeypatch.setattr(cls, attr, counted)
@@ -158,7 +161,7 @@ def test_analyze_all_walks_the_sections_once(tmp_path, capsys, ghz,
                          "--format", "structured")
     assert code == 0, err
     assert counts == {"family_obstruction": 135, "analyze": 135,
-                      "__init__": 30}
+                      "__init__": 30, "absolute": 1}
     payload = json.loads(out)["payload"]
     monkeypatch.undo()
     apart = {}

@@ -31,6 +31,7 @@ from contextuality.errors import (
 from contextuality.linalg import ModSolveResult
 from contextuality.mcohom import (
     Cochain,
+    CoboundaryDecision,
     CoboundarySolver,
     GroupObstructionAnalyzer,
     coboundary,
@@ -1295,3 +1296,39 @@ def test_each_section_checks_the_absolute_certificate(mermin, monkeypatch):
     with pytest.raises(InternalCheckError,
                        match="absolute certificate does not separate"):
         ana.analyze(0, mermin.model.sections[0][0])
+
+
+@pytest.mark.parametrize("analyzer_kept", [True, False])
+def test_a_deferred_read_refuses_a_relative_solve_that_bounds_beta(
+        analyzer_kept, mermin, monkeypatch):
+    """Certificates of a section that the absolute class refuted are
+    solved on first read, through the analyzer's held solver or, once the
+    analyzer is gone, a fresh one.  A solve that claims beta bounds is an
+    internal fault either way: a feasible ``ModSystem`` fails the gamma
+    audit, and a decision that vanishes outright contradicts the absolute
+    class."""
+    s = mermin.model.sections[0][0]
+    real = mcohom_module.ModSystem
+
+    class Feasible(real):
+        def solve(self, rhs):
+            return ModSolveResult(True, (0,) * self.ncols, None)
+
+    def vanishing(self, beta, gamma_ids=None):
+        return CoboundaryDecision(True, [0] * self.quotient.monoid.size,
+                                  None, self.quotient)
+
+    for patch, message in (((mcohom_module, "ModSystem", Feasible),
+                            "gamma does not bound beta"),
+                           ((CoboundarySolver, "decide", vanishing),
+                            "contradicts the absolute class")):
+        ana = GroupObstructionAnalyzer(mermin.structured)
+        decision = ana.analyze(0, s).decision
+        assert decision.path == "absolute"
+        if not analyzer_kept:
+            del ana
+            assert decision.deferred[0]() is None
+        monkeypatch.setattr(*patch)
+        with pytest.raises(InternalCheckError, match=message):
+            decision.certificates
+        monkeypatch.undo()
