@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, located
 from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem
 from .pmonoid import StructuredModel
 from .scenario import (
@@ -311,16 +311,17 @@ class CechAnalyzer:
     def family_obstruction(self, context_index: int,
                            section: Section) -> FamilyDecision:
         s_pos = self._position(context_index, section)
-        _sol, ref = self._route1_parity(context_index).solve(1 << s_pos)
-        if ref is not None:
-            return FamilyDecision(
-                context_index, section, False, None,
-                self._parity_certificate(context_index, s_pos, ref))
-        witness = self._integral_family(context_index, s_pos)
-        if isinstance(witness, CechCertificate):
-            return FamilyDecision(context_index, section, False, None,
-                                  witness)
-        return FamilyDecision(context_index, section, True, witness, None)
+        with located(context_index, s_pos):
+            _sol, ref = self._route1_parity(context_index).solve(1 << s_pos)
+            if ref is not None:
+                return FamilyDecision(
+                    context_index, section, False, None,
+                    self._parity_certificate(context_index, s_pos, ref))
+            witness = self._integral_family(context_index, s_pos)
+            if isinstance(witness, CechCertificate):
+                return FamilyDecision(context_index, section, False, None,
+                                      witness)
+            return FamilyDecision(context_index, section, True, witness, None)
 
     def _route1_parity(self, context_index: int) -> Gf2AffineSystem:
         """The pinning rows of one context over GF(2), in kernel
@@ -482,28 +483,30 @@ class CechAnalyzer:
     def connecting_cocycle(self, context_index: int,
                            section: Section) -> CocycleDecision:
         s_pos = self._position(context_index, section)
-        _basis, classes, parity = self._route2_rows(context_index)
-        # the lift takes, in each context, the representative of s0's class
-        lift = [reps[key_c[s_pos]] for key_c, reps in classes]
-        z = self._delta((j, u, 1) for j, u in enumerate(lift))
-        if _nonzero_sums(self._kernel_keys(context_index), z.items()):
-            raise InternalCheckError(
-                "connecting cochain leaves the kernel presheaf")
-        odd = _odd_mask(z, len(self.rows))
-        _sol, ref = parity.solve(odd)
-        if ref is not None:
-            rows = _set_bits(ref)
-            self._check_refuter(context_index, rows, odd)
-            cert = CechCertificate("parity", tuple(self.rows[r] for r in rows),
-                                   (1,) * len(rows))
-            return CocycleDecision(context_index, section, False, z,
-                                   self.rows, None, cert)
-        potential = self._route2_potential(context_index, s_pos, lift, z)
-        if isinstance(potential, CechCertificate):
-            return CocycleDecision(context_index, section, False, z,
-                                   self.rows, None, potential)
-        return CocycleDecision(context_index, section, True, z, self.rows,
-                               potential, None)
+        with located(context_index, s_pos):
+            _basis, classes, parity = self._route2_rows(context_index)
+            # the lift takes, in each context, the representative of s0's class
+            lift = [reps[key_c[s_pos]] for key_c, reps in classes]
+            z = self._delta((j, u, 1) for j, u in enumerate(lift))
+            if _nonzero_sums(self._kernel_keys(context_index), z.items()):
+                raise InternalCheckError(
+                    "connecting cochain leaves the kernel presheaf")
+            odd = _odd_mask(z, len(self.rows))
+            _sol, ref = parity.solve(odd)
+            if ref is not None:
+                rows = _set_bits(ref)
+                self._check_refuter(context_index, rows, odd)
+                cert = CechCertificate("parity",
+                                       tuple(self.rows[r] for r in rows),
+                                       (1,) * len(rows))
+                return CocycleDecision(context_index, section, False, z,
+                                       self.rows, None, cert)
+            potential = self._route2_potential(context_index, s_pos, lift, z)
+            if isinstance(potential, CechCertificate):
+                return CocycleDecision(context_index, section, False, z,
+                                       self.rows, None, potential)
+            return CocycleDecision(context_index, section, True, z, self.rows,
+                                   potential, None)
 
     def _delta(self, terms) -> dict:
         """delta(x) = -A x on the rows of A, ``{row: nonzero value}``, for

@@ -6,6 +6,8 @@ contradicting an invariant the library promises to uphold).  The CLI maps
 the former to exit code 2 and the latter to exit code 3.
 """
 
+from contextlib import contextmanager
+
 
 class ContextualityError(Exception):
     """Base class for all library errors."""
@@ -31,3 +33,14 @@ class InternalCheckError(ContextualityError):
     and the CLI prints it before the message."""
 
     where = ""
+
+
+@contextmanager
+def located(context_index: int, section_index: int):
+    """Name the query of both analyzers, by its context index and section
+    position, in the ``where`` of an ``InternalCheckError`` leaving it."""
+    try:
+        yield
+    except InternalCheckError as exc:
+        exc.where = f"context {context_index}, section {section_index}"
+        raise

@@ -3,12 +3,11 @@
 Nothing here ever rounds: every entry is a Python int.  Every exact
 solver works on sparse rows, ``{column: entry}`` dicts over an explicit
 column count: the integer solver and its Hermite normal form, and the
-modular solver and its eliminations at every prime power.  Dense
-``list[list[int]]`` input is taken only by the one-shot public functions
-(``hermite_normal_form``, ``solve_integer``, ``solve_mod``,
-``kernel_mod``, ``verify_integer_result`` and ``verify_mod_result``),
-which convert it and run the same code.  GF(2) rows are bitmasks.  The
-solvers share one reporting convention:
+modular solver and its eliminations at every prime power.  Systems are
+solved only through the reusable ``IntegerSystem`` and ``ModSystem``.
+Dense ``list[list[int]]`` input is taken only by ``hermite_normal_form``
+and ``kernel_mod``, which convert it and run the same code.  GF(2) rows
+are bitmasks.  The solvers share one reporting convention:
 
 * a witness is an assignment satisfying the system exactly;
 * an infeasibility certificate is a vector ``y`` that provably separates
@@ -390,21 +389,6 @@ def _verify(rows: list[SparseRow], ncols: int, rhs: list[int], result,
                      cert_modulus)
 
 
-def _verify_dense(rows: Matrix, rhs: list[int], result, modulus: int, y,
-                  cert_modulus: int) -> bool:
-    """``_verify`` for dense rows; an empty system takes its column count
-    from the witness."""
-    n = len(rows[0]) if rows else (len(result.witness) if result.witness else 0)
-    return _verify(_sparse(rows), n, rhs, result, modulus, y, cert_modulus)
-
-
-def verify_integer_result(rows: Matrix, rhs: list[int], result: IntSolveResult) -> bool:
-    """Substitution check for a witness or certificate against A x = b."""
-    cert = result.certificate
-    return _verify_dense(rows, rhs, result, 0, cert and cert.vector,
-                         int(cert is not None and cert.kind != "rational"))
-
-
 class IntegerSystem:
     """Reusable exact solver for ``A x = b`` over the integers.
 
@@ -515,11 +499,6 @@ class IntegerSystem:
         return result
 
 
-def solve_integer(rows: Matrix, rhs: list[int], ncols: int | None = None) -> IntSolveResult:
-    """Decide ``A x = b`` over the integers; witness or certificate."""
-    return IntegerSystem(_sparse(rows), _shape(rows, ncols)).solve(rhs)
-
-
 # ---------------------------------------------------------------------------
 # Modular systems
 # ---------------------------------------------------------------------------
@@ -532,27 +511,40 @@ class ModSolveResult:
     certificate: tuple[int, ...] | None = None
 
 
-def verify_mod_result(rows: Matrix, rhs: list[int], modulus: int, result: ModSolveResult) -> bool:
-    """Substitution check for a witness or certificate of A x = b (mod d)."""
-    return _verify_dense(rows, rhs, result, modulus, result.certificate,
-                         modulus)
-
-
 def _factor(n: int) -> list[tuple[int, int]]:
-    """Prime-power factorization by trial division (desk-size moduli)."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+    """Prime-power factorization by trial division below 2^16; a cofactor
+    left at or above 2^32 must be certified prime by ``_is_prime``, or
+    the modulus is refused."""
+    out, m, p = [], n, 2
+    while p * p <= m and p < 1 << 16:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
             out.append((p, e))
         p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    if m > 1:
+        if m >= 1 << 32 and not _is_prime(m):
+            raise PreconditionError(
+                f"modulus {n}: cannot factor {m}, which has no prime factor "
+                "below 2^16 and is not certified prime")
+        out.append((m, 1))
     return out
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n, with the primes to 41 as
+    bases: exact below 3.3e24, and False from there on, where it
+    certifies nothing."""
+    if n >= 3317044064679887385961981:
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        powers = [pow(a, (n - 1) >> s << k, n) for k in range(s)]
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
 
 
 def _val(a: int, p: int) -> int:
@@ -758,11 +750,6 @@ def _crt(parts: list[tuple[int, int]]) -> int:
         x = x + m * ((r - x) % q * inv % q)
         m *= q
     return x % m if m > 1 else 0
-
-
-def solve_mod(rows: Matrix, rhs: list[int], modulus: int, ncols: int | None = None) -> ModSolveResult:
-    """Decide ``A x = b (mod d)``; witness or annihilating certificate."""
-    return ModSystem(_sparse(rows), modulus, _shape(rows, ncols)).solve(rhs)
 
 
 def kernel_mod(rows: Matrix, modulus: int, ncols: int | None = None) -> list[tuple[int, ...]]:

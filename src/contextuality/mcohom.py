@@ -38,7 +38,8 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalCheckError, PreconditionError, StructureError
+from .errors import (InternalCheckError, PreconditionError, StructureError,
+                     located)
 from .linalg import ModSolveResult, ModSystem
 from .pmonoid import (
     PartialMonoid,
@@ -56,44 +57,20 @@ from .scenario import Section, ValidationReport
 class Cochain:
     """An A-valued function on the composable tuples of one degree.
 
-    It is held as one flat int list per cyclic factor over
+    It is held as ``columns``, one flat int list per cyclic factor over
     ``monoid.composable(degree)``; ``values`` reads it as a sparse dict
-    from label tuples to the nonzero value tuples.  Built from such a
-    dict, a value on a tuple that is not composable, or whose arity does
-    not match the moduli, is a precondition error.
+    from label tuples to the nonzero value tuples.  ``make_cochain``
+    builds one from such a dict; handed to the constructor, a dict is
+    refused, not read as columns.
     """
 
-    def __init__(self, monoid: PartialMonoid, moduli, degree: int,
-                 values: dict):
-        moduli = tuple(moduli)
-        columns = tuple([0] * monoid.count(degree) for _ in moduli)
-        for t, v in values.items():
-            j = monoid.position(t) if len(t) == degree else None
-            if j is None:
-                raise PreconditionError(
-                    f"{t} is not a composable {degree}-tuple")
-            if len(v) != len(moduli):
-                raise PreconditionError("value arity does not match the moduli")
-            for col, a in zip(columns, v):
-                col[j] = a
-        self._set(monoid, moduli, degree, columns)
-
-    @classmethod
-    def of_columns(cls, monoid: PartialMonoid, moduli, degree: int,
-                   columns) -> "Cochain":
-        self = cls.__new__(cls)
-        self._set(monoid, tuple(moduli), degree, tuple(columns))
-        return self
-
-    def _set(self, monoid, moduli, degree, columns) -> None:
+    def __init__(self, monoid: PartialMonoid, moduli, degree: int, columns):
         self.monoid = monoid
-        self.moduli = moduli
+        self.moduli = tuple(moduli)
         self.degree = degree
-        self.columns = columns
-
-    @property
-    def zero_value(self) -> tuple[int, ...]:
-        return (0,) * len(self.moduli)
+        self.columns = tuple(columns)
+        if isinstance(columns, dict) or len(self.columns) != len(self.moduli):
+            raise PreconditionError("a Cochain takes one column per modulus")
 
     @property
     def values(self) -> dict:
@@ -105,7 +82,7 @@ class Cochain:
         t = tuple(t)
         j = self.monoid.position(t) if len(t) == self.degree else None
         if j is None:
-            return self.zero_value
+            return (0,) * len(self.moduli)
         return tuple(col[j] for col in self.columns)
 
     def is_zero(self) -> bool:
@@ -120,13 +97,21 @@ class Cochain:
 
 
 def make_cochain(monoid, moduli, degree, values) -> Cochain:
+    """The cochain of a dict from label tuples to value tuples, each value
+    reduced mod its factor; a value on a tuple that is not composable, or
+    whose arity does not match the moduli, is a precondition error."""
     moduli = tuple(moduli)
-    norm = {}
+    columns = [[0] * monoid.count(degree) for _ in moduli]
     for t, v in values.items():
-        if len(tuple(v)) != len(moduli):
+        t, v = tuple(t), tuple(v)
+        if len(v) != len(moduli):
             raise PreconditionError("value arity does not match the moduli")
-        norm[tuple(t)] = tuple(int(a) % d for a, d in zip(v, moduli))
-    return Cochain(monoid, moduli, degree, norm)
+        j = monoid.position(t) if len(t) == degree else None
+        if j is None:
+            raise PreconditionError(f"{t} is not a composable {degree}-tuple")
+        for col, a, d in zip(columns, v, moduli):
+            col[j] = int(a) % d
+    return Cochain(monoid, moduli, degree, columns)
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -152,7 +137,7 @@ def coboundary(c: Cochain) -> Cochain:
         else:
             sums.append([(f[a] - f[b] + f[x] - f[y]) % d
                          for a, b, x, y in zip(*cols)])
-    return Cochain.of_columns(c.monoid, c.moduli, n + 1, sums)
+    return Cochain(c.monoid, c.moduli, n + 1, sums)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +258,8 @@ def _obstruction(quotient: Quotient, frame: tuple, row,
             f"{parent.elements[eta[qz[k]]]!r}")
     if any([beta_ids[p] for p in block]):
         raise InternalCheckError("beta does not vanish on the context block")
-    beta = Cochain.of_columns(monoid, quotient.action.moduli, 2,
-                              quotient.action.columns(beta_ids))
+    beta = Cochain(monoid, quotient.action.moduli, 2,
+                   quotient.action.columns(beta_ids))
     return SectionObstruction(quotient, labels, inside, eta, beta)
 
 
@@ -288,10 +273,9 @@ class CoboundaryDecision:
     holds gamma's group id on each quotient id; ``gamma`` reads it as a
     label dict.  ``certificates``, per refuted factor, are the relative
     solve's: ``solved`` when it ran, else solved on first read from
-    ``deferred`` (a weak reference to the analyzer, the context index,
-    its relative orbits and beta) by the analyzer's ``_certificates``,
-    or by a fresh solver once the analyzer is gone.  A kept decision
-    keeps no linear system alive."""
+    ``deferred`` (a weak reference to the context's solver, its relative
+    orbits and beta), through that solver while the analyzer holds it and
+    a fresh one otherwise.  A kept decision keeps no linear system alive."""
 
     vanishes: bool
     gamma_ids: list[int] | None
@@ -313,22 +297,13 @@ class CoboundaryDecision:
     def certificates(self) -> tuple[tuple[int, ModSolveResult], ...] | None:
         if self.deferred is None:
             return self.solved
-        analyzer, context_index, relative, beta = self.deferred
-        held = analyzer()
-        if held is not None:
-            return held._certificates(context_index, relative, beta)
-        return _refuting_certificates(
-            CoboundarySolver(self.quotient, relative), beta)
-
-
-def _refuting_certificates(solver, beta: Cochain) -> tuple:
-    """The relative solve's certificates for a beta that the absolute
-    class refuted; a solve that finds beta bounding contradicts it."""
-    certificates = solver.decide(beta).certificates
-    if not certificates:
-        raise InternalCheckError(
-            "the relative solve contradicts the absolute class")
-    return certificates
+        held, relative, beta = self.deferred
+        solver = held() or CoboundarySolver(self.quotient, relative)
+        certificates = solver.decide(beta).certificates
+        if not certificates:
+            raise InternalCheckError(
+                "the relative solve contradicts the absolute class")
+        return certificates
 
 
 class CoboundarySolver:
@@ -387,11 +362,6 @@ class CoboundarySolver:
             rows.append({j: a for j, a in row.items() if a})
         return rows
 
-    def _solve_factor(self, d: int, rhs: list[int]) -> ModSolveResult:
-        if d not in self._systems:
-            self._systems[d] = ModSystem(self._rows, d, len(self._unknowns))
-        return self._systems[d].solve(rhs)
-
     def _audit(self, beta: Cochain) -> None:
         """The audits every decision runs first: beta vanishes on the
         context block and is symmetric."""
@@ -419,7 +389,10 @@ class CoboundarySolver:
             gamma_cols = []
             certificates = []
             for k, (col, d) in enumerate(zip(beta.columns, action.moduli)):
-                res = self._solve_factor(d, [col[p] % d for p in self._kept])
+                if d not in self._systems:
+                    self._systems[d] = ModSystem(self._rows, d,
+                                                 len(self._unknowns))
+                res = self._systems[d].solve([col[p] % d for p in self._kept])
                 if res.feasible:
                     gamma = [0] * self.quotient.monoid.size
                     for q, v in zip(self._unknowns, res.witness):
@@ -435,8 +408,7 @@ class CoboundarySolver:
             raise InternalCheckError("gamma not relative to the context block")
         else:
             gamma_cols = action.columns(gamma_ids)
-        one = Cochain.of_columns(self.quotient.monoid, action.moduli, 1,
-                                 gamma_cols)
+        one = Cochain(self.quotient.monoid, action.moduli, 1, gamma_cols)
         if not coboundary(one).same_as(beta):
             _check_cocycle(beta)
             raise InternalCheckError("gamma does not bound beta")
@@ -570,12 +542,9 @@ class GroupObstructionAnalyzer:
         model = self.structured.model
         # an unknown context or section is bad input
         s_pos = model.section_index(context_index, section)
-        try:
+        with located(context_index, s_pos):
             obstruction, decision, glob = self._decide(
                 context_index, s_pos, eta_override)
-        except InternalCheckError as exc:
-            exc.where = f"context {context_index}, section {s_pos}"
-            raise
         return GroupObstructionReport(
             context_index, section, obstruction, decision, glob)
 
@@ -611,7 +580,7 @@ class GroupObstructionAnalyzer:
                         "the absolute certificate does not separate beta")
             return obstruction, CoboundaryDecision(
                 False, None, None, self.quotient, "absolute",
-                (weakref.ref(self), context_index, solver.relative, beta)
+                (weakref.ref(solver), solver.relative, beta)
             ), None
         decision = solver.decide(beta)
         if not decision.vanishes:
@@ -639,17 +608,6 @@ class GroupObstructionAnalyzer:
             self._absolute = (beta0.columns, refuters)
         return self._absolute
 
-    def _certificates(self, context_index: int, relative,
-                      beta: Cochain) -> tuple:
-        """The relative certificates of a query that the absolute class
-        refuted, read through the held solver while the analyzer answers
-        that context, and through a fresh one otherwise."""
-        if self._slot[0] == context_index:
-            solver = self._slot[1][1]
-        else:
-            solver = CoboundarySolver(self.quotient, relative)
-        return _refuting_certificates(solver, beta)
-
     def _tie(self, obstruction, eta0, beta0) -> None:
         """Check beta = beta0 + d(eps) on every pair, where eps(q) is the
         group element that moves eta0(q), beta0's representative, to
@@ -661,8 +619,8 @@ class GroupObstructionAnalyzer:
         eps = [table[x * n + y] for x, y in zip(obstruction.eta_ids, eta0)]
         beta = obstruction.beta
         if -1 not in eps:
-            shift = coboundary(Cochain.of_columns(
-                q.monoid, moduli, 1, q.action.columns(eps)))
+            shift = coboundary(Cochain(q.monoid, moduli, 1,
+                                       q.action.columns(eps)))
             if all(col == [(a + b) % d for a, b in zip(col0, step)]
                    for col, col0, step, d in zip(
                        beta.columns, beta0, shift.columns, moduli)):

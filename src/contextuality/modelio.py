@@ -265,6 +265,8 @@ def loads_model(text: str) -> EmpiricalModel | StructuredModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelFormatError("JSON nested too deeply") from exc
     return document_to_model(doc)
 
 

@@ -21,12 +21,6 @@ from contextuality.cech import (
     make_cech_cochain,
 )
 from contextuality.fixtures import get_fixture
-from contextuality.linalg import (
-    solve_integer,
-    solve_mod,
-    verify_integer_result,
-    verify_mod_result,
-)
 from contextuality.mcohom import (
     coboundary,
     make_cochain,
@@ -51,6 +45,7 @@ from contextuality.pmonoid import (
 from contextuality.scenario import classify, section_extends, sections_below
 
 from _oracles import all_ops, op_matrix, splitting_of_section
+from test_linalg import certifies, decide_integer, decide_mod
 from test_mcohom import _z3xz3_quotient, _z9_quotient
 
 GHZ_SIGN_EQUATIONS = (
@@ -354,8 +349,8 @@ def test_criterion_10_kernels_match_independent_oracles():
             rows = [[rng.randrange(modulus) for _ in range(ncols)]
                     for _ in range(nrows)]
             rhs = [rng.randrange(modulus) for _ in range(nrows)]
-            result = solve_mod(rows, rhs, modulus, ncols=ncols)
-            assert verify_mod_result(rows, rhs, modulus, result)
+            result = decide_mod(rows, rhs, modulus, ncols=ncols)
+            assert certifies(rows, rhs, result, modulus)
             brute = any(
                 all(sum(r * x for r, x in zip(row, vec)) % modulus == b
                     for row, b in zip(rows, rhs))
@@ -367,9 +362,9 @@ def test_criterion_10_kernels_match_independent_oracles():
             for i in range(11)]
     rows += [[1] + [0] * 11, [1] + [0] * 10 + [1]]
     rhs = [0] * 11 + [0, 1]
-    result = solve_mod(rows, rhs, 2, ncols=12)
+    result = decide_mod(rows, rhs, 2, ncols=12)
     assert not result.feasible
-    assert verify_mod_result(rows, rhs, 2, result)
+    assert certifies(rows, rhs, result, 2)
     assert not any(
         all(sum(r * x for r, x in zip(row, vec)) % 2 == b
             for row, b in zip(rows, rhs))
@@ -381,15 +376,15 @@ def test_criterion_10_kernels_match_independent_oracles():
         rows = [[rng.randint(-4, 4) for _ in range(ncols)]
                 for _ in range(nrows)]
         rhs = [rng.randint(-6, 6) for _ in range(nrows)]
-        result = solve_integer(rows, rhs, ncols=ncols)
-        assert verify_integer_result(rows, rhs, result)
+        result = decide_integer(rows, rhs, ncols=ncols)
+        assert certifies(rows, rhs, result)
         if result.feasible:
             for row, b in zip(rows, rhs):
                 assert sum(r * x for r, x in zip(row, result.witness)) == b
         int_checked += 1
     _ok(10, "pauli arithmetic matches the dense-matrix oracle (n <= 2 "
-            f"exhaustive); solve_mod matches brute force on {mod_checked} "
-            "systems plus a 12-unknown contradiction; solve_integer "
+            f"exhaustive); ModSystem matches brute force on {mod_checked} "
+            "systems plus a 12-unknown contradiction; IntegerSystem "
             f"re-verified by substitution on {int_checked} systems")
 
 

@@ -1432,3 +1432,33 @@ def test_pair_restrictions_match_section_restrictions():
                     assert set(sections_below(model, labels)) == {
                         s.restrict(labels) for s in model.sections[c]}
     assert 5 <= signalling <= 25
+
+
+def test_cech_errors_name_the_context_and_section(hardy, capsys,
+                                                  monkeypatch):
+    """An internal check that fails under either Cech query keeps its
+    message and names the query's context index and section position,
+    and the CLI prints them before the message.  The queries read a Hardy
+    analyzer whose side table for the pair (0, 1) has two rows swapped,
+    so that section 2 of context 0 restricts to the wrong row."""
+    model = document_to_model(model_to_document(hardy.model))
+    ana = model.cech_analyzer
+    side = ana._side[(0, 1)]
+    other = next(k for k, r in enumerate(side) if r != side[0])
+    side[0], side[other] = side[other], side[0]
+    s = model.sections[0][2]
+    for query, message in ((ana.family_obstruction,
+                            "family fails pair compatibility"),
+                           (ana.connecting_cocycle,
+                            "potential leaves the kernel presheaf")):
+        with pytest.raises(InternalCheckError, match=message) as err:
+            query(0, s)
+        assert err.value.where == "context 0, section 2"
+    monkeypatch.setattr(cli, "_load_source",
+                        lambda _source: ("hardy", model, None))
+    code = cli.main(["analyze", "hardy", "--cech", "--context", "0",
+                     "--section", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal invariant violated: context 0, section 2: family fails "
+        "pair compatibility\n")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -428,3 +429,38 @@ def test_fuzzed_structured_documents_exit_0_or_2(tmp_path, capsys, mermin):
         "table", "section", "outcome", "image", "moduli", "relabel",
         "disagree"}
     assert codes.get(("relabel", 0), 0) > 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_deeply_nested_json_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, _out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("modulus, code, verdict", [
+    (2**61 - 1, 0, "all-vs-nothing: does not hold"),
+    (2**89 - 1, 2, None),
+    (10**30, 0, "all-vs-nothing: holds"),
+    (999_999_999_989, 0, "all-vs-nothing: does not hold"),
+])
+def test_avn_on_large_outcome_moduli(modulus, code, verdict, mermin,
+                                     tmp_path, capsys):
+    """The mermin sections read at a large outcome modulus: the Mersenne
+    prime 2^61 - 1 is certified prime and decided, 2^89 - 1, past the
+    certified range, is refused naming the modulus, and 10^30 and a prime
+    near 10^12 decide as before; each within a second."""
+    doc = json.loads(dumps_model(mermin.model))
+    doc["outcome_modulus"] = modulus
+    path = tmp_path / "mermin.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    got, out, err = run(capsys, "analyze", str(path), "--avn")
+    assert time.perf_counter() - t0 < 1
+    assert got == code
+    if verdict is None:
+        assert err.startswith(f"error: modulus {modulus}: ")
+    else:
+        assert verdict in out

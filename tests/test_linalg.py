@@ -7,6 +7,7 @@ every fuzz case is decided either way without an external solver.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,21 +23,54 @@ from contextuality.linalg import (
     Gf2AffineSystem,
     Gf2Echelon,
     InfeasibilityCertificate,
+    IntegerSystem,
     IntSolveResult,
     ModSolveResult,
     ModSystem,
     affine_annihilator,
     hermite_normal_form,
     kernel_mod,
-    solve_integer,
-    solve_mod,
-    verify_integer_result,
-    verify_mod_result,
+    separates,
 )
 
 
 def _rand_matrix(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def _sparse(rows):
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
+def decide_integer(rows, rhs, ncols=None):
+    """A dense system ``A x = b`` decided by ``IntegerSystem``."""
+    return IntegerSystem(_sparse(rows), len(rows[0]) if rows else ncols
+                         ).solve(rhs)
+
+
+def decide_mod(rows, rhs, modulus, ncols=None):
+    """A dense system ``A x = b (mod d)`` decided by ``ModSystem``."""
+    return ModSystem(_sparse(rows), modulus, len(rows[0]) if rows else ncols
+                     ).solve(rhs)
+
+
+def certifies(rows, rhs, result, modulus=0):
+    """An answer to a dense system, checked from scratch: a witness must
+    solve it by substitution modulo ``modulus`` (0: exactly), and a
+    certificate must pass ``separates``: modulo ``modulus`` for a modular
+    one, exactly for kind "rational" and modulo 1 for kind "integral"."""
+    if result.feasible:
+        x = result.witness
+        residuals = [sum(a * v for a, v in zip(row, x)) - b
+                     for row, b in zip(rows, rhs)]
+        return len(x) == len(rows[0]) and all(
+            r % modulus == 0 if modulus else r == 0 for r in residuals)
+    y = result.certificate
+    if isinstance(y, InfeasibilityCertificate):
+        y, modulus = y.vector, int(y.kind != "rational")
+    return len(y) == len(rows) and separates(
+        [(yi, dict(enumerate(row)), b) for yi, row, b in zip(y, rows, rhs)
+         if yi], modulus)
 
 
 def _det(mat):
@@ -414,9 +448,9 @@ def test_solve_integer_feasible_fuzz():
         mat = _rand_matrix(rng, m, n, -4, 4)
         x0 = [rng.randint(-5, 5) for _ in range(n)]
         rhs = [sum(a * b for a, b in zip(row, x0)) for row in mat]
-        res = solve_integer(mat, rhs)
+        res = decide_integer(mat, rhs)
         assert res.feasible
-        assert verify_integer_result(mat, rhs, res)
+        assert certifies(mat, rhs, res)
         for row, b in zip(mat, rhs):
             assert sum(a * v for a, v in zip(row, res.witness)) == b
 
@@ -435,8 +469,8 @@ def test_solve_integer_random_rhs_fuzz():
     seen_infeasible = 0
     for mat, rhs in _integer_fuzz_systems():
         m, n = len(mat), len(mat[0])
-        res = solve_integer(mat, rhs)
-        assert verify_integer_result(mat, rhs, res)
+        res = decide_integer(mat, rhs)
+        assert certifies(mat, rhs, res)
         if not res.feasible:
             seen_infeasible += 1
             cert = res.certificate
@@ -456,16 +490,16 @@ def test_solve_integer_random_rhs_fuzz():
 
 
 def test_solve_integer_known_cases():
-    res = solve_integer([[2]], [3])
+    res = decide_integer([[2]], [3])
     assert not res.feasible and res.certificate.kind == "integral"
-    res = solve_integer([[0]], [1])
-    assert not res.feasible and verify_integer_result([[0]], [1], res)
-    res = solve_integer([[1, 1]], [1])
+    res = decide_integer([[0]], [1])
+    assert not res.feasible and certifies([[0]], [1], res)
+    res = decide_integer([[1, 1]], [1])
     assert res.feasible and sum(res.witness) == 1
-    res = solve_integer([[2, 4], [1, 3]], [2, 2])
+    res = decide_integer([[2, 4], [1, 3]], [2, 2])
     assert res.feasible
     # empty system is trivially feasible
-    assert solve_integer([], [], ncols=3).feasible
+    assert decide_integer([], [], ncols=3).feasible
 
 
 # --- Modular systems --------------------------------------------------------
@@ -496,10 +530,10 @@ def _mod_fuzz_systems(d):
 def test_solve_mod_brute_force(d):
     for rows, rhs in _mod_fuzz_systems(d):
         m, n = len(rows), len(rows[0])
-        res = solve_mod(rows, rhs, d)
+        res = decide_mod(rows, rhs, d)
         brute = _brute_mod(rows, rhs, d, n)
         assert res.feasible == (brute is not None)
-        assert verify_mod_result(rows, rhs, d, res)
+        assert certifies(rows, rhs, res, d)
         if res.feasible:
             for row, b in zip(rows, rhs):
                 assert sum(a * v for a, v in zip(row, res.witness)) % d == b % d
@@ -517,12 +551,12 @@ def test_solve_mod_twelve_unknowns():
             for i in range(n - 1)]
     rows.append([1] * n)
     rhs = [0] * (n - 1) + [1]
-    res = solve_mod(rows, rhs, 2)
+    res = decide_mod(rows, rhs, 2)
     brute = _brute_mod(rows, rhs, 2, n)
     assert brute is None and not res.feasible
-    assert verify_mod_result(rows, rhs, 2, res)
+    assert certifies(rows, rhs, res, 2)
     rhs2 = [0] * n
-    res2 = solve_mod(rows, rhs2, 2)
+    res2 = decide_mod(rows, rhs2, 2)
     assert res2.feasible and set(res2.witness) == {0}
 
 
@@ -611,12 +645,11 @@ def _certificate_mutants(rhs, y, halve):
 
 def test_verifiers_reject_mutated_certificates():
     """Corrupted certificates from the seeded fuzz systems are rejected by
-    ``verify_integer_result`` and ``verify_mod_result`` exactly when a
-    direct check finds them invalid.  A mutant can stay valid (a changed
+    ``separates`` exactly when a direct check finds them invalid.  A mutant can stay valid (a changed
     b_i often leaves the pairing nonzero), but most do not."""
     mutants = rejected = 0
     for mat, rhs in _integer_fuzz_systems():
-        res = solve_integer(mat, rhs)
+        res = decide_integer(mat, rhs)
         if res.feasible:
             continue
         cert = res.certificate
@@ -627,20 +660,20 @@ def test_verifiers_reject_mutated_certificates():
             bad = IntSolveResult(False, None,
                                  InfeasibilityCertificate(cert.kind, y))
             valid = _separates_directly(mat, new_rhs, y, modulus)
-            assert verify_integer_result(mat, new_rhs, bad) == valid
+            assert certifies(mat, new_rhs, bad) == valid
             mutants += 1
             rejected += not valid
     for d in MODULI:
         for rows, rhs in _mod_fuzz_systems(d):
-            res = solve_mod(rows, rhs, d)
+            res = decide_mod(rows, rhs, d)
             if res.feasible:
                 continue
             assert _separates_directly(rows, rhs, res.certificate, d)
             for new_rhs, y in _certificate_mutants(rhs, res.certificate,
                                                    lambda v: v // 2):
                 valid = _separates_directly(rows, new_rhs, y, d)
-                assert verify_mod_result(rows, new_rhs, d, ModSolveResult(
-                    False, None, y)) == valid
+                assert certifies(rows, new_rhs, ModSolveResult(
+                    False, None, y), d) == valid
                 mutants += 1
                 rejected += not valid
     assert mutants > 1000 and rejected > 2 * mutants / 3
@@ -711,8 +744,8 @@ def test_mod_system_reuse():
     sysm = ModSystem([{0: 1, 1: 1}, {1: 2}], 4, 2)
     r1 = sysm.solve([2, 0])
     r2 = sysm.solve([1, 1])
-    assert r1.feasible and verify_mod_result([[1, 1], [0, 2]], [2, 0], 4, r1)
-    assert verify_mod_result([[1, 1], [0, 2]], [1, 1], 4, r2)
+    assert r1.feasible and certifies([[1, 1], [0, 2]], [2, 0], r1, 4)
+    assert certifies([[1, 1], [0, 2]], [1, 1], r2, 4)
 
 
 def test_sparse_systems_refuse_dense_rows():
@@ -723,3 +756,40 @@ def test_sparse_systems_refuse_dense_rows():
                   lambda: linalg.IntegerSystem([[0, 1]], 2).solve([1])):
         with pytest.raises(PreconditionError, match="dict"):
             build()
+
+
+def test_moduli_factor_by_bounded_trial_division():
+    """A modulus is trial-divided below 2^16 only.  Moduli that trial
+    division splits whole, 10^30 among them, factor as they did, as do a
+    prime near 10^12 and the Mersenne prime 2^61 - 1, whose cofactors are
+    certified prime; 2^89 - 1, prime but past the certified range, a
+    product of two primes above 2^16 and two strong pseudoprimes with all
+    their factors above it are refused, naming the modulus."""
+    def naive(n):
+        out, p = [], 2
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                out.append((p, e))
+            p += 1
+        return out + [(n, 1)] * (n > 1)
+
+    rng = random.Random(83)
+    for d in [10**30, 65521 * 65537] + [rng.randrange(2, 10**9)
+                                        for _ in range(300)]:
+        assert [(p, e) for p, e, _ in ModSystem([], d, 1).locals] == naive(d)
+    for d, locals_ in ((999_999_999_989, [(999_999_999_989, 1)]),
+                       (2**61 - 1, [(2**61 - 1, 1)]),
+                       (18 * (2**61 - 1), [(2, 1), (3, 2), (2**61 - 1, 1)])):
+        t0 = time.perf_counter()
+        system = ModSystem([{0: 1}], d, 1)
+        assert [(p, e) for p, e, _ in system.locals] == locals_
+        assert system.solve([5]).witness == (5,)
+        assert time.perf_counter() - t0 < 1
+    for d in (2**89 - 1, 1_000_003 * 1_000_033, 3825123056546413051,
+              318665857834031151167461):
+        with pytest.raises(PreconditionError, match=f"^modulus {d}: "):
+            ModSystem([{0: 1}], d, 1)

@@ -209,7 +209,7 @@ def test_coboundary_matches_signed_pass_reference(mermin, ghz):
                              else rng.randrange(-3 * d, 3 * d)
                              for _ in range(mon.count(degree))]
                             for d in moduli]
-                    c = Cochain.of_columns(mon, moduli, degree, cols)
+                    c = Cochain(mon, moduli, degree, cols)
                     got = coboundary(c)
                     assert (got.degree, got.moduli) == (degree + 1, moduli)
                     assert got.columns == signed_pass_coboundary(c)
@@ -223,9 +223,12 @@ def test_coboundary_rejects_values_off_the_composable_tuples(mermin):
                  if not mon.defined(x, y))
     for key in (apart, ("[+II]", "nope"), ("[+II]",)):
         with pytest.raises(PreconditionError):
-            coboundary(Cochain(mon, (2,), 2, {key: (1,)}))
+            coboundary(make_cochain(mon, (2,), 2, {key: (1,)}))
     with pytest.raises(PreconditionError):
-        coboundary(Cochain(mon, (2,), 1, {(mon.elements[1],): (1, 0)}))
+        coboundary(make_cochain(mon, (2,), 1, {(mon.elements[1],): (1, 0)}))
+    # a dict handed to the constructor is refused, not read as columns
+    with pytest.raises(PreconditionError, match="column per modulus"):
+        Cochain(mon, (2,), 1, {(mon.elements[1],): (1,)})
 
 
 # --- Obstruction cocycles -------------------------------------------------------

@@ -352,3 +352,11 @@ def test_loading_builds_no_section(monkeypatch):
                                                                [1, 1]]
     assert made == [] and "sections" not in model.__dict__
     assert len(model.sections[0]) == 2 and made
+
+
+def test_deeply_nested_json_is_a_format_error():
+    """A syntactically valid document nested deeper than the parser can
+    recurse is refused at load time as bad input, not left to escape as
+    a RecursionError."""
+    with pytest.raises(ModelFormatError, match="nested too deeply"):
+        loads_model("[" * 200_000 + "]" * 200_000)
