@@ -311,7 +311,7 @@ class CechAnalyzer:
     def family_obstruction(self, context_index: int,
                            section: Section) -> FamilyDecision:
         s_pos = self._position(context_index, section)
-        with located(context_index, s_pos):
+        try:
             _sol, ref = self._route1_parity(context_index).solve(1 << s_pos)
             if ref is not None:
                 return FamilyDecision(
@@ -322,6 +322,8 @@ class CechAnalyzer:
                 return FamilyDecision(context_index, section, False, None,
                                       witness)
             return FamilyDecision(context_index, section, True, witness, None)
+        except InternalCheckError as exc:
+            raise located(exc, context_index, s_pos)
 
     def _route1_parity(self, context_index: int) -> Gf2AffineSystem:
         """The pinning rows of one context over GF(2), in kernel
@@ -483,7 +485,7 @@ class CechAnalyzer:
     def connecting_cocycle(self, context_index: int,
                            section: Section) -> CocycleDecision:
         s_pos = self._position(context_index, section)
-        with located(context_index, s_pos):
+        try:
             _basis, classes, parity = self._route2_rows(context_index)
             # the lift takes, in each context, the representative of s0's class
             lift = [reps[key_c[s_pos]] for key_c, reps in classes]
@@ -507,6 +509,8 @@ class CechAnalyzer:
                                        self.rows, None, potential)
             return CocycleDecision(context_index, section, True, z, self.rows,
                                    potential, None)
+        except InternalCheckError as exc:
+            raise located(exc, context_index, s_pos)
 
     def _delta(self, terms) -> dict:
         """delta(x) = -A x on the rows of A, ``{row: nonzero value}``, for

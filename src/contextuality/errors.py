@@ -6,8 +6,6 @@ contradicting an invariant the library promises to uphold).  The CLI maps
 the former to exit code 2 and the latter to exit code 3.
 """
 
-from contextlib import contextmanager
-
 
 class ContextualityError(Exception):
     """Base class for all library errors."""
@@ -35,12 +33,9 @@ class InternalCheckError(ContextualityError):
     where = ""
 
 
-@contextmanager
-def located(context_index: int, section_index: int):
-    """Name the query of both analyzers, by its context index and section
-    position, in the ``where`` of an ``InternalCheckError`` leaving it."""
-    try:
-        yield
-    except InternalCheckError as exc:
-        exc.where = f"context {context_index}, section {section_index}"
-        raise
+def located(exc: InternalCheckError, context_index: int,
+            section_index: int) -> InternalCheckError:
+    """``exc``, naming the query of either analyzer that it leaves by
+    context index and section position in its ``where``."""
+    exc.where = f"context {context_index}, section {section_index}"
+    return exc

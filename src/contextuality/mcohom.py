@@ -542,9 +542,11 @@ class GroupObstructionAnalyzer:
         model = self.structured.model
         # an unknown context or section is bad input
         s_pos = model.section_index(context_index, section)
-        with located(context_index, s_pos):
+        try:
             obstruction, decision, glob = self._decide(
                 context_index, s_pos, eta_override)
+        except InternalCheckError as exc:
+            raise located(exc, context_index, s_pos)
         return GroupObstructionReport(
             context_index, section, obstruction, decision, glob)
 
