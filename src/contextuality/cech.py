@@ -46,7 +46,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError, located
-from .linalg import Gf2AffineSystem, Gf2Echelon, IntegerSystem
+from .linalg import Gf2AffineSystem, IntegerSystem
 from .pmonoid import StructuredModel
 from .scenario import (
     EmpiricalModel,
@@ -231,13 +231,12 @@ class CechAnalyzer:
     restrict to different sets, is rejected).  ``rows[r]`` tags row r
     ("pair", i, j, t), a label table read only for the certificates and
     cocycles that queries return.  ``_parity_rows`` reads A mod 2 on
-    any column basis as bitmasks, for the set-up GF(2) echelon and route
-    2's parity system; ``_columns`` reads it as sparse rows ``{k:
-    entry}``, which both routes' integer systems take as they are, so no
-    system here is dense.
-    ``_delta`` reads A's incidence as the Cech differential on section
-    positions, and ``_parities_at`` reads, mod 2, the rows that route-1
-    certificates name.  No query restricts a section: both routes and
+    any column basis as bitmasks, for the set-up GF(2) echelon ``_gf2``,
+    whose kept rows the route-1 audit reads, and route 2's parity
+    system; ``_columns`` reads it as sparse rows ``{k: entry}``, which
+    both routes' integer systems take as they are, so no system here is
+    dense.  ``_delta`` reads A's incidence as the Cech differential on
+    section positions.  No query restricts a section: both routes and
     their audits work on row indexes, section positions and the model's
     int rows.
 
@@ -286,8 +285,7 @@ class CechAnalyzer:
                 side = [row_of[key] for key in keys]
                 self._side[(k, other)] = side
                 self._incident[k].append((side, sign))
-        self._parities_read: dict[int, int] = {}
-        self._gf2 = Gf2Echelon(self._parity_rows(), self.nunknowns)
+        self._gf2 = Gf2AffineSystem(self._parity_rows(), self.nunknowns)
         self._kernel = self._gf2.kernel_basis()
         self.connected = _cover_connected(contexts)
         self._slot: tuple[int | None, dict] = (None, {})
@@ -372,26 +370,12 @@ class CechAnalyzer:
         coeffs = [t[0] for t in pair_terms] + [t[0] for t in pin_terms]
         if coeffs.count(_HALF) != len(coeffs):
             raise InternalCheckError(message)
-        masks = self._parities_at([r for _coeff, r in pair_terms])
+        masks = [self._gf2.rows[r] for _coeff, r in pair_terms]
         pinned = 0
         for _coeff, ci, u in pin_terms:
             masks.append(1 << (self._offsets[ci] + u))
             pinned += ci == context_index and u == s_pos
         _check_parity(masks, pinned, message)
-
-    def _parities_at(self, rows) -> list[int]:
-        """Rows of A mod 2 as column bitmasks, each read from its pair's side
-        lists once and kept in ``_parities_read``: at most rank(A) rows, as
-        certificates name only pivot rows of the set-up echelon."""
-        read = self._parities_read
-        for r in rows:
-            if r not in read:
-                i, j = self._pair_of[r]
-                read[r] = sum(1 << (self._offsets[k] + u)
-                              for k, other in ((i, j), (j, i))
-                              for u, at in enumerate(self._side[k, other])
-                              if at == r)
-        return [read[r] for r in rows]
 
     def _basis(self, basis) -> list:
         """Column basis vector k is ``(j, u, v)``, the column A e_u - A e_v of

@@ -260,8 +260,6 @@ def _print_text(payload: dict) -> None:
 
 
 def _cmd_fixtures(args) -> int:
-    if args.action != "list":
-        raise PreconditionError("supported: fixtures list")
     for name, summary in list_fixtures():
         print(f"{name:8s} {summary}")
     return 0

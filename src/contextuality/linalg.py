@@ -26,14 +26,14 @@ routes have one GF(2) checker in ``cech``.
 
 Each solver factors its matrix once, in its constructor or on its first
 solve, and then answers any number of right-hand sides.
-``Gf2Echelon`` is a bitmask echelon with no left kernel and pivot
-rows that are not back-reduced as rows arrive: solutions
-back-substitute and the kernel basis reduces the form when asked.  The
-constructor and ``add_row`` echelon their rows in one private loop.  It
-keeps only its pivot rows and their tracks.  ``Gf2AffineSystem``, the
-GF(2) solver, is the echelon that also keeps its rows as they came and
-the indexes of the dependent ones, from which the refuter is found on
-demand: the first dependent row that the pivot solution breaks.
+``Gf2AffineSystem``, the one GF(2) class, is a bitmask echelon with no
+left kernel and pivot rows that are not back-reduced as rows arrive:
+solutions back-substitute and the kernel basis reduces the form when
+asked.  The constructor and ``add_row`` echelon their rows in one
+private loop, which keeps the rows as they came and the indexes of the
+dependent ones, from which the refuter is found on demand: the first
+dependent row that the pivot solution breaks.  ``Gf2Echelon`` is a
+second name for it.
 Integer feasibility is decided through a row-style Hermite normal form
 of the transposed system (a basis of the column lattice); callers run
 their own GF(2) refutation first.  Modular systems
@@ -164,17 +164,33 @@ def _hermite(h: list[SparseRow], n: int) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 
-class Gf2Echelon:
-    """Row echelon of a GF(2) matrix, rows as bitmasks over columns.
+def _parity_mask(entries) -> int:
+    """The bitmask of the odd values among ``(index, value)`` pairs."""
+    mask = 0
+    for i, a in entries:
+        if a & 1:
+            mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+class Gf2AffineSystem:
+    """Row echelon of a GF(2) matrix, rows as bitmasks over columns, and
+    the one GF(2) solver: the rows are echeloned once, then ``solve``
+    answers each right-hand side, a bitmask over rows, without touching
+    the echelon.
 
     ``pivots`` maps a column index to ``(rowmask, trackmask)``: a row
     whose highest set bit is that column, and the independent rows that
-    sum to it; ``nrows`` counts the rows added, all through ``_echelon``.
-    The rows themselves are not kept: ``Gf2AffineSystem``, the one
-    echelon that refutes, keeps them.  A new pivot is not cleared from
-    the earlier pivot rows: the pivot columns are the leading bits of the
-    row space either way, ``solution`` back-substitutes in ascending
-    pivot order and ``kernel_basis`` reduces the form when it is called.
+    sum to it.  ``rows`` keeps the rows as they came and ``dependent``
+    the indexes of those that reduce to zero, which ``refute`` reads.  A
+    new pivot is not cleared from the earlier pivot rows: the pivot
+    columns are the leading bits of the row space either way,
+    ``solution`` back-substitutes in ascending pivot order and
+    ``kernel_basis`` reduces the form when it is called.
     """
 
     def __init__(self, row_masks, ncols: int):
@@ -182,23 +198,27 @@ class Gf2Echelon:
         self.pivots: dict[int, tuple[int, int]] = {}
         self._order: list[int] = []  # the pivot columns, ascending
         self._pivot_mask = 0
-        self.nrows = 0
+        self.rows: list[int] = []
+        self.dependent: list[int] = []
         self._echelon(row_masks)
 
     def add_row(self, mask: int) -> bool:
         """Echelon one more row: is it independent of the rows before it?"""
-        return not self._echelon((mask,))
+        return self._echelon((mask,))
 
-    def _echelon(self, row_masks) -> list[int]:
-        """Echelon rows after the rows before them, in one loop; return the
-        indexes of those that reduce to zero.  Pivot columns are cleared
-        from the top: a pivot row's other bits lie below its pivot."""
+    def _echelon(self, row_masks) -> bool:
+        """Echelon rows after the rows before them, in one loop, noting in
+        ``dependent`` those that reduce to zero; is the last independent?
+        Pivot columns are cleared from the top: a pivot row's other bits
+        lie below its pivot."""
         pivots = self.pivots
         pivot_mask = self._pivot_mask
-        r = self.nrows
-        dependent = []
-        for mask in row_masks:
-            track = 1 << r
+        rows, dependent = self.rows, self.dependent
+        r = len(rows)
+        mask = 0
+        for row in row_masks:
+            rows.append(row)
+            mask, track = row, 1 << r
             hits = mask & pivot_mask
             while hits:
                 m, tr = pivots[hits.bit_length() - 1]
@@ -212,11 +232,10 @@ class Gf2Echelon:
             else:
                 dependent.append(r)
             r += 1
-        self.nrows = r
         self._pivot_mask = pivot_mask
         if len(pivots) != len(self._order):
             self._order = sorted(pivots)
-        return dependent
+        return mask != 0
 
     def express(self, mask: int) -> int | None:
         """Track mask writing ``mask`` as a sum of original rows, or None,
@@ -244,10 +263,7 @@ class Gf2Echelon:
     def refute(self, rhs_mask: int, solution: int | None = None) -> int | None:
         """Row combination ``y`` with ``y^T A = 0`` and ``y . b`` odd, or
         None: ``e_r + express(row_r)`` for the first dependent row r that
-        the pivot ``solution`` x breaks, ``row_r . x != b_r``.  It reads
-        the rows and dependent indexes that a ``Gf2AffineSystem`` keeps;
-        it is defined on the echelon, where the benchmark's layer tracer
-        (perfbench/spans.py) times it with the other echelon steps."""
+        the pivot ``solution`` x breaks, ``row_r . x != b_r``."""
         x = self.solution(rhs_mask) if solution is None else solution
         for r in self.dependent:
             if ((self.rows[r] & x).bit_count() ^ (rhs_mask >> r)) & 1:
@@ -278,45 +294,15 @@ class Gf2Echelon:
             basis.append(vec)
         return basis
 
-
-def _parity_mask(entries) -> int:
-    """The bitmask of the odd values among ``(index, value)`` pairs."""
-    mask = 0
-    for i, a in entries:
-        if a & 1:
-            mask |= 1 << i
-    return mask
-
-
-def _bits(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
-class Gf2AffineSystem(Gf2Echelon):
-    """Reusable solver for ``A x = b`` over GF(2), the one GF(2) entry point:
-    the rows are echeloned once, then ``solve`` answers each right-hand
-    side, a bitmask over rows, without touching the echelon.  It keeps
-    the rows as they came (``rows``) and the indexes of those that
-    reduce to zero (``dependent``), which ``refute`` reads."""
-
-    def __init__(self, row_masks, ncols: int):
-        self.rows: list[int] = []
-        self.dependent: list[int] = []
-        super().__init__(row_masks, ncols)
-
-    def _echelon(self, row_masks) -> list[int]:
-        row_masks = list(row_masks)
-        self.rows += row_masks
-        dependent = super()._echelon(row_masks)
-        self.dependent += dependent
-        return dependent
-
     def solve(self, rhs_mask: int) -> tuple[int | None, int | None]:
         """``(solution_mask, None)`` if feasible, else ``(None, refuter)``:
         rows whose GF(2) sum is 0 while their right-hand sides sum to 1."""
         sol = self.solution(rhs_mask)
         ref = self.refute(rhs_mask, sol)
         return (None, ref) if ref is not None else (sol, None)
+
+
+Gf2Echelon = Gf2AffineSystem  # perfbench/spans.py patches methods by this name
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .scenario import EmpiricalModel, MeasurementScenario, _read
 _EXPLICIT_KEYS = {"measurements", "outcome_modulus", "contexts", "sections",
                   "partial_monoid"}
 _PAULI_KEYS = {"pauli"}
+# a state is held as its 2**n amplitudes, and Born tests walk them all
+_MAX_STATE_QUBITS = 20
 
 
 def _is_int(v) -> bool:
@@ -35,7 +37,11 @@ def _is_int(v) -> bool:
 
 
 def parse_state_text(spec, n: int) -> GaussianStateVector:
-    """A state is "ghz:<n>" or a full list of [re, im] integer pairs."""
+    """A state is "ghz:<n>" or a full list of [re, im] integer pairs, on
+    at most ``_MAX_STATE_QUBITS`` qubits."""
+    if n > _MAX_STATE_QUBITS:
+        raise ModelFormatError(
+            f"state on {n} qubits; at most {_MAX_STATE_QUBITS} are supported")
     if isinstance(spec, str):
         if spec == f"ghz:{n}":
             return ghz_state(n)
@@ -192,8 +198,6 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
                 f"section key {key!r} is not a context index")
         if not 0 <= ci < len(ctxs):
             raise ModelFormatError(f"section key {key!r} out of range")
-        if by_index[slot[ci]] is not None:
-            raise ModelFormatError(f"duplicate section key {key!r}")
         ctx = ctxs[ci]
         if not isinstance(rows, list):
             raise ModelFormatError(f"sections[{key}] must list outcome rows")

@@ -294,12 +294,13 @@ def test_compatibility_rows_are_minus_the_cech_differential(
         hardy, mermin, ghz):
     """Column k of the analyzer's compatibility matrix, as ``_columns``
     reads it, is -delta of the 0-cochain 1*s on s's context, read on the
-    pairs i < j; the audits' ``_parities_at`` reads the same rows mod 2."""
+    pairs i < j; the set-up echelon keeps the same rows mod 2, which the
+    route-1 audit reads."""
     for model in _differential_models(hardy, mermin, ghz):
         ana = CechAnalyzer(model)
         nerve = build_nerve(model.scenario, max_degree=1)
         columns = ana._columns()
-        assert ana._parities_at(range(len(ana.rows))) == [
+        assert ana._gf2.rows == [
             linalg._parity_mask(row.items()) for row in columns]
         k = 0
         for ci, secs in enumerate(model.sections):
@@ -506,7 +507,9 @@ def test_reentered_contexts_answer_like_fresh_analyzers(hardy, mermin, ghz):
 def test_cross_check_leaves_one_context_of_systems(ghz, monkeypatch):
     """Each analyzer drops a context's systems when a query enters the
     next, so after the cross-check of a fresh ghz copy the GF(2), integer
-    and coboundary systems still alive were all built in one context."""
+    and coboundary systems still alive were all built in one context.
+    The one system built outside a query is the Cech analyzer's set-up
+    echelon, which it keeps."""
     built = []  # (weak reference to a system, the context being queried)
     at = [None]
     for cls in (Gf2AffineSystem, IntegerSystem, CoboundarySolver):
@@ -526,6 +529,9 @@ def test_cross_check_leaves_one_context_of_systems(ghz, monkeypatch):
     st = _fresh_copy(ghz.structured)
     assert cross_check_obstructions(st).consistent
     gc.collect()
+    outside = [ref() for ref, ci in built if ci is None]
+    assert len(outside) == 1 and outside[0] is st.model.cech_analyzer._gf2
+    built = [(ref, ci) for ref, ci in built if ci is not None]
     assert {ci for _ref, ci in built} == set(range(len(st.model.sections)))
     assert len({ci for ref, ci in built if ref() is not None}) <= 1
 
@@ -872,9 +878,6 @@ def test_audits_reject_mutated_refutations(mermin):
                 ana._check_refuter(ci, rows, cech_module._odd_mask(even, n))
             mutants += 1
     assert mutants == 7 * 24
-    # parity certificates name only pivot rows of the set-up echelon, so
-    # the audits keep at most rank(A) rows read from the incidence
-    assert 0 < len(ana._parities_read) <= len(ana._gf2.pivots)
 
 
 def _accepts(check, *args) -> bool:
@@ -952,6 +955,89 @@ def test_parity_audits_agree_with_separates(hardy, mermin, ghz):
                     for _ in range(rng.randint(1, 3))]
             route1(*pins[0][1:], pairs, pins)
     assert min(counts.values()) > 50, counts
+
+
+# Seed 28's 35th random no-signalling model: the first and fifth sections
+# of context 0 are refuted, but not by parity, so both routes reach their
+# lattice stage and return kind "rational".
+LATTICE_REFUTED = {
+    "measurements": ["x0", "x1", "x2", "x3", "x4"],
+    "outcome_modulus": 2,
+    "contexts": [["x0", "x2", "x4"], ["x0", "x3"], ["x1", "x2"],
+                 ["x1", "x3", "x4"], ["x2", "x3", "x4"]],
+    "sections": {str(ci): [list(map(int, row)) for row in rows]
+                 for ci, rows in enumerate((
+                     ("000", "001", "011", "101", "110", "111"),
+                     ("00", "11"), ("00", "11"),
+                     ("000", "011", "101", "110"),
+                     ("001", "010", "011", "100", "101")))},
+}
+
+
+def test_lattice_refutations_agree_and_separate(tmp_path, capsys):
+    """On a model where parity does not decide, both routes refute the
+    same two sections of context 0 with rational certificates, 11 rows on
+    route 1 and 3 on route 2, and agree on every other section.  Each
+    certificate separates exactly (``separates(terms, 0)``) on rows
+    rebuilt from the model: route 1's on the pinned compatibility rows,
+    route 2's on A in kernel-presheaf coordinates against the cocycle.
+    The CLI reports route 1's certificates."""
+    model = document_to_model(LATTICE_REFUTED)
+    assert model.sections == _random_no_signalling_models(28, 40)[34].sections
+    ana = CechAnalyzer(model)
+    offs = _pair_row(model, ana.rows[0])[2]
+    full = {tag: _pair_row(model, tag)[0] for tag in ana.rows}
+    contexts = model.scenario.contexts
+    refuted = []
+    for ci, secs in enumerate(model.sections):
+        for s_pos, s in enumerate(secs):
+            fam = ana.family_obstruction(ci, s)
+            dec = ana.connecting_cocycle(ci, s)
+            assert fam.vanishes == dec.vanishes
+            if fam.vanishes or fam.certificate.kind == "parity":
+                assert dec.vanishes or dec.certificate.kind == "parity"
+                continue
+            refuted.append((ci, s_pos, fam.certificate.kind,
+                            len(fam.certificate.rows),
+                            dec.certificate.kind, len(dec.certificate.rows)))
+            terms = []
+            for tag, y in zip(fam.certificate.rows,
+                              fam.certificate.coefficients):
+                if tag[0] == "pair":
+                    terms.append((y, full[tag], 0))
+                else:
+                    u = secs.index(tag[2])
+                    terms.append((y, {offs[ci] + u: 1}, int(u == s_pos)))
+            assert linalg.separates(terms, 0)
+            # kernel-presheaf basis: s - rep for sections of C_j that
+            # restrict alike into C_ci, rep the first of its class
+            basis = []
+            for j, secs_j in enumerate(model.sections):
+                inner = [x for x in contexts[j] if x in contexts[ci]]
+                reps = {}
+                for u, t in enumerate(secs_j):
+                    rep = reps.setdefault(t.restrict(inner), u)
+                    if rep != u:
+                        basis.append((offs[j] + u, offs[j] + rep))
+            terms = []
+            for tag, y in zip(dec.certificate.rows,
+                              dec.certificate.coefficients):
+                row = {k: full[tag].get(a, 0) - full[tag].get(b, 0)
+                       for k, (a, b) in enumerate(basis)}
+                z = dec.cocycle.get(tag[1:3], {}).get(tag[3], 0)
+                terms.append((y, {k: v for k, v in row.items() if v}, z))
+            assert linalg.separates(terms, 0)
+    assert refuted == [(0, 0, "rational", 11, "rational", 3),
+                       (0, 4, "rational", 11, "rational", 3)]
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(LATTICE_REFUTED))
+    assert cli.main(["analyze", str(path), "--cech", "--context", "0",
+                     "--format", "structured"]) == 0
+    rows = json.loads(capsys.readouterr().out)["payload"]["cech"]
+    assert [row.get("certificate") for row in rows
+            if row["section"] in ({"x0": 0, "x2": 0, "x4": 0},
+                                  {"x0": 1, "x2": 1, "x4": 0})] == [
+        {"kind": "rational", "rows": 11}] * 2
 
 
 def _restrict_apart(model, c, s, t):

@@ -316,6 +316,17 @@ def test_analyze_structured_file_gets_group(tmp_path, capsys, mermin):
     assert len(rows) == 1 and not rows[0]["vanishes"]
 
 
+def test_state_on_too_many_qubits_is_exit_2(tmp_path, capsys):
+    """A GHZ state on 64 qubits is refused when the document is loaded,
+    before its 2**64 amplitudes are asked for."""
+    path = tmp_path / "ghz64.json"
+    path.write_text(json.dumps(
+        {"pauli": {"generators": ["X" * 64], "state": "ghz:64"}}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and not out
+    assert "state on 64 qubits; at most 20 are supported" in err
+
+
 def test_malformed_file_is_exit_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{broken")

@@ -228,8 +228,8 @@ def test_gf2_echelon_fuzz():
         ech = Gf2Echelon([], ncols)
         independent = [ech.add_row(m) for m in masks]
         space = _gf2_rowspace(masks, ncols)
-        # the bare echelon counts its rows and keeps only its pivots
-        assert ech.nrows == nrows and not hasattr(ech, "rows")
+        # the echelon keeps its rows as they came
+        assert ech.rows == masks
         rank = len(space).bit_length() - 1
         assert sum(independent) == len(ech.pivots) == rank
         target = rng.getrandbits(ncols)
@@ -253,6 +253,31 @@ def test_gf2_echelon_fuzz():
         for v in kern:
             sub.add_row(v)
         assert len(_gf2_rowspace(kern, ncols)) == 1 << len(kern)
+
+
+def test_gf2_echelon_refutes_as_the_solver_does():
+    """``Gf2Echelon`` is a second name for the one GF(2) class, so an
+    echelon built through it, whole or row by row, refutes each seeded
+    right-hand side exactly as ``Gf2AffineSystem.solve`` does."""
+    assert Gf2Echelon([3, 3], 2).refute(2) == 0b11
+    rng = random.Random(59)
+    refuted = 0
+    for _ in range(150):
+        ncols = rng.randint(1, 8)
+        masks = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 10))]
+        whole = Gf2Echelon(masks, ncols)
+        by_row = Gf2Echelon([], ncols)
+        for m in masks:
+            by_row.add_row(m)
+        system = Gf2AffineSystem(masks, ncols)
+        for _ in range(4):
+            rhs = rng.getrandbits(len(masks)) if masks else 0
+            sol, ref = system.solve(rhs)
+            assert whole.refute(rhs) == by_row.refute(rhs) == ref
+            assert whole.solve(rhs) == (sol, ref)
+            refuted += ref is not None
+    assert refuted > 100
+    assert Gf2Echelon is Gf2AffineSystem
 
 
 def test_gf2_affine_fuzz():
@@ -422,7 +447,6 @@ def test_one_pass_echelon_equals_row_by_row():
             assert ech._order == whole._order
             assert ech.rows == whole.rows == masks
             assert ech.dependent == whole.dependent
-            assert ech.nrows == whole.nrows == len(masks)
             assert ech.kernel_basis() == whole.kernel_basis()
         assert whole._order == sorted(whole.pivots)
         assert whole.dependent == [r for r, ind in enumerate(independent)

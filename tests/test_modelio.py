@@ -86,20 +86,27 @@ def test_parse_state_text():
         parse_state_text([[0, 0], [0, 0]], 1)
     with pytest.raises(ModelFormatError):
         parse_state_text([[1, 0]], 1)
+    # refused before any amplitude is allocated or counted
+    for n, spec in ((21, "ghz:21"), (64, "ghz:64"), (64, [[1, 0]])):
+        with pytest.raises(ModelFormatError) as info:
+            parse_state_text(spec, n)
+        assert str(info.value) == (
+            f"state on {n} qubits; at most 20 are supported")
 
 
 def _hardy_doc(hardy):
     return model_to_document(hardy.model)
 
 
-def _rejects(doc, message):
-    """``document_to_model`` refuses ``doc`` with exactly ``message``."""
+def _rejects(doc, message, load=document_to_model):
+    """``load``, by default ``document_to_model``, refuses ``doc`` with
+    exactly ``message``."""
     with pytest.raises(ModelFormatError) as info:
-        document_to_model(doc)
+        load(doc)
     assert str(info.value) == message
 
 
-def test_malformed_documents_rejected(hardy):
+def test_malformed_documents_rejected(hardy, tmp_path):
     """Each malformed document is refused with one exact message; an
     out-of-range outcome is reported on the first offending row, in
     document order, as a section."""
@@ -144,6 +151,52 @@ def test_malformed_documents_rejected(hardy):
     doc = {"pauli": {"generators": ["+XX"], "junk": 0}}
     _rejects(doc, "unknown keys in 'pauli': ['junk']")
 
+    _rejects({"pauli": ["+XX"]}, "'pauli' must be an object")
+    for gens in ([], ["+XX", 3], "+XX"):
+        _rejects({"pauli": {"generators": gens}},
+                 "'pauli.generators' must list operator labels")
+    _rejects({"pauli": {"generators": ["+XQ"]}},
+             "bad Pauli label: bad Pauli word 'XQ'")
+    _rejects({"pauli": {"generators": ["+XX", "+ZZZ"]}},
+             "generators must share one qubit count")
+    _rejects({"pauli": {"generators": ["X" * 64], "state": "ghz:64"}},
+             "state on 64 qubits; at most 20 are supported")
+
+    doc = dict(base, measurements="a1")
+    _rejects(doc, "'measurements' must list labels")
+
+    doc = dict(base, contexts=[["a1", 3]])
+    _rejects(doc, "'contexts' must list lists of labels")
+
+    doc = json.loads(json.dumps(base))
+    doc["contexts"][0] = ["a1", "zz"]
+    _rejects(doc, "bad scenario: context uses unknown measurements: ['zz']")
+
+    doc = dict(base, sections=[])
+    _rejects(doc, "'sections' must map context indices to outcome rows")
+
+    for key, message in (("x", "section key 'x' is not a context index"),
+                         ("9", "section key '9' out of range")):
+        doc = json.loads(json.dumps(base))
+        doc["sections"][key] = []
+        _rejects(doc, message)
+
+    doc = json.loads(json.dumps(base))
+    doc["sections"]["0"] = {}
+    _rejects(doc, "sections[0] must list outcome rows")
+
+    for block, message in (
+            ([], "'partial_monoid' must be an object"),
+            ({"contexts": [], "action": {}, "x": 1},
+             "unknown keys in 'partial_monoid': ['x']"),
+            ({"contexts": []},
+             "'partial_monoid' needs 'contexts' and 'action'")):
+        _rejects(dict(base, partial_monoid=block), message)
+
+    missing = tmp_path / "missing.json"
+    _rejects(missing, f"cannot read {missing}: [Errno 2] No such file or "
+                      f"directory: '{missing}'", load=load_model)
+
     _rejects([1, 2, 3], "document must be a JSON object")
 
 
@@ -157,6 +210,33 @@ def test_malformed_structured_tables(mermin):
     doc2["partial_monoid"]["action"]["moduli"] = [2, 2]
     with pytest.raises((ModelFormatError, PreconditionError)):
         document_to_model(doc2)
+
+    for action, message in (
+            ([2], "'partial_monoid.action' must be an object"),
+            ({**base["partial_monoid"]["action"], "junk": 1},
+             "unknown keys in action: ['junk']"),
+            ({**base["partial_monoid"]["action"], "images": [1]},
+             "'action.images' must list measurement labels")):
+        doc = json.loads(json.dumps(base))
+        doc["partial_monoid"]["action"] = action
+        _rejects(doc, message)
+
+    doc = json.loads(json.dumps(base))
+    del doc["partial_monoid"]["contexts"][-1]
+    _rejects(doc, "'partial_monoid.contexts' must list one operation table "
+                  "per context")
+
+    x, y, xy = base["partial_monoid"]["contexts"][0][0]
+    other = next(e[2] for e in base["partial_monoid"]["contexts"][0]
+                 if e[2] != xy)
+    for table, message in (
+            ({}, "table 0 must list [x, y, xy] triples"),
+            ([[x, y]], "table 0 entries must be [x, y, xy] label triples"),
+            ([[x, y, xy], [x, y, other]],
+             f"table 0 repeats the pair ({x!r}, {y!r}) inconsistently")):
+        doc = json.loads(json.dumps(base))
+        doc["partial_monoid"]["contexts"][0] = table
+        _rejects(doc, message)
 
 
 def test_loads_rejects_bad_json():
