@@ -388,7 +388,6 @@ class IntegerSystem:
     def __init__(self, rows: list[SparseRow], ncols: int):
         _check_columns(rows, ncols)
         self.rows = rows
-        self.nrows = len(rows)
         self.ncols = ncols
         self._lattice: tuple | None = None
 
@@ -399,7 +398,7 @@ class IntegerSystem:
             for i, row in enumerate(self.rows):
                 for j, a in row.items():
                     transpose[j][i] = a
-            h, u = _hermite(transpose, self.nrows)
+            h, u = _hermite(transpose, len(self.rows))
             basis, pivots, urows = [], [], []
             for row, urow in zip(h, u):
                 if row:
@@ -410,7 +409,7 @@ class IntegerSystem:
         return self._lattice
 
     def solve(self, rhs: list[int]) -> IntSolveResult:
-        if len(rhs) != self.nrows:
+        if len(rhs) != len(self.rows):
             raise PreconditionError("right-hand side length mismatch")
         basis, pivots, urows = self._lattice_data()
         # greedy expansion of rhs in the echelon basis, exactly over Q:
@@ -469,7 +468,7 @@ class IntegerSystem:
                 if l > j:
                     s -= alpha[l] * a
             alpha[j] = s / row[pivots[j]]
-        y = [Fraction(0)] * self.nrows
+        y = [Fraction(0)] * len(self.rows)
         if q is not None:
             y[q] = Fraction(1)
         for l in range(r):

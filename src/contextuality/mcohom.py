@@ -170,8 +170,8 @@ class SectionObstruction:
 
 def _frame(quotient: Quotient, context_labels) -> tuple:
     """What every section's obstruction on one context shares: its labels,
-    their parent ids, the inside-orbit flags and the inside orbits, the
-    positions of the context block's pairs, and the least members."""
+    their parent ids, the inside-orbit flags and the inside orbits, and
+    the positions of the context block's pairs."""
     ids = [quotient.parent.id_of(x) for x in context_labels]
     m, index = quotient.monoid.size, quotient.monoid.pair_index
     inside = bytearray(m)
@@ -181,8 +181,7 @@ def _frame(quotient: Quotient, context_labels) -> tuple:
     # (a, b) runs in id order, as the pair positions do
     block = [index[a * m + b] for a in orbits for b in orbits
              if index[a * m + b] >= 0]
-    return (tuple(context_labels), ids, bytes(inside), orbits, block,
-            [members[0] for members in quotient.member_ids])
+    return tuple(context_labels), ids, bytes(inside), orbits, block
 
 
 def obstruction_cocycle(quotient: Quotient, context_labels, splitting,
@@ -219,10 +218,10 @@ def _obstruction(quotient: Quotient, frame: tuple, row,
     ``row``, its group id at each label of the context, with the context's
     ``_frame``, and with no 2-cocycle audit: each caller checks
     d(beta) = 0 its own way."""
-    labels, ids, inside, orbits, block, defaults = frame
+    labels, ids, inside, orbits, block = frame
     parent, monoid = quotient.parent, quotient.monoid
     n, names, orbit = parent.size, monoid.elements, quotient.orbit_ids
-    eta = list(defaults)
+    eta = list(quotient.least)
     for name, cand in (eta_override or {}).items():
         q = monoid.id_of(name)
         if q < 0 or inside[q]:
@@ -573,7 +572,7 @@ class GroupObstructionAnalyzer:
         beta0, refuters = self._absolute_class()
         if refuters:
             solver._audit(beta)
-            self._tie(obstruction, frame[5], beta0)
+            self._tie(obstruction, beta0)
             moduli = self.quotient.action.moduli
             for k, terms in refuters:
                 col = beta.columns[k]
@@ -586,7 +585,7 @@ class GroupObstructionAnalyzer:
             ), None
         decision = solver.decide(beta)
         if not decision.vanishes:
-            self._tie(obstruction, frame[5], beta0)
+            self._tie(obstruction, beta0)
             return obstruction, decision, None
         return obstruction, decision, self._reconstruct(
             obstruction, decision, ctx, row)
@@ -610,15 +609,15 @@ class GroupObstructionAnalyzer:
             self._absolute = (beta0.columns, refuters)
         return self._absolute
 
-    def _tie(self, obstruction, eta0, beta0) -> None:
+    def _tie(self, obstruction, beta0) -> None:
         """Check beta = beta0 + d(eps) on every pair, where eps(q) is the
-        group element that moves eta0(q), beta0's representative, to
-        eta(q).  With d(beta0) = 0 checked once, the tie gives
-        d(beta) = 0, since d(d(eps)) = 0.  A tie that fails runs the
-        2-cocycle audit to name a beta that is no cocycle."""
+        group element that moves the least member of q, beta0's
+        representative, to eta(q).  With d(beta0) = 0 checked once, the
+        tie gives d(beta) = 0, since d(d(eps)) = 0.  A tie that fails runs
+        the 2-cocycle audit to name a beta that is no cocycle."""
         q = self.quotient
         n, table, moduli = q.parent.size, q.value_table, q.action.moduli
-        eps = [table[x * n + y] for x, y in zip(obstruction.eta_ids, eta0)]
+        eps = [table[x * n + y] for x, y in zip(obstruction.eta_ids, q.least)]
         beta = obstruction.beta
         if -1 not in eps:
             shift = coboundary(Cochain(q.monoid, moduli, 1,

@@ -3,8 +3,10 @@
 A document either spells the model out (measurements, outcome modulus,
 contexts, per-context section tables, optionally the partial-monoid
 structure) or names a generating set of Pauli operators plus an
-optional state.  Unknown keys and malformed entries are rejected with
-messages naming the offending field; nothing is silently ignored.
+optional state.  Rows and operation tables are read into positions in
+the scenario's contexts.  Unknown keys and malformed entries are
+rejected with messages naming the offending field; nothing is silently
+ignored.
 """
 
 from __future__ import annotations
@@ -108,32 +110,40 @@ def _parse_action(block, nmeas: int) -> CoefficientAction:
 
 
 def _parse_tables(block, contexts, slot) -> tuple:
-    """Document context ci's table, filed at scenario index ``slot[ci]``."""
+    """Document context ci's table, read into positions of the scenario
+    context ``contexts[slot[ci]]`` and filed at index ``slot[ci]``."""
     if not isinstance(block, list) or len(block) != len(contexts):
         raise ModelFormatError(
             "'partial_monoid.contexts' must list one operation table per "
             "context")
     tables = [None] * len(contexts)
-    for ci, (ctx, triples) in enumerate(zip(contexts, block)):
+    for ci, triples in enumerate(block):
         if not isinstance(triples, list):
             raise ModelFormatError(f"table {ci} must list [x, y, xy] triples")
-        table = {}
-        members = set(ctx)
+        ctx = contexts[slot[ci]]
+        k = len(ctx)
+        pos = {x: i for i, x in enumerate(ctx)}
+        table = [-1] * (k * k)
         for entry in triples:
             if (not isinstance(entry, list) or len(entry) != 3
                     or not all(isinstance(v, str) for v in entry)):
                 raise ModelFormatError(
                     f"table {ci} entries must be [x, y, xy] label triples")
             x, y, z = entry
-            if not {x, y, z} <= members:
+            if not {x, y, z} <= pos.keys():
                 raise ModelFormatError(
                     f"table {ci} mentions labels outside its context")
-            if (x, y) in table and table[(x, y)] != z:
+            key = pos[x] * k + pos[y]
+            if table[key] not in (-1, pos[z]):
                 raise ModelFormatError(
                     f"table {ci} repeats the pair ({x!r}, {y!r}) "
                     f"inconsistently")
-            table[(x, y)] = z
-        tables[slot[ci]] = table
+            table[key] = pos[z]
+        if -1 in table:
+            a, b = divmod(table.index(-1), k)
+            raise ModelFormatError(
+                f"table {ci} misses the pair ({ctx[a]!r}, {ctx[b]!r})")
+        tables[slot[ci]] = tuple(table)
     return tuple(tables)
 
 
@@ -230,7 +240,7 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
         raise ModelFormatError(
             "'partial_monoid' needs 'contexts' and 'action'")
     action = _parse_action(block["action"], len(meas))
-    tables = _parse_tables(block["contexts"], ctxs, slot)
+    tables = _parse_tables(block["contexts"], scenario.contexts, slot)
     return StructuredModel(model, tables, action)
 
 
@@ -253,8 +263,10 @@ def model_to_document(model) -> dict:
     if structured is not None:
         doc["partial_monoid"] = {
             "contexts": [
-                sorted([x, y, z] for (x, y), z in table.items())
-                for table in structured.context_ops
+                sorted([x, y, ctx[table[a * len(ctx) + b]]]
+                       for a, x in enumerate(ctx) for b, y in enumerate(ctx))
+                for ctx, table in zip(scenario.contexts,
+                                      structured.context_ops)
             ],
             "action": {
                 "moduli": list(structured.action.moduli),

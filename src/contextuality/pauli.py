@@ -45,6 +45,9 @@ from .scenario import EmpiricalModel, MeasurementScenario
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS = {v: k for k, v in _LETTERS.items()}
 _MINUS = (0, 0, 2)
+# GHZ-4 closes to 272 operators and perfbench's pauli-sweep draws to at
+# most 40; a closure's build time grows about fourfold per doubling
+_MAX_CLOSURE = 1024
 
 
 def _word(x: int, z: int, n: int) -> str:
@@ -160,7 +163,8 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
 def close_under_commuting_products(ops) -> tuple[PauliOperator, ...]:
     """Smallest superset closed under products of commuting members.
 
-    pre: all operators are sign operators on the same qubit count.
+    pre: all operators are sign operators on the same qubit count, and
+    the closure has at most ``_MAX_CLOSURE`` members.
     """
     pool = set(ops)
     if not pool:
@@ -184,6 +188,9 @@ def close_under_commuting_products(ops) -> tuple[PauliOperator, ...]:
                     r = _mul(p, q)
                     if r not in members:
                         fresh.add(r)
+            if len(members) + len(fresh) > _MAX_CLOSURE:
+                raise PreconditionError(
+                    f"closure exceeds {_MAX_CLOSURE} operators")
         older += frontier
         members |= fresh
         frontier = list(fresh)
@@ -398,10 +405,7 @@ def _build(closure, state) -> StructuredModel:
         mask = [0] * len(ids)
         for m, j in enumerate(span):
             mask[j] = m
-        lab = [labels[i] for i in ids]
-        tables.append({(lab[a], lab[b]): lab[span[ma ^ mb]]
-                       for a, ma in enumerate(mask)
-                       for b, mb in enumerate(mask)})
+        tables.append(tuple(span[ma ^ mb] for ma in mask for mb in mask))
         minus = mask[ids.index(at[_MINUS])]
         gens = [closure[ids[b]] for b in basis]
         rows = []

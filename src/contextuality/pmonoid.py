@@ -16,10 +16,11 @@ for an undefined sum; its composable pairs are three int columns
 (x, y, x + y).  Group elements are mixed-radix ints, the index in
 ``CoefficientAction.elements()``, with 0 the zero.  A quotient keeps the
 embedding i(a), the action a . x, the orbit map and each orbit's
-members as flat int lists.  Labels appear only at the edge: the
-constructors, the label methods (``add``, ``defined``, ``orbit_of``,
-``members``, ``act``, ``value_at``), the label dicts that the splitting
-lemma functions take and return, and error messages.
+members as flat int lists, as a structured model keeps its context
+tables.  Labels appear only at the edge: the constructors, the label
+methods (``add``, ``defined``, ``orbit_of``, ``members``, ``act``,
+``value_at``), the label dicts that the splitting lemma functions take
+and return, and error messages.
 
 The splitting law (homomorphic on the subset's composable pairs, the
 embedding retracted) has one checker on group ids, ``splitting_violations``;
@@ -333,14 +334,14 @@ class CoefficientAction:
 class StructuredModel:
     """An empirical model whose contexts carry total monoid operations.
 
-    ``context_ops`` is aligned with the scenario's context list; each
-    entry maps ordered label pairs within that context to their
-    product's label.  ``action`` names the coefficient group and where
-    its generators land among the measurements.
+    ``context_ops`` is aligned with the scenario's context list; the
+    table of a context ctx of k measurements holds at a * k + b the
+    position of ctx[a] + ctx[b].  ``action`` names the coefficient group
+    and where its generators land among the measurements.
     """
 
     model: EmpiricalModel
-    context_ops: tuple[dict[tuple[str, str], str], ...]
+    context_ops: tuple[tuple[int, ...], ...]
     action: CoefficientAction
 
     @cached_property
@@ -354,13 +355,11 @@ class StructuredModel:
 def glue_contexts(structured: StructuredModel) -> PartialMonoid:
     """Union the per-context operation tables into one partial monoid.
 
-    Every context table must be total on its context, closed inside
-    it, commutative, associative and share one identity; tables must
-    agree wherever contexts overlap.  Violations raise structure
-    errors naming the offending entries.  Each table is read once into
-    a k x k table of positions in its context, and the checks run on
-    that; associativity compares whole rows, (a + b) + c against
-    a + (b + c) for every c at once.
+    Every context table must be k x k positions in its context,
+    commutative, associative and share one identity; tables must agree
+    wherever contexts overlap.  Violations raise structure errors naming
+    the offending entries.  Associativity compares whole rows,
+    (a + b) + c against a + (b + c) for every c at once.
     """
     scenario = structured.model.scenario
     if len(structured.context_ops) != len(scenario.contexts):
@@ -374,34 +373,18 @@ def glue_contexts(structured: StructuredModel) -> PartialMonoid:
     for idx, (ctx, table) in enumerate(zip(scenario.contexts,
                                            structured.context_ops)):
         k = len(ctx)
-        pos = {x: i for i, x in enumerate(ctx)}
-        rows = []
-        for a in ctx:
-            row = []
-            for b in ctx:
-                if (a, b) not in table:
-                    raise StructureError(
-                        f"table for {ctx} misses the pair ({a!r}, {b!r})")
-                c = pos.get(table[(a, b)])
-                if c is None:
-                    raise StructureError(
-                        f"context {ctx} not closed: {a!r} + {b!r} = "
-                        f"{table[(a, b)]!r}")
-                row.append(c)
-            rows.append(row)
+        if len(table) != k * k or not all(
+                type(c) is int and 0 <= c < k for c in table):
+            raise StructureError(
+                f"table for {ctx} is not {k * k} positions in range({k})")
+        rows = [tuple(table[a * k:(a + 1) * k]) for a in range(k)]
         for i in range(k):
             for j in range(i + 1, k):
                 if rows[i][j] != rows[j][i]:
                     raise StructureError(
                         f"context {ctx} not commutative at "
                         f"({ctx[i]!r}, {ctx[j]!r})")
-        if len(table) != k * k:
-            spurious = next(key for key in table
-                            if key[0] not in pos or key[1] not in pos)
-            raise StructureError(
-                f"table for {ctx} mentions outside pair {spurious}")
-        rows = [tuple(row) for row in rows]
-        # a one-element context is associative once it is closed
+        # a one-element context's table is (0,), which is associative
         take = [itemgetter(*row) for row in rows] if k > 1 else []
         for a in range(len(take)):
             for b in range(k):
@@ -454,7 +437,7 @@ class Quotient:
     i(a) + x; ``value_table[y * n + x]`` is the least a with a . x = y,
     or -1; ``orbit_ids[x]`` is the orbit of x, an element of
     ``monoid``; ``member_ids[q]`` lists the orbit's members in element
-    order; ``group_sums`` is the action's ``sum_table``.
+    order, ``least[q]`` the first; ``group_sums`` is the action's ``sum_table``.
     """
 
     def __init__(self, parent: PartialMonoid, action: CoefficientAction):
@@ -529,7 +512,7 @@ class Quotient:
         # A glued monoid is associative on each context, and every context
         # holds i(A), so i(a) moves out of any sum: a triple is associative
         # when its orbits' least members are, and then so is the quotient.
-        least = [ids[0] for ids in self.member_ids]
+        self.least = least = [ids[0] for ids in self.member_ids]
         qx, qy, _qz = monoid.pairs()
         d0, _d1, _d2, d3 = monoid.faces(2)
         for p, q in zip(d3, d0):

@@ -273,8 +273,8 @@ def reference_pauli_model(generators, state=None) -> StructuredModel:
     tables, sections = [], []
     for ctx in scenario.contexts:
         ops = [by_label[lab] for lab in ctx]
-        tables.append({(a.label(), b.label()): multiply(a, b).label()
-                       for a in ops for b in ops})
+        tables.append(tuple(ctx.index(multiply(a, b).label())
+                            for a in ops for b in ops))
         sections.append([Section.of({p.label(): v for p, v in s.items()})
                          for s in _reference_splittings(ops)
                          if state is None or projector_support(s, state)])

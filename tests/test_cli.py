@@ -327,6 +327,18 @@ def test_state_on_too_many_qubits_is_exit_2(tmp_path, capsys):
     assert "state on 64 qubits; at most 20 are supported" in err
 
 
+def test_closure_past_the_bound_is_exit_2(tmp_path, capsys):
+    """Z on each of 40 qubits and -I would close to 2**41 operators; the
+    load stops once the closure passes 1024."""
+    gens = ["I" * k + "Z" + "I" * (39 - k) for k in range(40)]
+    path = tmp_path / "z40.json"
+    path.write_text(json.dumps({"pauli": {
+        "generators": gens + ["-" + "I" * 40]}}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and not out
+    assert "closure exceeds 1024 operators" in err
+
+
 def test_malformed_file_is_exit_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{broken")

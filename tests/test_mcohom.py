@@ -844,14 +844,17 @@ def _audit_global_splitting(st, ci, section, g):
     """``g`` extends ``section`` and is a global splitting, read straight
     off the document's tables: every product sums, and m^u reads u."""
     d = st.action.moduli[0]
-    assert all(g[x] == section[x] for x in st.model.scenario.contexts[ci])
-    for table in st.context_ops:
-        for (x, y), z in table.items():
-            assert (g[x] + g[y] - g[z]) % d == 0
+    contexts = st.model.scenario.contexts
+    assert all(g[x] == section[x] for x in contexts[ci])
+    for ctx, table in zip(contexts, st.context_ops):
+        k = len(ctx)
+        for i, c in enumerate(table):
+            assert (g[ctx[i // k]] + g[ctx[i % k]] - g[ctx[c]]) % d == 0
+    ctx, table = contexts[0], st.context_ops[0]
     m = "e"
     for u in range(d):
         assert g[m] == u
-        m = st.context_ops[0][(m, "m")]
+        m = ctx[table[ctx.index(m) * len(ctx) + ctx.index("m")]]
 
 
 @pytest.mark.parametrize("d", [2, 3])

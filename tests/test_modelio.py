@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +19,14 @@ from contextuality.modelio import (
 from contextuality.pmonoid import StructuredModel
 from contextuality.scenario import EmpiricalModel, Section, classify
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def test_round_trip_fixtures_byte_stable(mermin, ghz, hardy):
-    for bundle, has_structure in ((mermin, True), (ghz, True),
-                                  (hardy, False)):
-        obj = bundle.structured if has_structure else bundle.model
+    bell = [load_model(DATA / name)
+            for name in ("bell_z3_local.json", "bell_z3_pr_box.json")]
+    for obj in (mermin.structured, ghz.structured, hardy.model, *bell):
+        has_structure = isinstance(obj, StructuredModel)
         text = dumps_model(obj)
         back = loads_model(text)
         assert dumps_model(back) == text
@@ -200,6 +204,15 @@ def test_malformed_documents_rejected(hardy, tmp_path):
     _rejects([1, 2, 3], "document must be a JSON object")
 
 
+def test_pauli_closure_is_bounded():
+    """Z on each of ten qubits and -I would close to 2048 operators; nine
+    close to 1024, which loads (test_cli's nine-qubit clique)."""
+    gens = ["I" * k + "Z" + "I" * (9 - k) for k in range(10)]
+    with pytest.raises(PreconditionError) as info:
+        document_to_model({"pauli": {"generators": gens + ["-" + "I" * 10]}})
+    assert str(info.value) == "closure exceeds 1024 operators"
+
+
 def test_malformed_structured_tables(mermin):
     base = json.loads(dumps_model(mermin.structured))
     doc = json.loads(json.dumps(base))
@@ -233,7 +246,9 @@ def test_malformed_structured_tables(mermin):
             ({}, "table 0 must list [x, y, xy] triples"),
             ([[x, y]], "table 0 entries must be [x, y, xy] label triples"),
             ([[x, y, xy], [x, y, other]],
-             f"table 0 repeats the pair ({x!r}, {y!r}) inconsistently")):
+             f"table 0 repeats the pair ({x!r}, {y!r}) inconsistently"),
+            (base["partial_monoid"]["contexts"][0][1:],
+             f"table 0 misses the pair ({x!r}, {y!r})")):
         doc = json.loads(json.dumps(base))
         doc["partial_monoid"]["contexts"][0] = table
         _rejects(doc, message)

@@ -352,7 +352,7 @@ def _random_state(rng, n, gens):
 def _structured_dump(st):
     m = st.model
     return (m.scenario, m.sections, m.rows,
-            [list(t.items()) for t in st.context_ops], st.action)
+            [list(t) for t in st.context_ops], st.action)
 
 
 def _build_or_error(build):

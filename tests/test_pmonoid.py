@@ -137,22 +137,19 @@ def test_glue_mermin_and_ghz(mermin, ghz):
 
 def test_glue_rejects_overlap_disagreement(mermin):
     st = mermin.structured
-    tables = [dict(t) for t in st.context_ops]
-    # corrupt one overlap product in context 0 only
-    ctx0 = st.model.scenario.contexts[0]
-    key = (ctx0[0], ctx0[1])
-    shared = None
-    for ci in range(1, len(tables)):
-        if key[0] in st.model.scenario.contexts[ci] and \
-                key[1] in st.model.scenario.contexts[ci]:
-            shared = ci
-            break
-    if shared is None:
+    tables = [list(t) for t in st.context_ops]
+    # corrupt one overlap product, and its mirror, in context 0 only
+    contexts = st.model.scenario.contexts
+    ctx0 = contexts[0]
+    k = len(ctx0)
+    a, b = 0, 1
+    if not any(ctx0[a] in c and ctx0[b] in c for c in contexts[1:]):
         # pick a pair that two contexts share: +II with anything works
-        key = ("+II", ctx0[2])
-    tables[0][key] = "-II" if tables[0][key] != "-II" else "+II"
-    tables[0][(key[1], key[0])] = tables[0][key]
-    broken = StructuredModel(st.model, tuple(tables), st.action)
+        a, b = ctx0.index("+II"), 2
+    plus, minus = ctx0.index("+II"), ctx0.index("-II")
+    tables[0][a * k + b] = minus if tables[0][a * k + b] != minus else plus
+    tables[0][b * k + a] = tables[0][a * k + b]
+    broken = StructuredModel(st.model, tuple(map(tuple, tables)), st.action)
     with pytest.raises(StructureError):
         glue_contexts(broken)
 
@@ -164,11 +161,45 @@ def test_glue_rejects_noncommutative_table():
     sc = MeasurementScenario.make(("e", "a"), 2, [("a", "e")])
     model = EmpiricalModel.make(
         sc, [[Section.of({"e": 0, "a": 0}), Section.of({"e": 0, "a": 1})]])
-    tab = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "e",
-           ("a", "a"): "e"}
-    st = StructuredModel(model, (tab,), CoefficientAction((2,), ("a",)))
-    with pytest.raises(StructureError):
+    st = StructuredModel(model, ((0, 1, 0, 0),),
+                         CoefficientAction((2,), ("a",)))
+    with pytest.raises(StructureError, match="not commutative"):
         glue_contexts(st)
+
+
+def test_glue_names_contexts_that_disagree():
+    """Two contexts that are groups on their own, Z_4 and Z_2 x Z_2 on
+    the shared e, a, m, glue into no monoid: they disagree on a + a."""
+    from contextuality.scenario import EmpiricalModel, MeasurementScenario
+
+    sc = MeasurementScenario.make(("e", "a", "m", "x", "y"), 2,
+                                  [("e", "a", "m", "x"), ("e", "a", "m", "y")])
+    model = EmpiricalModel.from_rows(sc, [[(0, 0, 0, 0)], [(0, 0, 0, 0)]])
+    z4 = tuple((i + j) % 4 for i in range(4) for j in range(4))
+    klein = tuple(i ^ j for i in range(4) for j in range(4))
+    st = StructuredModel(model, (z4, klein), CoefficientAction((1,), ("e",)))
+    with pytest.raises(StructureError) as info:
+        glue_contexts(st)
+    assert str(info.value) == ("contexts 0 and 1 disagree on ('a', 'a'): "
+                               "'m' vs 'e'")
+
+
+@pytest.mark.parametrize("table", [
+    (0, 1, 1), (0, 1, 1, 0, 0), (0, 1, 1, 2), (0, -1, -1, 0),
+    (0, True, True, 0), (0, "a", "a", 0)])
+def test_glue_rejects_tables_that_are_not_positions(table):
+    """A table is k * k ints in range(k): a wrong length, an entry out of
+    range, and a bool or str entry are each refused with one message."""
+    from contextuality.scenario import EmpiricalModel, MeasurementScenario
+
+    sc = MeasurementScenario.make(("e", "a"), 2, [("a", "e")])
+    model = EmpiricalModel.from_rows(sc, [[(0, 0), (0, 1)]])
+    action = CoefficientAction((2,), ("a",))
+    glue_contexts(StructuredModel(model, ((0, 1, 1, 0),), action))
+    with pytest.raises(StructureError) as info:
+        glue_contexts(StructuredModel(model, (table,), action))
+    assert str(info.value) == ("table for ('e', 'a') is not 4 positions in "
+                               "range(2)")
 
 
 # --- Coefficient actions --------------------------------------------------------
