@@ -25,7 +25,10 @@ common denominator of ``y``.  The parity refutations of both Cech
 routes have one GF(2) checker in ``cech``.
 
 Each solver factors its matrix once, in its constructor or on its first
-solve, and then answers any number of right-hand sides.
+solve, and then answers any number of right-hand sides.  The integer and
+prime-power eliminations keep a log of their row operations, not the
+transform they make: a witness or certificate is replayed from the log
+when it is read (``_replay``).
 ``Gf2AffineSystem``, the one GF(2) class, is a bitmask echelon with no
 left kernel and pivot rows that are not back-reduced as rows arrive:
 solutions back-substitute and the kernel basis reduces the form when
@@ -101,25 +104,50 @@ def hermite_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
     Returns ``(H, U)`` with ``U * mat == H``, ``U`` unimodular, ``H`` in row
     echelon form with positive pivots and entries above each pivot reduced
     to ``[0, pivot)``.  Zero rows sit at the bottom.  The dense boundary of
-    ``_hermite``, which computes it on sparse rows.
+    ``_hermite``, which computes H on sparse rows; U is its operation log
+    replayed forward on the columns of the identity.
     """
-    n = _shape(mat, 0)
-    h, u = _hermite(_sparse(mat), n)
-    return _dense(h, n), _dense(u, len(mat))
+    n, m = _shape(mat, 0), len(mat)
+    h, log = _hermite(_sparse(mat), n)
+    columns = [_replay(log, [int(i == k) for i in range(m)]) for k in range(m)]
+    return _dense(h, n), [list(row) for row in zip(*columns)]
+
+
+def _replay(log: list, v: list[int], q: int = 0,
+            transposed: bool = False) -> list[int]:
+    """The transform T that a row-operation log stands for, applied to
+    ``v`` in place: ``T v``, or ``T^T v`` when ``transposed``, each entry
+    an operation writes reduced mod ``q`` when q is not 0; returns ``v``.
+
+    ``(i, t, f)`` subtracts ``f`` times row t from row i, and a row
+    scaled by s is logged as ``(i, i, 1 - s)``; ``(i, t, None)`` swaps
+    rows i and t.  T is the product of the operations, so ``T^T`` runs
+    them last first, each subtraction from row t instead of row i.
+    """
+    for i, t, f in reversed(log) if transposed else log:
+        if transposed:
+            i, t = t, i
+        if f is None:
+            v[i], v[t] = v[t], v[i]
+        else:
+            a = v[i] - f * v[t]
+            v[i] = a % q if q else a
+    return v
 
 
 def _hermite(h: list[SparseRow], n: int) -> tuple[list, list]:
-    """``hermite_normal_form`` on sparse rows, in place on ``h``.
+    """``hermite_normal_form`` on sparse rows, in place on ``h``; returns
+    H and the log of its row operations (see ``_replay``), from which U
+    is read only when asked.
 
     Column by column, the row with the smallest nonzero entry (the first
     such row on a tie) is swapped up to the pivot position and floor
     quotients of it are subtracted from the rows below, until the column
     is clear below the pivot; the pivot is made positive and the rows
-    above are reduced by floor quotients.  U starts as the identity and
-    takes every row operation of H.
+    above are reduced by floor quotients.
     """
     m = len(h)
-    u = [{i: 1} for i in range(m)]
+    log = []
     t = 0
     for j in range(n):
         if t >= m:
@@ -131,16 +159,16 @@ def _hermite(h: list[SparseRow], n: int) -> tuple[list, list]:
             best = min(nz, key=lambda i: (abs(h[i][j]), i))
             if best != t:
                 h[t], h[best] = h[best], h[t]
-                u[t], u[best] = u[best], u[t]
+                log.append((t, best, None))
             done = True
-            piv, ht, ut = h[t][j], h[t], u[t]
+            piv, ht = h[t][j], h[t]
             # the rows below t that are nonzero in column j, after the swap
             for i in [best if i == t else i for i in nz if i != best]:
                 hi = h[i]
                 q = hi[j] // piv
                 if q:
                     _subtract(hi, q, ht)
-                    _subtract(u[i], q, ut)
+                    log.append((i, t, q))
                 if j in hi:
                     done = False
             if done:
@@ -148,15 +176,15 @@ def _hermite(h: list[SparseRow], n: int) -> tuple[list, list]:
         if j in h[t]:
             if h[t][j] < 0:
                 h[t] = {c: -a for c, a in h[t].items()}
-                u[t] = {c: -a for c, a in u[t].items()}
-            piv, ht, ut = h[t][j], h[t], u[t]
+                log.append((t, t, 2))
+            piv, ht = h[t][j], h[t]
             for i in range(t):
                 q = h[i].get(j, 0) // piv  # floor: leaves 0 <= entry < pivot
                 if q:
                     _subtract(h[i], q, ht)
-                    _subtract(u[i], q, ut)
+                    log.append((i, t, q))
             t += 1
-    return h, u
+    return h, log
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +410,10 @@ class IntegerSystem:
     and are kept as given.  Computes a Hermite basis of the column lattice
     of ``A``, sparse, on the first solve and decides every right-hand side
     against it, those infeasible mod 2 included, so many can be decided
-    against one matrix.
+    against one matrix.  Certificates are read off the basis; a witness,
+    the sum of the transform's rows weighted by the right-hand side's
+    coefficients in the basis, is the Hermite log replayed transposed on
+    those coefficients.
     """
 
     def __init__(self, rows: list[SparseRow], ncols: int):
@@ -398,20 +429,15 @@ class IntegerSystem:
             for i, row in enumerate(self.rows):
                 for j, a in row.items():
                     transpose[j][i] = a
-            h, u = _hermite(transpose, len(self.rows))
-            basis, pivots, urows = [], [], []
-            for row, urow in zip(h, u):
-                if row:
-                    basis.append(row)
-                    pivots.append(min(row))
-                    urows.append(urow)
-            self._lattice = (basis, pivots, urows)
+            h, log = _hermite(transpose, len(self.rows))
+            basis = [row for row in h if row]  # the zero rows come last
+            self._lattice = (basis, [min(row) for row in basis], log)
         return self._lattice
 
     def solve(self, rhs: list[int]) -> IntSolveResult:
         if len(rhs) != len(self.rows):
             raise PreconditionError("right-hand side length mismatch")
-        basis, pivots, urows = self._lattice_data()
+        basis, pivots, log = self._lattice_data()
         # greedy expansion of rhs in the echelon basis, exactly over Q:
         # rhs = den^-1 num + sum coeffs_k basis_k, num sparse
         num = {i: b for i, b in enumerate(rhs) if b}
@@ -445,12 +471,9 @@ class IntegerSystem:
             y = self._dual(bad)
             return self._checked(rhs, IntSolveResult(
                 False, None, InfeasibilityCertificate("integral", tuple(y))))
-        x = [0] * self.ncols
-        for c, urow in zip(coeffs, urows):
-            if c:
-                ci = int(c)
-                for j, a in urow.items():
-                    x[j] += ci * a
+        # the witness sum_k coeffs_k U_k is U^T coeffs, zero past the basis
+        x = [int(c) for c in coeffs] + [0] * (self.ncols - len(coeffs))
+        _replay(log, x, transposed=True)
         return self._checked(rhs, IntSolveResult(True, tuple(x), None))
 
     def _dual(self, k: int = -1, q: int | None = None) -> list[Fraction]:
@@ -557,9 +580,10 @@ class _PrimePowerSystem:
     remaining to the right of (or below) a pivot has valuation at least
     the pivot's.  That makes back-substitution with zeroed free variables
     complete: a division failure genuinely certifies infeasibility.  Rows
-    and their tracks, the combinations of original rows they now hold,
-    are sparse with entries in ``[1, p^e)``; a track is expanded to a
-    dense vector only when it is returned as a certificate.
+    are sparse with entries in ``[1, p^e)``.  The row operations are kept
+    as a log (see ``_replay``), not as a transform: ``solve`` replays it
+    forward on the right-hand side, and a certificate is the transposed
+    replay on the one refuting row's unit vector.
     """
 
     def __init__(self, rows: list[SparseRow], ncols: int, p: int, e: int):
@@ -567,13 +591,13 @@ class _PrimePowerSystem:
         self.ncols = ncols
         q = self.q
         self.mat = [{j: a % q for j, a in row.items() if a % q} for row in rows]
-        self.track = [{i: 1} for i in range(len(rows))]
+        self.log: list[tuple] = []
         self.pivots: list[tuple[int, int, int]] = []  # (row, col, valuation)
         self._eliminate()
 
     def _eliminate(self) -> None:
         p, q = self.p, self.q
-        mat, track = self.mat, self.track
+        mat, log = self.mat, self.log
         m = len(mat)
         r = 0
         while r < m:
@@ -590,26 +614,31 @@ class _PrimePowerSystem:
             if best is None:
                 break
             v, j, i = best
-            mat[r], mat[i] = mat[i], mat[r]
-            track[r], track[i] = track[i], track[r]
+            if i != r:
+                mat[r], mat[i] = mat[i], mat[r]
+                log.append((r, i, None))
             pv = p**v
             inv = pow(mat[r][j] // pv, -1, q)
-            rowr = mat[r] = {c: a * inv % q for c, a in mat[r].items()}
-            tr = track[r] = {c: a * inv % q for c, a in track[r].items()}
+            if inv != 1:
+                mat[r] = {c: a * inv % q for c, a in mat[r].items()}
+                log.append((r, r, (1 - inv) % q))
+            rowr = mat[r]
             for i2 in range(r + 1, m):
                 a = mat[i2].get(j)
                 if a:
                     f = a // pv  # exact: every remaining entry has valuation >= v
                     _subtract_mod(mat[i2], f, rowr, q)
-                    _subtract_mod(track[i2], f, tr, q)
+                    log.append((i2, r, f))
             self.pivots.append((r, j, v))
             r += 1
         self.rank = r
 
     def _certificate(self, i: int, scale: int = 1) -> tuple[int, ...]:
-        """``scale`` times track ``i``, dense over the original rows."""
-        t = self.track[i]
-        return tuple(scale * t.get(k, 0) % self.q for k in range(len(self.mat)))
+        """``scale`` times the combination of original rows that row ``i``
+        now holds, dense over the original rows."""
+        y = _replay(self.log, [int(k == i) for k in range(len(self.mat))],
+                    self.q, transposed=True)
+        return tuple(scale * a % self.q for a in y)
 
     def _back_substitute(self, x: list[int], c: list[int], skip_row: int = -1):
         """Set each pivot's column of ``x``, last pivot first, so that its
@@ -629,7 +658,7 @@ class _PrimePowerSystem:
     def solve(self, rhs: list[int]) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
         """(witness mod q, None) or (None, certificate mod q)."""
         q = self.q
-        c = [sum(t * rhs[k] for k, t in trow.items()) % q for trow in self.track]
+        c = _replay(self.log, [b % q for b in rhs], q)
         for i in range(self.rank, len(self.mat)):
             if c[i]:
                 return None, self._certificate(i)

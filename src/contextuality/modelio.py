@@ -86,9 +86,10 @@ def _parse_pauli_block(block) -> StructuredModel:
     return build_state_independent_model(ops)
 
 
-def _parse_action(block, nmeas: int) -> CoefficientAction:
+def _parse_action(block, nmeas: int, modulus: int) -> CoefficientAction:
     """The coefficient action; its group must fit among the ``nmeas``
-    measurements it embeds into injectively, checked before it is built."""
+    measurements it embeds into injectively, and be the one cyclic factor
+    Z_d of the outcome ``modulus`` d, checked before it is built."""
     if not isinstance(block, dict):
         raise ModelFormatError("'partial_monoid.action' must be an object")
     unknown = set(block) - {"moduli", "images"}
@@ -106,6 +107,10 @@ def _parse_action(block, nmeas: int) -> CoefficientAction:
         raise ModelFormatError(
             f"coefficient group of order {prod(moduli)} cannot embed into "
             f"{nmeas} measurements")
+    if moduli != [modulus]:
+        raise ModelFormatError(
+            "coefficient group must be one cyclic factor matching the "
+            "outcome modulus")
     return CoefficientAction(tuple(moduli), tuple(images))
 
 
@@ -239,7 +244,7 @@ def document_to_model(doc) -> EmpiricalModel | StructuredModel:
     if "contexts" not in block or "action" not in block:
         raise ModelFormatError(
             "'partial_monoid' needs 'contexts' and 'action'")
-    action = _parse_action(block["action"], len(meas))
+    action = _parse_action(block["action"], len(meas), d)
     tables = _parse_tables(block["contexts"], scenario.contexts, slot)
     return StructuredModel(model, tables, action)
 

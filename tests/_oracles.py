@@ -1,5 +1,7 @@
 """Dense-matrix oracle for Pauli arithmetic, shared across test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from contextuality.pauli import GaussianStateVector, PauliOperator
@@ -288,8 +290,9 @@ def reference_pauli_model(generators, state=None) -> StructuredModel:
 # ``dense_hermite_normal_form`` keeps both H and U as dense lists, and
 # ``EagerGf2Echelon`` keeps its pivot rows fully reduced as each row
 # arrives: the direct forms of linalg's sparse Hermite form and of its
-# echelon reduced on demand.  The differential tests require the same
-# (H, U) and the same GF(2) answers.
+# echelon reduced on demand.  ``dense_integer_solve`` reads integer
+# witnesses and certificates off the dense (H, U).  The differential
+# tests require the same (H, U), integer answers and GF(2) answers.
 
 
 def dense_hermite_normal_form(mat):
@@ -335,6 +338,54 @@ def dense_hermite_normal_form(mat):
                     u[i] = [a - q * b for a, b in zip(u[i], u[t])]
             t += 1
     return h, u
+
+
+def dense_integer_solve(mat, rhs):
+    """``A x = b`` over the integers, from the dense Hermite form of A^T:
+    ``("witness", x)`` with x the sum of U's rows weighted by b's
+    coefficients in the basis of H's nonzero rows, or ``(kind, y)`` for a
+    certificate.  b is expanded over Q by forward substitution on the
+    pivot columns.  A residual left over gives kind "rational": y_q = 1 on
+    its first nonzero coordinate q.  Else the first non-integral
+    coefficient k gives kind "integral": y.h_k = 1.  Either way y lives on
+    the pivot coordinates (and q), with y.h_j = 0 on every other basis
+    row."""
+    ncols = len(mat[0]) if mat else 0
+    h, u = dense_hermite_normal_form([list(col) for col in zip(*mat)]
+                                     if mat else [[]] * ncols)
+    basis = [(row, next(j for j, a in enumerate(row) if a))
+             for row in h if any(row)]
+    residual = [Fraction(b) for b in rhs]
+    coeffs = []
+    for row, p in basis:
+        c = residual[p] / row[p]
+        coeffs.append(c)
+        residual = [a - c * b for a, b in zip(residual, row)]
+
+    def dual(target, q=None):
+        alpha = [Fraction(0)] * len(basis)
+        for j in range(len(basis) - 1, -1, -1):
+            row, p = basis[j]
+            s = Fraction(-row[q] if q is not None else int(j == target))
+            s -= sum(alpha[l] * row[basis[l][1]]
+                     for l in range(j + 1, len(basis)))
+            alpha[j] = s / row[p]
+        y = [Fraction(0)] * len(rhs)
+        if q is not None:
+            y[q] = Fraction(1)
+        for (_row, p), a in zip(basis, alpha):
+            y[p] = a
+        return tuple(y)
+
+    if any(residual):
+        return "rational", dual(None, q=next(
+            i for i, a in enumerate(residual) if a))
+    bad = [k for k, c in enumerate(coeffs) if c.denominator != 1]
+    if bad:
+        return "integral", dual(bad[0])
+    return "witness", tuple(sum(int(c) * urow[j]
+                                for c, urow in zip(coeffs, u))
+                            for j in range(ncols))
 
 
 class EagerGf2Echelon:

@@ -249,6 +249,24 @@ def test_analyze_all_on_z3_bell_documents(capsys, name, sections,
     assert {r["path"] for r in payload["group"]} == {path}
 
 
+@pytest.mark.parametrize("command", [["validate"], ["analyze", "--cech"]])
+def test_mismatched_coefficient_action_exits_2_at_load(command, tmp_path,
+                                                       capsys):
+    """A coefficient group that is not the one cyclic factor Z_d of the
+    outcome modulus is refused when the document is loaded, so a command
+    that never builds the group, ``analyze --cech``, exits 2 with the
+    same message as ``validate``."""
+    doc = json.loads((DATA / "bell_z3_local.json").read_text())
+    doc["partial_monoid"]["action"] = {"moduli": [3, 3],
+                                       "images": ["m", "b0"]}
+    path = tmp_path / "z3x3.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == ("error: coefficient group must be one cyclic factor "
+                   "matching the outcome modulus\n")
+
+
 def test_group_rows_name_their_path(tmp_path, capsys):
     """Each structured --group row names the rung that decided it, and
     --crosscheck totals them: mermin's absolute class refutes every

@@ -16,9 +16,10 @@ from _oracles import (
     DensePrimePowerSystem,
     EagerGf2Echelon,
     dense_hermite_normal_form,
+    dense_integer_solve,
 )
 from contextuality import linalg
-from contextuality.errors import PreconditionError
+from contextuality.errors import InternalCheckError, PreconditionError
 from contextuality.linalg import (
     Gf2AffineSystem,
     Gf2Echelon,
@@ -373,6 +374,35 @@ def test_gf2_refuter_is_pinned_by_brute_force():
     assert refuted > 100
 
 
+def test_gf2_refuter_ignores_column_operations():
+    """The refuter depends on the row order and the row space alone: e_r
+    plus the unique combination of earlier independent rows, for the
+    first dependent row r that the right-hand side breaks.  So permuting
+    the columns, then adding one column into another, leaves ``refute``
+    and the dependent rows as they were, though the pivots move."""
+    rng = random.Random(103)
+    refuted = pivots_moved = 0
+    for _ in range(300):
+        ncols = rng.randint(2, 40)
+        masks = _gf2_masks(rng, ncols, rng.randint(1, 50))
+        order = rng.sample(range(ncols), ncols)
+        a, b = rng.sample(range(ncols), 2)
+        moved = []
+        for mask in masks:
+            m = sum(1 << order[c] for c in range(ncols) if mask >> c & 1)
+            moved.append(m ^ (m >> a & 1) << b)
+        system = Gf2AffineSystem(masks, ncols)
+        other = Gf2AffineSystem(moved, ncols)
+        assert other.dependent == system.dependent
+        pivots_moved += set(other.pivots) != set(system.pivots)
+        for _ in range(4):
+            rhs = rng.getrandbits(len(masks))
+            ref = system.refute(rhs)
+            assert other.refute(rhs) == ref
+            refuted += ref is not None
+    assert refuted > 600 and pivots_moved > 100, (refuted, pivots_moved)
+
+
 def test_gf2_echelon_matches_eager_reference():
     """The echelon reduced on demand, as the solver that keeps its rows
     (``Gf2AffineSystem``), has the eager reference's pivot columns and
@@ -526,6 +556,55 @@ def test_solve_integer_known_cases():
     assert decide_integer([], [], ncols=3).feasible
 
 
+def _rank_deficient_systems(rng, count):
+    """Seeded ``(A, right-hand sides)`` with A = L R of rank below both of
+    its dimensions, each column scaled by 1, 2, 3 or 6 so that the Hermite
+    form has non-unit pivots.  The right-hand sides are A x (feasible),
+    L R x without the column scaling (in the rational span of A, often
+    off its lattice) and A x plus a unit vector (often off the span)."""
+    for _ in range(count):
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        r = rng.randint(1, min(m, n) - 1)
+        left = _rand_matrix(rng, m, r, -3, 3)
+        right = _rand_matrix(rng, r, n, -3, 3)
+        scale = [rng.choice((1, 2, 3, 6)) for _ in range(n)]
+        unscaled = [[sum(a * b for a, b in zip(row, col))
+                     for col in zip(*right)] for row in left]
+        mat = [[a * k for a, k in zip(row, scale)] for row in unscaled]
+        x = [rng.randint(-4, 4) for _ in range(n)]
+        image = [sum(a * v for a, v in zip(row, x)) for row in mat]
+        off = list(image)
+        off[rng.randrange(m)] += 1
+        yield mat, (image,
+                    [sum(a * v for a, v in zip(row, x)) for row in unscaled],
+                    off)
+
+
+def test_integer_answers_match_the_dense_oracle():
+    """``IntegerSystem.solve`` returns exactly the dense oracle's answer,
+    read from the dense Hermite form of A^T with its transform U: the
+    witness sum_k c_k U_k, a rational certificate or an integral one, on
+    300 seeded rank-deficient systems, most with non-unit pivots."""
+    rng = random.Random(83)
+    kinds = {"witness": 0, "rational": 0, "integral": 0}
+    non_unit = 0
+    for mat, rhss in _rank_deficient_systems(rng, 300):
+        system = IntegerSystem(_sparse(mat), len(mat[0]))
+        for rhs in rhss:
+            kind, vector = dense_integer_solve(mat, rhs)
+            got = system.solve(rhs)
+            if kind == "witness":
+                assert got == IntSolveResult(True, vector, None)
+            else:
+                assert got == IntSolveResult(
+                    False, None, InfeasibilityCertificate(kind, vector))
+            kinds[kind] += 1
+        basis, pivots, _log = system._lattice_data()
+        assert len(basis) < min(len(mat), len(mat[0]))
+        non_unit += any(row[p] > 1 for row, p in zip(basis, pivots))
+    assert min(kinds.values()) > 100 and non_unit > 150, (kinds, non_unit)
+
+
 # --- Modular systems --------------------------------------------------------
 
 
@@ -619,8 +698,8 @@ def test_prime_power_elimination_matches_dense_reference(monkeypatch):
             assert (got.pivots, got.rank) == (ref.pivots, ref.rank)
             assert [[row.get(j, 0) for j in range(n)]
                     for row in got.mat] == ref.mat
-            assert [[t.get(i, 0) for i in range(len(rows))]
-                    for t in got.track] == ref.track
+            assert [list(got._certificate(i))
+                    for i in range(len(rows))] == ref.track
             assert got.kernel() == ref.kernel()
             for rhs in rhss:
                 answer = got.solve(rhs)
@@ -701,6 +780,79 @@ def test_verifiers_reject_mutated_certificates():
                 mutants += 1
                 rejected += not valid
     assert mutants > 1000 and rejected > 2 * mutants / 3
+
+
+def _log_mutants(log):
+    """Each logged row operation tampered in turn, as ``(kind, log)``: a
+    swap dropped, a scaling (a negation, over the integers) dropped, or a
+    quotient raised by one."""
+    for k, (i, t, f) in enumerate(log):
+        if f is None or i == t:
+            yield "swap" if f is None else "scaling", log[:k] + log[k + 1:]
+        else:
+            yield "quotient", log[:k] + [(i, t, f + 1)] + log[k + 1:]
+
+
+def test_tampered_hermite_logs_fail_the_witness_audit():
+    """Every tampered operation of a Hermite log makes the next witness
+    fail ``IntegerSystem``'s audit.  A's columns are independent, so the
+    witness is unique and any change to U moves it; x has large entries,
+    so no change of U is orthogonal to it by chance.  Certificates are
+    read off H, not the log."""
+    rng = random.Random(89)
+    caught = {"swap": 0, "scaling": 0, "quotient": 0}
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        mat = _rand_matrix(rng, rng.randint(n, n + 3), n, -6, 6)
+        system = IntegerSystem(_sparse(mat), n)
+        basis, pivots, log = system._lattice_data()
+        if len(basis) < n:
+            continue
+        for kind, mutant in [*_log_mutants(log), (None, log)]:
+            system._lattice = (basis, pivots, mutant)
+            x = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in mat]
+            if kind is None:
+                assert system.solve(rhs).witness == tuple(x)
+                continue
+            with pytest.raises(InternalCheckError):
+                system.solve(rhs)
+            caught[kind] += 1
+    assert min(caught.values()) > 100, caught
+
+
+def test_tampered_prime_power_logs_fail_an_audit():
+    """At d = 9, every tampered operation of the elimination log changes
+    the replay of some column of A, and the solve against the first such
+    column fails ``ModSystem``'s audit.  That right-hand side is
+    feasible, so any other answer fails: a witness by substitution, a
+    certificate by ``separates``.  Most of the failed answers are
+    certificates."""
+    rng = random.Random(97)
+    caught = {"swap": 0, "scaling": 0, "quotient": 0}
+    by_certificate = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        scale = rng.choice((1, 1, 3))
+        rows = [{j: scale * a for j in range(n)
+                 if rng.random() < 0.7 and (a := rng.randrange(9))}
+                for _ in range(rng.randint(n, n + 3))]
+        system = ModSystem(rows, 9, n)
+        (_p, _e, local), = system.locals
+        log = local.log
+        columns = [[row.get(j, 0) % 9 for row in rows] for j in range(n)]
+        reads = [linalg._replay(log, list(col), 9) for col in columns]
+        for kind, mutant in _log_mutants(log):
+            j = next(j for j, col in enumerate(columns)
+                     if linalg._replay(mutant, list(col), 9) != reads[j])
+            local.log = mutant
+            by_certificate += local.solve(columns[j])[1] is not None
+            with pytest.raises(InternalCheckError):
+                system.solve(columns[j])
+            local.log = log
+            caught[kind] += 1
+    assert min(caught.values()) > 50 and by_certificate > 300, (
+        caught, by_certificate)
 
 
 def test_kernel_mod_fuzz():
